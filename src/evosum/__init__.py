@@ -27,10 +27,8 @@ from .dynamics import (
     ActiveSystem,
     BackwardReport,
     EliminationEvent,
-    InsertionEvent,
     ScanRow,
     SimulationConfig,
-    Snapshot,
     TerminationReason,
     Trajectory,
     add_species,
@@ -77,7 +75,6 @@ __all__ = [
     "EliminationEvent",
     "EvolutionMatrix",
     "GeneratorMatrix",
-    "InsertionEvent",
     "MatrixClass",
     "MatrixKind",
     "PopulationVector",
@@ -85,7 +82,6 @@ __all__ = [
     "ScanRow",
     "Scenario",
     "SimulationConfig",
-    "Snapshot",
     "SpectralSummary",
     "TerminationReason",
     "ToleranceConfig",

@@ -12,10 +12,9 @@ Exit codes: 0 success, 2 scenario/usage parse error, 3 validation error,
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-import tempfile
+from collections.abc import Iterator
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .dynamics import (
     evolve_backward,
 )
 from .errors import NumericalError, ScenarioParseError, ValidationError
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, _atomic_write, _json_text, load_scenario
 from .spectral import SpectralSummary, check_biorthogonality, eigendecompose
 from .two_species import Regime, TwoSpeciesParams, classify_regime, predict_winner
 
@@ -44,30 +43,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _trajectory_csv(trajectory: Trajectory, names: tuple[str, ...]) -> str:
-    lines = ["step,tau," + ",".join(names) + ",event"]
-    for snap in trajectory.snapshots:
-        event = "" if snap.event_species is None else f"elim:{names[snap.event_species]}"
-        values = ",".join(_fmt(x) for x in snap.values)
-        lines.append(f"{snap.step_index},{_fmt(snap.fraction)},{values},{event}")
-    return "\n".join(lines) + "\n"
+def _trajectory_lines(trajectory: Trajectory, names: tuple[str, ...]) -> Iterator[str]:
+    yield "step,tau," + ",".join(names) + ",event\n"
+    columns = zip(
+        trajectory.steps.tolist(),
+        trajectory.fractions.tolist(),
+        trajectory.values,
+        trajectory.event_species.tolist(),
+    )
+    for step, tau, values, species in columns:
+        event = "" if species < 0 else f"elim:{names[species]}"
+        yield f"{step},{tau!r},{','.join(map(repr, values.tolist()))},{event}\n"
 
 
 def _spectral_digest(summary: SpectralSummary) -> dict:
@@ -94,38 +80,19 @@ def _two_species_report(scenario: Scenario) -> dict | None:
     return {"regime": regime.value, "predicted_winner": winner.value}
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    config = scenario.config
-    seed = scenario.seed
-    if getattr(args, "max_steps", None) is not None:
-        config = SimulationConfig(
-            max_steps=args.max_steps,
-            convergence_tol=config.convergence_tol,
-            record_every=config.record_every,
-        )
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    return Scenario(
-        species_names=scenario.species_names,
-        dt=scenario.dt,
-        matrix_spec=scenario.matrix_spec,
-        matrix=scenario.matrix,
-        initial_raw=scenario.initial_raw,
-        initial=scenario.initial,
-        config=config,
-        seed=seed,
-    )
-
-
 def cmd_simulate(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario)
+    if args.max_steps is not None:
+        scenario = replace(scenario, config=replace(scenario.config, max_steps=args.max_steps))
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
     trajectory = evolve(
         ActiveSystem(matrix=scenario.matrix, populations=scenario.initial),
         scenario.config,
     )
     names = scenario.species_names
     summary = {
-        "terminal_populations": [float(x) for x in trajectory.snapshots[-1].values],
+        "terminal_populations": trajectory.values[-1].tolist(),
         "exit_reason": trajectory.terminated_reason.value,
         "events": [
             {
@@ -136,15 +103,15 @@ def cmd_simulate(args) -> int:
                 "neg_offdiag_before": e.neg_offdiag_before,
                 "neg_offdiag_after": e.neg_offdiag_after,
             }
-            for e in trajectory.elimination_events
+            for e in trajectory.events
         ],
         "spectral": _spectral_digest(eigendecompose(trajectory.final_system.matrix)),
         "two_species": _two_species_report(scenario),
         "seed": scenario.seed,
     }
     summary_path = args.summary or args.out + ".summary.json"
-    _atomic_write(args.out, _trajectory_csv(trajectory, names))
-    _atomic_write(summary_path, _json_text(summary))
+    _atomic_write(args.out, _trajectory_lines(trajectory, names))
+    _atomic_write(summary_path, [_json_text(summary)])
     return EXIT_OK
 
 
@@ -160,7 +127,7 @@ def cmd_spectrum(args) -> int:
         }
     except NumericalError as exc:
         report["biorthogonality"] = {"error": str(exc)}
-    _atomic_write(args.out, _json_text(report))
+    _atomic_write(args.out, [_json_text(report)])
     return EXIT_OK
 
 
@@ -196,7 +163,7 @@ def cmd_sweep(args) -> int:
             lines.append(f"{_fmt(row.scale)},,no-elimination")
         else:
             lines.append(f"{_fmt(row.scale)},{row.steps},ok")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _atomic_write(args.out, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 

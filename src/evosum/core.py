@@ -43,16 +43,48 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_vector(values: np.ndarray, noun: str) -> None:
+    """Shape, finiteness and sign checks shared by every population input."""
+    if values.ndim != 1 or values.size < 1:
+        raise DimensionMismatchError(f"expected a nonempty 1-D vector of {noun}s")
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValidationError(f"{noun} entry {bad} is not finite ({float(values[bad])})")
+    if np.any(values < 0):
+        bad = int(np.argmin(values))
+        raise NegativeEntryError(f"{noun} entry {bad} is negative ({float(values[bad])})")
+
+
+def _check_matrix(entries: np.ndarray, dt: float, column_sum: float, exc, what: str) -> None:
+    """Checks shared by every per-step matrix: square, finite, ``dt``, column sums."""
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
+        raise DimensionMismatchError(f"{what} must be a nonempty square matrix")
+    finite = np.isfinite(entries)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise ValidationError(f"{what} entry ({i}, {j}) is not finite ({float(entries[i, j])})")
+    if not 0 < dt < np.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
+    sums = entries.sum(axis=0)
+    dev = np.abs(sums - column_sum)
+    if np.any(dev > CONSTRUCTION_TOL):
+        j = int(np.argmax(dev))
+        raise exc(
+            f"column {j} of {what} sums to {float(sums[j])!r}, "
+            f"expected {column_sum} within {CONSTRUCTION_TOL}"
+        )
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical tolerances shared by validators, solvers, and the engine."""
 
-    sum_tol: float = 1e-9
     zero_tol: float = 1e-12
     eig_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if min(self.sum_tol, self.zero_tol, self.eig_tol) <= 0:
+        if min(self.zero_tol, self.eig_tol) <= 0:
             raise ValidationError("all tolerances must be strictly positive")
 
 
@@ -81,11 +113,7 @@ class PopulationVector:
     def __post_init__(self) -> None:
         values = _readonly(self.values)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 1:
-            raise DimensionMismatchError("populations must form a nonempty 1-D vector")
-        if np.any(values < 0):
-            bad = int(np.argmin(values))
-            raise NegativeEntryError(f"population entry {bad} is negative ({float(values[bad])})")
+        _check_vector(values, "population")
         total = float(values.sum())
         if abs(total - 1.0) > CONSTRUCTION_TOL:
             raise ConservationError(
@@ -103,16 +131,6 @@ class PopulationVector:
         return np.array(self.values, dtype=dtype)
 
 
-def _check_column_sums(entries: np.ndarray, target: float, tol: float, exc, what: str) -> None:
-    sums = entries.sum(axis=0)
-    dev = np.abs(sums - target)
-    if np.any(dev > tol):
-        j = int(np.argmax(dev))
-        raise exc(
-            f"column {j} of {what} sums to {float(sums[j])!r}, expected {target} within {tol}"
-        )
-
-
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Per-step change matrix with zero column sums; ``dt`` is metadata only."""
@@ -123,11 +141,7 @@ class GeneratorMatrix:
     def __post_init__(self) -> None:
         entries = _readonly(self.entries)
         object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
-            raise DimensionMismatchError("generator must be a square matrix")
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        _check_column_sums(entries, 0.0, CONSTRUCTION_TOL, BadGeneratorError, "generator")
+        _check_matrix(entries, self.dt, 0.0, BadGeneratorError, "generator")
 
     @property
     def n(self) -> int:
@@ -149,11 +163,7 @@ class EvolutionMatrix:
     def __post_init__(self) -> None:
         entries = _readonly(self.entries)
         object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
-            raise DimensionMismatchError("evolution matrix must be square")
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        _check_column_sums(entries, 1.0, CONSTRUCTION_TOL, ConservationError, "evolution matrix")
+        _check_matrix(entries, self.dt, 1.0, ConservationError, "evolution matrix")
 
     @property
     def n(self) -> int:
@@ -163,11 +173,7 @@ class EvolutionMatrix:
 def make_population(raw) -> PopulationVector:
     """Normalize a vector of nonnegative abundances onto the simplex."""
     values = np.asarray(raw, dtype=float)
-    if values.ndim != 1 or values.size < 1:
-        raise DimensionMismatchError("expected a nonempty 1-D vector of abundances")
-    if np.any(values < 0):
-        bad = int(np.argmin(values))
-        raise NegativeEntryError(f"abundance entry {bad} is negative ({float(values[bad])})")
+    _check_vector(values, "abundance")
     total = float(values.sum())
     if total <= 0:
         raise ZeroTotalError("total abundance must be positive")

@@ -15,9 +15,11 @@ interpolated state on the reduced system, so simultaneous crossings
 resolve one at a time (smallest crossing fraction first, ties by lowest
 species id) and the step counter only advances on completed steps.
 
-Snapshots embed reduced states back into full-length vectors, with zeros
-in the slots of extinct species. Once eliminated, a species never
-respawns on its own; it can only re-enter through ``add_species``.
+The trajectory is stored as columns, one entry per recorded row: step,
+crossing fraction, the full-length state (reduced states embedded back,
+with zeros in the slots of extinct species) and the eliminated species.
+Once eliminated, a species never respawns on its own; it can only
+re-enter through ``add_species``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     EvolutionMatrix,
     PopulationVector,
     ToleranceConfig,
+    _readonly,
     negative_offdiag_count,
 )
 from .errors import (
@@ -59,8 +62,8 @@ class SimulationConfig:
             raise ValidationError("max_steps must be at least 1")
         if self.record_every < 1:
             raise ValidationError("record_every must be at least 1")
-        if self.convergence_tol < 0:
-            raise ValidationError("convergence_tol must be nonnegative")
+        if not self.convergence_tol >= 0:
+            raise ValidationError("convergence_tol must be a nonnegative number")
 
 
 @dataclass(frozen=True)
@@ -121,29 +124,6 @@ class EliminationEvent:
             raise ValidationError("dimensional reduction cannot add negative transfers")
 
 
-@dataclass(frozen=True)
-class InsertionEvent:
-    """A new species entered at ``step_index`` with the given seed share."""
-
-    step_index: int
-    species_id: int
-    seed_fraction: float
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Full-length state at (step_index, fraction); extinct slots hold zero.
-
-    ``fraction`` is 0 for ordinary rows and the interpolated crossing
-    fraction for elimination rows, which also carry ``event_species``.
-    """
-
-    step_index: int
-    fraction: float
-    values: np.ndarray
-    event_species: int | None = None
-
-
 class TerminationReason(enum.Enum):
     MAX_STEPS = "MaxSteps"
     CONVERGED = "Converged"
@@ -152,14 +132,22 @@ class TerminationReason(enum.Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    snapshots: tuple[Snapshot, ...]
-    events: tuple[EliminationEvent | InsertionEvent, ...]
+    """Recorded rows of one run as read-only columns of equal length T.
+
+    Row k is the full-length state ``values[k]`` (shape (T, N); extinct
+    slots hold zero) after ``steps[k]`` completed steps. ``fractions[k]``
+    is 0 on ordinary rows and the interpolated crossing fraction on
+    elimination rows, where ``event_species[k]`` is the eliminated
+    species id; it is -1 on ordinary rows.
+    """
+
+    steps: np.ndarray
+    fractions: np.ndarray
+    values: np.ndarray
+    event_species: np.ndarray
+    events: tuple[EliminationEvent, ...]
     terminated_reason: TerminationReason
     final_system: ActiveSystem
-
-    @property
-    def elimination_events(self) -> tuple[EliminationEvent, ...]:
-        return tuple(e for e in self.events if isinstance(e, EliminationEvent))
 
 
 @dataclass(frozen=True)
@@ -307,9 +295,7 @@ def add_species(
 def _floor_dust(values: np.ndarray, zero_tol: float) -> np.ndarray:
     # Only sub-tolerance float dust is floored; a genuine negative entry
     # would be a bug and must stay visible.
-    out = np.where((values < 0.0) & (values > -zero_tol), 0.0, values)
-    out.flags.writeable = False
-    return out
+    return np.where((values < 0.0) & (values > -zero_tol), 0.0, values)
 
 
 def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) -> Trajectory:
@@ -330,7 +316,8 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         full[alive] = state
         return _floor_dust(full, zero_tol)
 
-    snapshots: list[Snapshot] = [Snapshot(0, 0.0, embed(phi))]
+    # One (step, fraction, full state, eliminated species or -1) per row.
+    rows: list[tuple[int, float, np.ndarray, int]] = [(0, 0.0, embed(phi), -1)]
     events: list[EliminationEvent] = []
     t = 0
     while True:
@@ -358,7 +345,7 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
                     neg_offdiag_after=neg_after,
                 )
             )
-            snapshots.append(Snapshot(t, tau, embed(phi), event_species=alive[local]))
+            rows.append((t, tau, embed(phi), alive[local]))
             phi = np.delete(phi, local)
             del alive[local]
             continue  # re-evaluate the interrupted step on the reduced system
@@ -366,19 +353,20 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         phi = proposed
         t += 1
         if t % config.record_every == 0:
-            snapshots.append(Snapshot(t, 0.0, embed(phi)))
+            rows.append((t, 0.0, embed(phi), -1))
         if l1_change < config.convergence_tol:
             reason = TerminationReason.CONVERGED
             break
 
     terminal = embed(phi)
-    last = snapshots[-1]
-    if last.step_index != t or not np.array_equal(last.values, terminal):
-        snapshots.append(Snapshot(t, 0.0, terminal))
+    last_step, _, last_values, _ = rows[-1]
+    if last_step != t or not np.array_equal(last_values, terminal):
+        rows.append((t, 0.0, terminal, -1))
+    steps, fractions, values, event_species = zip(*rows)
 
     # The report re-projects the terminal state onto the simplex; trajectory
-    # snapshots keep the raw values so conservation drift stays measurable.
-    survivors = np.where((phi < 0.0) & (phi > -zero_tol), 0.0, phi)
+    # rows keep the raw values so conservation drift stays measurable.
+    survivors = _floor_dust(phi, zero_tol)
     final_system = ActiveSystem(
         matrix=EvolutionMatrix(entries, dt=system.matrix.dt),
         populations=PopulationVector(survivors / survivors.sum()),
@@ -386,7 +374,10 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         universe_size=full_size,
     )
     return Trajectory(
-        snapshots=tuple(snapshots),
+        steps=_readonly(steps, dtype=int),
+        fractions=_readonly(fractions),
+        values=_readonly(values),
+        event_species=_readonly(event_species, dtype=int),
         events=tuple(events),
         terminated_reason=reason,
         final_system=final_system,
@@ -458,7 +449,7 @@ def elimination_time_scan(
     for scale in scales:
         matrix = builder(scale)
         trajectory = evolve(ActiveSystem(matrix=matrix, populations=phi0), config)
-        eliminations = trajectory.elimination_events
+        eliminations = trajectory.events
         steps = eliminations[0].step_index if eliminations else None
         rows.append(ScanRow(scale=float(scale), steps=steps))
     return rows

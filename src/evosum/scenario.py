@@ -12,12 +12,17 @@ Top-level keys:
 * ``seed`` (optional): recorded for provenance and output determinism.
 
 Floats survive a save/load round trip exactly: they are serialized with
-Python's shortest round-tripping repr.
+Python's shortest round-tripping repr. Files are written atomically
+(temp file plus rename), so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import (
@@ -101,10 +106,23 @@ def _build_config(raw: dict | None) -> SimulationConfig:
     unknown = set(raw) - _CONFIG_KEYS
     _require(not unknown, f"unknown config fields: {sorted(unknown)}")
     defaults = SimulationConfig()
+    max_steps = raw.get("max_steps", defaults.max_steps)
+    record_every = raw.get("record_every", defaults.record_every)
+    tol = raw.get("convergence_tol", defaults.convergence_tol)
+    for key, value in (("max_steps", max_steps), ("record_every", record_every)):
+        _require(
+            isinstance(value, int) and not isinstance(value, bool),
+            f"config field '{key}' must be an integer",
+        )
+    _require(
+        isinstance(tol, (int, float))
+        and not isinstance(tol, bool)
+        and math.isfinite(tol)
+        and tol >= 0,
+        "config field 'convergence_tol' must be a finite number >= 0",
+    )
     return SimulationConfig(
-        max_steps=int(raw.get("max_steps", defaults.max_steps)),
-        convergence_tol=float(raw.get("convergence_tol", defaults.convergence_tol)),
-        record_every=int(raw.get("record_every", defaults.record_every)),
+        max_steps=max_steps, convergence_tol=float(tol), record_every=record_every
     )
 
 
@@ -192,7 +210,23 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _atomic_write(path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to a temp file beside ``path``, then rename it over ``path``."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _atomic_write(path, [_json_text(scenario_to_dict(scenario))])

@@ -154,20 +154,13 @@ def crosscheck(
     config = SimulationConfig(max_steps=steps, convergence_tol=0.0, record_every=1)
     trajectory = evolve(ActiveSystem(matrix=matrix, populations=start), config)
 
-    eliminations = trajectory.elimination_events
+    eliminations = trajectory.events
     last_step = min(steps, eliminations[0].step_index) if eliminations else steps
-    engine = {
-        s.step_index: s.values
-        for s in trajectory.snapshots
-        if s.event_species is None and s.step_index <= last_step
-    }
+    keep = (trajectory.event_species < 0) & (trajectory.steps <= last_step)
     deviation = 0.0
-    compared = 0
-    for t in range(last_step + 1):
-        if t not in engine:
-            continue
-        deviation = max(deviation, float(np.max(np.abs(engine[t] - closed_form(params, t)))))
-        compared += 1
+    compared = int(keep.sum())
+    for t, values in zip(trajectory.steps[keep].tolist(), trajectory.values[keep]):
+        deviation = max(deviation, float(np.max(np.abs(values - closed_form(params, t)))))
     return CrosscheckReport(
         max_deviation=deviation, steps_compared=compared, passed=deviation <= tol
     )

@@ -91,10 +91,10 @@ def test_criterion_3_regime_table():
     t0 = time.perf_counter()
     coexist = run(two_species_matrix(0.1, 0.2), [0.9, 0.1], max_steps=1000)
     budgets.append(time.perf_counter() - t0)
-    checks.append((coexist.elimination_events == (), "coexistence run produced an event"))
+    checks.append((coexist.events == (), "coexistence run produced an event"))
     checks.append(
         (
-            np.max(np.abs(coexist.snapshots[-1].values - [2 / 3, 1 / 3])) < 1e-6,
+            np.max(np.abs(coexist.values[-1] - [2 / 3, 1 / 3])) < 1e-6,
             "coexistence run missed the stationary mix",
         )
     )
@@ -102,7 +102,7 @@ def test_criterion_3_regime_table():
     t0 = time.perf_counter()
     extinction = run(two_species_matrix(0.1, -0.05), [0.5, 0.5], max_steps=10_000)
     budgets.append(time.perf_counter() - t0)
-    events = extinction.elimination_events
+    events = extinction.events
     checks.append((len(events) == 1, f"expected exactly one elimination, got {len(events)}"))
     checks.append(
         (events and events[0].species_id == 0, "the species with the negative row entry must lose")
@@ -115,7 +115,7 @@ def test_criterion_3_regime_table():
         t0 = time.perf_counter()
         unstable = run(two_species_matrix(-0.05, -0.05), [a, 1 - a], max_steps=10_000)
         budgets.append(time.perf_counter() - t0)
-        events = unstable.elimination_events
+        events = unstable.events
         checks.append(
             (
                 len(events) == 1 and events[0].species_id == doomed,
@@ -141,8 +141,8 @@ def test_criterion_4_markov_fixed_point_oracle():
         phi = np.array(make_population(rng.random(n) + 1e-3))
         distance = float(np.abs(phi - by_eig).sum())
         trajectory = run(matrix, phi, max_steps=150)
-        for snap in trajectory.snapshots[1:]:
-            current = float(np.abs(snap.values - by_eig).sum())
+        for values in trajectory.values[1:]:
+            current = float(np.abs(values - by_eig).sum())
             if current > distance + 1e-12:
                 monotone_violations += 1
             distance = current
@@ -226,13 +226,13 @@ def test_criterion_8_reduced_system_stationarity():
             max_steps=20_000,
             convergence_tol=1e-13,
         )
-        if not trajectory.elimination_events:
+        if not trajectory.events:
             continue
         if trajectory.terminated_reason is TerminationReason.MAX_STEPS:
             continue
         eliminating += 1
         final = trajectory.final_system
-        terminal = trajectory.snapshots[-1].values[list(final.alive_ids)]
+        terminal = trajectory.values[-1][list(final.alive_ids)]
         if final.n == 1:
             target = np.array([1.0])
         else:
@@ -242,7 +242,7 @@ def test_criterion_8_reduced_system_stationarity():
         worst = max(worst, float(np.max(np.abs(terminal - target))))
     for a in (0.6, 0.4):
         trajectory = run(two_species_matrix(-0.05, -0.05), [a, 1 - a], max_steps=10_000)
-        terminal = trajectory.snapshots[-1].values[list(trajectory.final_system.alive_ids)]
+        terminal = trajectory.values[-1][list(trajectory.final_system.alive_ids)]
         worst = max(worst, float(np.max(np.abs(terminal - [1.0]))))
     checks = [
         (worst < 1e-6, f"terminal vs reduced-system stationary deviation {worst:.3e}"),
@@ -298,10 +298,10 @@ def test_criterion_5_conservation_suite():
     worst_entry = 0.0
     snapshots = 0
     for trajectory in ALL_TRAJECTORIES:
-        for snap in trajectory.snapshots:
+        for values in trajectory.values:
             snapshots += 1
-            worst_sum = max(worst_sum, abs(float(snap.values.sum()) - 1.0))
-            worst_entry = min(worst_entry, float(np.min(snap.values)))
+            worst_sum = max(worst_sum, abs(float(values.sum()) - 1.0))
+            worst_entry = min(worst_entry, float(np.min(values)))
     checks = [
         (snapshots > 1000, f"only {snapshots} snapshots audited"),
         (worst_sum < 1e-8, f"worst snapshot sum deviation {worst_sum:.3e}"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 
 from evosum import (
+    ActiveSystem,
+    evolve,
     load_scenario,
+    random_competitive,
     random_stochastic,
     save_scenario,
     scenario_to_dict,
@@ -102,6 +106,17 @@ class TestLoadScenario:
         save_scenario(scenario, copy_path)
         assert scenario_to_dict(load_scenario(copy_path)) == scenario_to_dict(scenario)
 
+    def test_failed_save_keeps_existing_file(self, case_a, tmp_path):
+        scenario = load_scenario(case_a)
+        path = tmp_path / "kept.json"
+        save_scenario(scenario, path)
+        original = path.read_bytes()
+        unserializable = dataclasses.replace(scenario, matrix_spec={"entries": {1, 2}})
+        with pytest.raises(TypeError):
+            save_scenario(unserializable, path)
+        assert path.read_bytes() == original
+        assert list(tmp_path.glob(".evosum-*.tmp")) == []
+
 
 class TestExitCodes:
     def test_bad_column_sum_is_validation_error(self, tmp_path, capsys):
@@ -126,6 +141,61 @@ class TestExitCodes:
         path.write_text('{"matrix": ', encoding="utf-8")
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"max_steps": "abc"},
+            {"max_steps": [5]},
+            {"max_steps": 2.7},
+            {"max_steps": True},
+            {"record_every": float("nan")},
+            {"convergence_tol": float("nan")},
+            {"convergence_tol": float("inf")},
+            {"convergence_tol": -1e-3},
+            {"convergence_tol": "1e-9"},
+        ],
+        ids=[
+            "max_steps-string",
+            "max_steps-list",
+            "max_steps-float",
+            "max_steps-bool",
+            "record_every-nan",
+            "convergence_tol-nan",
+            "convergence_tol-inf",
+            "convergence_tol-negative",
+            "convergence_tol-string",
+        ],
+    )
+    def test_mistyped_config_is_parse_error(self, tmp_path, capsys, config):
+        path = write_scenario(
+            tmp_path / "cfg.json",
+            {
+                "matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}},
+                "initial": [1, 1],
+                "config": config,
+            },
+        )
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "config field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "spectrum", "backward"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"matrix": {"entries": [[float("nan"), 0.1], [0.1, 0.9]]}, "initial": [1, 1]},
+            {"matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}}, "initial": [float("inf"), 1]},
+        ],
+        ids=["nan-matrix", "inf-initial"],
+    )
+    def test_non_finite_input_is_validation_error(self, tmp_path, capsys, command, scenario):
+        path = write_scenario(tmp_path / "nonfinite.json", scenario)
+        argv = [command, "--scenario", path]
+        if command != "backward":
+            argv += ["--out", str(tmp_path / "o.out")]
+        assert main(argv) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.out").exists()
 
     def test_singular_matrix_is_numerical_error(self, tmp_path, capsys):
         path = write_scenario(
@@ -191,6 +261,34 @@ class TestSimulate:
             (tmp_path / "t1.csv.summary.json").read_bytes()
             == (tmp_path / "t2.csv.summary.json").read_bytes()
         )
+
+    def test_csv_matches_per_value_reference(self, tmp_path):
+        matrix = random_competitive(4, 0.12, 0.5, seed=6)
+        path = write_scenario(
+            tmp_path / "cascade.json",
+            {
+                "matrix": {"entries": matrix.entries.tolist()},
+                "initial": [1, 2, 3, 4],
+                "config": {"max_steps": 3000, "record_every": 7},
+            },
+        )
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
+
+        scenario = load_scenario(path)
+        trajectory = evolve(
+            ActiveSystem(matrix=scenario.matrix, populations=scenario.initial), scenario.config
+        )
+        assert len(trajectory.events) >= 1
+        names = scenario.species_names
+        lines = ["step,tau," + ",".join(names) + ",event"]
+        for k in range(len(trajectory.steps)):
+            species = int(trajectory.event_species[k])
+            event = "" if species < 0 else f"elim:{names[species]}"
+            values = ",".join(repr(float(x)) for x in trajectory.values[k])
+            tau = repr(float(trajectory.fractions[k]))
+            lines.append(f"{int(trajectory.steps[k])},{tau},{values},{event}")
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_max_steps_override(self, case_a, tmp_path):
         out = tmp_path / "short.csv"

@@ -220,8 +220,49 @@ class TestRandomCompetitive:
             random_competitive(3, 0.0, 0.5, seed=0)
 
 
+class TestNonFinite:
+    @staticmethod
+    def _poison(base, index, bad):
+        values = np.array(base, dtype=float)
+        values.flat[index % values.size] = bad
+        return values
+
+    bad_values = st.sampled_from([np.nan, np.inf, -np.inf])
+
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0), bad_values)
+    @settings(max_examples=40, deadline=None)
+    def test_evolution_matrix(self, n, index, bad):
+        with pytest.raises(ValidationError, match="not finite"):
+            EvolutionMatrix(self._poison(np.eye(n), index, bad))
+
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0), bad_values)
+    @settings(max_examples=40, deadline=None)
+    def test_generator_matrix(self, n, index, bad):
+        with pytest.raises(ValidationError, match="not finite"):
+            GeneratorMatrix(self._poison(np.zeros((n, n)), index, bad))
+
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0), bad_values)
+    @settings(max_examples=40, deadline=None)
+    def test_population_vector(self, n, index, bad):
+        with pytest.raises(ValidationError, match="not finite"):
+            PopulationVector(self._poison(np.full(n, 1.0 / n), index, bad))
+
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0), bad_values)
+    @settings(max_examples=40, deadline=None)
+    def test_make_population(self, n, index, bad):
+        with pytest.raises(ValidationError, match="not finite"):
+            make_population(self._poison(np.ones(n), index, bad))
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_dt_must_be_finite(self, dt):
+        with pytest.raises(ValidationError):
+            EvolutionMatrix(np.eye(2), dt=dt)
+        with pytest.raises(ValidationError):
+            GeneratorMatrix(np.zeros((2, 2)), dt=dt)
+
+
 def test_tolerances_must_be_positive():
     with pytest.raises(ValidationError):
-        ToleranceConfig(sum_tol=0.0)
+        ToleranceConfig(eig_tol=0.0)
     with pytest.raises(ValidationError):
         ToleranceConfig(zero_tol=-1e-9)

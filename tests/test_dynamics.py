@@ -40,10 +40,10 @@ def system_of(matrix: EvolutionMatrix, raw) -> ActiveSystem:
     return ActiveSystem(matrix=matrix, populations=make_population(raw))
 
 
-def assert_conserved(trajectory, sum_tol=1e-8, floor=-1e-12):
-    for snap in trajectory.snapshots:
-        assert abs(snap.values.sum() - 1.0) < sum_tol, f"step {snap.step_index}"
-        assert np.min(snap.values) >= floor, f"step {snap.step_index}"
+def assert_conserved(trajectory, tol=1e-8, floor=-1e-12):
+    for step_index, values in zip(trajectory.steps, trajectory.values):
+        assert abs(values.sum() - 1.0) < tol, f"step {step_index}"
+        assert np.min(values) >= floor, f"step {step_index}"
 
 
 def brute_first_crossing(entries, phi0, max_steps=100_000):
@@ -201,6 +201,21 @@ class TestAddSpecies:
             add_species(base, [0.1], [0.05], self_rate=0.95, seed_fraction=0.0)
 
 
+class TestSimulationConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_steps": 0},
+            {"record_every": 0},
+            {"convergence_tol": -1.0},
+            {"convergence_tol": np.nan},
+        ],
+    )
+    def test_rejects_bad_limits(self, kwargs):
+        with pytest.raises(ValidationError):
+            SimulationConfig(**kwargs)
+
+
 class TestEvolve:
     def test_coexistence_converges_with_no_events(self):
         trajectory = evolve(
@@ -209,7 +224,7 @@ class TestEvolve:
         )
         assert trajectory.events == ()
         assert trajectory.terminated_reason is TerminationReason.CONVERGED
-        assert np.max(np.abs(trajectory.snapshots[-1].values - [2 / 3, 1 / 3])) < 1e-6
+        assert np.max(np.abs(trajectory.values[-1] - [2 / 3, 1 / 3])) < 1e-6
         assert_conserved(trajectory)
 
     def test_monotone_extinction_has_one_event(self):
@@ -218,14 +233,14 @@ class TestEvolve:
             system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000),
         )
-        events = trajectory.elimination_events
+        events = trajectory.events
         assert len(events) == 1
         assert events[0].species_id == 0
         assert events[0].step_index == 7
         assert events[0].fraction == pytest.approx(0.9070295859676255, abs=1e-12)
         assert events[0].neg_offdiag_before == 1
         assert events[0].neg_offdiag_after == 0
-        assert_allclose(trajectory.snapshots[-1].values, [0.0, 1.0])
+        assert_allclose(trajectory.values[-1], [0.0, 1.0])
         assert trajectory.terminated_reason is TerminationReason.ALL_BUT_ONE_EXTINCT
         assert_conserved(trajectory)
 
@@ -234,7 +249,7 @@ class TestEvolve:
         oracle = brute_first_crossing(matrix.entries, [0.5, 0.5])
         event = evolve(
             system_of(matrix, [0.5, 0.5]), SimulationConfig(max_steps=1000)
-        ).elimination_events[0]
+        ).events[0]
         assert (event.step_index, event.species_id) == oracle[:2]
         assert event.fraction == pytest.approx(oracle[2], abs=1e-12)
 
@@ -247,11 +262,11 @@ class TestEvolve:
             system_of(two_species_matrix(-0.05, -0.05), [a, 1 - a]),
             SimulationConfig(max_steps=1000),
         )
-        events = trajectory.elimination_events
+        events = trajectory.events
         assert len(events) == 1
         assert events[0].species_id == eliminated
         assert events[0].step_index == 16  # frozen from the brute-force oracle
-        assert_allclose(trajectory.snapshots[-1].values, survivor_state)
+        assert_allclose(trajectory.values[-1], survivor_state)
         assert_conserved(trajectory)
 
     def test_already_extinct_start_eliminates_at_step_zero(self):
@@ -262,7 +277,7 @@ class TestEvolve:
             ),
             SimulationConfig(max_steps=100),
         )
-        event = trajectory.elimination_events[0]
+        event = trajectory.events[0]
         assert event.step_index == 0
         assert event.fraction == 0.0
 
@@ -272,25 +287,43 @@ class TestEvolve:
             SimulationConfig(max_steps=5, convergence_tol=0.0),
         )
         assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
-        assert trajectory.snapshots[-1].step_index == 5
+        assert trajectory.steps[-1] == 5
 
     def test_record_every_thins_snapshots_but_keeps_events(self):
         trajectory = evolve(
             system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000, record_every=50),
         )
-        assert any(s.event_species is not None for s in trajectory.snapshots)
-        ordinary = [s for s in trajectory.snapshots if s.event_species is None]
-        assert all(s.step_index % 50 == 0 or s is ordinary[-1] for s in ordinary)
+        assert np.any(trajectory.event_species >= 0)
+        ordinary = trajectory.steps[trajectory.event_species < 0]
+        assert np.all(ordinary[:-1] % 50 == 0)
+
+    def test_columns_are_aligned_and_readonly(self):
+        trajectory = evolve(
+            system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
+            SimulationConfig(max_steps=1000, record_every=3),
+        )
+        rows = len(trajectory.steps)
+        assert trajectory.values.shape == (rows, 2)
+        assert trajectory.fractions.shape == trajectory.event_species.shape == (rows,)
+        columns = (
+            trajectory.steps,
+            trajectory.fractions,
+            trajectory.values,
+            trajectory.event_species,
+        )
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_event_rows_place_extinct_species_at_exact_zero(self):
         trajectory = evolve(
             system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000),
         )
-        event_row = next(s for s in trajectory.snapshots if s.event_species is not None)
-        assert event_row.values[event_row.event_species] == 0.0
-        assert abs(event_row.values.sum() - 1.0) < 1e-12
+        k = int(np.flatnonzero(trajectory.event_species >= 0)[0])
+        assert trajectory.values[k, trajectory.event_species[k]] == 0.0
+        assert abs(trajectory.values[k].sum() - 1.0) < 1e-12
 
 
 class TestStochasticRegime:
@@ -339,7 +372,7 @@ class TestCompetitiveCascade:
                 SimulationConfig(max_steps=20_000, convergence_tol=1e-13),
             )
             assert_conserved(trajectory)
-            if not trajectory.elimination_events:
+            if not trajectory.events:
                 continue
             eliminating_runs += 1
             # the cascade must settle rather than run out of budget
@@ -350,7 +383,7 @@ class TestCompetitiveCascade:
                 continue
             stationary = eigendecompose(final.matrix).stationary
             assert stationary is not None
-            terminal = trajectory.snapshots[-1].values[list(final.alive_ids)]
+            terminal = trajectory.values[-1][list(final.alive_ids)]
             assert np.max(np.abs(terminal - stationary.values)) < 1e-6
         assert eliminating_runs >= 10
 
@@ -359,7 +392,7 @@ class TestCompetitiveCascade:
             system_of(two_species_matrix(-0.05, -0.05), [0.3, 0.7]),
             SimulationConfig(max_steps=2000),
         )
-        assert trajectory.final_system.n == 2 - len(trajectory.elimination_events)
+        assert trajectory.final_system.n == 2 - len(trajectory.events)
 
 
 class TestGrowthUnconstrained:

@@ -146,14 +146,14 @@ class TestPredictWinner:
                 ),
                 SimulationConfig(max_steps=50_000),
             )
-            terminal = trajectory.snapshots[-1].values
+            terminal = trajectory.values[-1]
             if predicted is Winner.BOTH:
-                assert not trajectory.elimination_events
+                assert not trajectory.events
             elif predicted is Winner.SPECIES_1:
-                assert trajectory.elimination_events[0].species_id == 1
+                assert trajectory.events[0].species_id == 1
                 assert terminal[0] == pytest.approx(1.0)
             else:
-                assert trajectory.elimination_events[0].species_id == 0
+                assert trajectory.events[0].species_id == 0
                 assert terminal[1] == pytest.approx(1.0)
             checked += 1
 
