@@ -84,8 +84,9 @@ class ToleranceConfig:
     eig_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if min(self.zero_tol, self.eig_tol) <= 0:
-            raise ValidationError("all tolerances must be strictly positive")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not all(0 < t < np.inf for t in (self.zero_tol, self.eig_tol)):
+            raise ValidationError("all tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = ToleranceConfig()

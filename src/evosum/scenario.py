@@ -39,6 +39,8 @@ from .errors import ScenarioParseError
 _TOP_KEYS = {"species_names", "dt", "matrix", "initial", "config", "seed"}
 _MATRIX_KEYS = {"entries", "generator", "two_species"}
 _CONFIG_KEYS = {"max_steps", "convergence_tol", "record_every"}
+# Exact types, not isinstance: JSON true/false decode to bool, a subclass of int.
+_NUMBER_TYPES = {int, float}
 
 
 @dataclass(frozen=True)
@@ -58,20 +60,19 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioParseError(message)
 
 
-def _as_float_matrix(value, field: str) -> list[list[float]]:
+def _matrix_rows(value, field: str) -> list[list[float]]:
+    """Validate a square array of numeric rows; the matrix type converts it once."""
     _require(isinstance(value, list) and value, f"field '{field}' must be a nonempty array of rows")
-    rows = []
     for i, row in enumerate(value):
         _require(
-            isinstance(row, list) and all(isinstance(x, (int, float)) for x in row),
+            isinstance(row, list) and set(map(type, row)) <= _NUMBER_TYPES,
             f"field '{field}' row {i} must be an array of numbers",
         )
-        rows.append([float(x) for x in row])
     _require(
-        all(len(row) == len(rows) for row in rows),
-        f"field '{field}' must be square ({len(rows)} rows)",
+        all(len(row) == len(value) for row in value),
+        f"field '{field}' must be square ({len(value)} rows)",
     )
-    return rows
+    return value
 
 
 def _build_matrix(spec: dict, dt: float) -> EvolutionMatrix:
@@ -82,10 +83,10 @@ def _build_matrix(spec: dict, dt: float) -> EvolutionMatrix:
     )
     (kind,) = present
     if kind == "entries":
-        return EvolutionMatrix(_as_float_matrix(spec["entries"], "matrix.entries"), dt=dt)
+        return EvolutionMatrix(_matrix_rows(spec["entries"], "matrix.entries"), dt=dt)
     if kind == "generator":
         return matrix_from_generator(
-            GeneratorMatrix(_as_float_matrix(spec["generator"], "matrix.generator"), dt=dt)
+            GeneratorMatrix(_matrix_rows(spec["generator"], "matrix.generator"), dt=dt)
         )
     block = spec["two_species"]
     _require(
@@ -93,7 +94,7 @@ def _build_matrix(spec: dict, dt: float) -> EvolutionMatrix:
         "field 'matrix.two_species' must be an object with keys alpha and beta",
     )
     _require(
-        all(isinstance(block[k], (int, float)) for k in ("alpha", "beta")),
+        all(type(block[k]) in _NUMBER_TYPES for k in ("alpha", "beta")),
         "field 'matrix.two_species' values must be numbers",
     )
     return two_species_matrix(float(block["alpha"]), float(block["beta"]), dt=dt)
@@ -111,12 +112,11 @@ def _build_config(raw: dict | None) -> SimulationConfig:
     tol = raw.get("convergence_tol", defaults.convergence_tol)
     for key, value in (("max_steps", max_steps), ("record_every", record_every)):
         _require(
-            isinstance(value, int) and not isinstance(value, bool),
+            type(value) is int,
             f"config field '{key}' must be an integer",
         )
     _require(
-        isinstance(tol, (int, float))
-        and not isinstance(tol, bool)
+        type(tol) in _NUMBER_TYPES
         and math.isfinite(tol)
         and tol >= 0,
         "config field 'convergence_tol' must be a finite number >= 0",
@@ -135,12 +135,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     _require(isinstance(data["matrix"], dict), "field 'matrix' must be an object")
 
     dt = data.get("dt", 1.0)
-    _require(isinstance(dt, (int, float)) and dt > 0, "field 'dt' must be a positive number")
+    _require(type(dt) in _NUMBER_TYPES and dt > 0, "field 'dt' must be a positive number")
     matrix = _build_matrix(data["matrix"], float(dt))
 
     initial = data["initial"]
     _require(
-        isinstance(initial, list) and all(isinstance(x, (int, float)) for x in initial),
+        isinstance(initial, list) and set(map(type, initial)) <= _NUMBER_TYPES,
         "field 'initial' must be an array of numbers",
     )
     _require(
@@ -162,7 +162,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     seed = data.get("seed")
     _require(
-        seed is None or isinstance(seed, int),
+        seed is None or type(seed) is int,
         "field 'seed' must be an integer",
     )
 

@@ -179,6 +179,25 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 2
         assert "config field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"matrix": {"entries": [[True, 0.0], [0.0, 1.0]]}, "initial": [1, 1]},
+            {"matrix": {"generator": [[0.0, 0.0], [0.0, False]]}, "initial": [1, 1]},
+            {"matrix": {"two_species": {"alpha": True, "beta": 0.2}}, "initial": [1, 1]},
+            {"matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}}, "initial": [True, 1]},
+            {"matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}}, "initial": [1, 1], "dt": True},
+            {"matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}}, "initial": [1, 1], "seed": True},
+        ],
+        ids=["entries", "generator", "two_species", "initial", "dt", "seed"],
+    )
+    def test_boolean_number_is_parse_error(self, tmp_path, capsys, scenario):
+        path = write_scenario(tmp_path / "bool.json", scenario)
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "spectrum", "backward"])
     @pytest.mark.parametrize(
         "scenario",
@@ -318,6 +337,17 @@ class TestSpectrum:
         assert report["leading_degenerate"]
         assert report["stationary"] is None
         assert "error" in report["biorthogonality"]
+
+    def test_identity_names_first_coinciding_pair(self, tmp_path):
+        path = write_scenario(
+            tmp_path / "id3.json",
+            {"matrix": {"entries": np.eye(3).tolist()}, "initial": [1, 1, 1]},
+        )
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--scenario", path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["biorthogonality"] == {"error": "eigenvalues 0 and 1 coincide within 1e-09"}
+        assert report["defective"] is False
 
     def test_random_stochastic_matches_iteration_oracle(self, tmp_path):
         matrix = random_stochastic(4, 0.2, seed=29)

@@ -266,3 +266,10 @@ def test_tolerances_must_be_positive():
         ToleranceConfig(eig_tol=0.0)
     with pytest.raises(ValidationError):
         ToleranceConfig(zero_tol=-1e-9)
+
+
+@pytest.mark.parametrize("field", ["zero_tol", "eig_tol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_tolerances_must_be_finite(field, value):
+    with pytest.raises(ValidationError):
+        ToleranceConfig(**{field: value})

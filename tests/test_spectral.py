@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evosum import (
@@ -20,6 +22,65 @@ from evosum.errors import (
 )
 
 SWAP = EvolutionMatrix([[0.0, 1.0], [1.0, 0.0]])
+EIG_TOL = 1e-9
+
+
+def pairwise_flags(summary, eig_tol=EIG_TOL):
+    """Reference: the per-pair loops ``eigendecompose`` and
+    ``check_biorthogonality`` ran before the vectorized pair search.
+
+    Returns ``(leading_degenerate, defective, degenerate_message)``, where
+    the message is None when no two eigenvalues coincide within ``eig_tol``.
+    """
+    w, vectors = summary.eigenvalues, summary.right_vectors
+    n = w.size
+    leading_degenerate = sum(abs(w[p] - 1.0) <= eig_tol for p in range(n)) > 1
+    defective = False
+    message = None
+    for p in range(n):
+        for q in range(p + 1, n):
+            if abs(w[p] - w[q]) <= eig_tol:
+                if message is None:
+                    message = f"eigenvalues {p} and {q} coincide within {eig_tol}"
+                pair = np.stack(
+                    [
+                        vectors[p] / np.linalg.norm(vectors[p]),
+                        vectors[q] / np.linalg.norm(vectors[q]),
+                    ],
+                    axis=1,
+                )
+                if np.linalg.svd(pair, compute_uv=False)[-1] < 1e-6:
+                    defective = True
+    return leading_degenerate, defective, message
+
+
+def assert_matches_pairwise(matrix):
+    summary = eigendecompose(matrix)
+    leading_degenerate, defective, message = pairwise_flags(summary)
+    assert summary.leading_degenerate == leading_degenerate
+    assert summary.defective == defective
+    if message is None:
+        check_biorthogonality(summary, tol=1e-8)
+    else:
+        with pytest.raises(DegenerateSpectrumError) as info:
+            check_biorthogonality(summary, tol=1e-8)
+        assert str(info.value) == message
+    return summary
+
+
+def block_diagonal(blocks):
+    n = sum(block.shape[0] for block in blocks)
+    out = np.zeros((n, n))
+    start = 0
+    for block in blocks:
+        k = block.shape[0]
+        out[start : start + k, start : start + k] = block
+        start += k
+    return EvolutionMatrix(out)
+
+
+def cyclic(n):
+    return np.roll(np.eye(n), 1, axis=0)
 
 
 class TestEigendecompose:
@@ -63,6 +124,112 @@ class TestEigendecompose:
         summary = eigendecompose(EvolutionMatrix([[1.0]]))
         assert_allclose(summary.stationary.values, [1.0])
         assert summary.lambda2_modulus == 0.0
+
+
+class TestDegeneratePairs:
+    """The vectorized pair search agrees with the per-pair reference loops."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 60])
+    def test_identity(self, n):
+        summary = assert_matches_pairwise(EvolutionMatrix(np.eye(n)))
+        assert n == 1 or not summary.defective
+
+    @pytest.mark.parametrize("copies", [2, 3, 5])
+    def test_block_copies_of_one_stochastic_block(self, copies):
+        block = random_stochastic(4, 0.2, seed=copies).entries
+        summary = assert_matches_pairwise(block_diagonal([block] * copies))
+        assert summary.leading_degenerate
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.3, -0.1])
+    def test_two_species_defective(self, alpha):
+        assert_matches_pairwise(two_species_matrix(alpha, -alpha))
+
+    def test_near_defective_pairs_straddle_the_threshold(self):
+        # Eigenvalues 1 and about 1 + delta (delta below eig_tol) whose right
+        # vectors (1+t, t-1) and (1, -1) are about t apart, so sigma_min of
+        # the unit pair is about t / sqrt(2), on both sides of 1e-6.
+        delta = 5e-10
+        flags = set()
+        for t in np.geomspace(3e-7, 1e-5, 9):
+            c = delta / (2 * t)
+            matrix = EvolutionMatrix(
+                [[1 - c * (1 - t), -c * (1 + t)], [c * (1 - t), 1 + c * (1 + t)]]
+            )
+            flags.add(assert_matches_pairwise(matrix).defective)
+        assert flags == {True, False}
+
+    @pytest.mark.parametrize("n, copies", [(5, 1), (6, 1), (3, 2), (4, 3), (7, 2)])
+    def test_cyclic_permutations(self, n, copies):
+        summary = assert_matches_pairwise(block_diagonal([cyclic(n)] * copies))
+        assert_allclose(np.abs(summary.eigenvalues), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_draws(self, seed):
+        assert_matches_pairwise(random_stochastic(3 + 7 * seed, 0.3, seed))
+        assert_matches_pairwise(random_competitive(3 + 7 * seed, 0.3, 0.5, seed))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["stochastic", "cyclic", "identity", "defective"]),
+                st.integers(min_value=1, max_value=5),
+                st.integers(min_value=1, max_value=4),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_diagonal_property(self, kinds, seed):
+        blocks = []
+        for kind, size, copies in kinds:
+            if kind == "stochastic":
+                block = random_stochastic(size, 0.3, seed).entries
+            elif kind == "cyclic":
+                block = cyclic(size)
+            elif kind == "defective":
+                block = two_species_matrix(0.05 * size, -0.05 * size).entries
+            else:
+                block = np.eye(size)
+            blocks += [block] * copies
+        assert_matches_pairwise(block_diagonal(blocks))
+
+    def test_identity_needs_no_svd(self, monkeypatch):
+        # Deterministic cost guard: the pair loop ran 44,850 SVDs on eye(300).
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        summary = eigendecompose(EvolutionMatrix(np.eye(300)))
+        assert summary.leading_degenerate and not summary.defective
+        assert len(calls) == 0
+
+    def test_left_vector_fallback_matches_greedy_reference(self, monkeypatch):
+        # Forces the path taken when the right-vector matrix cannot be inverted.
+        # Both blocks have eigenvalue 1, so two candidates are about equally near.
+        matrix = block_diagonal([random_stochastic(3, 0.2, seed=5).entries, cyclic(4)])
+
+        def singular(_):
+            raise np.linalg.LinAlgError
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        summary = eigendecompose(matrix)
+        wl, vl = np.linalg.eig(matrix.entries.T)
+        unused = list(range(matrix.n))
+        for p in range(matrix.n):
+            q = min(unused, key=lambda q: abs(wl[q] - summary.eigenvalues[p]))
+            unused.remove(q)
+            u = vl[:, q] / vl[np.argmax(np.abs(vl[:, q])), q]
+            pairing = complex(u @ summary.right_vectors[p])
+            u = u / pairing if abs(pairing) > EIG_TOL else u
+            if p == 0:
+                u = np.ones(matrix.n)  # the leading left vector is stored exactly
+            assert_allclose(summary.left_vectors[p], u, rtol=0, atol=0)
 
 
 class TestStationaryByIteration:
