@@ -11,6 +11,9 @@ Top-level keys:
 * ``config`` (optional): ``max_steps``, ``convergence_tol``, ``record_every``.
 * ``seed`` (optional): recorded for provenance and output determinism.
 
+Fields that become floats take JSON numbers only: a boolean, or an
+integer larger in magnitude than the largest float, is a parse error.
+
 Floats survive a save/load round trip exactly: they are serialized with
 Python's shortest round-tripping repr. Files are written atomically
 (temp file plus rename), so a failed write never leaves a partial file.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -41,6 +45,8 @@ _MATRIX_KEYS = {"entries", "generator", "two_species"}
 _CONFIG_KEYS = {"max_steps", "convergence_tol", "record_every"}
 # Exact types, not isinstance: JSON true/false decode to bool, a subclass of int.
 _NUMBER_TYPES = {int, float}
+# Every number field becomes a float; a JSON integer beyond this would overflow.
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -60,12 +66,20 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioParseError(message)
 
 
+def _numbers(values: list) -> bool:
+    """True when every value is a JSON number, not a boolean, within float range."""
+    kinds = set(map(type, values))
+    return kinds <= _NUMBER_TYPES and (
+        int not in kinds or all(abs(v) <= _FLOAT_MAX for v in values if type(v) is int)
+    )
+
+
 def _matrix_rows(value, field: str) -> list[list[float]]:
     """Validate a square array of numeric rows; the matrix type converts it once."""
     _require(isinstance(value, list) and value, f"field '{field}' must be a nonempty array of rows")
     for i, row in enumerate(value):
         _require(
-            isinstance(row, list) and set(map(type, row)) <= _NUMBER_TYPES,
+            isinstance(row, list) and _numbers(row),
             f"field '{field}' row {i} must be an array of numbers",
         )
     _require(
@@ -94,7 +108,7 @@ def _build_matrix(spec: dict, dt: float) -> EvolutionMatrix:
         "field 'matrix.two_species' must be an object with keys alpha and beta",
     )
     _require(
-        all(type(block[k]) in _NUMBER_TYPES for k in ("alpha", "beta")),
+        _numbers([block["alpha"], block["beta"]]),
         "field 'matrix.two_species' values must be numbers",
     )
     return two_species_matrix(float(block["alpha"]), float(block["beta"]), dt=dt)
@@ -116,9 +130,7 @@ def _build_config(raw: dict | None) -> SimulationConfig:
             f"config field '{key}' must be an integer",
         )
     _require(
-        type(tol) in _NUMBER_TYPES
-        and math.isfinite(tol)
-        and tol >= 0,
+        _numbers([tol]) and math.isfinite(tol) and tol >= 0,
         "config field 'convergence_tol' must be a finite number >= 0",
     )
     return SimulationConfig(
@@ -135,12 +147,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     _require(isinstance(data["matrix"], dict), "field 'matrix' must be an object")
 
     dt = data.get("dt", 1.0)
-    _require(type(dt) in _NUMBER_TYPES and dt > 0, "field 'dt' must be a positive number")
+    _require(_numbers([dt]) and dt > 0, "field 'dt' must be a positive number")
     matrix = _build_matrix(data["matrix"], float(dt))
 
     initial = data["initial"]
     _require(
-        isinstance(initial, list) and set(map(type, initial)) <= _NUMBER_TYPES,
+        isinstance(initial, list) and _numbers(initial),
         "field 'initial' must be an array of numbers",
     )
     _require(

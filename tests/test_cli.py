@@ -17,6 +17,10 @@ from evosum import (
 )
 from evosum.cli import main
 from evosum.errors import ScenarioParseError
+from test_dynamics import serial_scan
+
+# A JSON integer with 401 digits: valid JSON, far beyond the largest float.
+HUGE = 10**400
 
 
 def write_scenario(path, data):
@@ -197,6 +201,43 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
         assert "must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"matrix": {"entries": [[HUGE, 0.0], [0.0, 1.0]]}, "initial": [1, 1]},
+            {"matrix": {"generator": [[0.0, 0.0], [0.0, -HUGE]]}, "initial": [1, 1]},
+            {"matrix": {"two_species": {"alpha": 0.1, "beta": HUGE}}, "initial": [1, 1]},
+            {"matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}}, "initial": [HUGE, 1]},
+            {"matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}}, "initial": [1, 1], "dt": HUGE},
+            {
+                "matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}},
+                "initial": [1, 1],
+                "config": {"convergence_tol": HUGE},
+            },
+        ],
+        ids=["entries", "generator", "two_species", "initial", "dt", "convergence_tol"],
+    )
+    def test_integer_beyond_float_range_is_parse_error(self, tmp_path, capsys, scenario):
+        path = write_scenario(tmp_path / "huge.json", scenario)
+        out = tmp_path / "o.json"
+        assert main(["spectrum", "--scenario", path, "--out", str(out)]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_only_fields_take_big_integers(self, tmp_path, capsys):
+        path = write_scenario(
+            tmp_path / "big.json",
+            {
+                "matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}},
+                "initial": [1, 1],
+                "config": {"max_steps": HUGE, "record_every": HUGE},
+                "seed": HUGE,
+            },
+        )
+        out = tmp_path / "o.json"
+        assert main(["spectrum", "--scenario", path, "--out", str(out)]) == 0
+        assert load_scenario(path).seed == HUGE
 
     @pytest.mark.parametrize("command", ["simulate", "spectrum", "backward"])
     @pytest.mark.parametrize(
@@ -430,3 +471,24 @@ class TestSweepCommand:
         )
         lines = out.read_text().strip().splitlines()[1:]
         assert all(line.endswith(",,no-elimination") for line in lines)
+
+    def test_population_size_mismatch_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--alpha-per-scale", "1.0", "--beta-per-scale", "-0.5",
+                "--scales", "0.01", "--initial", "0.2", "0.3", "0.5", "--out", str(out)]
+        assert main(argv) == 3
+        assert "is 2x2 but the population has 3 entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_matches_serial_scan(self, tmp_path, monkeypatch):
+        lo, hi, count = 0.05, 2.0, 400
+        offset = float(np.random.default_rng(5).random())
+        scales = [repr(lo + (i + offset) * (hi - lo) / count) for i in range(count)]
+        argv = ["sweep", "--alpha-per-scale", "0.02", "--beta-per-scale", "-0.01",
+                "--initial", "0.5", "0.5", "--scales", *scales, "--out"]
+        lockstep, serial = tmp_path / "lockstep.csv", tmp_path / "serial.csv"
+        assert main([*argv, str(lockstep)]) == 0
+        monkeypatch.setattr("evosum.cli.elimination_time_scan", serial_scan)
+        assert main([*argv, str(serial)]) == 0
+        assert lockstep.read_bytes() == serial.read_bytes()
+        assert lockstep.read_text().count(",ok\n") == count

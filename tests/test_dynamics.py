@@ -10,8 +10,10 @@ from evosum import (
     EvolutionMatrix,
     MatrixKind,
     PopulationVector,
+    ScanRow,
     SimulationConfig,
     TerminationReason,
+    ToleranceConfig,
     add_species,
     classify_matrix,
     crossing_fraction,
@@ -27,6 +29,7 @@ from evosum import (
     step,
     two_species_matrix,
 )
+from evosum import dynamics
 from evosum.errors import (
     DimensionMismatchError,
     LastSpeciesError,
@@ -58,6 +61,27 @@ def brute_first_crossing(entries, phi0, max_steps=100_000):
             return t, int(negative[k]), float(taus[k])
         phi = nxt
     return None
+
+
+def serial_scan(builder, phi0, scales, config=SimulationConfig()):
+    """Reference scan: one full ``evolve`` per scale, keeping only the first event."""
+    rows = []
+    for scale in scales:
+        trajectory = evolve(ActiveSystem(matrix=builder(scale), populations=phi0), config)
+        events = trajectory.events
+        rows.append(ScanRow(scale=float(scale), steps=events[0].step_index if events else None))
+    return rows
+
+
+def pair_family(alpha: float, beta: float):
+    """Builder for ``two_species_matrix(alpha * c, beta * c)``."""
+    return lambda c: two_species_matrix(alpha * c, beta * c)
+
+
+def shrunk_family(base: EvolutionMatrix):
+    """Builder for ``I + c * (M - I)``: the generator of ``base`` scaled by c."""
+    identity = np.eye(base.n)
+    return lambda c: EvolutionMatrix(identity + c * (base.entries - identity))
 
 
 class TestStep:
@@ -481,3 +505,109 @@ class TestEliminationTimeScan:
             [0.02],
         )
         assert rows[0].steps == 0
+
+    @pytest.mark.parametrize(
+        "alpha, beta, start, config, expected",
+        [
+            (0.1, 0.2, [0.5, 0.5], SimulationConfig(), None),  # coexistence converges
+            (0.1, -0.05, [0.0, 1.0], SimulationConfig(), 0),  # extinct start crosses at once
+            (0.01, -0.005, [0.5, 0.5], SimulationConfig(max_steps=50), None),  # crosses at 80
+            (0.01, -0.005, [0.5, 0.5], SimulationConfig(max_steps=81), 80),
+            # The first step both crosses and changes phi by less than convergence_tol.
+            (0.1, -1e-5, [0.0, 1.0], SimulationConfig(convergence_tol=1e-3), 0),
+            # Species 1 dips below zero at once but stays inside a wide zero_tol for 13 steps.
+            (0.05, -1e-5, [0.0, 1.0], SimulationConfig(tolerances=ToleranceConfig(zero_tol=1e-4)), 13),
+        ],
+        ids=["converged", "extinct-start", "capped", "just-uncapped", "crossed-and-converged", "wide-zero-tol"],
+    )
+    def test_regimes_match_serial_scan(self, alpha, beta, start, config, expected):
+        builder = pair_family(alpha, beta)
+        phi0 = PopulationVector(np.array(start))
+        rows = elimination_time_scan(builder, phi0, [1.0], config)
+        assert rows == [ScanRow(scale=1.0, steps=expected)]
+        assert rows == serial_scan(builder, phi0, [1.0], config)
+
+    @given(
+        alpha=st.floats(-0.4, 0.4).filter(lambda x: abs(x) > 0.01),
+        beta=st.floats(-0.4, 0.4).filter(lambda x: abs(x) > 0.01),
+        share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        scales=st.lists(st.floats(0.05, 1.0), max_size=6),
+        max_steps=st.integers(1, 600),
+        convergence_tol=st.sampled_from([1e-12, 1e-3]),
+        zero_tol=st.sampled_from([1e-12, 1e-9, 1e-4]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_two_species_families_match_serial_scan(
+        self, alpha, beta, share, scales, max_steps, convergence_tol, zero_tol
+    ):
+        builder = pair_family(alpha, beta)
+        phi0 = PopulationVector(np.array([share, 1.0 - share]))
+        config = SimulationConfig(
+            max_steps=max_steps,
+            convergence_tol=convergence_tol,
+            tolerances=ToleranceConfig(zero_tol=zero_tol),
+        )
+        assert elimination_time_scan(builder, phi0, scales, config) == serial_scan(
+            builder, phi0, scales, config
+        )
+
+    @given(
+        n=st.sampled_from([2, 3, 5, 10, 30]),
+        seed=st.integers(0, 2**16),
+        neg_fraction=st.floats(0.0, 1.0),
+        scales=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
+        max_steps=st.integers(1, 400),
+        zero_tol=st.sampled_from([1e-12, 1e-6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_n_species_families_match_serial_scan(
+        self, n, seed, neg_fraction, scales, max_steps, zero_tol
+    ):
+        builder = shrunk_family(random_competitive(n, 0.5, neg_fraction, seed))
+        phi0 = make_population(np.random.default_rng(seed).random(n) + 0.05)
+        config = SimulationConfig(max_steps=max_steps, tolerances=ToleranceConfig(zero_tol=zero_tol))
+        assert elimination_time_scan(builder, phi0, scales, config) == serial_scan(
+            builder, phi0, scales, config
+        )
+
+    def test_makes_no_per_scale_engine_calls(self, monkeypatch):
+        calls = {"evolve": 0, "crossing_fraction": 0}
+
+        def counted(name):
+            original = getattr(dynamics, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(dynamics, name, counted(name))
+        rows = elimination_time_scan(
+            lambda c: two_species_matrix(c, -c / 2), make_population([0.5, 0.5]), [0.01, 0.02]
+        )
+        assert [r.steps for r in rows] == [80, 40]
+        assert calls == {"evolve": 0, "crossing_fraction": 0}
+
+    def test_population_size_mismatch_names_both_sizes(self):
+        with pytest.raises(DimensionMismatchError, match="is 2x2 but the population has 3 entries"):
+            elimination_time_scan(
+                lambda c: two_species_matrix(c, -c / 2), make_population([1, 1, 1]), [0.1]
+            )
+
+    def test_matrices_of_different_sizes_rejected(self):
+        def builder(c):
+            return shrunk_family(random_competitive(3 if c < 0.15 else 2, 0.5, 0.5, 1))(c)
+
+        with pytest.raises(DimensionMismatchError, match="scale 0.2 is 2x2 but the population has 3"):
+            elimination_time_scan(builder, make_population([1, 1, 1]), [0.1, 0.2])
+
+    def test_empty_scales_give_no_rows(self):
+        assert elimination_time_scan(lambda c: two_species_matrix(c, c), make_population([1, 1]), []) == []
+
+    def test_single_species_never_eliminates(self):
+        rows = elimination_time_scan(
+            lambda c: EvolutionMatrix([[1.0]]), make_population([1.0]), [0.5, 1.0]
+        )
+        assert rows == [ScanRow(scale=0.5, steps=None), ScanRow(scale=1.0, steps=None)]
