@@ -16,9 +16,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import replace
 
-import numpy as np
-
-from .core import PopulationVector, two_species_matrix
+from .core import make_population, two_species_matrix
 from .dynamics import (
     ActiveSystem,
     SimulationConfig,
@@ -150,7 +148,7 @@ def cmd_backward(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    initial = PopulationVector(np.asarray(args.initial, dtype=float))
+    initial = make_population(args.initial)
     config = SimulationConfig(max_steps=args.max_steps)
 
     def builder(scale: float):

@@ -10,9 +10,10 @@ Conventions used throughout the package:
 * A generator ``C = M - I`` has zero column sums: whatever one species
   gains per step, others lose.
 
-Conservation is enforced at construction time with a hard tolerance of
-``CONSTRUCTION_TOL``; nothing is ever renormalized silently afterwards,
-so a generator that leaks mass fails loudly instead of being papered over.
+Conservation is checked at construction with a hard tolerance of
+``CONSTRUCTION_TOL``; matrices carry only their entries (time is the step
+count). Only ``evolve``'s ``final_system`` is re-projected onto the
+simplex, via ``make_population``; trajectory rows keep the raw values.
 """
 
 from __future__ import annotations
@@ -56,16 +57,14 @@ def _check_vector(values: np.ndarray, noun: str) -> None:
         raise NegativeEntryError(f"{noun} entry {bad} is negative ({float(values[bad])})")
 
 
-def _check_matrix(entries: np.ndarray, dt: float, column_sum: float, exc, what: str) -> None:
-    """Checks shared by every per-step matrix: square, finite, ``dt``, column sums."""
+def _check_matrix(entries: np.ndarray, column_sum: float, exc, what: str) -> None:
+    """Checks shared by every per-step matrix: square, finite, column sums."""
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
         raise DimensionMismatchError(f"{what} must be a nonempty square matrix")
     finite = np.isfinite(entries)
     if not finite.all():
         i, j = np.argwhere(~finite)[0].tolist()
         raise ValidationError(f"{what} entry ({i}, {j}) is not finite ({float(entries[i, j])})")
-    if not 0 < dt < np.inf:
-        raise ValidationError(f"dt must be positive and finite, got {dt}")
     sums = entries.sum(axis=0)
     dev = np.abs(sums - column_sum)
     if np.any(dev > CONSTRUCTION_TOL):
@@ -134,15 +133,14 @@ class PopulationVector:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Per-step change matrix with zero column sums; ``dt`` is metadata only."""
+    """Per-step change matrix with zero column sums."""
 
     entries: np.ndarray
-    dt: float = 1.0
 
     def __post_init__(self) -> None:
         entries = _readonly(self.entries)
         object.__setattr__(self, "entries", entries)
-        _check_matrix(entries, self.dt, 0.0, BadGeneratorError, "generator")
+        _check_matrix(entries, 0.0, BadGeneratorError, "generator")
 
     @property
     def n(self) -> int:
@@ -155,16 +153,14 @@ class EvolutionMatrix:
 
     Diagonal entries are individual growth rates; off-diagonal entries are
     interspecies transfers, which may be negative (competitive regime).
-    ``dt`` is carried as metadata only; all recurrences are per-step.
     """
 
     entries: np.ndarray
-    dt: float = 1.0
 
     def __post_init__(self) -> None:
         entries = _readonly(self.entries)
         object.__setattr__(self, "entries", entries)
-        _check_matrix(entries, self.dt, 1.0, ConservationError, "evolution matrix")
+        _check_matrix(entries, 1.0, ConservationError, "evolution matrix")
 
     @property
     def n(self) -> int:
@@ -183,7 +179,7 @@ def make_population(raw) -> PopulationVector:
 
 def matrix_from_generator(generator: GeneratorMatrix) -> EvolutionMatrix:
     """Build the evolution matrix ``I + C`` from a zero-column-sum generator."""
-    return EvolutionMatrix(np.eye(generator.n) + generator.entries, dt=generator.dt)
+    return EvolutionMatrix(np.eye(generator.n) + generator.entries)
 
 
 def negative_offdiag_count(entries: np.ndarray, zero_tol: float = DEFAULT_TOL.zero_tol) -> int:
@@ -206,14 +202,14 @@ def classify_matrix(matrix: EvolutionMatrix, tol: ToleranceConfig = DEFAULT_TOL)
     return MatrixClass(kind=kind, negative_offdiag_count=count)
 
 
-def two_species_matrix(alpha: float, beta: float, dt: float = 1.0) -> EvolutionMatrix:
+def two_species_matrix(alpha: float, beta: float) -> EvolutionMatrix:
     """Two-species coupling matrix ``[[1-alpha, beta], [alpha, 1-beta]]``.
 
     ``alpha`` is the per-step transfer out of species 1 into species 2;
     ``beta`` the reverse. Negative values model takings instead of gifts.
     """
     entries = np.array([[1.0 - alpha, beta], [alpha, 1.0 - beta]], dtype=float)
-    return EvolutionMatrix(entries, dt=dt)
+    return EvolutionMatrix(entries)
 
 
 def _offdiag_magnitudes(n: int, coupling_scale: float, rng: np.random.Generator) -> np.ndarray:

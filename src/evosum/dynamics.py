@@ -43,6 +43,7 @@ from .core import (
     PopulationVector,
     ToleranceConfig,
     _readonly,
+    make_population,
     negative_offdiag_count,
 )
 from .errors import (
@@ -146,7 +147,8 @@ class Trajectory:
     slots hold zero) after ``steps[k]`` completed steps. ``fractions[k]``
     is 0 on ordinary rows and the interpolated crossing fraction on
     elimination rows, where ``event_species[k]`` is the eliminated
-    species id; it is -1 on ordinary rows.
+    species id; it is -1 on ordinary rows. Rows keep raw values; only
+    ``final_system`` re-projects the terminal state onto the simplex.
     """
 
     steps: np.ndarray
@@ -247,7 +249,7 @@ def eliminate_species(system: ActiveSystem, local_index: int, zero_tol: float | 
     survivors = np.delete(system.populations.values, local_index)
     alive = system.alive_ids[:local_index] + system.alive_ids[local_index + 1 :]
     return ActiveSystem(
-        matrix=EvolutionMatrix(reduced, dt=system.matrix.dt),
+        matrix=EvolutionMatrix(reduced),
         populations=PopulationVector(survivors),
         alive_ids=alive,
         universe_size=system.universe_size,
@@ -293,7 +295,7 @@ def add_species(
     populations = np.append(system.populations.values * (1.0 - seed_fraction), seed_fraction)
     new_id = system.universe_size
     return ActiveSystem(
-        matrix=EvolutionMatrix(grown, dt=system.matrix.dt),
+        matrix=EvolutionMatrix(grown),
         populations=PopulationVector(populations),
         alive_ids=system.alive_ids + (new_id,),
         universe_size=new_id + 1,
@@ -327,6 +329,7 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
     # One (step, fraction, full state, eliminated species or -1) per row.
     rows: list[tuple[int, float, np.ndarray, int]] = [(0, 0.0, embed(phi), -1)]
     events: list[EliminationEvent] = []
+    neg_after = None  # negative off-diagonal count; `entries` only changes at a fold
     t = 0
     while True:
         if len(alive) == 1:
@@ -341,7 +344,9 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
             local, tau = crossing
             phi = (1.0 - tau) * phi + tau * proposed
             phi[local] = 0.0
-            neg_before = negative_offdiag_count(entries, zero_tol)
+            if neg_after is None:
+                neg_after = negative_offdiag_count(entries, zero_tol)
+            neg_before = neg_after
             entries = _fold_out(entries, local)
             neg_after = negative_offdiag_count(entries, zero_tol)
             events.append(
@@ -374,10 +379,9 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
 
     # The report re-projects the terminal state onto the simplex; trajectory
     # rows keep the raw values so conservation drift stays measurable.
-    survivors = _floor_dust(phi, zero_tol)
     final_system = ActiveSystem(
-        matrix=EvolutionMatrix(entries, dt=system.matrix.dt),
-        populations=PopulationVector(survivors / survivors.sum()),
+        matrix=EvolutionMatrix(entries),
+        populations=make_population(_floor_dust(phi, zero_tol)),
         alive_ids=tuple(alive),
         universe_size=full_size,
     )

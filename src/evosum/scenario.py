@@ -7,7 +7,8 @@ Top-level keys:
   sums), or ``two_species`` ({"alpha": x, "beta": y}).
 * ``initial`` (required): raw nonnegative abundances; normalized on load.
 * ``species_names`` (optional): defaults to species_1..species_N.
-* ``dt`` (optional, default 1.0): step size metadata.
+* ``dt`` (optional, default 1.0): provenance metadata with ``0 < dt < inf``,
+  checked here and written back by ``save_scenario``; nothing computes with it.
 * ``config`` (optional): ``max_steps``, ``convergence_tol``, ``record_every``.
 * ``seed`` (optional): recorded for provenance and output determinism.
 
@@ -89,7 +90,7 @@ def _matrix_rows(value, field: str) -> list[list[float]]:
     return value
 
 
-def _build_matrix(spec: dict, dt: float) -> EvolutionMatrix:
+def _build_matrix(spec: dict) -> EvolutionMatrix:
     present = _MATRIX_KEYS & spec.keys()
     _require(
         len(present) == 1,
@@ -97,10 +98,10 @@ def _build_matrix(spec: dict, dt: float) -> EvolutionMatrix:
     )
     (kind,) = present
     if kind == "entries":
-        return EvolutionMatrix(_matrix_rows(spec["entries"], "matrix.entries"), dt=dt)
+        return EvolutionMatrix(_matrix_rows(spec["entries"], "matrix.entries"))
     if kind == "generator":
         return matrix_from_generator(
-            GeneratorMatrix(_matrix_rows(spec["generator"], "matrix.generator"), dt=dt)
+            GeneratorMatrix(_matrix_rows(spec["generator"], "matrix.generator"))
         )
     block = spec["two_species"]
     _require(
@@ -111,7 +112,7 @@ def _build_matrix(spec: dict, dt: float) -> EvolutionMatrix:
         _numbers([block["alpha"], block["beta"]]),
         "field 'matrix.two_species' values must be numbers",
     )
-    return two_species_matrix(float(block["alpha"]), float(block["beta"]), dt=dt)
+    return two_species_matrix(float(block["alpha"]), float(block["beta"]))
 
 
 def _build_config(raw: dict | None) -> SimulationConfig:
@@ -147,8 +148,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     _require(isinstance(data["matrix"], dict), "field 'matrix' must be an object")
 
     dt = data.get("dt", 1.0)
-    _require(_numbers([dt]) and dt > 0, "field 'dt' must be a positive number")
-    matrix = _build_matrix(data["matrix"], float(dt))
+    _require(_numbers([dt]) and 0 < dt < math.inf, "field 'dt' must be a positive finite number")
+    matrix = _build_matrix(data["matrix"])
 
     initial = data["initial"]
     _require(

@@ -4,14 +4,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evosum import (
     ActiveSystem,
+    PopulationVector,
+    elimination_time_scan,
     evolve,
     load_scenario,
     random_competitive,
     random_stochastic,
     save_scenario,
+    scenario_from_dict,
     scenario_to_dict,
     stationary_by_iteration,
 )
@@ -21,6 +26,45 @@ from test_dynamics import serial_scan
 
 # A JSON integer with 401 digits: valid JSON, far beyond the largest float.
 HUGE = 10**400
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Valid scenario objects over all three matrix sources and every optional key."""
+    source = draw(st.sampled_from(["entries", "generator", "two_species"]))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    if source == "two_species":
+        n = 2
+        coupling = st.floats(min_value=-0.5, max_value=0.5)
+        spec = {"two_species": {"alpha": draw(coupling), "beta": draw(coupling)}}
+    elif source == "entries":
+        n = draw(st.integers(min_value=2, max_value=5))
+        spec = {"entries": random_competitive(n, 0.3, 0.5, seed).entries.tolist()}
+    else:
+        n = draw(st.integers(min_value=1, max_value=5))
+        spec = {"generator": (random_stochastic(n, 0.3, seed).entries - np.eye(n)).tolist()}
+    abundance = st.one_of(st.integers(min_value=1, max_value=100), st.floats(0.01, 100.0))
+    data = {"matrix": spec, "initial": draw(st.lists(abundance, min_size=n, max_size=n))}
+    optional = {
+        "species_names": st.lists(st.text(min_size=1, max_size=6), min_size=n, max_size=n),
+        "dt": st.one_of(
+            st.sampled_from([0.25, 7, 1.0]),
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        ),
+        "config": st.fixed_dictionaries(
+            {},
+            optional={
+                "max_steps": st.integers(min_value=1, max_value=10**6),
+                "convergence_tol": st.floats(min_value=0.0, max_value=1.0),
+                "record_every": st.integers(min_value=1, max_value=1000),
+            },
+        ),
+        "seed": st.integers(),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            data[key] = draw(values)
+    return data
 
 
 def write_scenario(path, data):
@@ -109,6 +153,18 @@ class TestLoadScenario:
         copy_path = tmp_path / "copy.json"
         save_scenario(scenario, copy_path)
         assert scenario_to_dict(load_scenario(copy_path)) == scenario_to_dict(scenario)
+
+    @given(scenario_dicts())
+    @settings(max_examples=80, deadline=None)
+    def test_save_load_round_trip_is_exact(self, tmp_path_factory, data):
+        scenario = scenario_from_dict(data)
+        assert scenario.dt == data.get("dt", 1.0)
+        path = tmp_path_factory.mktemp("round-trip") / "s.json"
+        save_scenario(scenario, path)
+        loaded = load_scenario(path)
+        assert scenario_to_dict(loaded) == scenario_to_dict(scenario)
+        assert loaded.dt == scenario.dt
+        assert loaded.matrix.entries.tobytes() == scenario.matrix.entries.tobytes()
 
     def test_failed_save_keeps_existing_file(self, case_a, tmp_path):
         scenario = load_scenario(case_a)
@@ -201,6 +257,19 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
         assert "must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "dt", [0, -1, float("nan"), float("inf")], ids=["zero", "negative", "NaN", "Infinity"]
+    )
+    def test_dt_outside_positive_finite_is_parse_error(self, tmp_path, capsys, dt):
+        # true and a 401-digit integer are covered by the two neighbouring tests.
+        path = write_scenario(
+            tmp_path / "dt.json",
+            {"matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}}, "initial": [1, 1], "dt": dt},
+        )
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "field 'dt' must be a positive finite number" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dt.json"]
 
     @pytest.mark.parametrize(
         "scenario",
@@ -478,6 +547,43 @@ class TestSweepCommand:
                 "--scales", "0.01", "--initial", "0.2", "0.3", "0.5", "--out", str(out)]
         assert main(argv) == 3
         assert "is 2x2 but the population has 3 entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_initial_is_normalized_like_a_scenario(self, tmp_path):
+        argv = ["sweep", "--alpha-per-scale", "1.0", "--beta-per-scale", "-0.5",
+                "--scales", "0.01", "0.02", "0.04", "--out"]
+        raw, unit = tmp_path / "raw.csv", tmp_path / "unit.csv"
+        assert main([*argv, str(raw), "--initial", "1", "1"]) == 0
+        assert main([*argv, str(unit), "--initial", "0.5", "0.5"]) == 0
+        assert raw.read_bytes() == unit.read_bytes()
+
+    def test_initial_summing_to_one_keeps_its_bits(self, tmp_path, monkeypatch):
+        starts = []
+
+        def spy(builder, phi0, scales, config):
+            starts.append(phi0)
+            return elimination_time_scan(builder, phi0, scales, config)
+
+        monkeypatch.setattr("evosum.cli.elimination_time_scan", spy)
+        argv = ["sweep", "--alpha-per-scale", "1.0", "--beta-per-scale", "-0.5",
+                "--scales", "0.01", "--out", str(tmp_path / "s.csv")]
+        for initial in (["0.5", "0.5"], ["0.1", "0.9"], ["0.3", "0.7"]):
+            assert main([*argv, "--initial", *initial]) == 0
+            expected = PopulationVector(np.array(initial, dtype=float)).values
+            assert starts[-1].values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "initial, message",
+        [(["0", "0"], "total abundance"), (["-1", "2"], "negative"),
+         (["nan", "1"], "not finite"), (["1", "inf"], "not finite")],
+        ids=["zero-total", "negative", "nan", "inf"],
+    )
+    def test_bad_initial_is_validation_error(self, tmp_path, capsys, initial, message):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--alpha-per-scale", "1.0", "--beta-per-scale", "-0.5",
+                "--scales", "0.01", "--initial", *initial, "--out", str(out)]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_csv_matches_serial_scan(self, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,13 +107,16 @@ class TestEvolutionMatrix:
         with pytest.raises(ConservationError, match="column 1"):
             EvolutionMatrix([[1.0, 0.1], [0.0, 0.8]])
 
-    def test_dt_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            EvolutionMatrix(np.eye(2), dt=0.0)
-
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
             EvolutionMatrix(np.ones((2, 3)) / 2)
+
+    @pytest.mark.parametrize("cls", [EvolutionMatrix, GeneratorMatrix])
+    def test_carries_only_entries(self, cls):
+        # Time is the step count: no step size is stored, checked or accepted.
+        assert [field.name for field in dataclasses.fields(cls)] == ["entries"]
+        with pytest.raises(TypeError):
+            cls(np.eye(2) if cls is EvolutionMatrix else np.zeros((2, 2)), dt=1.0)
 
     @given(
         st.integers(min_value=2, max_value=6),
@@ -252,13 +257,6 @@ class TestNonFinite:
     def test_make_population(self, n, index, bad):
         with pytest.raises(ValidationError, match="not finite"):
             make_population(self._poison(np.ones(n), index, bad))
-
-    @pytest.mark.parametrize("dt", [np.nan, np.inf])
-    def test_dt_must_be_finite(self, dt):
-        with pytest.raises(ValidationError):
-            EvolutionMatrix(np.eye(2), dt=dt)
-        with pytest.raises(ValidationError):
-            GeneratorMatrix(np.zeros((2, 2)), dt=dt)
 
 
 def test_tolerances_must_be_positive():

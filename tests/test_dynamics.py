@@ -411,6 +411,39 @@ class TestCompetitiveCascade:
             assert np.max(np.abs(terminal - stationary.values)) < 1e-6
         assert eliminating_runs >= 10
 
+    def test_negative_offdiag_counted_once_per_elimination(self, monkeypatch):
+        real = dynamics.negative_offdiag_count
+        calls = []
+
+        def counted(entries, zero_tol):
+            calls.append(entries.shape[0])
+            return real(entries, zero_tol)
+
+        monkeypatch.setattr(dynamics, "negative_offdiag_count", counted)
+        matrix = random_competitive(30, 0.5, 0.5, 3)
+        trajectory = evolve(system_of(matrix, np.ones(30)), SimulationConfig(max_steps=6000))
+        events = trajectory.events
+        assert len(events) >= 5
+        # the initial matrix once, then each folded matrix once
+        assert calls == list(range(30, 30 - len(events) - 1, -1))
+        assert events[0].neg_offdiag_before == real(matrix.entries)
+        for previous, event in zip(events, events[1:]):
+            assert event.neg_offdiag_before == previous.neg_offdiag_after
+        assert events[-1].neg_offdiag_after == real(trajectory.final_system.matrix.entries)
+
+        calls.clear()
+        evolve(system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), SimulationConfig())
+        assert calls == []
+
+    def test_final_system_reprojects_terminal_row(self):
+        matrix = random_competitive(30, 0.5, 0.5, 3)
+        trajectory = evolve(system_of(matrix, np.ones(30)), SimulationConfig(max_steps=6000))
+        final = trajectory.final_system
+        terminal = trajectory.values[-1][list(final.alive_ids)]
+        assert final.populations.values.tobytes() == (terminal / terminal.sum()).tobytes()
+        # a valid start for further runs
+        assert evolve(final, SimulationConfig(max_steps=10)).values.shape[1] == 30
+
     def test_eliminations_strictly_reduce_dimension(self):
         trajectory = evolve(
             system_of(two_species_matrix(-0.05, -0.05), [0.3, 0.7]),
