@@ -15,6 +15,18 @@ interpolated state on the reduced system, so simultaneous crossings
 resolve one at a time (smallest crossing fraction first, ties by lowest
 species id) and the step counter only advances on completed steps.
 
+``evolve`` runs the steps in speculative blocks rather than one Python
+iteration per step. A block of K steps is K matvecs into one buffer,
+then one vectorized test of all K proposed states for a crossing and for
+convergence. Steps before the first stopping step are accepted as they
+stand; the stopping step is handled under the per-step rules (a crossing
+wins over convergence), and the steps computed past it are discarded. K
+restarts at 1 after every elimination and doubles after each clean block,
+up to 256. Every accepted state is the same matvec result the per-step
+loop would compute, so the outputs are identical bit for bit. The cost
+is one matvec call per step, including the discarded ones, and one
+``crossing_fraction`` call per elimination.
+
 The trajectory is stored as columns, one entry per recorded row: step,
 crossing fraction, the full-length state (reduced states embedded back,
 with zeros in the slots of extinct species) and the eliminated species.
@@ -42,7 +54,6 @@ from .core import (
     EvolutionMatrix,
     PopulationVector,
     ToleranceConfig,
-    _readonly,
     make_population,
     negative_offdiag_count,
 )
@@ -308,29 +319,48 @@ def _floor_dust(values: np.ndarray, zero_tol: float) -> np.ndarray:
     return np.where((values < 0.0) & (values > -zero_tol), 0.0, values)
 
 
+_MAX_BLOCK = 256  # longest speculative block of steps in `evolve`
+
+
 def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) -> Trajectory:
     """Run the evolution engine until convergence, extinction, or the step cap.
 
     Stops when the L1 step-to-step change drops below
     ``config.convergence_tol``, when a single species remains, or after
     ``config.max_steps`` completed steps, whichever comes first.
+
+    Steps run in speculative blocks: K matvecs into a ``(K+1, width)``
+    buffer, then one vectorized test of every step in the block for a
+    crossing and for convergence. The steps before the first stopping
+    step are accepted; at that step the crossing wins over convergence,
+    exactly as if the steps ran one by one, and the steps computed past it
+    are discarded. K restarts at 1 after every elimination and doubles
+    after each block without a stop, up to 256, never past the step cap.
+    The cost is one matvec call per step, including the discarded ones,
+    and one ``crossing_fraction`` call per elimination.
     """
     zero_tol = config.tolerances.zero_tol
     entries = np.array(system.matrix.entries)
     phi = np.array(system.populations.values)
     alive = list(system.alive_ids)
     full_size = system.universe_size
+    # Row blocks in order: (steps, fractions, full states, eliminated species or -1).
+    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def embed(state: np.ndarray) -> np.ndarray:
-        full = np.zeros(full_size)
-        full[alive] = state
+    def embed(states: np.ndarray) -> np.ndarray:
+        full = np.zeros((len(states), full_size))
+        full[:, alive] = states
         return _floor_dust(full, zero_tol)
 
-    # One (step, fraction, full state, eliminated species or -1) per row.
-    rows: list[tuple[int, float, np.ndarray, int]] = [(0, 0.0, embed(phi), -1)]
+    def record(steps: np.ndarray, states: np.ndarray, fraction: float = 0.0, species: int = -1) -> None:
+        m = steps.size
+        chunks.append((steps, np.full(m, fraction), embed(states), np.full(m, species)))
+
+    record(np.zeros(1, dtype=int), phi[None, :])
     events: list[EliminationEvent] = []
     neg_after = None  # negative off-diagonal count; `entries` only changes at a fold
     t = 0
+    block = 1
     while True:
         if len(alive) == 1:
             reason = TerminationReason.ALL_BUT_ONE_EXTINCT
@@ -338,44 +368,60 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         if t >= config.max_steps:
             reason = TerminationReason.MAX_STEPS
             break
-        proposed = entries @ phi
-        crossing = crossing_fraction(phi, proposed, zero_tol)
-        if crossing is not None:
-            local, tau = crossing
-            phi = (1.0 - tau) * phi + tau * proposed
-            phi[local] = 0.0
-            if neg_after is None:
-                neg_after = negative_offdiag_count(entries, zero_tol)
-            neg_before = neg_after
-            entries = _fold_out(entries, local)
-            neg_after = negative_offdiag_count(entries, zero_tol)
-            events.append(
-                EliminationEvent(
-                    step_index=t,
-                    fraction=tau,
-                    species_id=alive[local],
-                    neg_offdiag_before=neg_before,
-                    neg_offdiag_after=neg_after,
-                )
-            )
-            rows.append((t, tau, embed(phi), alive[local]))
-            phi = np.delete(phi, local)
-            del alive[local]
-            continue  # re-evaluate the interrupted step on the reduced system
-        l1_change = float(np.abs(proposed - phi).sum())
-        phi = proposed
-        t += 1
-        if t % config.record_every == 0:
-            rows.append((t, 0.0, embed(phi), -1))
-        if l1_change < config.convergence_tol:
+        k = min(block, config.max_steps - t)
+        states = np.empty((k + 1, phi.size))  # states[j] holds phi after t + j steps
+        states[0] = phi
+        for j in range(k):
+            entries.dot(states[j], out=states[j + 1])
+        proposed = states[1:]
+        crossed = (proposed < -zero_tol).any(axis=1)
+        converged = np.abs(proposed - states[:-1]).sum(axis=1) < config.convergence_tol
+        stops = np.flatnonzero(crossed | converged)
+        if stops.size == 0:
+            accepted = k
+        else:
+            stop = int(stops[0])
+            accepted = stop if crossed[stop] else stop + 1  # a crossing step does not complete
+        first = t + config.record_every - t % config.record_every  # next step to record
+        recorded = np.arange(first, t + accepted + 1, config.record_every)
+        if recorded.size:
+            record(recorded, states[recorded - t])
+        t += accepted
+        phi = states[accepted]
+        if stops.size == 0:
+            block = min(2 * block, _MAX_BLOCK)
+            continue
+        if not crossed[stop]:
             reason = TerminationReason.CONVERGED
             break
+        local, tau = crossing_fraction(phi, states[stop + 1], zero_tol)
+        phi = (1.0 - tau) * phi + tau * states[stop + 1]
+        phi[local] = 0.0
+        if neg_after is None:
+            neg_after = negative_offdiag_count(entries, zero_tol)
+        neg_before = neg_after
+        entries = _fold_out(entries, local)
+        neg_after = negative_offdiag_count(entries, zero_tol)
+        events.append(
+            EliminationEvent(
+                step_index=t,
+                fraction=tau,
+                species_id=alive[local],
+                neg_offdiag_before=neg_before,
+                neg_offdiag_after=neg_after,
+            )
+        )
+        record(np.full(1, t), phi[None, :], tau, alive[local])
+        phi = np.delete(phi, local)
+        del alive[local]
+        block = 1  # re-evaluate the interrupted step on the reduced system
 
-    terminal = embed(phi)
-    last_step, _, last_values, _ = rows[-1]
-    if last_step != t or not np.array_equal(last_values, terminal):
-        rows.append((t, 0.0, terminal, -1))
-    steps, fractions, values, event_species = zip(*rows)
+    last_steps, _, last_values, _ = chunks[-1]
+    if last_steps[-1] != t or not np.array_equal(last_values[-1], embed(phi[None, :])[0]):
+        record(np.full(1, t), phi[None, :])
+    steps, fractions, values, event_species = (np.concatenate(column) for column in zip(*chunks))
+    for column in (steps, fractions, values, event_species):
+        column.flags.writeable = False
 
     # The report re-projects the terminal state onto the simplex; trajectory
     # rows keep the raw values so conservation drift stays measurable.
@@ -386,10 +432,10 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         universe_size=full_size,
     )
     return Trajectory(
-        steps=_readonly(steps, dtype=int),
-        fractions=_readonly(fractions),
-        values=_readonly(values),
-        event_species=_readonly(event_species, dtype=int),
+        steps=steps,
+        fractions=fractions,
+        values=values,
+        event_species=event_species,
         events=tuple(events),
         terminated_reason=reason,
         final_system=final_system,
@@ -423,11 +469,14 @@ def evolve_backward(
     inverse, which is the same arithmetic but better behaved for nearly
     singular matrices. Transient modes grow under the inverse map, so a
     generic start can only be evolved backward finitely far before the
-    population reading breaks down.
+    population reading breaks down. ``max_steps`` below 1 raises
+    ``ValidationError``, as in ``SimulationConfig``.
     """
     a = np.asarray(matrix.entries, dtype=float)
     if matrix.n != len(phi0):
         raise DimensionMismatchError("matrix and population dimensions differ")
+    if max_steps < 1:
+        raise ValidationError("max_steps must be at least 1")
     if abs(float(np.linalg.det(a))) <= 1e-12:
         raise SingularMatrixError("evolution matrix is singular; cannot step backward")
     state = np.array(phi0.values)

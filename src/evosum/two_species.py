@@ -21,13 +21,14 @@ only source of truth there.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DEFAULT_TOL, PopulationVector, ToleranceConfig, two_species_matrix
 from .dynamics import ActiveSystem, SimulationConfig, evolve
-from .errors import BadFractionError, DegenerateParamsError
+from .errors import BadFractionError, DegenerateParamsError, ValidationError
 
 
 class Regime(enum.Enum):
@@ -44,6 +45,14 @@ class Winner(enum.Enum):
     KNIFE_EDGE = "Knife-edge"
 
 
+def _check_finite(**values: float) -> None:
+    # Every comparison with NaN is False, so a sign test would give a
+    # confident answer for a non-finite coupling instead of failing.
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TwoSpeciesParams:
     """Couplings plus the initial share ``a`` of species 1."""
@@ -53,6 +62,7 @@ class TwoSpeciesParams:
     a: float
 
     def __post_init__(self) -> None:
+        _check_finite(alpha=self.alpha, beta=self.beta, a=self.a)
         if not 0.0 <= self.a <= 1.0:
             raise BadFractionError(f"initial share a must lie in [0, 1], got {self.a}")
 
@@ -101,7 +111,11 @@ def closed_form(
 
 
 def classify_regime(alpha: float, beta: float) -> Regime:
-    """Sign-based regime: the classification depends on nothing else."""
+    """Sign-based regime: the classification depends on nothing else.
+
+    Non-finite couplings raise ``ValidationError``.
+    """
+    _check_finite(alpha=alpha, beta=beta)
     if alpha == 0.0 and beta == 0.0:
         return Regime.DEGENERATE
     if alpha >= 0.0 and beta >= 0.0:

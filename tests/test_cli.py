@@ -22,7 +22,7 @@ from evosum import (
 )
 from evosum.cli import main
 from evosum.errors import ScenarioParseError
-from test_dynamics import serial_scan
+from test_dynamics import serial_evolve, serial_scan
 
 # A JSON integer with 401 digits: valid JSON, far beyond the largest float.
 HUGE = 10**400
@@ -419,6 +419,27 @@ class TestSimulate:
             lines.append(f"{int(trajectory.steps[k])},{tau},{values},{event}")
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
+    @pytest.mark.parametrize(
+        "matrix, config, events",
+        [
+            (random_competitive(40, 0.5, 0.5, 3), {"max_steps": 3000, "record_every": 7}, 34),
+            (random_stochastic(10, 0.3, 4), {"max_steps": 10_000}, 0),
+        ],
+        ids=["cascade", "converging"],
+    )
+    def test_outputs_match_serial_engine(self, tmp_path, monkeypatch, matrix, config, events):
+        initial = list(range(1, matrix.n + 1))
+        data = {"matrix": {"entries": matrix.entries.tolist()}, "initial": initial, "config": config}
+        argv = ["simulate", "--scenario", write_scenario(tmp_path / "s.json", data), "--out"]
+        assert main([*argv, str(tmp_path / "block.csv")]) == 0
+        monkeypatch.setattr("evosum.cli.evolve", serial_evolve)
+        assert main([*argv, str(tmp_path / "serial.csv")]) == 0
+        for suffix in (".csv", ".csv.summary.json"):
+            assert (tmp_path / f"block{suffix}").read_bytes() == (tmp_path / f"serial{suffix}").read_bytes()
+        summary = json.loads((tmp_path / "block.csv.summary.json").read_text())
+        assert len(summary["events"]) == events
+        assert summary["exit_reason"] == "Converged"
+
     def test_max_steps_override(self, case_a, tmp_path):
         out = tmp_path / "short.csv"
         main(["simulate", "--scenario", case_a, "--out", str(out), "--max-steps", "3"])
@@ -487,6 +508,21 @@ class TestClassifyCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out.strip() == expected
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "nan", "0.1", "0.5"], "alpha must be finite, got nan"),
+            (["classify", "--", "0.1", "inf", "0.5"], "beta must be finite, got inf"),
+            (["classify", "--", "-inf", "-0.1", "0.5"], "alpha must be finite, got -inf"),
+            (["classify", "0.1", "0.2", "nan"], "a must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_argument_is_validation_error(self, capsys, argv, message):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestBackwardCommand:
     def test_stationary_start_runs_to_budget(self, tmp_path, capsys):
@@ -504,6 +540,17 @@ class TestBackwardCommand:
         )
         assert main(["backward", "--scenario", path, "--max-steps", "100"]) == 0
         assert capsys.readouterr().out.strip() == "horizon=7 offender=species_1"
+
+    @pytest.mark.parametrize("max_steps", ["0", "-5"])
+    def test_step_budget_below_one_is_validation_error(self, tmp_path, capsys, max_steps):
+        path = write_scenario(
+            tmp_path / "s.json",
+            {"matrix": {"two_species": {"alpha": 0.1, "beta": 0.1}}, "initial": [0.6, 0.4]},
+        )
+        assert main(["backward", "--scenario", path, "--max-steps", max_steps]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_steps must be at least 1" in captured.err
 
 
 class TestSweepCommand:

@@ -14,6 +14,7 @@ from evosum import (
     SimulationConfig,
     TerminationReason,
     ToleranceConfig,
+    Trajectory,
     add_species,
     classify_matrix,
     crossing_fraction,
@@ -61,6 +62,95 @@ def brute_first_crossing(entries, phi0, max_steps=100_000):
             return t, int(negative[k]), float(taus[k])
         phi = nxt
     return None
+
+
+def serial_evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) -> Trajectory:
+    """Reference engine: one matvec and one ``crossing_fraction`` call per step.
+
+    The plain per-step loop whose every output ``evolve``'s block stepping
+    must reproduce bit for bit.
+    """
+    zero_tol = config.tolerances.zero_tol
+    entries = np.array(system.matrix.entries)
+    phi = np.array(system.populations.values)
+    alive = list(system.alive_ids)
+    full_size = system.universe_size
+
+    def embed(state):
+        full = np.zeros(full_size)
+        full[alive] = state
+        return dynamics._floor_dust(full, zero_tol)
+
+    rows = [(0, 0.0, embed(phi), -1)]
+    events = []
+    neg_after = None
+    t = 0
+    while True:
+        if len(alive) == 1:
+            reason = TerminationReason.ALL_BUT_ONE_EXTINCT
+            break
+        if t >= config.max_steps:
+            reason = TerminationReason.MAX_STEPS
+            break
+        proposed = entries @ phi
+        crossing = dynamics.crossing_fraction(phi, proposed, zero_tol)
+        if crossing is not None:
+            local, tau = crossing
+            phi = (1.0 - tau) * phi + tau * proposed
+            phi[local] = 0.0
+            if neg_after is None:
+                neg_after = dynamics.negative_offdiag_count(entries, zero_tol)
+            neg_before = neg_after
+            entries = dynamics._fold_out(entries, local)
+            neg_after = dynamics.negative_offdiag_count(entries, zero_tol)
+            events.append(EliminationEvent(t, tau, alive[local], neg_before, neg_after))
+            rows.append((t, tau, embed(phi), alive[local]))
+            phi = np.delete(phi, local)
+            del alive[local]
+            continue
+        l1_change = float(np.abs(proposed - phi).sum())
+        phi = proposed
+        t += 1
+        if t % config.record_every == 0:
+            rows.append((t, 0.0, embed(phi), -1))
+        if l1_change < config.convergence_tol:
+            reason = TerminationReason.CONVERGED
+            break
+
+    terminal = embed(phi)
+    last_step, _, last_values, _ = rows[-1]
+    if last_step != t or not np.array_equal(last_values, terminal):
+        rows.append((t, 0.0, terminal, -1))
+    steps, fractions, values, event_species = zip(*rows)
+    final_system = ActiveSystem(
+        matrix=EvolutionMatrix(entries),
+        populations=make_population(dynamics._floor_dust(phi, zero_tol)),
+        alive_ids=tuple(alive),
+        universe_size=full_size,
+    )
+    return Trajectory(
+        steps=np.array(steps, dtype=int),
+        fractions=np.array(fractions),
+        values=np.array(values),
+        event_species=np.array(event_species, dtype=int),
+        events=tuple(events),
+        terminated_reason=reason,
+        final_system=final_system,
+    )
+
+
+def assert_same_run(actual, expected):
+    """Bit-for-bit equality of every column, event and the final system."""
+    for name in ("steps", "fractions", "values", "event_species"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert (a.dtype, a.shape) == (e.dtype, e.shape), name
+        assert a.tobytes() == e.tobytes(), name
+    assert actual.events == expected.events
+    assert actual.terminated_reason is expected.terminated_reason
+    final, reference = actual.final_system, expected.final_system
+    assert final.matrix.entries.tobytes() == reference.matrix.entries.tobytes()
+    assert final.populations.values.tobytes() == reference.populations.values.tobytes()
+    assert (final.alive_ids, final.universe_size) == (reference.alive_ids, reference.universe_size)
 
 
 def serial_scan(builder, phi0, scales, config=SimulationConfig()):
@@ -350,6 +440,128 @@ class TestEvolve:
         assert abs(trajectory.values[k].sum() - 1.0) < 1e-12
 
 
+@st.composite
+def engine_runs(draw):
+    """A system and run limits for ``evolve``, over every matrix source and stop rule."""
+    source = draw(
+        st.sampled_from(["competitive", "stochastic", "coexistence", "monotone", "winner-takes-all"])
+    )
+    seed = draw(st.integers(0, 2**16))
+    if source in ("competitive", "stochastic"):
+        n = draw(st.sampled_from([1, 2, 3, 10, 40]))
+        if source == "competitive" and n > 1:
+            scale = draw(st.sampled_from([0.05, 0.5]))
+            matrix = random_competitive(n, scale, draw(st.floats(0.0, 1.0)), seed)
+        else:
+            matrix = random_stochastic(n, 0.3, seed)
+    else:
+        n = 2
+        sign_a, sign_b = {"coexistence": (1, 1), "monotone": (1, -1), "winner-takes-all": (-1, -1)}[source]
+        magnitude = st.floats(0.001, 0.4)
+        matrix = two_species_matrix(sign_a * draw(magnitude), sign_b * draw(magnitude))
+    abundances = np.random.default_rng(seed).random(n) + 0.01
+    extinct = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    extinct[0] &= not extinct.all()  # keep one species alive
+    abundances[extinct] = 0.0
+    config = SimulationConfig(
+        max_steps=draw(st.integers(1, 3000)),
+        convergence_tol=draw(st.sampled_from([0.0, 1e-12, 1e-3])),
+        tolerances=ToleranceConfig(zero_tol=draw(st.sampled_from([1e-12, 1e-6]))),
+        record_every=draw(st.sampled_from([1, 7, 1000])),
+    )
+    return system_of(matrix, abundances), config
+
+
+def crossing_and_convergence_tol(matrix, start):
+    """A ``convergence_tol`` that the first crossing step is also the first to meet."""
+    phi = np.array(start, dtype=float)
+    changes = []
+    while True:
+        proposed = matrix.entries @ phi
+        changes.append(float(np.abs(proposed - phi).sum()))
+        if np.any(proposed < -1e-12):
+            return len(changes) - 1, (changes[-2] + changes[-1]) / 2
+        phi = proposed
+
+
+class TestBlockStepping:
+    """``evolve`` steps in speculative blocks; ``serial_evolve`` is the reference."""
+
+    @given(engine_runs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_serial_engine(self, run):
+        system, config = run
+        assert_same_run(evolve(system, config), serial_evolve(system, config))
+
+    @pytest.mark.parametrize("alpha, beta, step", [(0.1, -0.05, 7), (0.02, -0.01, 40)])
+    def test_crossing_and_convergence_in_one_step(self, alpha, beta, step):
+        # Blocks cover steps 0, 1-2, 3-6, 7-14, ..., 31-62: step 7 opens a block
+        # and step 40 lies inside one. The crossing step is the first whose
+        # change is below convergence_tol, and the crossing must win.
+        matrix = two_species_matrix(alpha, beta)
+        crossing_step, tol = crossing_and_convergence_tol(matrix, [0.5, 0.5])
+        assert crossing_step == step
+        system = system_of(matrix, [0.5, 0.5])
+        config = SimulationConfig(max_steps=1000, convergence_tol=tol)
+        trajectory = evolve(system, config)
+        assert [e.step_index for e in trajectory.events] == [step]
+        assert trajectory.terminated_reason is TerminationReason.ALL_BUT_ONE_EXTINCT
+        assert_same_run(trajectory, serial_evolve(system, config))
+
+    def test_crossing_on_first_step_of_a_block(self):
+        # The crossing during step 7 is the first step of the block of 8 that
+        # starts after 1 + 2 + 4 clean steps.
+        system = system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5])
+        config = SimulationConfig(max_steps=1000)
+        trajectory = evolve(system, config)
+        assert [e.step_index for e in trajectory.events] == [7]
+        assert_same_run(trajectory, serial_evolve(system, config))
+
+    @pytest.mark.parametrize("max_steps", [5, 10, 100, 257, 1000])
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_cap_inside_a_block(self, max_steps, record_every):
+        # Blocks of 1, 2, 4, ... clean steps: none of these caps falls on a block edge.
+        system = system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1])
+        config = SimulationConfig(max_steps=max_steps, convergence_tol=0.0, record_every=record_every)
+        trajectory = evolve(system, config)
+        assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
+        assert trajectory.steps[-1] == max_steps
+        assert_same_run(trajectory, serial_evolve(system, config))
+
+    def test_cap_inside_a_block_after_events(self):
+        system = system_of(random_competitive(40, 0.5, 0.5, 3), np.ones(40))
+        config = SimulationConfig(max_steps=1000, convergence_tol=0.0, record_every=7)
+        trajectory = evolve(system, config)
+        assert len(trajectory.events) >= 5
+        assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
+        assert_same_run(trajectory, serial_evolve(system, config))
+
+    def test_crossing_fraction_called_once_per_event(self, monkeypatch):
+        calls = []
+        real = dynamics.crossing_fraction
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "crossing_fraction", counted)
+        trajectory = evolve(
+            system_of(random_competitive(40, 0.5, 0.5, 3), np.ones(40)),
+            SimulationConfig(max_steps=6000),
+        )
+        assert len(trajectory.events) >= 5
+        assert len(calls) == len(trajectory.events)
+
+        calls.clear()
+        altruistic = evolve(
+            system_of(random_stochastic(40, 0.3, 3), np.ones(40)),
+            SimulationConfig(max_steps=6000, convergence_tol=0.0),
+        )
+        assert altruistic.events == ()
+        assert altruistic.steps[-1] == 6000
+        assert calls == []
+
+
 class TestStochasticRegime:
     """Properties that hold whenever all transfers are nonnegative."""
 
@@ -498,6 +710,11 @@ class TestEvolveBackward:
         for _ in range(report.horizon):
             forward = matrix.entries @ forward
         assert np.max(np.abs(forward - start.values)) < 1e-7
+
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_step_budget_below_one_rejected(self, max_steps):
+        with pytest.raises(ValidationError, match="max_steps must be at least 1"):
+            evolve_backward(two_species_matrix(0.1, 0.1), make_population([0.6, 0.4]), max_steps)
 
     def test_singular_matrix_rejected(self):
         flat = EvolutionMatrix([[0.5, 0.5], [0.5, 0.5]])

@@ -20,7 +20,7 @@ from evosum import (
     predict_winner,
     two_species_matrix,
 )
-from evosum.errors import BadFractionError, DegenerateParamsError
+from evosum.errors import BadFractionError, DegenerateParamsError, ValidationError
 
 couplings = st.floats(min_value=-0.2, max_value=0.2)
 shares = st.floats(min_value=0.0, max_value=1.0)
@@ -48,6 +48,13 @@ class TestClosedForm:
     def test_share_out_of_range_rejected(self):
         with pytest.raises(BadFractionError):
             TwoSpeciesParams(0.1, 0.2, a=1.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "a"])
+    def test_non_finite_params_rejected(self, field, bad):
+        values = {"alpha": 0.1, "beta": -0.05, "a": 0.5, field: bad}
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            TwoSpeciesParams(**values)
 
     @given(couplings, couplings, shares)
     @settings(max_examples=150, deadline=None)
@@ -85,6 +92,15 @@ class TestClassifyRegime:
     )
     def test_sign_table(self, alpha, beta, expected):
         assert classify_regime(alpha, beta) is expected
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_couplings_rejected(self, bad):
+        # Every sign test is False for NaN, so without the check NaN gave a
+        # confident regime; an infinite coupling has no matrix behind it.
+        with pytest.raises(ValidationError, match="^alpha must be finite"):
+            classify_regime(bad, 0.1)
+        with pytest.raises(ValidationError, match="^beta must be finite"):
+            classify_regime(0.1, bad)
 
     @given(couplings, couplings)
     @settings(max_examples=200, deadline=None)
