@@ -130,12 +130,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    regime = classify_regime(args.alpha, args.beta)
+    params = TwoSpeciesParams(alpha=args.alpha, beta=args.beta, a=args.a)  # checks all three
+    regime = classify_regime(params.alpha, params.beta)
     if regime is Regime.DEGENERATE:
         print(regime.value)
     else:
-        winner = predict_winner(TwoSpeciesParams(alpha=args.alpha, beta=args.beta, a=args.a))
-        print(f"{regime.value}, {winner.value}")
+        print(f"{regime.value}, {predict_winner(params).value}")
     return EXIT_OK
 
 

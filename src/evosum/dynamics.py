@@ -15,6 +15,15 @@ interpolated state on the reduced system, so simultaneous crossings
 resolve one at a time (smallest crossing fraction first, ties by lowest
 species id) and the step counter only advances on completed steps.
 
+Both halves of that mechanism are written once. ``_stop_tests`` is the
+stop rule on a stack of proposed states (a crossing is an entry below
+``-zero_tol``, convergence an L1 change below ``convergence_tol``); its
+callers apply the order, a crossing before convergence. ``_eliminate``
+is the elimination step: drop the row and column, fold the row onto the
+diagonals, drop the state entry and the id. ``evolve`` and the scan
+share the stop rule; ``evolve`` and ``eliminate_species`` share the
+elimination step.
+
 ``evolve`` runs the steps in speculative blocks rather than one Python
 iteration per step. A block of K steps is K matvecs into one buffer,
 then one vectorized test of all K proposed states for a crossing and for
@@ -68,9 +77,22 @@ from .errors import (
 )
 
 
+def _check_step_count(name: str, value) -> None:
+    # A float count passes a `< 1` test, then fails inside the engine as a
+    # bare TypeError or IndexError. Bools are refused as in scenario files.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be at least 1")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Run limits and tolerances for the evolution engine."""
+    """Run limits and tolerances for the evolution engine.
+
+    ``max_steps`` and ``record_every`` must be Python or NumPy integers
+    (not bools) of at least 1; anything else raises ``ValidationError``.
+    """
 
     max_steps: int = 10_000
     convergence_tol: float = 1e-12
@@ -78,10 +100,8 @@ class SimulationConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ValidationError("max_steps must be at least 1")
-        if self.record_every < 1:
-            raise ValidationError("record_every must be at least 1")
+        _check_step_count("max_steps", self.max_steps)
+        _check_step_count("record_every", self.record_every)
         if not self.convergence_tol >= 0:
             raise ValidationError("convergence_tol must be a nonnegative number")
 
@@ -229,12 +249,25 @@ def crossing_fraction(
     return int(negative[k]), float(taus[k])
 
 
-def _fold_out(entries: np.ndarray, index: int) -> np.ndarray:
-    """Drop row/column ``index``; fold its row entries onto the diagonals."""
-    removed_row = np.delete(entries[index, :], index)
-    reduced = np.delete(np.delete(entries, index, axis=0), index, axis=1)
-    reduced[np.diag_indices_from(reduced)] += removed_row
-    return reduced
+def _eliminate(entries: np.ndarray, phi: np.ndarray, alive, local: int):
+    """Drop species ``local`` from the matrix, state and ids, folding its row onto the diagonals.
+
+    Returns new ``(entries, phi, alive)``; ``alive`` keeps its sequence type.
+    """
+    reduced = np.delete(np.delete(entries, local, axis=0), local, axis=1)
+    reduced[np.diag_indices_from(reduced)] += np.delete(entries[local], local)
+    return reduced, np.delete(phi, local), alive[:local] + alive[local + 1 :]
+
+
+def _stop_tests(proposed: np.ndarray, before: np.ndarray, zero_tol: float, convergence_tol: float):
+    """The stop rule for each row of (S, n) states, as ``(crossed, converged)``.
+
+    Crossed: an entry below ``-zero_tol``. Converged: an L1 change from
+    ``before`` below ``convergence_tol``. The caller puts a crossing first.
+    """
+    crossed = (proposed < -zero_tol).any(axis=1)
+    converged = np.abs(proposed - before).sum(axis=1) < convergence_tol
+    return crossed, converged
 
 
 def eliminate_species(system: ActiveSystem, local_index: int, zero_tol: float | None = None) -> ActiveSystem:
@@ -256,9 +289,9 @@ def eliminate_species(system: ActiveSystem, local_index: int, zero_tol: float | 
         raise NotExtinctError(
             f"species at local index {local_index} has population {pop!r}, not zero"
         )
-    reduced = _fold_out(np.array(system.matrix.entries), local_index)
-    survivors = np.delete(system.populations.values, local_index)
-    alive = system.alive_ids[:local_index] + system.alive_ids[local_index + 1 :]
+    reduced, survivors, alive = _eliminate(
+        system.matrix.entries, system.populations.values, system.alive_ids, local_index
+    )
     return ActiveSystem(
         matrix=EvolutionMatrix(reduced),
         populations=PopulationVector(survivors),
@@ -373,9 +406,7 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         states[0] = phi
         for j in range(k):
             entries.dot(states[j], out=states[j + 1])
-        proposed = states[1:]
-        crossed = (proposed < -zero_tol).any(axis=1)
-        converged = np.abs(proposed - states[:-1]).sum(axis=1) < config.convergence_tol
+        crossed, converged = _stop_tests(states[1:], states[:-1], zero_tol, config.convergence_tol)
         stops = np.flatnonzero(crossed | converged)
         if stops.size == 0:
             accepted = k
@@ -399,25 +430,14 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         phi[local] = 0.0
         if neg_after is None:
             neg_after = negative_offdiag_count(entries, zero_tol)
-        neg_before = neg_after
-        entries = _fold_out(entries, local)
+        neg_before, species = neg_after, alive[local]
+        record(np.full(1, t), phi[None, :], tau, species)
+        entries, phi, alive = _eliminate(entries, phi, alive, local)
         neg_after = negative_offdiag_count(entries, zero_tol)
-        events.append(
-            EliminationEvent(
-                step_index=t,
-                fraction=tau,
-                species_id=alive[local],
-                neg_offdiag_before=neg_before,
-                neg_offdiag_after=neg_after,
-            )
-        )
-        record(np.full(1, t), phi[None, :], tau, alive[local])
-        phi = np.delete(phi, local)
-        del alive[local]
+        events.append(EliminationEvent(t, tau, species, neg_before, neg_after))
         block = 1  # re-evaluate the interrupted step on the reduced system
 
-    last_steps, _, last_values, _ = chunks[-1]
-    if last_steps[-1] != t or not np.array_equal(last_values[-1], embed(phi[None, :])[0]):
+    if chunks[-1][0][-1] != t:  # a row at step t is always the current state
         record(np.full(1, t), phi[None, :])
     steps, fractions, values, event_species = (np.concatenate(column) for column in zip(*chunks))
     for column in (steps, fractions, values, event_species):
@@ -469,14 +489,14 @@ def evolve_backward(
     inverse, which is the same arithmetic but better behaved for nearly
     singular matrices. Transient modes grow under the inverse map, so a
     generic start can only be evolved backward finitely far before the
-    population reading breaks down. ``max_steps`` below 1 raises
-    ``ValidationError``, as in ``SimulationConfig``.
+    population reading breaks down. ``max_steps`` must be an integer of at
+    least 1, as in ``SimulationConfig``; anything else raises
+    ``ValidationError``.
     """
     a = np.asarray(matrix.entries, dtype=float)
     if matrix.n != len(phi0):
         raise DimensionMismatchError("matrix and population dimensions differ")
-    if max_steps < 1:
-        raise ValidationError("max_steps must be at least 1")
+    _check_step_count("max_steps", max_steps)
     if abs(float(np.linalg.det(a))) <= 1e-12:
         raise SingularMatrixError("evolution matrix is singular; cannot step backward")
     state = np.array(phi0.values)
@@ -514,8 +534,7 @@ def _first_elimination_steps(
     t = 0
     while live.size and t < config.max_steps:
         proposed = np.matmul(entries, phi[:, :, None])[:, :, 0]
-        crossed = (proposed < -zero_tol).any(axis=1)
-        converged = np.abs(proposed - phi).sum(axis=1) < config.convergence_tol
+        crossed, converged = _stop_tests(proposed, phi, zero_tol, config.convergence_tol)
         finished = crossed | converged
         if finished.any():
             for k in live[crossed].tolist():

@@ -6,7 +6,9 @@ Top-level keys:
   ``entries`` (N x N numbers), ``generator`` (N x N numbers, zero column
   sums), or ``two_species`` ({"alpha": x, "beta": y}).
 * ``initial`` (required): raw nonnegative abundances; normalized on load.
-* ``species_names`` (optional): defaults to species_1..species_N.
+* ``species_names`` (optional): defaults to species_1..species_N. A name
+  may not contain a comma, a double quote, CR or LF: names become CSV
+  header and event cells, which are written unquoted.
 * ``dt`` (optional, default 1.0): provenance metadata with ``0 < dt < inf``,
   checked here and written back by ``save_scenario``; nothing computes with it.
 * ``config`` (optional): ``max_steps``, ``convergence_tol``, ``record_every``.
@@ -44,6 +46,8 @@ from .errors import ScenarioParseError
 _TOP_KEYS = {"species_names", "dt", "matrix", "initial", "config", "seed"}
 _MATRIX_KEYS = {"entries", "generator", "two_species"}
 _CONFIG_KEYS = {"max_steps", "convergence_tol", "record_every"}
+# Characters that would break the unquoted cells of the trajectory CSV.
+_CSV_SPECIAL = frozenset(',"\r\n')
 # Exact types, not isinstance: JSON true/false decode to bool, a subclass of int.
 _NUMBER_TYPES = {int, float}
 # Every number field becomes a float; a JSON integer beyond this would overflow.
@@ -172,6 +176,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         len(names) == matrix.n,
         f"field 'species_names' has {len(names)} entries but the matrix is {matrix.n}x{matrix.n}",
     )
+    for name in names:
+        _require(
+            not _CSV_SPECIAL & set(name),
+            f"species name {name!r} contains a comma, double quote, CR or LF",
+        )
 
     seed = data.get("seed")
     _require(

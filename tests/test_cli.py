@@ -26,6 +26,8 @@ from test_dynamics import serial_evolve, serial_scan
 
 # A JSON integer with 401 digits: valid JSON, far beyond the largest float.
 HUGE = 10**400
+# st.text()'s default alphabet less the characters a species name may not hold.
+NAME_CHARACTERS = st.characters(codec="utf-8", exclude_characters=',"\r\n')
 
 
 @st.composite
@@ -46,7 +48,9 @@ def scenario_dicts(draw):
     abundance = st.one_of(st.integers(min_value=1, max_value=100), st.floats(0.01, 100.0))
     data = {"matrix": spec, "initial": draw(st.lists(abundance, min_size=n, max_size=n))}
     optional = {
-        "species_names": st.lists(st.text(min_size=1, max_size=6), min_size=n, max_size=n),
+        "species_names": st.lists(
+            st.text(NAME_CHARACTERS, min_size=1, max_size=6), min_size=n, max_size=n
+        ),
         "dt": st.one_of(
             st.sampled_from([0.25, 7, 1.0]),
             st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -147,6 +151,20 @@ class TestLoadScenario:
         )
         with pytest.raises(ScenarioParseError, match="extra"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+    def test_csv_special_character_in_name_rejected(self, tmp_path, capsys, char):
+        data = {
+            "species_names": ["finch", f"spar{char}row"],
+            "matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}},
+            "initial": [0.9, 0.1],
+        }
+        with pytest.raises(ScenarioParseError, match="species name"):
+            scenario_from_dict(data)
+        path, out = write_scenario(tmp_path / "s.json", data), tmp_path / "o.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
+        assert "species name" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_round_trip_is_structurally_identical(self, case_a, tmp_path):
         scenario = load_scenario(case_a)
@@ -515,6 +533,7 @@ class TestClassifyCommand:
             (["classify", "--", "0.1", "inf", "0.5"], "beta must be finite, got inf"),
             (["classify", "--", "-inf", "-0.1", "0.5"], "alpha must be finite, got -inf"),
             (["classify", "0.1", "0.2", "nan"], "a must be finite, got nan"),
+            (["classify", "0", "0", "nan"], "a must be finite, got nan"),
         ],
     )
     def test_non_finite_argument_is_validation_error(self, capsys, argv, message):
@@ -522,6 +541,13 @@ class TestClassifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("alpha, beta", [("0.1", "0.2"), ("0", "0")])
+    def test_share_outside_unit_interval_is_validation_error(self, capsys, alpha, beta):
+        assert main(["classify", alpha, beta, "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "initial share a must lie in [0, 1], got 5.0" in captured.err
 
 
 class TestBackwardCommand:

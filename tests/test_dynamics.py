@@ -64,6 +64,14 @@ def brute_first_crossing(entries, phi0, max_steps=100_000):
     return None
 
 
+def reference_fold(entries, index):
+    """The engine's fold as three ``np.delete`` calls, kept apart from ``dynamics``."""
+    removed_row = np.delete(entries[index, :], index)
+    reduced = np.delete(np.delete(entries, index, axis=0), index, axis=1)
+    reduced[np.diag_indices_from(reduced)] += removed_row
+    return reduced
+
+
 def serial_evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) -> Trajectory:
     """Reference engine: one matvec and one ``crossing_fraction`` call per step.
 
@@ -101,7 +109,7 @@ def serial_evolve(system: ActiveSystem, config: SimulationConfig = SimulationCon
             if neg_after is None:
                 neg_after = dynamics.negative_offdiag_count(entries, zero_tol)
             neg_before = neg_after
-            entries = dynamics._fold_out(entries, local)
+            entries = reference_fold(entries, local)
             neg_after = dynamics.negative_offdiag_count(entries, zero_tol)
             events.append(EliminationEvent(t, tau, alive[local], neg_before, neg_after))
             rows.append((t, tau, embed(phi), alive[local]))
@@ -251,6 +259,20 @@ class TestEliminateSpecies:
         with pytest.raises(LastSpeciesError):
             eliminate_species(system, 0)
 
+    @pytest.mark.parametrize("kill", [0, 3, 6])
+    def test_same_bytes_as_reference_fold(self, kill):
+        matrix = random_competitive(7, 0.5, 0.5, seed=11)
+        pops = np.full(7, 1.0 / 6)
+        pops[kill] = 0.0
+        populations = PopulationVector(pops)
+        system = ActiveSystem(matrix=matrix, populations=populations, alive_ids=range(1, 8))
+        reduced = eliminate_species(system, kill)
+        expected = reference_fold(np.array(matrix.entries), kill)
+        assert reduced.matrix.entries.tobytes() == expected.tobytes()
+        assert reduced.populations.values.tobytes() == np.delete(pops, kill).tobytes()
+        assert reduced.alive_ids == tuple(i for i in range(1, 8) if i != kill + 1)
+        assert reduced.universe_size == 8
+
     def test_fold_never_adds_negative_offdiagonals(self):
         rng = np.random.default_rng(99)
         for _ in range(30):
@@ -328,6 +350,27 @@ class TestSimulationConfig:
     def test_rejects_bad_limits(self, kwargs):
         with pytest.raises(ValidationError):
             SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_steps": 0}, "max_steps must be at least 1"),
+            ({"record_every": np.int64(-3)}, "record_every must be at least 1"),
+            ({"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
+            ({"record_every": 1.5}, "record_every must be an integer, got 1.5"),
+            ({"max_steps": 3.0}, "max_steps must be an integer, got 3.0"),
+            ({"record_every": True}, "record_every must be an integer, got True"),
+            ({"max_steps": "5"}, "max_steps must be an integer, got '5'"),
+        ],
+    )
+    def test_step_count_messages(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            SimulationConfig(**kwargs)
+
+    def test_numpy_integer_step_counts_accepted(self):
+        config = SimulationConfig(max_steps=np.int64(30), record_every=np.int32(7))
+        trajectory = evolve(system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), config)
+        assert trajectory.steps.tolist() == [0, 7, 14, 21, 28, 30]
 
 
 class TestEvolve:
@@ -716,10 +759,38 @@ class TestEvolveBackward:
         with pytest.raises(ValidationError, match="max_steps must be at least 1"):
             evolve_backward(two_species_matrix(0.1, 0.1), make_population([0.6, 0.4]), max_steps)
 
+    @pytest.mark.parametrize("max_steps", [2.5, True, np.float64(4.0)])
+    def test_non_integer_step_budget_rejected(self, max_steps):
+        with pytest.raises(ValidationError, match="max_steps must be an integer"):
+            evolve_backward(two_species_matrix(0.1, 0.1), make_population([0.6, 0.4]), max_steps)
+
     def test_singular_matrix_rejected(self):
         flat = EvolutionMatrix([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(SingularMatrixError):
             evolve_backward(flat, make_population([0.5, 0.5]), max_steps=5)
+
+
+class TestStopRuleBoundary:
+    """A state landing exactly on ``-zero_tol`` has not crossed; one step later it has.
+
+    Dyadic inputs keep the arithmetic exact: from ``(1/2 - z, 1/2 + z)`` with
+    ``z = 2**-10`` the first step gives ``(-z, 1 + z)`` and the second
+    ``(-1/2 - z, 3/2 + z)``.
+    """
+
+    ZERO_TOL = 2.0**-10
+    CONFIG = SimulationConfig(max_steps=10, tolerances=ToleranceConfig(zero_tol=ZERO_TOL))
+    MATRIX = two_species_matrix(0.5, -0.5)
+    START = make_population([0.5 - ZERO_TOL, 0.5 + ZERO_TOL])
+
+    def test_evolve_eliminates_on_the_second_step(self):
+        trajectory = evolve(ActiveSystem(matrix=self.MATRIX, populations=self.START), self.CONFIG)
+        assert trajectory.values[1].tolist() == [-self.ZERO_TOL, 1.0 + self.ZERO_TOL]
+        assert [(e.step_index, e.species_id) for e in trajectory.events] == [(1, 0)]
+
+    def test_scan_eliminates_on_the_second_step(self):
+        rows = elimination_time_scan(lambda c: self.MATRIX, self.START, [1.0], self.CONFIG)
+        assert rows == [ScanRow(scale=1.0, steps=1)]
 
 
 class TestEliminationTimeScan:
