@@ -9,13 +9,13 @@ horizons, and the exact two-species closed form.
 
 from .core import (
     CONSTRUCTION_TOL,
-    DEFAULT_TOL,
+    EIG_TOL,
+    ZERO_TOL,
     EvolutionMatrix,
     GeneratorMatrix,
     MatrixClass,
     MatrixKind,
     PopulationVector,
-    ToleranceConfig,
     classify_matrix,
     make_population,
     matrix_from_generator,
@@ -66,7 +66,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONSTRUCTION_TOL",
-    "DEFAULT_TOL",
+    "EIG_TOL",
+    "ZERO_TOL",
     "ActiveSystem",
     "BackwardReport",
     "BiorthogonalityReport",
@@ -84,7 +85,6 @@ __all__ = [
     "SimulationConfig",
     "SpectralSummary",
     "TerminationReason",
-    "ToleranceConfig",
     "Trajectory",
     "TwoSpeciesParams",
     "Winner",

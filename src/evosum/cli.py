@@ -82,8 +82,6 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.max_steps is not None:
         scenario = replace(scenario, config=replace(scenario.config, max_steps=args.max_steps))
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
     trajectory = evolve(
         ActiveSystem(matrix=scenario.matrix, populations=scenario.initial),
         scenario.config,
@@ -177,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", required=True, help="trajectory CSV path")
     simulate.add_argument("--summary", help="summary JSON path (default: <out>.summary.json)")
     simulate.add_argument("--max-steps", type=int, dest="max_steps")
-    simulate.add_argument("--seed", type=int)
     simulate.set_defaults(func=cmd_simulate)
 
     spectrum = sub.add_parser("spectrum", help="eigenstructure of a scenario's matrix")

@@ -12,7 +12,11 @@ Conventions used throughout the package:
 
 Conservation is checked at construction with a hard tolerance of
 ``CONSTRUCTION_TOL``; matrices carry only their entries (time is the step
-count). Only ``evolve``'s ``final_system`` is re-projected onto the
+count). Two more fixed tolerances are the model's numerical policy,
+read at call time: ``ZERO_TOL`` (1e-12) is what counts as zero, so a
+population below ``-ZERO_TOL`` has crossed and one in ``(-ZERO_TOL, 0)``
+is float dust, and ``EIG_TOL`` (1e-9) is what counts as equal
+eigenvalues. Only ``evolve``'s ``final_system`` is re-projected onto the
 simplex, via ``make_population``; trajectory rows keep the raw values.
 """
 
@@ -36,6 +40,10 @@ from .errors import (
 
 #: Hard tolerance applied to conservation checks at construction time.
 CONSTRUCTION_TOL = 1e-12
+#: What counts as zero: a population below ``-ZERO_TOL`` has crossed.
+ZERO_TOL = 1e-12
+#: Eigenvalues ``w[p]`` and ``w[q]`` coincide when ``|w[p] - w[q]| <= EIG_TOL``.
+EIG_TOL = 1e-9
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -73,22 +81,6 @@ def _check_matrix(entries: np.ndarray, column_sum: float, exc, what: str) -> Non
             f"column {j} of {what} sums to {float(sums[j])!r}, "
             f"expected {column_sum} within {CONSTRUCTION_TOL}"
         )
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances shared by validators, solvers, and the engine."""
-
-    zero_tol: float = 1e-12
-    eig_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        # Written so NaN fails too: every comparison with NaN is False.
-        if not all(0 < t < np.inf for t in (self.zero_tol, self.eig_tol)):
-            raise ValidationError("all tolerances must be finite and strictly positive")
-
-
-DEFAULT_TOL = ToleranceConfig()
 
 
 class MatrixKind(enum.Enum):
@@ -182,22 +174,22 @@ def matrix_from_generator(generator: GeneratorMatrix) -> EvolutionMatrix:
     return EvolutionMatrix(np.eye(generator.n) + generator.entries)
 
 
-def negative_offdiag_count(entries: np.ndarray, zero_tol: float = DEFAULT_TOL.zero_tol) -> int:
-    """Count off-diagonal entries below ``-zero_tol``."""
+def negative_offdiag_count(entries: np.ndarray) -> int:
+    """Count off-diagonal entries below ``-ZERO_TOL``."""
     off = np.array(entries, dtype=float)
     np.fill_diagonal(off, 0.0)
-    return int(np.count_nonzero(off < -zero_tol))
+    return int(np.count_nonzero(off < -ZERO_TOL))
 
 
-def classify_matrix(matrix: EvolutionMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixClass:
+def classify_matrix(matrix: EvolutionMatrix) -> MatrixClass:
     """Classify as stochastic (all entries in [0, 1]) or competitive.
 
     The negative off-diagonal count is reported for both kinds; it is zero
     whenever the matrix is stochastic.
     """
     entries = matrix.entries
-    in_range = np.all(entries >= -tol.zero_tol) and np.all(entries <= 1.0 + tol.zero_tol)
-    count = negative_offdiag_count(entries, tol.zero_tol)
+    in_range = np.all(entries >= -ZERO_TOL) and np.all(entries <= 1.0 + ZERO_TOL)
+    count = negative_offdiag_count(entries)
     kind = MatrixKind.STOCHASTIC if in_range else MatrixKind.COMPETITIVE
     return MatrixClass(kind=kind, negative_offdiag_count=count)
 

@@ -17,7 +17,7 @@ species id) and the step counter only advances on completed steps.
 
 Both halves of that mechanism are written once. ``_stop_tests`` is the
 stop rule on a stack of proposed states (a crossing is an entry below
-``-zero_tol``, convergence an L1 change below ``convergence_tol``); its
+``-ZERO_TOL``, convergence an L1 change below ``convergence_tol``); its
 callers apply the order, a crossing before convergence. ``_eliminate``
 is the elimination step: drop the row and column, fold the row onto the
 diagonals, drop the state entry and the id. ``evolve`` and the scan
@@ -54,18 +54,13 @@ system, and nothing is recorded.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    EvolutionMatrix,
-    PopulationVector,
-    ToleranceConfig,
-    make_population,
-    negative_offdiag_count,
-)
+from .core import ZERO_TOL, EvolutionMatrix, PopulationVector, make_population, negative_offdiag_count
 from .errors import (
     BadColumnSumError,
     BadFractionError,
@@ -77,33 +72,40 @@ from .errors import (
 )
 
 
-def _check_step_count(name: str, value) -> None:
+def _check_integer(name: str, value) -> None:
     # A float count passes a `< 1` test, then fails inside the engine as a
     # bare TypeError or IndexError. Bools are refused as in scenario files.
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_step_count(name: str, value) -> None:
+    _check_integer(name, value)
     if value < 1:
         raise ValidationError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Run limits and tolerances for the evolution engine.
+    """Run limits for the evolution engine.
 
     ``max_steps`` and ``record_every`` must be Python or NumPy integers
-    (not bools) of at least 1; anything else raises ``ValidationError``.
+    (not bools) of at least 1, and ``convergence_tol`` a finite real
+    number (not a bool) of at least 0; anything else raises
+    ``ValidationError``.
     """
 
     max_steps: int = 10_000
     convergence_tol: float = 1e-12
-    tolerances: ToleranceConfig = DEFAULT_TOL
     record_every: int = 1
 
     def __post_init__(self) -> None:
         _check_step_count("max_steps", self.max_steps)
         _check_step_count("record_every", self.record_every)
-        if not self.convergence_tol >= 0:
-            raise ValidationError("convergence_tol must be a nonnegative number")
+        tol = self.convergence_tol
+        # An infinite tolerance would stop every run as converged after one step.
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+            raise ValidationError(f"convergence_tol must be a finite nonnegative number, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -229,18 +231,16 @@ def step(matrix: EvolutionMatrix, phi) -> np.ndarray:
     return matrix.entries @ values
 
 
-def crossing_fraction(
-    phi_before, phi_after, zero_tol: float = DEFAULT_TOL.zero_tol
-) -> tuple[int, float] | None:
+def crossing_fraction(phi_before, phi_after) -> tuple[int, float] | None:
     """First zero crossing within a step, as (local index, fraction).
 
-    Among entries driven below ``-zero_tol``, returns the one whose linear
+    Among entries driven below ``-ZERO_TOL``, returns the one whose linear
     interpolation hits zero earliest; ties go to the lowest index. Returns
     None when no entry went negative.
     """
     before = np.asarray(phi_before, dtype=float)
     after = np.asarray(phi_after, dtype=float)
-    negative = np.flatnonzero(after < -zero_tol)
+    negative = np.flatnonzero(after < -ZERO_TOL)
     if negative.size == 0:
         return None
     taus = before[negative] / (before[negative] - after[negative])
@@ -259,33 +259,31 @@ def _eliminate(entries: np.ndarray, phi: np.ndarray, alive, local: int):
     return reduced, np.delete(phi, local), alive[:local] + alive[local + 1 :]
 
 
-def _stop_tests(proposed: np.ndarray, before: np.ndarray, zero_tol: float, convergence_tol: float):
+def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float):
     """The stop rule for each row of (S, n) states, as ``(crossed, converged)``.
 
-    Crossed: an entry below ``-zero_tol``. Converged: an L1 change from
+    Crossed: an entry below ``-ZERO_TOL``. Converged: an L1 change from
     ``before`` below ``convergence_tol``. The caller puts a crossing first.
     """
-    crossed = (proposed < -zero_tol).any(axis=1)
+    crossed = (proposed < -ZERO_TOL).any(axis=1)
     converged = np.abs(proposed - before).sum(axis=1) < convergence_tol
     return crossed, converged
 
 
-def eliminate_species(system: ActiveSystem, local_index: int, zero_tol: float | None = None) -> ActiveSystem:
+def eliminate_species(system: ActiveSystem, local_index: int) -> ActiveSystem:
     """Remove an extinct species and rebalance the conserved columns.
 
-    The species' population must already be zero (within ``zero_tol``).
+    The species' population must already be zero (within ``ZERO_TOL``).
     Surviving populations pass through unchanged; they already carry the
     whole total.
     """
-    if zero_tol is None:
-        zero_tol = DEFAULT_TOL.zero_tol
     n = system.n
     if not 0 <= local_index < n:
         raise DimensionMismatchError(f"local index {local_index} outside 0..{n - 1}")
     if n == 1:
         raise LastSpeciesError("cannot eliminate the only remaining species")
     pop = float(system.populations.values[local_index])
-    if abs(pop) > zero_tol:
+    if abs(pop) > ZERO_TOL:
         raise NotExtinctError(
             f"species at local index {local_index} has population {pop!r}, not zero"
         )
@@ -322,7 +320,7 @@ def add_species(
     if c_in.shape != (n,) or c_out.shape != (n,):
         raise DimensionMismatchError(f"couplings must have length {n}")
     new_column_sum = float(c_out.sum() + self_rate)
-    if abs(new_column_sum - 1.0) > DEFAULT_TOL.zero_tol:
+    if abs(new_column_sum - 1.0) > ZERO_TOL:
         raise BadColumnSumError(
             f"new species column sums to {new_column_sum!r}, expected 1"
         )
@@ -346,10 +344,10 @@ def add_species(
     )
 
 
-def _floor_dust(values: np.ndarray, zero_tol: float) -> np.ndarray:
+def _floor_dust(values: np.ndarray) -> np.ndarray:
     # Only sub-tolerance float dust is floored; a genuine negative entry
     # would be a bug and must stay visible.
-    return np.where((values < 0.0) & (values > -zero_tol), 0.0, values)
+    return np.where((values < 0.0) & (values > -ZERO_TOL), 0.0, values)
 
 
 _MAX_BLOCK = 256  # longest speculative block of steps in `evolve`
@@ -372,7 +370,6 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
     The cost is one matvec call per step, including the discarded ones,
     and one ``crossing_fraction`` call per elimination.
     """
-    zero_tol = config.tolerances.zero_tol
     entries = np.array(system.matrix.entries)
     phi = np.array(system.populations.values)
     alive = list(system.alive_ids)
@@ -383,7 +380,7 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
     def embed(states: np.ndarray) -> np.ndarray:
         full = np.zeros((len(states), full_size))
         full[:, alive] = states
-        return _floor_dust(full, zero_tol)
+        return _floor_dust(full)
 
     def record(steps: np.ndarray, states: np.ndarray, fraction: float = 0.0, species: int = -1) -> None:
         m = steps.size
@@ -406,7 +403,7 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         states[0] = phi
         for j in range(k):
             entries.dot(states[j], out=states[j + 1])
-        crossed, converged = _stop_tests(states[1:], states[:-1], zero_tol, config.convergence_tol)
+        crossed, converged = _stop_tests(states[1:], states[:-1], config.convergence_tol)
         stops = np.flatnonzero(crossed | converged)
         if stops.size == 0:
             accepted = k
@@ -425,15 +422,15 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         if not crossed[stop]:
             reason = TerminationReason.CONVERGED
             break
-        local, tau = crossing_fraction(phi, states[stop + 1], zero_tol)
+        local, tau = crossing_fraction(phi, states[stop + 1])
         phi = (1.0 - tau) * phi + tau * states[stop + 1]
         phi[local] = 0.0
         if neg_after is None:
-            neg_after = negative_offdiag_count(entries, zero_tol)
+            neg_after = negative_offdiag_count(entries)
         neg_before, species = neg_after, alive[local]
         record(np.full(1, t), phi[None, :], tau, species)
         entries, phi, alive = _eliminate(entries, phi, alive, local)
-        neg_after = negative_offdiag_count(entries, zero_tol)
+        neg_after = negative_offdiag_count(entries)
         events.append(EliminationEvent(t, tau, species, neg_before, neg_after))
         block = 1  # re-evaluate the interrupted step on the reduced system
 
@@ -447,7 +444,7 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
     # rows keep the raw values so conservation drift stays measurable.
     final_system = ActiveSystem(
         matrix=EvolutionMatrix(entries),
-        populations=make_population(_floor_dust(phi, zero_tol)),
+        populations=make_population(_floor_dust(phi)),
         alive_ids=tuple(alive),
         universe_size=full_size,
     )
@@ -466,8 +463,10 @@ def growth_unconstrained(diagonal_rates, phi0, steps: int) -> np.ndarray:
     """Resource-plenty growth: each species compounds its own rate.
 
     No transfers and no conservation; populations simply scale by
-    ``rate ** steps`` entrywise.
+    ``rate ** steps`` entrywise. ``steps`` must be an integer (not a bool)
+    of at least 0; anything else raises ``ValidationError``.
     """
+    _check_integer("steps", steps)
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
     rates = np.asarray(diagonal_rates, dtype=float)
@@ -477,12 +476,7 @@ def growth_unconstrained(diagonal_rates, phi0, steps: int) -> np.ndarray:
     return rates**steps * start
 
 
-def evolve_backward(
-    matrix: EvolutionMatrix,
-    phi0: PopulationVector,
-    max_steps: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> BackwardReport:
+def evolve_backward(matrix: EvolutionMatrix, phi0: PopulationVector, max_steps: int) -> BackwardReport:
     """Run the evolution backward until some population leaves [0, 1].
 
     Each backward step solves ``M x = phi`` rather than forming the
@@ -503,9 +497,7 @@ def evolve_backward(
     horizon = 0
     for _ in range(max_steps):
         candidate = np.linalg.solve(a, state)
-        out_of_range = np.flatnonzero(
-            (candidate < -tol.zero_tol) | (candidate > 1.0 + tol.zero_tol)
-        )
+        out_of_range = np.flatnonzero((candidate < -ZERO_TOL) | (candidate > 1.0 + ZERO_TOL))
         if out_of_range.size:
             return BackwardReport(
                 horizon=horizon, offender=int(out_of_range[0]), endpoint=state
@@ -528,13 +520,12 @@ def _first_elimination_steps(
     steps: list[int | None] = [None] * entries.shape[0]
     if phi0.size == 1:
         return steps
-    zero_tol = config.tolerances.zero_tol
     live = np.arange(entries.shape[0])
     phi = np.repeat(phi0[None, :], entries.shape[0], axis=0)
     t = 0
     while live.size and t < config.max_steps:
         proposed = np.matmul(entries, phi[:, :, None])[:, :, 0]
-        crossed, converged = _stop_tests(proposed, phi, zero_tol, config.convergence_tol)
+        crossed, converged = _stop_tests(proposed, phi, config.convergence_tol)
         finished = crossed | converged
         if finished.any():
             for k in live[crossed].tolist():

@@ -14,6 +14,9 @@ Top-level keys:
 * ``config`` (optional): ``max_steps``, ``convergence_tol``, ``record_every``.
 * ``seed`` (optional): recorded for provenance and output determinism.
 
+The file must be UTF-8 JSON; bytes that are not UTF-8, or arrays and
+objects nested too deeply for the parser, are a parse error.
+
 Fields that become floats take JSON numbers only: a boolean, or an
 integer larger in magnitude than the largest float, is a parse error.
 
@@ -202,13 +205,18 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # one whole-file decode: offsets are file offsets
+            raise ScenarioParseError(f"{path}: not UTF-8: invalid byte at offset {exc.start}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ScenarioParseError(f"{path}: invalid JSON: nested too deeply") from exc
     try:
         return scenario_from_dict(data)
     except ScenarioParseError as exc:

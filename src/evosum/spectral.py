@@ -21,7 +21,7 @@ left vectors are taken from the inverse of the right-vector matrix, which
 makes each left/right pairing sum to one by construction.
 
 Degeneracy rule: eigenvalues ``p < q`` coincide when
-``|w[p] - w[q]| <= eig_tol``. The spectrum is flagged ``defective`` when
+``|w[p] - w[q]| <= EIG_TOL``. The spectrum is flagged ``defective`` when
 some coinciding pair has unit eigenvectors ``u, v`` with
 ``1 - |<u, v>| < 1e-12`` (the smaller singular value of ``[u v]`` is then
 below 1e-6), and ``check_biorthogonality`` refuses the first coinciding
@@ -41,14 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    EvolutionMatrix,
-    MatrixKind,
-    PopulationVector,
-    ToleranceConfig,
-    classify_matrix,
-)
+from .core import EIG_TOL, ZERO_TOL, EvolutionMatrix, MatrixKind, PopulationVector, classify_matrix
 from .errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
@@ -90,23 +83,23 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v / v[k]
 
 
-def _realify(v: np.ndarray, tol: float) -> np.ndarray:
-    if np.max(np.abs(v.imag)) <= tol * max(1.0, np.max(np.abs(v.real))):
+def _realify(v: np.ndarray) -> np.ndarray:
+    if np.max(np.abs(v.imag)) <= EIG_TOL * max(1.0, np.max(np.abs(v.real))):
         return v.real.astype(complex)
     return v
 
 
-def _near_equal_pairs(w: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays ``p < q`` of every pair with ``|w[p] - w[q]| <= eig_tol``, row-major.
+def _near_equal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``p < q`` of every pair with ``|w[p] - w[q]| <= EIG_TOL``, row-major.
 
     Candidates are the pairs whose real parts fall in one window of the
     eigenvalues sorted by real part, so the cost is a sort plus the number
-    of candidates, not n^2. The window is ``2 * eig_tol`` wide so that
+    of candidates, not n^2. The window is ``2 * EIG_TOL`` wide so that
     rounding in the window bounds never drops a pair the exact test keeps.
     """
     order = np.argsort(w.real, kind="stable")
     real = w.real[order]
-    ends = np.searchsorted(real, real + 2 * eig_tol, side="right")
+    ends = np.searchsorted(real, real + 2 * EIG_TOL, side="right")
     counts = ends - np.arange(1, w.size + 1)  # later sorted positions inside the window
     first = np.repeat(np.arange(w.size), counts)
     second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -115,7 +108,7 @@ def _near_equal_pairs(w: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.nda
     d = w[p] - w[q]
     # np.hypot equals abs() of a complex scalar bit for bit; np.abs of a
     # complex array can differ from it in the last place.
-    keep = np.hypot(d.real, d.imag) <= eig_tol
+    keep = np.hypot(d.real, d.imag) <= EIG_TOL
     p, q = p[keep], q[keep]
     rank = np.lexsort((q, p))
     return p[rank], q[rank]
@@ -138,7 +131,7 @@ def _is_defective(vectors: np.ndarray, p: np.ndarray, q: np.ndarray) -> bool:
     return bool(np.any(1.0 - overlap < 1e-12))
 
 
-def eigendecompose(matrix: EvolutionMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSummary:
+def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     """Eigenvalues and biorthogonal eigenvector pairs of an evolution matrix.
 
     Never raises on degenerate or defective input; those conditions are
@@ -160,16 +153,16 @@ def eigendecompose(matrix: EvolutionMatrix, tol: ToleranceConfig = DEFAULT_TOL) 
     right = np.empty((n, n), dtype=complex)
     for p in range(n):
         vec = _canonical_phase(v[:, p])
-        if abs(w[p].imag) <= tol.eig_tol:
-            vec = _realify(vec, tol.eig_tol)
+        if abs(w[p].imag) <= EIG_TOL:
+            vec = _realify(vec)
         right[p] = vec
 
-    leading_degenerate = int(np.count_nonzero(np.abs(w - 1.0) <= tol.eig_tol)) > 1
-    defective = _is_defective(right, *_near_equal_pairs(w, tol.eig_tol))
+    leading_degenerate = int(np.count_nonzero(np.abs(w - 1.0) <= EIG_TOL)) > 1
+    defective = _is_defective(right, *_near_equal_pairs(w))
 
     # Leading vector: prefer the sum-one scaling that makes it a population.
     lead_sum = complex(right[0].sum())
-    sum_normalized = abs(lead_sum) > tol.eig_tol
+    sum_normalized = abs(lead_sum) > EIG_TOL
     if sum_normalized:
         right[0] = right[0] / lead_sum
 
@@ -179,7 +172,7 @@ def eigendecompose(matrix: EvolutionMatrix, tol: ToleranceConfig = DEFAULT_TOL) 
         mixed_sign = True  # a zero-sum leading vector necessarily changes sign
     elif not leading_degenerate:
         candidate = right[0].real
-        if np.min(candidate) >= -tol.zero_tol:
+        if np.min(candidate) >= -ZERO_TOL:
             stationary = PopulationVector(np.maximum(candidate, 0.0))
         else:
             mixed_sign = True
@@ -201,7 +194,7 @@ def eigendecompose(matrix: EvolutionMatrix, tol: ToleranceConfig = DEFAULT_TOL) 
             dist[:, q] = np.inf
             u = _canonical_phase(vl[:, q].astype(complex))
             pairing = complex(u @ right[p])
-            if abs(pairing) > tol.eig_tol:
+            if abs(pairing) > EIG_TOL:
                 u = u / pairing
             left[p] = u
     if sum_normalized:
@@ -253,30 +246,26 @@ def stationary_by_iteration(
     )
 
 
-def convergence_rate(matrix: EvolutionMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def convergence_rate(matrix: EvolutionMatrix) -> float:
     """Modulus of the second eigenvalue: below one means decay toward the
     stationary mix, above one means the mix is unstable."""
     if matrix.n < 2:
         raise DimensionMismatchError("convergence rate needs at least 2 species")
-    return eigendecompose(matrix, tol).lambda2_modulus
+    return eigendecompose(matrix).lambda2_modulus
 
 
-def check_biorthogonality(
-    summary: SpectralSummary, tol: float, eig_tol: float = DEFAULT_TOL.eig_tol
-) -> BiorthogonalityReport:
+def check_biorthogonality(summary: SpectralSummary, tol: float) -> BiorthogonalityReport:
     """Largest cross-pairing between left and right vectors of different modes.
 
     Pairings are first normalized so each left/right pair sums to one; the
     report passes when every cross term stays below ``tol``. Raises
     ``DegenerateSpectrumError`` when two eigenvalues coincide within
-    ``eig_tol``, because the pairing is then ambiguous.
+    ``EIG_TOL``, because the pairing is then ambiguous.
     """
     n = summary.eigenvalues.size
-    p, q = _near_equal_pairs(summary.eigenvalues, eig_tol)
+    p, q = _near_equal_pairs(summary.eigenvalues)
     if p.size:
-        raise DegenerateSpectrumError(
-            f"eigenvalues {p[0]} and {q[0]} coincide within {eig_tol}"
-        )
+        raise DegenerateSpectrumError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
     gram = summary.left_vectors @ summary.right_vectors.T
     diag = np.diag(gram).copy()
     if np.any(np.abs(diag) < 1e-300):

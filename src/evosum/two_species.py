@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, PopulationVector, ToleranceConfig, two_species_matrix
+from .core import ZERO_TOL, PopulationVector, two_species_matrix
 from .dynamics import ActiveSystem, SimulationConfig, evolve
 from .errors import BadFractionError, DegenerateParamsError, ValidationError
 
@@ -76,11 +76,9 @@ class ClosedFormSolution:
     lambda2: float
 
 
-def closed_form_solution(
-    params: TwoSpeciesParams, tol: ToleranceConfig = DEFAULT_TOL
-) -> ClosedFormSolution:
+def closed_form_solution(params: TwoSpeciesParams) -> ClosedFormSolution:
     total = params.alpha + params.beta
-    if abs(total) <= tol.zero_tol:
+    if abs(total) <= ZERO_TOL:
         raise DegenerateParamsError(
             "alpha + beta is zero: the coupling matrix has no eigenbasis "
             "and the closed form does not apply"
@@ -92,16 +90,14 @@ def closed_form_solution(
     )
 
 
-def closed_form(
-    params: TwoSpeciesParams, t_steps: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def closed_form(params: TwoSpeciesParams, t_steps: int) -> np.ndarray:
     """Population pair after ``t_steps`` according to the mode decomposition.
 
     No non-negativity adjustment is applied; past the first elimination the
     formula keeps going where the physical system would have reduced, so
     comparisons against the engine are only meaningful up to that event.
     """
-    coeffs = closed_form_solution(params, tol)
+    coeffs = closed_form_solution(params)
     stationary_mode = np.array([params.beta, params.alpha])
     transient_mode = np.array([1.0, -1.0])
     return (
@@ -125,14 +121,14 @@ def classify_regime(alpha: float, beta: float) -> Regime:
     return Regime.UNSTABLE_WINNER_TAKES_ALL
 
 
-def predict_winner(params: TwoSpeciesParams, tol: ToleranceConfig = DEFAULT_TOL) -> Winner:
+def predict_winner(params: TwoSpeciesParams) -> Winner:
     """Who survives, straight from the parameters.
 
     Coexistence keeps both. With opposite signs the species whose row
     carries the negative transfer loses, regardless of the start. With
     both couplings nonpositive the start decides: species 1 survives
     exactly when the transient coefficient is positive, and a vanishing
-    coefficient (within ``zero_tol``) is the knife edge where neither is
+    coefficient (within ``ZERO_TOL``) is the knife edge where neither is
     ever eliminated.
     """
     regime = classify_regime(params.alpha, params.beta)
@@ -141,8 +137,8 @@ def predict_winner(params: TwoSpeciesParams, tol: ToleranceConfig = DEFAULT_TOL)
     if regime is Regime.MONOTONE_EXTINCTION:
         # Row 1's off-diagonal entry is beta; row 2's is alpha.
         return Winner.SPECIES_2 if params.beta < 0 else Winner.SPECIES_1
-    coeff = closed_form_solution(params, tol).transient_coeff
-    if abs(coeff) <= tol.zero_tol:
+    coeff = closed_form_solution(params).transient_coeff
+    if abs(coeff) <= ZERO_TOL:
         return Winner.KNIFE_EDGE
     return Winner.SPECIES_1 if coeff > 0 else Winner.SPECIES_2
 

@@ -357,6 +357,20 @@ class TestExitCodes:
         capsys.readouterr()
         assert not os.path.exists("/nonexistent-dir/x.csv")
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        path, out = tmp_path / "latin1.json", tmp_path / "o.csv"
+        path.write_bytes(b'{"initial": [1], "species_names": ["caf\xe9"]}')
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        assert "not UTF-8: invalid byte at offset 39" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deeply_nested_json_is_parse_error(self, tmp_path, capsys):
+        path, out = tmp_path / "deep.json", tmp_path / "o.csv"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_scenario_file_is_io_error(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", "x"]) == 5
         capsys.readouterr()
@@ -364,6 +378,12 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["sweep", "--alpha-per-scale", "1.0"]) == 2
         capsys.readouterr()
+
+    def test_simulate_has_no_seed_flag(self, case_a, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--scenario", case_a, "--out", str(out), "--seed", "3"]) == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

@@ -11,7 +11,6 @@ from evosum import (
     GeneratorMatrix,
     MatrixKind,
     PopulationVector,
-    ToleranceConfig,
     classify_matrix,
     make_population,
     matrix_from_generator,
@@ -257,17 +256,3 @@ class TestNonFinite:
     def test_make_population(self, n, index, bad):
         with pytest.raises(ValidationError, match="not finite"):
             make_population(self._poison(np.ones(n), index, bad))
-
-
-def test_tolerances_must_be_positive():
-    with pytest.raises(ValidationError):
-        ToleranceConfig(eig_tol=0.0)
-    with pytest.raises(ValidationError):
-        ToleranceConfig(zero_tol=-1e-9)
-
-
-@pytest.mark.parametrize("field", ["zero_tol", "eig_tol"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_tolerances_must_be_finite(field, value):
-    with pytest.raises(ValidationError):
-        ToleranceConfig(**{field: value})

@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,6 @@ from evosum import (
     ScanRow,
     SimulationConfig,
     TerminationReason,
-    ToleranceConfig,
     Trajectory,
     add_species,
     classify_matrix,
@@ -30,7 +32,7 @@ from evosum import (
     step,
     two_species_matrix,
 )
-from evosum import dynamics
+from evosum import core, dynamics, spectral, two_species
 from evosum.errors import (
     DimensionMismatchError,
     LastSpeciesError,
@@ -64,6 +66,19 @@ def brute_first_crossing(entries, phi0, max_steps=100_000):
     return None
 
 
+@contextlib.contextmanager
+def patched_zero_tol(value):
+    """Run the body with ``ZERO_TOL`` set to ``value`` in every module that reads it.
+
+    Entered inside the test body: under ``@given`` the function-scoped
+    ``monkeypatch`` fixture would span every example of the test.
+    """
+    with contextlib.ExitStack() as stack:
+        for module in (core, dynamics, spectral, two_species):
+            stack.enter_context(mock.patch.object(module, "ZERO_TOL", value))
+        yield
+
+
 def reference_fold(entries, index):
     """The engine's fold as three ``np.delete`` calls, kept apart from ``dynamics``."""
     removed_row = np.delete(entries[index, :], index)
@@ -78,7 +93,6 @@ def serial_evolve(system: ActiveSystem, config: SimulationConfig = SimulationCon
     The plain per-step loop whose every output ``evolve``'s block stepping
     must reproduce bit for bit.
     """
-    zero_tol = config.tolerances.zero_tol
     entries = np.array(system.matrix.entries)
     phi = np.array(system.populations.values)
     alive = list(system.alive_ids)
@@ -87,7 +101,7 @@ def serial_evolve(system: ActiveSystem, config: SimulationConfig = SimulationCon
     def embed(state):
         full = np.zeros(full_size)
         full[alive] = state
-        return dynamics._floor_dust(full, zero_tol)
+        return dynamics._floor_dust(full)
 
     rows = [(0, 0.0, embed(phi), -1)]
     events = []
@@ -101,16 +115,16 @@ def serial_evolve(system: ActiveSystem, config: SimulationConfig = SimulationCon
             reason = TerminationReason.MAX_STEPS
             break
         proposed = entries @ phi
-        crossing = dynamics.crossing_fraction(phi, proposed, zero_tol)
+        crossing = dynamics.crossing_fraction(phi, proposed)
         if crossing is not None:
             local, tau = crossing
             phi = (1.0 - tau) * phi + tau * proposed
             phi[local] = 0.0
             if neg_after is None:
-                neg_after = dynamics.negative_offdiag_count(entries, zero_tol)
+                neg_after = dynamics.negative_offdiag_count(entries)
             neg_before = neg_after
             entries = reference_fold(entries, local)
-            neg_after = dynamics.negative_offdiag_count(entries, zero_tol)
+            neg_after = dynamics.negative_offdiag_count(entries)
             events.append(EliminationEvent(t, tau, alive[local], neg_before, neg_after))
             rows.append((t, tau, embed(phi), alive[local]))
             phi = np.delete(phi, local)
@@ -132,7 +146,7 @@ def serial_evolve(system: ActiveSystem, config: SimulationConfig = SimulationCon
     steps, fractions, values, event_species = zip(*rows)
     final_system = ActiveSystem(
         matrix=EvolutionMatrix(entries),
-        populations=make_population(dynamics._floor_dust(phi, zero_tol)),
+        populations=make_population(dynamics._floor_dust(phi)),
         alive_ids=tuple(alive),
         universe_size=full_size,
     )
@@ -345,6 +359,10 @@ class TestSimulationConfig:
             {"record_every": 0},
             {"convergence_tol": -1.0},
             {"convergence_tol": np.nan},
+            # An infinite tolerance would stop every run as converged after one step.
+            {"convergence_tol": np.inf},
+            {"convergence_tol": True},
+            {"convergence_tol": "1e-9"},
         ],
     )
     def test_rejects_bad_limits(self, kwargs):
@@ -485,7 +503,7 @@ class TestEvolve:
 
 @st.composite
 def engine_runs(draw):
-    """A system and run limits for ``evolve``, over every matrix source and stop rule."""
+    """A system, run limits and a ``ZERO_TOL`` for ``evolve``, over every matrix source and stop rule."""
     source = draw(
         st.sampled_from(["competitive", "stochastic", "coexistence", "monotone", "winner-takes-all"])
     )
@@ -509,10 +527,9 @@ def engine_runs(draw):
     config = SimulationConfig(
         max_steps=draw(st.integers(1, 3000)),
         convergence_tol=draw(st.sampled_from([0.0, 1e-12, 1e-3])),
-        tolerances=ToleranceConfig(zero_tol=draw(st.sampled_from([1e-12, 1e-6]))),
         record_every=draw(st.sampled_from([1, 7, 1000])),
     )
-    return system_of(matrix, abundances), config
+    return system_of(matrix, abundances), config, draw(st.sampled_from([1e-12, 1e-6]))
 
 
 def crossing_and_convergence_tol(matrix, start):
@@ -533,8 +550,9 @@ class TestBlockStepping:
     @given(engine_runs())
     @settings(max_examples=80, deadline=None)
     def test_matches_serial_engine(self, run):
-        system, config = run
-        assert_same_run(evolve(system, config), serial_evolve(system, config))
+        system, config, zero_tol = run
+        with patched_zero_tol(zero_tol):
+            assert_same_run(evolve(system, config), serial_evolve(system, config))
 
     @pytest.mark.parametrize("alpha, beta, step", [(0.1, -0.05, 7), (0.02, -0.01, 40)])
     def test_crossing_and_convergence_in_one_step(self, alpha, beta, step):
@@ -670,9 +688,9 @@ class TestCompetitiveCascade:
         real = dynamics.negative_offdiag_count
         calls = []
 
-        def counted(entries, zero_tol):
+        def counted(entries):
             calls.append(entries.shape[0])
-            return real(entries, zero_tol)
+            return real(entries)
 
         monkeypatch.setattr(dynamics, "negative_offdiag_count", counted)
         matrix = random_competitive(30, 0.5, 0.5, 3)
@@ -720,6 +738,14 @@ class TestGrowthUnconstrained:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValidationError):
             growth_unconstrained([1.0], [1.0], -1)
+
+    @pytest.mark.parametrize("steps", [np.nan, 2.0, True])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            growth_unconstrained([1.1, 1.0], [0.5, 0.5], steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        assert_allclose(growth_unconstrained([1.1, 1.0], [1.0, 1.0], np.int64(2)), [1.21, 1.0])
 
 
 class TestEvolveBackward:
@@ -771,25 +797,27 @@ class TestEvolveBackward:
 
 
 class TestStopRuleBoundary:
-    """A state landing exactly on ``-zero_tol`` has not crossed; one step later it has.
+    """A state landing exactly on ``-ZERO_TOL`` has not crossed; one step later it has.
 
-    Dyadic inputs keep the arithmetic exact: from ``(1/2 - z, 1/2 + z)`` with
-    ``z = 2**-10`` the first step gives ``(-z, 1 + z)`` and the second
-    ``(-1/2 - z, 3/2 + z)``.
+    Dyadic inputs keep the arithmetic exact: with ``ZERO_TOL`` patched to
+    ``z = 2**-10``, from ``(1/2 - z, 1/2 + z)`` the first step gives
+    ``(-z, 1 + z)`` and the second ``(-1/2 - z, 3/2 + z)``.
     """
 
-    ZERO_TOL = 2.0**-10
-    CONFIG = SimulationConfig(max_steps=10, tolerances=ToleranceConfig(zero_tol=ZERO_TOL))
+    Z = 2.0**-10
+    CONFIG = SimulationConfig(max_steps=10)
     MATRIX = two_species_matrix(0.5, -0.5)
-    START = make_population([0.5 - ZERO_TOL, 0.5 + ZERO_TOL])
+    START = make_population([0.5 - Z, 0.5 + Z])
 
     def test_evolve_eliminates_on_the_second_step(self):
-        trajectory = evolve(ActiveSystem(matrix=self.MATRIX, populations=self.START), self.CONFIG)
-        assert trajectory.values[1].tolist() == [-self.ZERO_TOL, 1.0 + self.ZERO_TOL]
+        with patched_zero_tol(self.Z):
+            trajectory = evolve(ActiveSystem(matrix=self.MATRIX, populations=self.START), self.CONFIG)
+        assert trajectory.values[1].tolist() == [-self.Z, 1.0 + self.Z]
         assert [(e.step_index, e.species_id) for e in trajectory.events] == [(1, 0)]
 
     def test_scan_eliminates_on_the_second_step(self):
-        rows = elimination_time_scan(lambda c: self.MATRIX, self.START, [1.0], self.CONFIG)
+        with patched_zero_tol(self.Z):
+            rows = elimination_time_scan(lambda c: self.MATRIX, self.START, [1.0], self.CONFIG)
         assert rows == [ScanRow(scale=1.0, steps=1)]
 
 
@@ -836,8 +864,9 @@ class TestEliminationTimeScan:
             (0.01, -0.005, [0.5, 0.5], SimulationConfig(max_steps=81), 80),
             # The first step both crosses and changes phi by less than convergence_tol.
             (0.1, -1e-5, [0.0, 1.0], SimulationConfig(convergence_tol=1e-3), 0),
-            # Species 1 dips below zero at once but stays inside a wide zero_tol for 13 steps.
-            (0.05, -1e-5, [0.0, 1.0], SimulationConfig(tolerances=ToleranceConfig(zero_tol=1e-4)), 13),
+            # Species 1 dips below zero at once but stays inside the 1e-12 zero band for
+            # 13 steps; this pins ZERO_TOL itself (at 1e-6 it never crosses).
+            (0.05, -1e-13, [0.0, 1.0], SimulationConfig(max_steps=200, convergence_tol=0.0), 13),
         ],
         ids=["converged", "extinct-start", "capped", "just-uncapped", "crossed-and-converged", "wide-zero-tol"],
     )
@@ -863,14 +892,11 @@ class TestEliminationTimeScan:
     ):
         builder = pair_family(alpha, beta)
         phi0 = PopulationVector(np.array([share, 1.0 - share]))
-        config = SimulationConfig(
-            max_steps=max_steps,
-            convergence_tol=convergence_tol,
-            tolerances=ToleranceConfig(zero_tol=zero_tol),
-        )
-        assert elimination_time_scan(builder, phi0, scales, config) == serial_scan(
-            builder, phi0, scales, config
-        )
+        config = SimulationConfig(max_steps=max_steps, convergence_tol=convergence_tol)
+        with patched_zero_tol(zero_tol):
+            assert elimination_time_scan(builder, phi0, scales, config) == serial_scan(
+                builder, phi0, scales, config
+            )
 
     @given(
         n=st.sampled_from([2, 3, 5, 10, 30]),
@@ -886,10 +912,11 @@ class TestEliminationTimeScan:
     ):
         builder = shrunk_family(random_competitive(n, 0.5, neg_fraction, seed))
         phi0 = make_population(np.random.default_rng(seed).random(n) + 0.05)
-        config = SimulationConfig(max_steps=max_steps, tolerances=ToleranceConfig(zero_tol=zero_tol))
-        assert elimination_time_scan(builder, phi0, scales, config) == serial_scan(
-            builder, phi0, scales, config
-        )
+        config = SimulationConfig(max_steps=max_steps)
+        with patched_zero_tol(zero_tol):
+            assert elimination_time_scan(builder, phi0, scales, config) == serial_scan(
+                builder, phi0, scales, config
+            )
 
     def test_makes_no_per_scale_engine_calls(self, monkeypatch):
         calls = {"evolve": 0, "crossing_fraction": 0}
