@@ -52,14 +52,19 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_vector(values: np.ndarray, noun: str) -> None:
-    """Shape, finiteness and sign checks shared by every population input."""
+def _check_finite_vector(values: np.ndarray, noun: str) -> None:
+    """Shape and finiteness checks: a nonempty 1-D vector of finite numbers."""
     if values.ndim != 1 or values.size < 1:
         raise DimensionMismatchError(f"expected a nonempty 1-D vector of {noun}s")
     finite = np.isfinite(values)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValidationError(f"{noun} entry {bad} is not finite ({float(values[bad])})")
+
+
+def _check_vector(values: np.ndarray, noun: str) -> None:
+    """Shape, finiteness and sign checks shared by every population input."""
+    _check_finite_vector(values, noun)
     if np.any(values < 0):
         bad = int(np.argmin(values))
         raise NegativeEntryError(f"{noun} entry {bad} is negative ({float(values[bad])})")

@@ -22,7 +22,9 @@ callers apply the order, a crossing before convergence. ``_eliminate``
 is the elimination step: drop the row and column, fold the row onto the
 diagonals, drop the state entry and the id. ``evolve`` and the scan
 share the stop rule; ``evolve`` and ``eliminate_species`` share the
-elimination step.
+elimination step. At width w it costs one (w-1)x(w-1) allocation filled
+by four slice copies, an O(w) diagonal update through a strided view,
+and two O(w) concatenations for the state and the ids.
 
 ``evolve`` runs the steps in speculative blocks rather than one Python
 iteration per step. A block of K steps is K matvecs into one buffer,
@@ -33,8 +35,11 @@ wins over convergence), and the steps computed past it are discarded. K
 restarts at 1 after every elimination and doubles after each clean block,
 up to 256. Every accepted state is the same matvec result the per-step
 loop would compute, so the outputs are identical bit for bit. The cost
-is one matvec call per step, including the discarded ones, and one
-``crossing_fraction`` call per elimination.
+is one matvec call per step, including the discarded ones, and per
+elimination one ``crossing_fraction`` call and one fold.
+``negative_offdiag_count`` runs once per run, at the first elimination;
+each fold then subtracts the negative off-diagonal entries of the
+removed row and column, since every other off-diagonal entry is kept.
 
 The trajectory is stored as columns, one entry per recorded row: step,
 crossing fraction, the full-length state (reduced states embedded back,
@@ -60,7 +65,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ZERO_TOL, EvolutionMatrix, PopulationVector, make_population, negative_offdiag_count
+from .core import (
+    ZERO_TOL,
+    EvolutionMatrix,
+    PopulationVector,
+    _check_finite_vector,
+    _check_vector,
+    make_population,
+    negative_offdiag_count,
+)
 from .errors import (
     BadColumnSumError,
     BadFractionError,
@@ -85,6 +98,13 @@ def _check_step_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be at least 1")
 
 
+def _check_tolerance(name: str, value) -> None:
+    # NaN fails every comparison and inf passes every one, so either would
+    # decide a test without looking at the data. Bools are refused as above.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+        raise ValidationError(f"{name} must be a finite nonnegative number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Run limits for the evolution engine.
@@ -102,10 +122,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         _check_step_count("max_steps", self.max_steps)
         _check_step_count("record_every", self.record_every)
-        tol = self.convergence_tol
-        # An infinite tolerance would stop every run as converged after one step.
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
-            raise ValidationError(f"convergence_tol must be a finite nonnegative number, got {tol!r}")
+        _check_tolerance("convergence_tol", self.convergence_tol)
 
 
 @dataclass(frozen=True)
@@ -249,14 +266,39 @@ def crossing_fraction(phi_before, phi_after) -> tuple[int, float] | None:
     return int(negative[k]), float(taus[k])
 
 
-def _eliminate(entries: np.ndarray, phi: np.ndarray, alive, local: int):
+def _drop(values: np.ndarray, local: int) -> np.ndarray:
+    return np.concatenate((values[:local], values[local + 1 :]))
+
+
+def _eliminate(entries: np.ndarray, phi: np.ndarray, alive: np.ndarray, local: int):
     """Drop species ``local`` from the matrix, state and ids, folding its row onto the diagonals.
 
-    Returns new ``(entries, phi, alive)``; ``alive`` keeps its sequence type.
+    Returns new ``(entries, phi, alive)``. The reduced matrix is one
+    allocation filled by four slice copies; the fold adds the removed row,
+    less its diagonal entry, onto the diagonal through a strided view.
     """
-    reduced = np.delete(np.delete(entries, local, axis=0), local, axis=1)
-    reduced[np.diag_indices_from(reduced)] += np.delete(entries[local], local)
-    return reduced, np.delete(phi, local), alive[:local] + alive[local + 1 :]
+    w = phi.size
+    reduced = np.empty((w - 1, w - 1))
+    reduced[:local, :local] = entries[:local, :local]
+    reduced[:local, local:] = entries[:local, local + 1 :]
+    reduced[local:, :local] = entries[local + 1 :, :local]
+    reduced[local:, local:] = entries[local + 1 :, local + 1 :]
+    diagonal = reduced.reshape(-1)[::w]  # (k, k) of a (w-1)-wide matrix is flat index k*w
+    diagonal[:local] += entries[local, :local]
+    diagonal[local:] += entries[local, local + 1 :]
+    return reduced, _drop(phi, local), _drop(alive, local)
+
+
+def _negatives_removed(entries: np.ndarray, local: int) -> int:
+    """Off-diagonal entries below ``-ZERO_TOL`` in row or column ``local``.
+
+    ``_eliminate`` keeps every other off-diagonal entry as it is and only
+    changes diagonals, so the reduced matrix has exactly this many fewer.
+    The row and column share only the diagonal entry, counted in neither.
+    """
+    row = entries[local] < -ZERO_TOL
+    column = entries[:, local] < -ZERO_TOL
+    return int(np.count_nonzero(row)) + int(np.count_nonzero(column)) - 2 * int(row[local])
 
 
 def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float):
@@ -287,8 +329,9 @@ def eliminate_species(system: ActiveSystem, local_index: int) -> ActiveSystem:
         raise NotExtinctError(
             f"species at local index {local_index} has population {pop!r}, not zero"
         )
+    ids = np.array(system.alive_ids, dtype=np.intp)
     reduced, survivors, alive = _eliminate(
-        system.matrix.entries, system.populations.values, system.alive_ids, local_index
+        system.matrix.entries, system.populations.values, ids, local_index
     )
     return ActiveSystem(
         matrix=EvolutionMatrix(reduced),
@@ -368,11 +411,14 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
     are discarded. K restarts at 1 after every elimination and doubles
     after each block without a stop, up to 256, never past the step cap.
     The cost is one matvec call per step, including the discarded ones,
-    and one ``crossing_fraction`` call per elimination.
+    and per elimination one ``crossing_fraction`` call and one slice-copy
+    fold (O(width) bookkeeping plus one copy of the reduced matrix). The
+    negative off-diagonal count of each event is kept incrementally:
+    ``negative_offdiag_count`` runs once per run, at the first elimination.
     """
     entries = np.array(system.matrix.entries)
     phi = np.array(system.populations.values)
-    alive = list(system.alive_ids)
+    alive = np.array(system.alive_ids, dtype=np.intp)  # local index -> species id
     full_size = system.universe_size
     # Row blocks in order: (steps, fractions, full states, eliminated species or -1).
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -388,7 +434,7 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
 
     record(np.zeros(1, dtype=int), phi[None, :])
     events: list[EliminationEvent] = []
-    neg_after = None  # negative off-diagonal count; `entries` only changes at a fold
+    neg_after = None  # negative off-diagonal count, counted in full at the first fold only
     t = 0
     block = 1
     while True:
@@ -427,10 +473,10 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         phi[local] = 0.0
         if neg_after is None:
             neg_after = negative_offdiag_count(entries)
-        neg_before, species = neg_after, alive[local]
+        neg_before, species = neg_after, int(alive[local])
         record(np.full(1, t), phi[None, :], tau, species)
+        neg_after = neg_before - _negatives_removed(entries, local)
         entries, phi, alive = _eliminate(entries, phi, alive, local)
-        neg_after = negative_offdiag_count(entries)
         events.append(EliminationEvent(t, tau, species, neg_before, neg_after))
         block = 1  # re-evaluate the interrupted step on the reduced system
 
@@ -445,7 +491,7 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
     final_system = ActiveSystem(
         matrix=EvolutionMatrix(entries),
         populations=make_population(_floor_dust(phi)),
-        alive_ids=tuple(alive),
+        alive_ids=alive,
         universe_size=full_size,
     )
     return Trajectory(
@@ -464,13 +510,18 @@ def growth_unconstrained(diagonal_rates, phi0, steps: int) -> np.ndarray:
 
     No transfers and no conservation; populations simply scale by
     ``rate ** steps`` entrywise. ``steps`` must be an integer (not a bool)
-    of at least 0; anything else raises ``ValidationError``.
+    of at least 0, and the rates and populations nonempty 1-D vectors of
+    finite numbers, the populations nonnegative; a non-finite entry or a
+    bad ``steps`` raises ``ValidationError``, a negative population
+    ``NegativeEntryError``.
     """
     _check_integer("steps", steps)
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
     rates = np.asarray(diagonal_rates, dtype=float)
     start = np.asarray(phi0, dtype=float)
+    _check_finite_vector(rates, "rate")
+    _check_vector(start, "population")
     if rates.shape != start.shape:
         raise DimensionMismatchError("rates and populations must have matching shapes")
     return rates**steps * start

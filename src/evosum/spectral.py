@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EIG_TOL, ZERO_TOL, EvolutionMatrix, MatrixKind, PopulationVector, classify_matrix
+from .dynamics import _check_step_count, _check_tolerance
 from .errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
@@ -228,10 +229,12 @@ def stationary_by_iteration(
     serve as an independent oracle for ``eigendecompose``.
 
     Raises ``NoConvergenceError`` when the iteration budget runs out, e.g.
-    for periodic chains such as permutation matrices.
+    for periodic chains such as permutation matrices. ``tol`` must be a
+    finite number of at least 0 and ``max_iter`` an integer of at least 1;
+    anything else raises ``ValidationError``.
     """
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
+    _check_tolerance("tol", tol)
+    _check_step_count("max_iter", max_iter)
     if classify_matrix(matrix).kind is not MatrixKind.STOCHASTIC:
         raise ValidationError("iterated averaging requires a stochastic matrix")
     power = np.asarray(matrix.entries, dtype=float).copy()
@@ -258,10 +261,12 @@ def check_biorthogonality(summary: SpectralSummary, tol: float) -> Biorthogonali
     """Largest cross-pairing between left and right vectors of different modes.
 
     Pairings are first normalized so each left/right pair sums to one; the
-    report passes when every cross term stays below ``tol``. Raises
+    report passes when every cross term stays below ``tol``, which must be
+    a finite number of at least 0 (else ``ValidationError``). Raises
     ``DegenerateSpectrumError`` when two eigenvalues coincide within
     ``EIG_TOL``, because the pairing is then ambiguous.
     """
+    _check_tolerance("tol", tol)
     n = summary.eigenvalues.size
     p, q = _near_equal_pairs(summary.eigenvalues)
     if p.size:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ZERO_TOL, PopulationVector, two_species_matrix
-from .dynamics import ActiveSystem, SimulationConfig, evolve
+from .dynamics import ActiveSystem, SimulationConfig, _check_tolerance, evolve
 from .errors import BadFractionError, DegenerateParamsError, ValidationError
 
 
@@ -157,8 +157,10 @@ def crosscheck(
 
     The comparison covers steps 0..min(steps, first elimination); the
     engine runs with the convergence stop disabled so every step exists
-    on both sides.
+    on both sides. ``tol`` must be a finite number of at least 0; anything
+    else raises ``ValidationError``.
     """
+    _check_tolerance("tol", tol)
     matrix = two_species_matrix(params.alpha, params.beta)
     start = PopulationVector(np.array([params.a, 1.0 - params.a]))
     config = SimulationConfig(max_steps=steps, convergence_tol=0.0, record_every=1)

@@ -458,14 +458,16 @@ class TestSimulate:
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     @pytest.mark.parametrize(
-        "matrix, config, events",
+        "matrix, config, events, reason",
         [
-            (random_competitive(40, 0.5, 0.5, 3), {"max_steps": 3000, "record_every": 7}, 34),
-            (random_stochastic(10, 0.3, 4), {"max_steps": 10_000}, 0),
+            (random_competitive(40, 0.5, 0.5, 3), {"max_steps": 3000, "record_every": 7}, 34, "Converged"),
+            (random_stochastic(10, 0.3, 4), {"max_steps": 10_000}, 0, "Converged"),
+            # the benchmark's cascade shape: 174 folds, from width 200 down to 26
+            (random_competitive(200, 0.5, 0.5, 1), {"max_steps": 600, "record_every": 100}, 174, "MaxSteps"),
         ],
-        ids=["cascade", "converging"],
+        ids=["cascade", "converging", "cascade200"],
     )
-    def test_outputs_match_serial_engine(self, tmp_path, monkeypatch, matrix, config, events):
+    def test_outputs_match_serial_engine(self, tmp_path, monkeypatch, matrix, config, events, reason):
         initial = list(range(1, matrix.n + 1))
         data = {"matrix": {"entries": matrix.entries.tolist()}, "initial": initial, "config": config}
         argv = ["simulate", "--scenario", write_scenario(tmp_path / "s.json", data), "--out"]
@@ -476,7 +478,7 @@ class TestSimulate:
             assert (tmp_path / f"block{suffix}").read_bytes() == (tmp_path / f"serial{suffix}").read_bytes()
         summary = json.loads((tmp_path / "block.csv.summary.json").read_text())
         assert len(summary["events"]) == events
-        assert summary["exit_reason"] == "Converged"
+        assert summary["exit_reason"] == reason
 
     def test_max_steps_override(self, case_a, tmp_path):
         out = tmp_path / "short.csv"

@@ -36,6 +36,7 @@ from evosum import core, dynamics, spectral, two_species
 from evosum.errors import (
     DimensionMismatchError,
     LastSpeciesError,
+    NegativeEntryError,
     NotExtinctError,
     SingularMatrixError,
     ValidationError,
@@ -286,6 +287,46 @@ class TestEliminateSpecies:
         assert reduced.populations.values.tobytes() == np.delete(pops, kill).tobytes()
         assert reduced.alive_ids == tuple(i for i in range(1, 8) if i != kill + 1)
         assert reduced.universe_size == 8
+
+    @pytest.mark.parametrize(
+        "width, local",
+        [(w, local) for w in (2, 3, 17, 64, 200, 257) for local in sorted({0, w // 2, w - 1})],
+    )
+    def test_fold_matches_reference_at_every_width(self, width, local):
+        matrix = random_competitive(width, 0.5, 0.5, seed=width)
+        raw = np.ones(width)
+        raw[local] = 0.0
+        pops = make_population(raw).values
+        ids = np.arange(1, 3 * width + 1, 3, dtype=np.intp)
+        expected = reference_fold(np.array(matrix.entries), local)
+        entries, phi, alive = dynamics._eliminate(matrix.entries, pops, ids, local)
+        assert entries.shape == expected.shape
+        assert entries.tobytes() == expected.tobytes()
+        assert phi.tobytes() == np.delete(pops, local).tobytes()
+        assert alive.dtype == np.intp
+        assert alive.tobytes() == np.delete(ids, local).tobytes()
+
+        system = ActiveSystem(matrix=matrix, populations=PopulationVector(pops), alive_ids=ids)
+        reduced = eliminate_species(system, local)
+        assert reduced.matrix.entries.tobytes() == expected.tobytes()
+        assert reduced.populations.values.tobytes() == np.delete(pops, local).tobytes()
+        assert reduced.alive_ids == tuple(np.delete(ids, local).tolist())
+        assert reduced.universe_size == 3 * width - 1
+
+    @pytest.mark.parametrize(
+        "entries, local, after",
+        [
+            # the diagonal entry at `local` is negative; it is in neither count
+            ([[0.9, 0.6, -0.1], [0.3, -0.2, 0.2], [-0.2, 0.6, 0.9]], 1, 2),
+            # (local, 2) and (2, local) are both negative: two transfers leave, not one
+            ([[1.1, 0.2, -0.1], [0.1, 0.7, -0.2], [-0.2, 0.1, 1.3]], 0, 1),
+        ],
+    )
+    def test_negative_count_follows_the_fold(self, entries, local, after):
+        entries = EvolutionMatrix(entries).entries
+        assert core.negative_offdiag_count(reference_fold(np.array(entries), local)) == after
+        before = core.negative_offdiag_count(entries)
+        assert before - dynamics._negatives_removed(entries, local) == after
 
     def test_fold_never_adds_negative_offdiagonals(self):
         rng = np.random.default_rng(99)
@@ -684,7 +725,7 @@ class TestCompetitiveCascade:
             assert np.max(np.abs(terminal - stationary.values)) < 1e-6
         assert eliminating_runs >= 10
 
-    def test_negative_offdiag_counted_once_per_elimination(self, monkeypatch):
+    def test_negative_offdiag_counted_once_per_run(self, monkeypatch):
         real = dynamics.negative_offdiag_count
         calls = []
 
@@ -697,8 +738,8 @@ class TestCompetitiveCascade:
         trajectory = evolve(system_of(matrix, np.ones(30)), SimulationConfig(max_steps=6000))
         events = trajectory.events
         assert len(events) >= 5
-        # the initial matrix once, then each folded matrix once
-        assert calls == list(range(30, 30 - len(events) - 1, -1))
+        # the initial matrix once; each fold updates the count from the removed row and column
+        assert calls == [30]
         assert events[0].neg_offdiag_before == real(matrix.entries)
         for previous, event in zip(events, events[1:]):
             assert event.neg_offdiag_before == previous.neg_offdiag_after
@@ -746,6 +787,23 @@ class TestGrowthUnconstrained:
 
     def test_numpy_integer_steps_accepted(self):
         assert_allclose(growth_unconstrained([1.1, 1.0], [1.0, 1.0], np.int64(2)), [1.21, 1.0])
+
+    @pytest.mark.parametrize(
+        "rates, phi0, match",
+        [
+            ([np.nan, 1.0], [0.5, 0.5], "rate entry 0 is not finite"),
+            ([1.1, np.inf], [0.5, 0.5], "rate entry 1 is not finite"),
+            ([1.1, 1.0], [0.5, np.inf], "population entry 1 is not finite"),
+            ([1.1, 1.0], [np.nan, 0.5], "population entry 0 is not finite"),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, rates, phi0, match):
+        with pytest.raises(ValidationError, match=match):
+            growth_unconstrained(rates, phi0, 2)
+
+    def test_negative_population_rejected(self):
+        with pytest.raises(NegativeEntryError, match="population entry 0 is negative"):
+            growth_unconstrained([1.1, 1.0], [-0.5, 1.5], 2)
 
 
 class TestEvolveBackward:

@@ -249,6 +249,16 @@ class TestStationaryByIteration:
         with pytest.raises(ValidationError):
             stationary_by_iteration(two_species_matrix(0.1, -0.05))
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10, True])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValidationError, match="tol must be a finite nonnegative number"):
+            stationary_by_iteration(two_species_matrix(0.1, 0.2), tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, 0])
+    def test_bad_max_iter_rejected(self, max_iter):
+        with pytest.raises(ValidationError, match="max_iter must be"):
+            stationary_by_iteration(two_species_matrix(0.1, 0.2), max_iter=max_iter)
+
 
 class TestConvergenceRate:
     @pytest.mark.parametrize(
@@ -283,6 +293,12 @@ class TestBiorthogonality:
     def test_degenerate_spectrum_raises(self):
         with pytest.raises(DegenerateSpectrumError):
             check_biorthogonality(eigendecompose(EvolutionMatrix(np.eye(3))), tol=1e-8)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8, True])
+    def test_bad_tolerance_rejected(self, tol):
+        summary = eigendecompose(two_species_matrix(0.1, 0.2))
+        with pytest.raises(ValidationError, match="tol must be a finite nonnegative number"):
+            check_biorthogonality(summary, tol=tol)
 
 
 class TestSpectralInvariants:

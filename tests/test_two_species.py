@@ -231,3 +231,8 @@ class TestCrosscheck:
     def test_stationary_start_is_exact(self):
         report = crosscheck(TwoSpeciesParams(0.1, 0.2, 2 / 3), steps=50, tol=1e-12)
         assert report.passed
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10, True])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValidationError, match="tol must be a finite nonnegative number"):
+            crosscheck(TwoSpeciesParams(0.1, 0.2, 0.5), steps=10, tol=tol)
