@@ -3,7 +3,8 @@
 Outputs are deterministic: floats are written with their shortest
 round-tripping repr and JSON keys are sorted, so identical inputs produce
 byte-identical files. All files are written atomically (temp file plus
-rename), so a failed run never leaves a partial output behind.
+rename), and a command renames its files into place only after every
+one of them is written, so a run that fails leaves each output as it was.
 
 Exit codes: 0 success, 2 scenario/usage parse error, 3 validation error,
 4 numerical failure (singular or degenerate), 5 I/O error.
@@ -106,8 +107,9 @@ def cmd_simulate(args) -> int:
         "seed": scenario.seed,
     }
     summary_path = args.summary or args.out + ".summary.json"
-    _atomic_write(args.out, _trajectory_lines(trajectory, names))
-    _atomic_write(summary_path, [_json_text(summary)])
+    _atomic_write(
+        [(args.out, _trajectory_lines(trajectory, names)), (summary_path, [_json_text(summary)])]
+    )
     return EXIT_OK
 
 
@@ -123,7 +125,7 @@ def cmd_spectrum(args) -> int:
         }
     except NumericalError as exc:
         report["biorthogonality"] = {"error": str(exc)}
-    _atomic_write(args.out, [_json_text(report)])
+    _atomic_write([(args.out, [_json_text(report)])])
     return EXIT_OK
 
 
@@ -159,7 +161,7 @@ def cmd_sweep(args) -> int:
             lines.append(f"{_fmt(row.scale)},,no-elimination")
         else:
             lines.append(f"{_fmt(row.scale)},{row.steps},ok")
-    _atomic_write(args.out, ["\n".join(lines) + "\n"])
+    _atomic_write([(args.out, ["\n".join(lines) + "\n"])])
     return EXIT_OK
 
 

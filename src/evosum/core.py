@@ -23,20 +23,13 @@ simplex, via ``make_population``; trajectory rows keep the raw values.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadFractionError,
-    BadGeneratorError,
-    BadScaleError,
-    ConservationError,
-    DimensionMismatchError,
-    NegativeEntryError,
-    ValidationError,
-    ZeroTotalError,
-)
+from .errors import ValidationError
 
 #: Hard tolerance applied to conservation checks at construction time.
 CONSTRUCTION_TOL = 1e-12
@@ -52,10 +45,39 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def _is_real(value) -> bool:
+    # Bools are refused as in scenario files, where JSON true is not a number.
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    # A float count passes a `< 1` test, then fails inside the engine as a
+    # bare TypeError or IndexError, or is silently truncated by int().
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}")
+
+
+def _check_tolerance(name: str, value) -> None:
+    # NaN fails every comparison and inf passes every one, so either would
+    # decide a test without looking at the data.
+    if not _is_real(value) or not 0 <= value < math.inf:
+        raise ValidationError(f"{name} must be a finite nonnegative number, got {value!r}")
+
+
+def _check_finite(**values) -> None:
+    # Every comparison with NaN is False, so a sign test would give a
+    # confident answer for a non-finite coupling instead of failing.
+    for name, value in values.items():
+        if not _is_real(value) or not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
 def _check_finite_vector(values: np.ndarray, noun: str) -> None:
     """Shape and finiteness checks: a nonempty 1-D vector of finite numbers."""
     if values.ndim != 1 or values.size < 1:
-        raise DimensionMismatchError(f"expected a nonempty 1-D vector of {noun}s")
+        raise ValidationError(f"expected a nonempty 1-D vector of {noun}s")
     finite = np.isfinite(values)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -67,13 +89,13 @@ def _check_vector(values: np.ndarray, noun: str) -> None:
     _check_finite_vector(values, noun)
     if np.any(values < 0):
         bad = int(np.argmin(values))
-        raise NegativeEntryError(f"{noun} entry {bad} is negative ({float(values[bad])})")
+        raise ValidationError(f"{noun} entry {bad} is negative ({float(values[bad])})")
 
 
-def _check_matrix(entries: np.ndarray, column_sum: float, exc, what: str) -> None:
+def _check_matrix(entries: np.ndarray, column_sum: float, what: str) -> None:
     """Checks shared by every per-step matrix: square, finite, column sums."""
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
-        raise DimensionMismatchError(f"{what} must be a nonempty square matrix")
+        raise ValidationError(f"{what} must be a nonempty square matrix")
     finite = np.isfinite(entries)
     if not finite.all():
         i, j = np.argwhere(~finite)[0].tolist()
@@ -82,7 +104,7 @@ def _check_matrix(entries: np.ndarray, column_sum: float, exc, what: str) -> Non
     dev = np.abs(sums - column_sum)
     if np.any(dev > CONSTRUCTION_TOL):
         j = int(np.argmax(dev))
-        raise exc(
+        raise ValidationError(
             f"column {j} of {what} sums to {float(sums[j])!r}, "
             f"expected {column_sum} within {CONSTRUCTION_TOL}"
         )
@@ -113,7 +135,7 @@ class PopulationVector:
         _check_vector(values, "population")
         total = float(values.sum())
         if abs(total - 1.0) > CONSTRUCTION_TOL:
-            raise ConservationError(
+            raise ValidationError(
                 f"populations sum to {total!r}, expected 1 within {CONSTRUCTION_TOL}"
             )
 
@@ -137,7 +159,7 @@ class GeneratorMatrix:
     def __post_init__(self) -> None:
         entries = _readonly(self.entries)
         object.__setattr__(self, "entries", entries)
-        _check_matrix(entries, 0.0, BadGeneratorError, "generator")
+        _check_matrix(entries, 0.0, "generator")
 
     @property
     def n(self) -> int:
@@ -157,7 +179,7 @@ class EvolutionMatrix:
     def __post_init__(self) -> None:
         entries = _readonly(self.entries)
         object.__setattr__(self, "entries", entries)
-        _check_matrix(entries, 1.0, ConservationError, "evolution matrix")
+        _check_matrix(entries, 1.0, "evolution matrix")
 
     @property
     def n(self) -> int:
@@ -170,7 +192,7 @@ def make_population(raw) -> PopulationVector:
     _check_vector(values, "abundance")
     total = float(values.sum())
     if total <= 0:
-        raise ZeroTotalError("total abundance must be positive")
+        raise ValidationError("total abundance must be positive")
     return PopulationVector(values / total)
 
 
@@ -222,10 +244,9 @@ def random_stochastic(n: int, coupling_scale: float, seed: int) -> EvolutionMatr
     Off-diagonal entries are O(coupling_scale); each diagonal entry absorbs
     whatever its column needs to sum to one. Deterministic for a fixed seed.
     """
-    if n < 1:
-        raise DimensionMismatchError("species count must be at least 1")
+    _check_integer("species count", n, 1)
     if not 0 < coupling_scale < 1:
-        raise BadScaleError(f"coupling_scale must lie in (0, 1), got {coupling_scale}")
+        raise ValidationError(f"coupling_scale must lie in (0, 1), got {coupling_scale}")
     if n == 1:
         return EvolutionMatrix(np.array([[1.0]]))
     rng = np.random.default_rng(seed)
@@ -243,12 +264,13 @@ def random_competitive(
     ``neg_fraction``; diagonals rebalance their columns to sum to one.
     ``neg_fraction = 0`` degenerates to a stochastic draw.
     """
+    _check_integer("species count", n, 1)
     if n < 2:
-        raise DimensionMismatchError("competitive draws need at least 2 species")
+        raise ValidationError("competitive draws need at least 2 species")
     if not 0 < coupling_scale < 1:
-        raise BadScaleError(f"coupling_scale must lie in (0, 1), got {coupling_scale}")
+        raise ValidationError(f"coupling_scale must lie in (0, 1), got {coupling_scale}")
     if not 0 <= neg_fraction <= 1:
-        raise BadFractionError(f"neg_fraction must lie in [0, 1], got {neg_fraction}")
+        raise ValidationError(f"neg_fraction must lie in [0, 1], got {neg_fraction}")
     rng = np.random.default_rng(seed)
     entries = _offdiag_magnitudes(n, coupling_scale, rng)
     flip = rng.random((n, n)) < neg_fraction

@@ -59,8 +59,6 @@ system, and nothing is recorded.
 from __future__ import annotations
 
 import enum
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,39 +68,13 @@ from .core import (
     EvolutionMatrix,
     PopulationVector,
     _check_finite_vector,
+    _check_integer,
+    _check_tolerance,
     _check_vector,
     make_population,
     negative_offdiag_count,
 )
-from .errors import (
-    BadColumnSumError,
-    BadFractionError,
-    DimensionMismatchError,
-    LastSpeciesError,
-    NotExtinctError,
-    SingularMatrixError,
-    ValidationError,
-)
-
-
-def _check_integer(name: str, value) -> None:
-    # A float count passes a `< 1` test, then fails inside the engine as a
-    # bare TypeError or IndexError. Bools are refused as in scenario files.
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_step_count(name: str, value) -> None:
-    _check_integer(name, value)
-    if value < 1:
-        raise ValidationError(f"{name} must be at least 1")
-
-
-def _check_tolerance(name: str, value) -> None:
-    # NaN fails every comparison and inf passes every one, so either would
-    # decide a test without looking at the data. Bools are refused as above.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
-        raise ValidationError(f"{name} must be a finite nonnegative number, got {value!r}")
+from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -120,8 +92,8 @@ class SimulationConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        _check_step_count("max_steps", self.max_steps)
-        _check_step_count("record_every", self.record_every)
+        _check_integer("max_steps", self.max_steps, 1)
+        _check_integer("record_every", self.record_every, 1)
         _check_tolerance("convergence_tol", self.convergence_tol)
 
 
@@ -131,7 +103,9 @@ class ActiveSystem:
 
     ``alive_ids`` maps local indices to the original species ids;
     ``universe_size`` is the total number of ids ever allocated, so that
-    species inserted after an elimination still get a fresh id.
+    species inserted after an elimination still get a fresh id. Both
+    hold Python or NumPy integers (not bools); anything else raises
+    ``ValidationError``.
     """
 
     matrix: EvolutionMatrix
@@ -145,20 +119,24 @@ class ActiveSystem:
         if alive is None:
             alive = tuple(range(n))
         else:
-            alive = tuple(int(i) for i in alive)
+            alive = tuple(alive)
+            for i in alive:
+                _check_integer("alive_ids entry", i, 0)
+            alive = tuple(map(int, alive))
         object.__setattr__(self, "alive_ids", alive)
         size = self.universe_size
         if size is None:
             size = (alive[-1] + 1) if alive else 0
+        _check_integer("universe_size", size, 0)
         object.__setattr__(self, "universe_size", int(size))
         if len(self.populations) != n or len(alive) != n:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"matrix is {n}x{n} but populations/alive_ids have lengths "
                 f"{len(self.populations)}/{len(alive)}"
             )
         if any(b <= a for a, b in zip(alive, alive[1:])):
             raise ValidationError("alive_ids must be strictly increasing")
-        if alive and (alive[0] < 0 or alive[-1] >= self.universe_size):
+        if alive and alive[-1] >= self.universe_size:
             raise ValidationError("alive_ids must lie within the id universe")
 
     @property
@@ -242,7 +220,7 @@ def step(matrix: EvolutionMatrix, phi) -> np.ndarray:
     """
     values = np.asarray(phi, dtype=float)
     if values.ndim != 1 or values.size != matrix.n:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"matrix is {matrix.n}x{matrix.n} but population has shape {values.shape}"
         )
     return matrix.entries @ values
@@ -320,13 +298,14 @@ def eliminate_species(system: ActiveSystem, local_index: int) -> ActiveSystem:
     whole total.
     """
     n = system.n
-    if not 0 <= local_index < n:
-        raise DimensionMismatchError(f"local index {local_index} outside 0..{n - 1}")
+    _check_integer("local_index", local_index, 0)
+    if local_index >= n:
+        raise ValidationError(f"local index {local_index} outside 0..{n - 1}")
     if n == 1:
-        raise LastSpeciesError("cannot eliminate the only remaining species")
+        raise ValidationError("cannot eliminate the only remaining species")
     pop = float(system.populations.values[local_index])
     if abs(pop) > ZERO_TOL:
-        raise NotExtinctError(
+        raise ValidationError(
             f"species at local index {local_index} has population {pop!r}, not zero"
         )
     ids = np.array(system.alive_ids, dtype=np.intp)
@@ -361,14 +340,14 @@ def add_species(
     c_out = np.asarray(couplings_out, dtype=float)
     n = system.n
     if c_in.shape != (n,) or c_out.shape != (n,):
-        raise DimensionMismatchError(f"couplings must have length {n}")
+        raise ValidationError(f"couplings must have length {n}")
     new_column_sum = float(c_out.sum() + self_rate)
     if abs(new_column_sum - 1.0) > ZERO_TOL:
-        raise BadColumnSumError(
+        raise ValidationError(
             f"new species column sums to {new_column_sum!r}, expected 1"
         )
     if not 0.0 < seed_fraction < 1.0:
-        raise BadFractionError(f"seed_fraction must lie in (0, 1), got {seed_fraction}")
+        raise ValidationError(f"seed_fraction must lie in (0, 1), got {seed_fraction}")
 
     grown = np.zeros((n + 1, n + 1))
     grown[:n, :n] = system.matrix.entries
@@ -511,19 +490,16 @@ def growth_unconstrained(diagonal_rates, phi0, steps: int) -> np.ndarray:
     No transfers and no conservation; populations simply scale by
     ``rate ** steps`` entrywise. ``steps`` must be an integer (not a bool)
     of at least 0, and the rates and populations nonempty 1-D vectors of
-    finite numbers, the populations nonnegative; a non-finite entry or a
-    bad ``steps`` raises ``ValidationError``, a negative population
-    ``NegativeEntryError``.
+    finite numbers, the populations nonnegative; anything else raises
+    ``ValidationError``.
     """
-    _check_integer("steps", steps)
-    if steps < 0:
-        raise ValidationError("steps must be nonnegative")
+    _check_integer("steps", steps, 0)
     rates = np.asarray(diagonal_rates, dtype=float)
     start = np.asarray(phi0, dtype=float)
     _check_finite_vector(rates, "rate")
     _check_vector(start, "population")
     if rates.shape != start.shape:
-        raise DimensionMismatchError("rates and populations must have matching shapes")
+        raise ValidationError("rates and populations must have matching shapes")
     return rates**steps * start
 
 
@@ -540,10 +516,10 @@ def evolve_backward(matrix: EvolutionMatrix, phi0: PopulationVector, max_steps: 
     """
     a = np.asarray(matrix.entries, dtype=float)
     if matrix.n != len(phi0):
-        raise DimensionMismatchError("matrix and population dimensions differ")
-    _check_step_count("max_steps", max_steps)
+        raise ValidationError("matrix and population dimensions differ")
+    _check_integer("max_steps", max_steps, 1)
     if abs(float(np.linalg.det(a))) <= 1e-12:
-        raise SingularMatrixError("evolution matrix is singular; cannot step backward")
+        raise NumericalError("evolution matrix is singular; cannot step backward")
     state = np.array(phi0.values)
     horizon = 0
     for _ in range(max_steps):
@@ -611,7 +587,7 @@ def elimination_time_scan(
     n = phi0.n
     for scale, matrix in zip(scales, matrices):
         if matrix.n != n:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"matrix for scale {float(scale)!r} is {matrix.n}x{matrix.n} "
                 f"but the population has {n} entries"
             )

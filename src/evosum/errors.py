@@ -1,8 +1,9 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per CLI exit code.
 
-Grouped so the CLI can map error classes onto stable exit codes:
-scenario parse errors, input validation errors, and numerical failures
-are distinguishable by catching the three intermediate bases.
+``ScenarioParseError`` (exit 2) is a malformed scenario file,
+``ValidationError`` (exit 3) an input that breaks a constraint of the
+model, and ``NumericalError`` (exit 4) a numerical step that is undefined
+for the input. The message names the check that failed.
 """
 
 from __future__ import annotations
@@ -20,61 +21,5 @@ class ValidationError(EvosumError):
     """Input violates a structural or conservation constraint."""
 
 
-class NegativeEntryError(ValidationError):
-    """A population entry is negative."""
-
-
-class ZeroTotalError(ValidationError):
-    """A raw population vector sums to zero, so it cannot be normalized."""
-
-
-class ConservationError(ValidationError):
-    """A matrix column sum breaks the conserved-total constraint."""
-
-
-class BadGeneratorError(ValidationError):
-    """A generator column does not sum to zero."""
-
-
-class BadScaleError(ValidationError):
-    """Coupling scale outside the open interval (0, 1)."""
-
-
-class BadFractionError(ValidationError):
-    """A fraction parameter outside its allowed range."""
-
-
-class BadColumnSumError(ValidationError):
-    """A newly inserted column does not sum to one."""
-
-
-class DimensionMismatchError(ValidationError):
-    """Operands have incompatible dimensions."""
-
-
-class NotExtinctError(ValidationError):
-    """Attempted to remove a species whose population is not zero."""
-
-
-class LastSpeciesError(ValidationError):
-    """Attempted to remove the only remaining species."""
-
-
 class NumericalError(EvosumError):
     """A numerical procedure failed or is undefined for the input."""
-
-
-class NoConvergenceError(NumericalError):
-    """Iteration budget exhausted before reaching the requested tolerance."""
-
-
-class DegenerateSpectrumError(NumericalError):
-    """Two eigenvalues coincide, so eigenvector pairing is ambiguous."""
-
-
-class SingularMatrixError(NumericalError):
-    """Matrix is singular (or numerically indistinguishable from singular)."""
-
-
-class DegenerateParamsError(NumericalError):
-    """Closed-form solution undefined: the coupling parameters sum to zero."""

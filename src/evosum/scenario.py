@@ -244,19 +244,29 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _atomic_write(path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` to a temp file beside ``path``, then rename it over ``path``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
+def _atomic_write(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Write each ``(path, chunks)`` to a temp file beside ``path``, then rename them all.
+
+    Every temp file is written in full before the first rename, so a failure
+    while writing any of them leaves every target as it was; the temp files
+    are removed on any failure.
+    """
+    renames = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        for path, chunks in outputs:
+            directory = os.path.dirname(os.path.abspath(path)) or "."
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
+            renames.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        for tmp, path in renames:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in renames:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    _atomic_write(path, [_json_text(scenario_to_dict(scenario))])
+    _atomic_write([(path, [_json_text(scenario_to_dict(scenario))])])

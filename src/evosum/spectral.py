@@ -41,14 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EIG_TOL, ZERO_TOL, EvolutionMatrix, MatrixKind, PopulationVector, classify_matrix
-from .dynamics import _check_step_count, _check_tolerance
-from .errors import (
-    DegenerateSpectrumError,
-    DimensionMismatchError,
-    NoConvergenceError,
-    ValidationError,
+from .core import (
+    EIG_TOL,
+    ZERO_TOL,
+    EvolutionMatrix,
+    MatrixKind,
+    PopulationVector,
+    _check_integer,
+    _check_tolerance,
+    classify_matrix,
 )
+from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -228,13 +231,13 @@ def stationary_by_iteration(
     and returns the common column. Deliberately eigenvalue-free so it can
     serve as an independent oracle for ``eigendecompose``.
 
-    Raises ``NoConvergenceError`` when the iteration budget runs out, e.g.
+    Raises ``NumericalError`` when the iteration budget runs out, e.g.
     for periodic chains such as permutation matrices. ``tol`` must be a
     finite number of at least 0 and ``max_iter`` an integer of at least 1;
     anything else raises ``ValidationError``.
     """
     _check_tolerance("tol", tol)
-    _check_step_count("max_iter", max_iter)
+    _check_integer("max_iter", max_iter, 1)
     if classify_matrix(matrix).kind is not MatrixKind.STOCHASTIC:
         raise ValidationError("iterated averaging requires a stochastic matrix")
     power = np.asarray(matrix.entries, dtype=float).copy()
@@ -244,7 +247,7 @@ def stationary_by_iteration(
             common = power.mean(axis=1)
             return PopulationVector(common / common.sum())
         power = power @ power
-    raise NoConvergenceError(
+    raise NumericalError(
         f"columns did not agree within {tol} after {max_iter} squarings"
     )
 
@@ -253,7 +256,7 @@ def convergence_rate(matrix: EvolutionMatrix) -> float:
     """Modulus of the second eigenvalue: below one means decay toward the
     stationary mix, above one means the mix is unstable."""
     if matrix.n < 2:
-        raise DimensionMismatchError("convergence rate needs at least 2 species")
+        raise ValidationError("convergence rate needs at least 2 species")
     return eigendecompose(matrix).lambda2_modulus
 
 
@@ -263,18 +266,18 @@ def check_biorthogonality(summary: SpectralSummary, tol: float) -> Biorthogonali
     Pairings are first normalized so each left/right pair sums to one; the
     report passes when every cross term stays below ``tol``, which must be
     a finite number of at least 0 (else ``ValidationError``). Raises
-    ``DegenerateSpectrumError`` when two eigenvalues coincide within
+    ``NumericalError`` when two eigenvalues coincide within
     ``EIG_TOL``, because the pairing is then ambiguous.
     """
     _check_tolerance("tol", tol)
     n = summary.eigenvalues.size
     p, q = _near_equal_pairs(summary.eigenvalues)
     if p.size:
-        raise DegenerateSpectrumError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
+        raise NumericalError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
     gram = summary.left_vectors @ summary.right_vectors.T
     diag = np.diag(gram).copy()
     if np.any(np.abs(diag) < 1e-300):
-        raise DegenerateSpectrumError("a left/right pairing vanished; cannot normalize")
+        raise NumericalError("a left/right pairing vanished; cannot normalize")
     gram = gram / diag[:, None]
     np.fill_diagonal(gram, 0.0)
     violation = float(np.max(np.abs(gram))) if n > 1 else 0.0

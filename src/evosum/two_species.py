@@ -21,14 +21,13 @@ only source of truth there.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ZERO_TOL, PopulationVector, two_species_matrix
-from .dynamics import ActiveSystem, SimulationConfig, _check_tolerance, evolve
-from .errors import BadFractionError, DegenerateParamsError, ValidationError
+from .core import ZERO_TOL, PopulationVector, _check_finite, _check_tolerance, two_species_matrix
+from .dynamics import ActiveSystem, SimulationConfig, evolve
+from .errors import NumericalError, ValidationError
 
 
 class Regime(enum.Enum):
@@ -45,14 +44,6 @@ class Winner(enum.Enum):
     KNIFE_EDGE = "Knife-edge"
 
 
-def _check_finite(**values: float) -> None:
-    # Every comparison with NaN is False, so a sign test would give a
-    # confident answer for a non-finite coupling instead of failing.
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TwoSpeciesParams:
     """Couplings plus the initial share ``a`` of species 1."""
@@ -64,7 +55,7 @@ class TwoSpeciesParams:
     def __post_init__(self) -> None:
         _check_finite(alpha=self.alpha, beta=self.beta, a=self.a)
         if not 0.0 <= self.a <= 1.0:
-            raise BadFractionError(f"initial share a must lie in [0, 1], got {self.a}")
+            raise ValidationError(f"initial share a must lie in [0, 1], got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,7 @@ class ClosedFormSolution:
 def closed_form_solution(params: TwoSpeciesParams) -> ClosedFormSolution:
     total = params.alpha + params.beta
     if abs(total) <= ZERO_TOL:
-        raise DegenerateParamsError(
+        raise NumericalError(
             "alpha + beta is zero: the coupling matrix has no eigenbasis "
             "and the closed form does not apply"
         )

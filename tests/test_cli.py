@@ -21,6 +21,7 @@ from evosum import (
     stationary_by_iteration,
 )
 from evosum.cli import main
+from evosum.scenario import _atomic_write
 from evosum.errors import ScenarioParseError
 from test_dynamics import serial_evolve, serial_scan
 
@@ -193,6 +194,22 @@ class TestLoadScenario:
         with pytest.raises(TypeError):
             save_scenario(unserializable, path)
         assert path.read_bytes() == original
+        assert list(tmp_path.glob(".evosum-*.tmp")) == []
+
+    def test_interrupted_write_keeps_every_target(self, tmp_path):
+        # The failure comes after a temp file holds data, unlike a failed
+        # serialization, so the cleanup has files to remove.
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        first.write_bytes(b"first\n")
+        second.write_bytes(b"second\n")
+
+        def failing_chunks():
+            yield "partial\n"
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _atomic_write([(str(first), ["replaced\n"]), (str(second), failing_chunks())])
+        assert (first.read_bytes(), second.read_bytes()) == (b"first\n", b"second\n")
         assert list(tmp_path.glob(".evosum-*.tmp")) == []
 
 
@@ -370,6 +387,18 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
         assert "nested too deeply" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_summary_write_leaves_no_csv(self, case_a, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        summary = tmp_path / "nodir" / "s.json"
+        argv = ["simulate", "--scenario", case_a, "--out", str(out), "--summary", str(summary)]
+        assert main(argv) == 5
+        assert not out.exists()
+        out.write_bytes(b"kept\n")
+        assert main(argv) == 5
+        assert out.read_bytes() == b"kept\n"
+        assert list(tmp_path.glob(".evosum-*.tmp")) == []
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_missing_scenario_file_is_io_error(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", "x"]) == 5

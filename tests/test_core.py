@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,16 +19,7 @@ from evosum import (
     random_stochastic,
     two_species_matrix,
 )
-from evosum.errors import (
-    BadFractionError,
-    BadGeneratorError,
-    BadScaleError,
-    ConservationError,
-    DimensionMismatchError,
-    NegativeEntryError,
-    ValidationError,
-    ZeroTotalError,
-)
+from evosum.errors import ValidationError
 
 
 class TestMakePopulation:
@@ -43,15 +35,15 @@ class TestMakePopulation:
         assert_allclose(make_population(raw).values, expected, atol=1e-15)
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(NegativeEntryError):
+        with pytest.raises(ValidationError, match="abundance entry 1 is negative"):
             make_population([0.5, -0.1])
 
     def test_zero_total_rejected(self):
-        with pytest.raises(ZeroTotalError):
+        with pytest.raises(ValidationError, match="total abundance must be positive"):
             make_population([0.0, 0.0])
 
     def test_empty_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="expected a nonempty 1-D vector of abundances"):
             make_population([])
 
     def test_result_is_readonly(self):
@@ -62,11 +54,11 @@ class TestMakePopulation:
 
 class TestPopulationVector:
     def test_rejects_bad_sum(self):
-        with pytest.raises(ConservationError):
+        with pytest.raises(ValidationError, match="populations sum to 1.1"):
             PopulationVector(np.array([0.5, 0.6]))
 
     def test_rejects_negative(self):
-        with pytest.raises(NegativeEntryError):
+        with pytest.raises(ValidationError, match="population entry 0 is negative"):
             PopulationVector(np.array([-0.1, 1.1]))
 
 
@@ -84,7 +76,7 @@ class TestGenerator:
         assert_allclose(matrix_from_generator(gen).entries, [[0.9, -0.05], [0.1, 1.05]])
 
     def test_leaky_generator_rejected(self):
-        with pytest.raises(BadGeneratorError):
+        with pytest.raises(ValidationError, match="column 0 of generator sums to"):
             GeneratorMatrix([[-0.1, 0.0], [0.2, 0.0]])
 
     @given(
@@ -103,11 +95,11 @@ class TestGenerator:
 
 class TestEvolutionMatrix:
     def test_bad_column_sum_names_column(self):
-        with pytest.raises(ConservationError, match="column 1"):
+        with pytest.raises(ValidationError, match="column 1 of evolution matrix sums to"):
             EvolutionMatrix([[1.0, 0.1], [0.0, 0.8]])
 
     def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="evolution matrix must be a nonempty square matrix"):
             EvolutionMatrix(np.ones((2, 3)) / 2)
 
     @pytest.mark.parametrize("cls", [EvolutionMatrix, GeneratorMatrix])
@@ -193,10 +185,18 @@ class TestRandomStochastic:
         assert np.array_equal(first.entries, second.entries)
 
     def test_bad_scale(self):
-        with pytest.raises(BadScaleError):
+        with pytest.raises(ValidationError, match=r"coupling_scale must lie in \(0, 1\), got 1.5"):
             random_stochastic(3, 1.5, seed=0)
-        with pytest.raises(BadScaleError):
+        with pytest.raises(ValidationError, match=r"coupling_scale must lie in \(0, 1\), got 0.0"):
             random_stochastic(3, 0.0, seed=0)
+
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(ValidationError, match=re.escape(f"species count must be an integer, got {n!r}")):
+            random_stochastic(n, 0.5, seed=1)
+
+    def test_numpy_integer_size_accepted(self):
+        assert random_stochastic(np.int64(3), 0.5, seed=1).n == 3
 
 
 class TestRandomCompetitive:
@@ -216,12 +216,17 @@ class TestRandomCompetitive:
         assert np.array_equal(first.entries, second.entries)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="competitive draws need at least 2 species"):
             random_competitive(1, 0.1, 0.5, seed=0)
-        with pytest.raises(BadFractionError):
+        with pytest.raises(ValidationError, match=r"neg_fraction must lie in \[0, 1\], got 1.5"):
             random_competitive(3, 0.1, 1.5, seed=0)
-        with pytest.raises(BadScaleError):
+        with pytest.raises(ValidationError, match=r"coupling_scale must lie in \(0, 1\), got 0.0"):
             random_competitive(3, 0.0, 0.5, seed=0)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(ValidationError, match=f"species count must be an integer, got {n!r}"):
+            random_competitive(n, 0.5, 0.5, seed=1)
 
 
 class TestNonFinite:

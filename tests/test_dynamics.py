@@ -33,18 +33,11 @@ from evosum import (
     two_species_matrix,
 )
 from evosum import core, dynamics, spectral, two_species
-from evosum.errors import (
-    DimensionMismatchError,
-    LastSpeciesError,
-    NegativeEntryError,
-    NotExtinctError,
-    SingularMatrixError,
-    ValidationError,
-)
+from evosum.errors import NumericalError, ValidationError
 
 
-def system_of(matrix: EvolutionMatrix, raw) -> ActiveSystem:
-    return ActiveSystem(matrix=matrix, populations=make_population(raw))
+def system_of(matrix: EvolutionMatrix, raw, **ids) -> ActiveSystem:
+    return ActiveSystem(matrix=matrix, populations=make_population(raw), **ids)
 
 
 def assert_conserved(trajectory, tol=1e-8, floor=-1e-12):
@@ -197,6 +190,35 @@ def shrunk_family(base: EvolutionMatrix):
     return lambda c: EvolutionMatrix(identity + c * (base.entries - identity))
 
 
+class TestActiveSystem:
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ((0.0, 1.9, 2.2), "alive_ids entry must be an integer, got 0.0"),
+            ((0, True, 2), "alive_ids entry must be an integer, got True"),
+            ((-1, 0, 1), "alive_ids entry must be at least 0"),
+        ],
+    )
+    def test_bad_ids_rejected(self, ids, message):
+        with pytest.raises(ValidationError, match=message):
+            system_of(random_stochastic(3, 0.3, 1), [1, 1, 1], alive_ids=ids)
+
+    @pytest.mark.parametrize("size", [3.9, True])
+    def test_non_integer_universe_size_rejected(self, size):
+        with pytest.raises(ValidationError, match=f"universe_size must be an integer, got {size}"):
+            system_of(random_stochastic(3, 0.3, 1), [1, 1, 1], universe_size=size)
+
+    def test_numpy_integers_accepted(self):
+        system = system_of(
+            random_stochastic(3, 0.3, 1),
+            [1, 1, 1],
+            alive_ids=np.array([0, 2, 5], dtype=np.intp),
+            universe_size=np.int64(6),
+        )
+        assert (system.alive_ids, system.universe_size) == ((0, 2, 5), 6)
+        assert all(type(i) is int for i in (*system.alive_ids, system.universe_size))
+
+
 class TestStep:
     def test_identity_fixes_everything(self):
         assert_allclose(step(EvolutionMatrix(np.eye(2)), [0.3, 0.7]), [0.3, 0.7])
@@ -210,7 +232,7 @@ class TestStep:
         assert_allclose(result, [0.425, 0.575], atol=1e-15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="matrix is 2x2 but population has shape"):
             step(two_species_matrix(0.1, 0.2), [0.2, 0.3, 0.5])
 
 
@@ -263,7 +285,7 @@ class TestEliminateSpecies:
 
     def test_not_extinct_rejected(self):
         system = system_of(two_species_matrix(0.1, 0.2), [0.5, 0.5])
-        with pytest.raises(NotExtinctError):
+        with pytest.raises(ValidationError, match="species at local index 0 has population 0.5, not zero"):
             eliminate_species(system, 0)
 
     def test_last_species_rejected(self):
@@ -271,8 +293,22 @@ class TestEliminateSpecies:
             matrix=EvolutionMatrix([[1.0]]),
             populations=PopulationVector(np.array([1.0])),
         )
-        with pytest.raises(LastSpeciesError):
+        with pytest.raises(ValidationError, match="cannot eliminate the only remaining species"):
             eliminate_species(system, 0)
+
+    @pytest.mark.parametrize(
+        "local, message",
+        [
+            (0.5, "local_index must be an integer, got 0.5"),
+            (False, "local_index must be an integer, got False"),
+            (-1, "local_index must be at least 0"),
+            (2, r"local index 2 outside 0\.\.1"),
+        ],
+    )
+    def test_bad_local_index_rejected(self, local, message):
+        system = system_of(two_species_matrix(0.1, 0.2), [1.0, 0.0])
+        with pytest.raises(ValidationError, match=message):
+            eliminate_species(system, local)
 
     @pytest.mark.parametrize("kill", [0, 3, 6])
     def test_same_bytes_as_reference_fold(self, kill):
@@ -384,11 +420,9 @@ class TestAddSpecies:
             matrix=EvolutionMatrix([[1.0]]),
             populations=PopulationVector(np.array([1.0])),
         )
-        from evosum.errors import BadColumnSumError, BadFractionError
-
-        with pytest.raises(BadColumnSumError):
+        with pytest.raises(ValidationError, match="new species column sums to"):
             add_species(base, [0.1], [0.2], self_rate=0.9, seed_fraction=0.1)
-        with pytest.raises(BadFractionError):
+        with pytest.raises(ValidationError, match=r"seed_fraction must lie in \(0, 1\), got 0.0"):
             add_species(base, [0.1], [0.05], self_rate=0.95, seed_fraction=0.0)
 
 
@@ -777,7 +811,7 @@ class TestGrowthUnconstrained:
         assert_allclose(growth_unconstrained([2.0], [3.0], 10), [3072.0])
 
     def test_negative_steps_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="steps must be at least 0"):
             growth_unconstrained([1.0], [1.0], -1)
 
     @pytest.mark.parametrize("steps", [np.nan, 2.0, True])
@@ -802,7 +836,7 @@ class TestGrowthUnconstrained:
             growth_unconstrained(rates, phi0, 2)
 
     def test_negative_population_rejected(self):
-        with pytest.raises(NegativeEntryError, match="population entry 0 is negative"):
+        with pytest.raises(ValidationError, match="population entry 0 is negative"):
             growth_unconstrained([1.1, 1.0], [-0.5, 1.5], 2)
 
 
@@ -850,7 +884,7 @@ class TestEvolveBackward:
 
     def test_singular_matrix_rejected(self):
         flat = EvolutionMatrix([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(NumericalError, match="evolution matrix is singular; cannot step backward"):
             evolve_backward(flat, make_population([0.5, 0.5]), max_steps=5)
 
 
@@ -997,7 +1031,7 @@ class TestEliminationTimeScan:
         assert calls == {"evolve": 0, "crossing_fraction": 0}
 
     def test_population_size_mismatch_names_both_sizes(self):
-        with pytest.raises(DimensionMismatchError, match="is 2x2 but the population has 3 entries"):
+        with pytest.raises(ValidationError, match="is 2x2 but the population has 3 entries"):
             elimination_time_scan(
                 lambda c: two_species_matrix(c, -c / 2), make_population([1, 1, 1]), [0.1]
             )
@@ -1006,7 +1040,7 @@ class TestEliminationTimeScan:
         def builder(c):
             return shrunk_family(random_competitive(3 if c < 0.15 else 2, 0.5, 0.5, 1))(c)
 
-        with pytest.raises(DimensionMismatchError, match="scale 0.2 is 2x2 but the population has 3"):
+        with pytest.raises(ValidationError, match="scale 0.2 is 2x2 but the population has 3"):
             elimination_time_scan(builder, make_population([1, 1, 1]), [0.1, 0.2])
 
     def test_empty_scales_give_no_rows(self):

@@ -1,0 +1,179 @@
+"""Byte-identity gate: small CLI runs pinned by the SHA-256 of every output.
+
+Each passing case writes its scenario with ``json.dumps`` (floats in their
+shortest round-tripping repr), runs the CLI in a scratch directory and
+compares the SHA-256 of every file it writes, and its exact stdout. Each
+failing case, one per nonzero exit code, pins the exit code and the exact
+stderr. All paths are relative to the scratch directory, so messages that
+name a path are the same on every run.
+
+The digests were computed with numpy 2.4 on x86-64 OpenBLAS; another BLAS
+build may round a matvec differently. A changed digest is a changed output:
+report it, do not regenerate the goldens to make it pass.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from evosum import random_competitive, random_stochastic
+from evosum.cli import main
+
+
+def two_species(alpha, beta, initial, **extra):
+    return {"matrix": {"two_species": {"alpha": alpha, "beta": beta}}, "initial": initial, **extra}
+
+
+def entries(matrix, initial, **extra):
+    return {"matrix": {"entries": matrix.tolist()}, "initial": initial, **extra}
+
+
+SIMULATE = ["simulate", "--scenario", "in.json", "--out", "t.csv"]
+SIMULATE_OUTPUTS = ("t.csv", "t.csv.summary.json")
+SPECTRUM = ["spectrum", "--scenario", "in.json", "--out", "s.json"]
+GENERATOR = [[-0.1, 0.05, 0.0], [0.1, -0.15, 0.2], [0.0, 0.1, -0.2]]
+
+# label -> (scenario or None, argv, output files)
+PASSING = {
+    "coexistence": (
+        two_species(0.1, 0.2, [0.9, 0.1], config={"max_steps": 500}, seed=7),
+        SIMULATE, SIMULATE_OUTPUTS,
+    ),
+    "monotone-extinction": (two_species(0.1, -0.05, [0.5, 0.5]), SIMULATE, SIMULATE_OUTPUTS),
+    "unstable": (
+        two_species(-0.05, -0.1, [0.7, 0.3], species_names=["fox", "hare"]),
+        SIMULATE, SIMULATE_OUTPUTS,
+    ),
+    "generator": (
+        {"matrix": {"generator": GENERATOR}, "initial": [1, 2, 3], "config": {"max_steps": 300}},
+        SIMULATE, SIMULATE_OUTPUTS,
+    ),
+    "cascade40": (
+        entries(
+            random_competitive(40, 0.5, 0.5, 3).entries,
+            [1] * 40,
+            config={"max_steps": 400, "record_every": 7},
+            seed=3,
+        ),
+        SIMULATE, SIMULATE_OUTPUTS,
+    ),
+    "sweep": (
+        None,
+        [
+            "sweep", "--alpha-per-scale", "0.02", "--beta-per-scale", "-0.01",
+            "--scales", "0.05", "0.3", "0.7", "1.3", "2.0", "--initial", "2", "3",
+            "--out", "sweep.csv",
+        ],
+        ("sweep.csv",),
+    ),
+    "spectrum-stochastic": (
+        entries(random_stochastic(20, 0.3, 5).entries, [1] * 20), SPECTRUM, ("s.json",),
+    ),
+    "spectrum-identity": (entries(np.eye(3), [1, 1, 1]), SPECTRUM, ("s.json",)),
+    "backward50": (
+        entries(random_stochastic(50, 0.3, 1).entries, [1] * 50),
+        ["backward", "--scenario", "in.json", "--max-steps", "100"],
+        (),
+    ),
+}
+
+# label -> (scenario or None, argv, exit code, stderr)
+FAILING = {
+    "parse": (
+        two_species(0.1, 0.2, [0.5, 0.5], extra=1),
+        SIMULATE, 2, "error: in.json: unknown scenario fields: ['extra']\n",
+    ),
+    "validation": (
+        two_species(0.1, 0.2, [-1, 2]),
+        SIMULATE, 3, "error: abundance entry 0 is negative (-1.0)\n",
+    ),
+    "numerical": (
+        entries(np.array([[0.5, 0.5], [0.5, 0.5]]), [1, 1]),
+        ["backward", "--scenario", "in.json"],
+        4, "error: evolution matrix is singular; cannot step backward\n",
+    ),
+    "io": (
+        None,
+        ["simulate", "--scenario", "missing.json", "--out", "t.csv"],
+        5, "error: [Errno 2] No such file or directory: 'missing.json'\n",
+    ),
+}
+
+# Computed on the parent of the change that folded the leaf error classes
+# into their bases; that change and every later one must keep these bytes.
+GOLDEN = {
+    "backward50": {
+        "stdout": "horizon=10 offender=species_23\n",
+    },
+    "cascade40": {
+        "t.csv": "d2ceb0380e9dd50f5142416fa0cc6809c81ae35ebd4472d011e4fe9059b923aa",
+        "t.csv.summary.json": "dc02aced41e0488fdb90e42c549a560f4ec414befc2a7486eae2fdb751b5dc98",
+        "stdout": "",
+    },
+    "coexistence": {
+        "t.csv": "6cf4bdd40eedb39d6e8f42271d4b9f8708e7c677d4b1ee2afe66d69e38d49c09",
+        "t.csv.summary.json": "03dc58c098596ef1f7733b13aae5ec6ce479e52804cbbedc1bb8cbd59e03b80b",
+        "stdout": "",
+    },
+    "generator": {
+        "t.csv": "705cc16a09836573d2f2e1e0da40da2458d7a023180f7c08e40a04defb2aa054",
+        "t.csv.summary.json": "1cce2c2e99852a63b8e665c91405d18d5a843f2a4b6405c84cb3056614c35187",
+        "stdout": "",
+    },
+    "monotone-extinction": {
+        "t.csv": "de8fc1e642abf4454fd68dd09510adfb95e1538e70897f2d9840091e2183a636",
+        "t.csv.summary.json": "d3ecd4e9222b47fb6275d7aa754693e7f00227c963e2c3e9359de7f234e70793",
+        "stdout": "",
+    },
+    "spectrum-identity": {
+        "s.json": "a921d2be461ad55e27d71ce9f6457aba4ee730641fb7841e8b00eef045fe4282",
+        "stdout": "",
+    },
+    "spectrum-stochastic": {
+        "s.json": "d847f739ebd8fb7e9ae59bbaa4bfd029aea729cd94efe7d9ca21ee996a483b1b",
+        "stdout": "",
+    },
+    "sweep": {
+        "sweep.csv": "7951c94b363402dce4be0945beacaf2321d93d39157b0f20efd12c530e991700",
+        "stdout": "",
+    },
+    "unstable": {
+        "t.csv": "272e8eef10f2f453b0bff7b07e3d3173563e765b2d245eab8ae5d80ed54efbde",
+        "t.csv.summary.json": "cfaf6bcb1ba155d8f645f21e1f2b83fe2a047743105f0f9cc0a6729a7a777568",
+        "stdout": "",
+    },
+}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run(directory: Path, scenario, argv, monkeypatch):
+    if scenario is not None:
+        (directory / "in.json").write_text(json.dumps(scenario), encoding="utf-8")
+    monkeypatch.chdir(directory)
+    return main(list(argv))
+
+
+@pytest.mark.parametrize("label", sorted(PASSING))
+def test_outputs_are_byte_identical(label, tmp_path, monkeypatch, capsys):
+    scenario, argv, outputs = PASSING[label]
+    assert run(tmp_path, scenario, argv, monkeypatch) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digests = {name: sha256(tmp_path / name) for name in outputs}
+    digests["stdout"] = captured.out
+    assert digests == GOLDEN[label]
+
+
+@pytest.mark.parametrize("label", sorted(FAILING))
+def test_failures_keep_exit_code_and_stderr(label, tmp_path, monkeypatch, capsys):
+    scenario, argv, code, stderr = FAILING[label]
+    assert run(tmp_path, scenario, argv, monkeypatch) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["in.json"] if scenario else [])
