@@ -5,14 +5,20 @@ round-tripping repr and JSON keys are sorted, so identical inputs produce
 byte-identical files. All files are written atomically (temp file plus
 rename), and a command renames its files into place only after every
 one of them is written, so a run that fails leaves each output as it was.
+The trajectory CSV formats a row's populations only when their bits
+differ from the row before, so its cost scales with the number of
+distinct consecutive rows: a run held at its fixed point reuses one
+string for the whole tail.
 
-Exit codes: 0 success, 2 scenario/usage parse error, 3 validation error,
+Exit codes: 0 success, 2 scenario/usage parse error (including `simulate`
+with `--out` and `--summary` naming the same file), 3 validation error,
 4 numerical failure (singular or degenerate), 5 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import replace
@@ -50,9 +56,14 @@ def _trajectory_lines(trajectory: Trajectory, names: tuple[str, ...]) -> Iterato
         trajectory.values,
         trajectory.event_species.tolist(),
     )
+    key = cells = None
     for step, tau, values, species in columns:
+        # A run at its fixed point repeats its row; compare bits, not values,
+        # since -0.0 == 0.0 but their reprs differ.
+        if (row := values.tobytes()) != key:
+            key, cells = row, ",".join(map(repr, values.tolist()))
         event = "" if species < 0 else f"elim:{names[species]}"
-        yield f"{step},{tau!r},{','.join(map(repr, values.tolist()))},{event}\n"
+        yield f"{step},{tau!r},{cells},{event}\n"
 
 
 def _spectral_digest(summary: SpectralSummary) -> dict:
@@ -80,6 +91,11 @@ def _two_species_report(scenario: Scenario) -> dict | None:
 
 
 def cmd_simulate(args) -> int:
+    summary_path = args.summary or args.out + ".summary.json"
+    if os.path.realpath(summary_path) == os.path.realpath(args.out):
+        # Both renames would succeed and the summary would replace the CSV.
+        print(f"error: --out and --summary name the same file: {args.out}", file=sys.stderr)
+        return EXIT_PARSE
     scenario = load_scenario(args.scenario)
     if args.max_steps is not None:
         scenario = replace(scenario, config=replace(scenario.config, max_steps=args.max_steps))
@@ -106,7 +122,6 @@ def cmd_simulate(args) -> int:
         "two_species": _two_species_report(scenario),
         "seed": scenario.seed,
     }
-    summary_path = args.summary or args.out + ".summary.json"
     _atomic_write(
         [(args.out, _trajectory_lines(trajectory, names)), (summary_path, [_json_text(summary)])]
     )

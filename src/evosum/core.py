@@ -242,9 +242,11 @@ def random_stochastic(n: int, coupling_scale: float, seed: int) -> EvolutionMatr
     """Random strictly positive stochastic matrix, near identity.
 
     Off-diagonal entries are O(coupling_scale); each diagonal entry absorbs
-    whatever its column needs to sum to one. Deterministic for a fixed seed.
+    whatever its column needs to sum to one. Deterministic for a fixed seed,
+    which must be an integer >= 0.
     """
     _check_integer("species count", n, 1)
+    _check_integer("seed", seed, 0)
     if not 0 < coupling_scale < 1:
         raise ValidationError(f"coupling_scale must lie in (0, 1), got {coupling_scale}")
     if n == 1:
@@ -262,9 +264,11 @@ def random_competitive(
 
     Each off-diagonal entry is negated independently with probability
     ``neg_fraction``; diagonals rebalance their columns to sum to one.
-    ``neg_fraction = 0`` degenerates to a stochastic draw.
+    ``neg_fraction = 0`` degenerates to a stochastic draw. ``seed`` is an
+    integer >= 0, as for :func:`random_stochastic`.
     """
     _check_integer("species count", n, 1)
+    _check_integer("seed", seed, 0)
     if n < 2:
         raise ValidationError("competitive draws need at least 2 species")
     if not 0 < coupling_scale < 1:

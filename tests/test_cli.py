@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from evosum import (
     ActiveSystem,
+    EvolutionMatrix,
     PopulationVector,
+    TerminationReason,
+    Trajectory,
     elimination_time_scan,
     evolve,
     load_scenario,
@@ -20,10 +23,11 @@ from evosum import (
     scenario_to_dict,
     stationary_by_iteration,
 )
-from evosum.cli import main
+from evosum.cli import _trajectory_lines, main
 from evosum.scenario import _atomic_write
 from evosum.errors import ScenarioParseError
 from test_dynamics import serial_evolve, serial_scan
+from test_golden import FIXED_POINT_TAIL
 
 # A JSON integer with 401 digits: valid JSON, far beyond the largest float.
 HUGE = 10**400
@@ -70,6 +74,40 @@ def scenario_dicts(draw):
         if draw(st.booleans()):
             data[key] = draw(values)
     return data
+
+
+def reference_csv(trajectory, names):
+    """The trajectory CSV formatted value by value, with no reuse between rows."""
+    lines = ["step,tau," + ",".join(names) + ",event"]
+    for k in range(len(trajectory.steps)):
+        species = int(trajectory.event_species[k])
+        event = "" if species < 0 else f"elim:{names[species]}"
+        values = ",".join(repr(float(x)) for x in trajectory.values[k])
+        tau = repr(float(trajectory.fractions[k]))
+        lines.append(f"{int(trajectory.steps[k])},{tau},{values},{event}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def hand_trajectory(values, steps=None, fractions=None, event_species=None):
+    """A Trajectory with the given rows; only the four CSV columns matter."""
+    values = np.array(values, dtype=float)
+    rows, width = values.shape
+    return Trajectory(
+        steps=np.arange(rows) if steps is None else np.array(steps),
+        fractions=np.zeros(rows) if fractions is None else np.array(fractions, dtype=float),
+        values=values,
+        event_species=np.full(rows, -1) if event_species is None else np.array(event_species),
+        events=(),
+        terminated_reason=TerminationReason.MAX_STEPS,
+        final_system=ActiveSystem(
+            matrix=EvolutionMatrix(np.eye(width)),
+            populations=PopulationVector(np.full(width, 1 / width)),
+        ),
+    )
+
+
+def cli_csv(trajectory, names):
+    return "".join(_trajectory_lines(trajectory, names)).encode("utf-8")
 
 
 def write_scenario(path, data):
@@ -400,6 +438,20 @@ class TestExitCodes:
         assert list(tmp_path.glob(".evosum-*.tmp")) == []
         assert "No such file or directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("summary", ["t.csv", "sub/../t.csv", "link.json"])
+    def test_out_and_summary_naming_one_file_is_usage_error(
+        self, case_a, tmp_path, capsys, monkeypatch, summary
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to("t.csv")
+        (tmp_path / "t.csv").write_bytes(b"kept\n")
+        argv = ["simulate", "--scenario", case_a, "--out", "t.csv", "--summary", summary]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --out and --summary name the same file: t.csv\n")
+        assert (tmp_path / "t.csv").read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "link.json", "sub", "t.csv"]
+
     def test_missing_scenario_file_is_io_error(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", "x"]) == 5
         capsys.readouterr()
@@ -476,15 +528,7 @@ class TestSimulate:
             ActiveSystem(matrix=scenario.matrix, populations=scenario.initial), scenario.config
         )
         assert len(trajectory.events) >= 1
-        names = scenario.species_names
-        lines = ["step,tau," + ",".join(names) + ",event"]
-        for k in range(len(trajectory.steps)):
-            species = int(trajectory.event_species[k])
-            event = "" if species < 0 else f"elim:{names[species]}"
-            values = ",".join(repr(float(x)) for x in trajectory.values[k])
-            tau = repr(float(trajectory.fractions[k]))
-            lines.append(f"{int(trajectory.steps[k])},{tau},{values},{event}")
-        assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert out.read_bytes() == reference_csv(trajectory, scenario.species_names)
 
     @pytest.mark.parametrize(
         "matrix, config, events, reason",
@@ -514,6 +558,85 @@ class TestSimulate:
         main(["simulate", "--scenario", case_a, "--out", str(out), "--max-steps", "3"])
         lines = out.read_text().strip().splitlines()
         assert lines[-1].split(",")[0] == "3"
+
+
+class TestTrajectoryLines:
+    """The CLI's CSV rows against `reference_csv`, on hand-built trajectories."""
+
+    NAMES = ("a", "b")
+
+    def test_negative_zero_after_zero_is_formatted(self):
+        trajectory = hand_trajectory([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        csv = cli_csv(trajectory, self.NAMES)
+        assert csv == reference_csv(trajectory, self.NAMES)
+        assert csv.splitlines()[1:] == [
+            b"0,0.0,0.0,1.0,", b"1,0.0,-0.0,1.0,", b"2,0.0,-0.0,1.0,", b"3,0.0,0.0,1.0,"
+        ]
+
+    def test_elimination_row_equal_to_the_last_keeps_its_own_cells(self):
+        trajectory = hand_trajectory(
+            [[0.25, 0.75], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+            steps=[0, 1, 1, 2],
+            fractions=[0.0, 0.0, 0.5, 0.0],
+            event_species=[-1, -1, 0, -1],
+        )
+        csv = cli_csv(trajectory, self.NAMES)
+        assert csv == reference_csv(trajectory, self.NAMES)
+        assert csv.splitlines()[2:] == [
+            b"1,0.0,0.0,1.0,", b"1,0.5,0.0,1.0,elim:a", b"2,0.0,0.0,1.0,"
+        ]
+
+    def test_width_one(self):
+        trajectory = hand_trajectory([[1.0], [1.0], [1.0]])
+        csv = cli_csv(trajectory, ("solo",))
+        assert csv == reference_csv(trajectory, ("solo",))
+        assert csv.splitlines()[1:] == [b"0,0.0,1.0,", b"1,0.0,1.0,", b"2,0.0,1.0,"]
+
+    def test_single_row(self):
+        trajectory = hand_trajectory([[0.1 + 0.2, 0.7]])
+        csv = cli_csv(trajectory, self.NAMES)
+        assert csv == reference_csv(trajectory, self.NAMES)
+        assert csv == b"step,tau,a,b,event\n0,0.0,0.30000000000000004,0.7,\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_repeating_rows(self, data):
+        width = data.draw(st.integers(min_value=1, max_value=4))
+        cell = st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, 0.1 + 0.2])
+        row = st.lists(cell, min_size=width, max_size=width)
+        pool = data.draw(st.lists(row, min_size=1, max_size=3))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20))
+        events = st.lists(st.integers(-1, width - 1), min_size=len(picks), max_size=len(picks))
+        species = data.draw(events)
+        trajectory = hand_trajectory(
+            [pool[i] for i in picks],
+            fractions=[0.0 if s < 0 else 0.5 for s in species],
+            event_species=species,
+        )
+        names = tuple(f"s{i}" for i in range(width))
+        assert cli_csv(trajectory, names) == reference_csv(trajectory, names)
+
+    def test_formats_only_rows_that_differ_from_the_last(self, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path / "tail.json", FIXED_POINT_TAIL)
+        scenario = load_scenario(path)
+        trajectory = evolve(
+            ActiveSystem(matrix=scenario.matrix, populations=scenario.initial), scenario.config
+        )
+        rows = [row.tobytes() for row in trajectory.values]
+        distinct = sum(k == 0 or rows[k] != rows[k - 1] for k in range(len(rows)))
+        assert distinct < len(rows) / 2
+        calls = []
+
+        def counting_repr(x):
+            calls.append(type(x))
+            return repr(x)
+
+        # Population cells go through the module's `repr`; `step` and `tau` do not.
+        monkeypatch.setattr("evosum.cli.repr", counting_repr, raising=False)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
+        assert calls == [float] * (distinct * trajectory.values.shape[1])
+        assert out.read_bytes() == reference_csv(trajectory, scenario.species_names)
 
 
 class TestSpectrum:

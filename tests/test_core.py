@@ -198,6 +198,26 @@ class TestRandomStochastic:
     def test_numpy_integer_size_accepted(self):
         assert random_stochastic(np.int64(3), 0.5, seed=1).n == 3
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (0.5, "seed must be an integer, got 0.5"),
+            (True, "seed must be an integer, got True"),
+            (None, "seed must be an integer, got None"),
+            (-1, "seed must be at least 0"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bad_seed_rejected(self, n, seed, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            random_stochastic(n, 0.5, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert np.array_equal(
+            random_stochastic(4, 0.5, np.int64(2)).entries,
+            random_stochastic(4, 0.5, 2).entries,
+        )
+
 
 class TestRandomCompetitive:
     def test_full_negative_fraction(self):
@@ -227,6 +247,25 @@ class TestRandomCompetitive:
     def test_non_integer_size_rejected(self, n):
         with pytest.raises(ValidationError, match=f"species count must be an integer, got {n!r}"):
             random_competitive(n, 0.5, 0.5, seed=1)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (0.5, "seed must be an integer, got 0.5"),
+            (True, "seed must be an integer, got True"),
+            (None, "seed must be an integer, got None"),
+            (-1, "seed must be at least 0"),
+        ],
+    )
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            random_competitive(3, 0.5, 0.5, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert np.array_equal(
+            random_competitive(4, 0.5, 0.5, np.int64(2)).entries,
+            random_competitive(4, 0.5, 0.5, 2).entries,
+        )
 
 
 class TestNonFinite:

@@ -35,6 +35,13 @@ SIMULATE = ["simulate", "--scenario", "in.json", "--out", "t.csv"]
 SIMULATE_OUTPUTS = ("t.csv", "t.csv.summary.json")
 SPECTRUM = ["spectrum", "--scenario", "in.json", "--out", "s.json"]
 GENERATOR = [[-0.1, 0.05, 0.0], [0.1, -0.15, 0.2], [0.0, 0.1, -0.2]]
+# A stochastic run that never converges (tolerance 0) and reaches an exact
+# fixed point at step 182, so over half of its CSV rows repeat the row before.
+FIXED_POINT_TAIL = entries(
+    random_stochastic(6, 0.3, 1).entries,
+    [1, 2, 3, 4, 5, 6],
+    config={"max_steps": 400, "convergence_tol": 0},
+)
 
 # label -> (scenario or None, argv, output files)
 PASSING = {
@@ -60,6 +67,7 @@ PASSING = {
         ),
         SIMULATE, SIMULATE_OUTPUTS,
     ),
+    "fixed-point-tail": (FIXED_POINT_TAIL, SIMULATE, SIMULATE_OUTPUTS),
     "sweep": (
         None,
         [
@@ -104,6 +112,8 @@ FAILING = {
 
 # Computed on the parent of the change that folded the leaf error classes
 # into their bases; that change and every later one must keep these bytes.
+# "fixed-point-tail" was computed on the parent of the change that reuses a
+# repeated row's formatted cells, so it pins that those bytes did not move.
 GOLDEN = {
     "backward50": {
         "stdout": "horizon=10 offender=species_23\n",
@@ -116,6 +126,11 @@ GOLDEN = {
     "coexistence": {
         "t.csv": "6cf4bdd40eedb39d6e8f42271d4b9f8708e7c677d4b1ee2afe66d69e38d49c09",
         "t.csv.summary.json": "03dc58c098596ef1f7733b13aae5ec6ce479e52804cbbedc1bb8cbd59e03b80b",
+        "stdout": "",
+    },
+    "fixed-point-tail": {
+        "t.csv": "ec4e5534f1dd1138bc8533b1a06cbc24825a19a4ac307ae1b277e9f20c5c3936",
+        "t.csv.summary.json": "751784373c341406bb0505253deb15ec9f6c86d468ebb44ad40addcf6b54db1b",
         "stdout": "",
     },
     "generator": {
@@ -177,3 +192,13 @@ def test_failures_keep_exit_code_and_stderr(label, tmp_path, monkeypatch, capsys
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", stderr)
     assert sorted(p.name for p in tmp_path.iterdir()) == (["in.json"] if scenario else [])
+
+
+def test_fixed_point_tail_mostly_repeats(tmp_path, monkeypatch):
+    # Keeps the case above exercising the reuse of a repeated row's cells.
+    scenario, argv, _ = PASSING["fixed-point-tail"]
+    assert run(tmp_path, scenario, argv, monkeypatch) == 0
+    cells = [line.split(",")[2:-1] for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+    repeats = sum(row == before for before, row in zip(cells, cells[1:]))
+    assert len(cells) == 401
+    assert repeats > len(cells) / 2
