@@ -31,21 +31,17 @@ from .dynamics import (
     SimulationConfig,
     TerminationReason,
     Trajectory,
-    add_species,
     crossing_fraction,
     eliminate_species,
     elimination_time_scan,
     evolve,
     evolve_backward,
-    growth_unconstrained,
-    step,
 )
 from .scenario import Scenario, load_scenario, save_scenario, scenario_from_dict, scenario_to_dict
 from .spectral import (
     BiorthogonalityReport,
     SpectralSummary,
     check_biorthogonality,
-    convergence_rate,
     eigendecompose,
     stationary_by_iteration,
 )
@@ -88,13 +84,11 @@ __all__ = [
     "Trajectory",
     "TwoSpeciesParams",
     "Winner",
-    "add_species",
     "check_biorthogonality",
     "classify_matrix",
     "classify_regime",
     "closed_form",
     "closed_form_solution",
-    "convergence_rate",
     "crosscheck",
     "crossing_fraction",
     "eigendecompose",
@@ -102,7 +96,6 @@ __all__ = [
     "elimination_time_scan",
     "evolve",
     "evolve_backward",
-    "growth_unconstrained",
     "load_scenario",
     "make_population",
     "matrix_from_generator",
@@ -113,6 +106,5 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "stationary_by_iteration",
-    "step",
     "two_species_matrix",
 ]

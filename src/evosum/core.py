@@ -74,19 +74,14 @@ def _check_finite(**values) -> None:
             raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
-def _check_finite_vector(values: np.ndarray, noun: str) -> None:
-    """Shape and finiteness checks: a nonempty 1-D vector of finite numbers."""
+def _check_vector(values: np.ndarray, noun: str) -> None:
+    """Shape, finiteness and sign checks shared by every population input."""
     if values.ndim != 1 or values.size < 1:
         raise ValidationError(f"expected a nonempty 1-D vector of {noun}s")
     finite = np.isfinite(values)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValidationError(f"{noun} entry {bad} is not finite ({float(values[bad])})")
-
-
-def _check_vector(values: np.ndarray, noun: str) -> None:
-    """Shape, finiteness and sign checks shared by every population input."""
-    _check_finite_vector(values, noun)
     if np.any(values < 0):
         bad = int(np.argmin(values))
         raise ValidationError(f"{noun} entry {bad} is negative ({float(values[bad])})")
@@ -243,10 +238,12 @@ def random_stochastic(n: int, coupling_scale: float, seed: int) -> EvolutionMatr
 
     Off-diagonal entries are O(coupling_scale); each diagonal entry absorbs
     whatever its column needs to sum to one. Deterministic for a fixed seed,
-    which must be an integer >= 0.
+    which must be an integer >= 0. ``coupling_scale`` must be a finite real
+    number (not a bool) in (0, 1).
     """
     _check_integer("species count", n, 1)
     _check_integer("seed", seed, 0)
+    _check_finite(coupling_scale=coupling_scale)
     if not 0 < coupling_scale < 1:
         raise ValidationError(f"coupling_scale must lie in (0, 1), got {coupling_scale}")
     if n == 1:
@@ -264,13 +261,15 @@ def random_competitive(
 
     Each off-diagonal entry is negated independently with probability
     ``neg_fraction``; diagonals rebalance their columns to sum to one.
-    ``neg_fraction = 0`` degenerates to a stochastic draw. ``seed`` is an
-    integer >= 0, as for :func:`random_stochastic`.
+    ``neg_fraction = 0`` degenerates to a stochastic draw. ``seed`` and
+    ``coupling_scale`` are as for :func:`random_stochastic`, and
+    ``neg_fraction`` is a finite real number (not a bool) in [0, 1].
     """
     _check_integer("species count", n, 1)
     _check_integer("seed", seed, 0)
     if n < 2:
         raise ValidationError("competitive draws need at least 2 species")
+    _check_finite(coupling_scale=coupling_scale, neg_fraction=neg_fraction)
     if not 0 < coupling_scale < 1:
         raise ValidationError(f"coupling_scale must lie in (0, 1), got {coupling_scale}")
     if not 0 <= neg_fraction <= 1:

@@ -1,4 +1,4 @@
-"""Forward evolution with species elimination, insertion, and backward runs.
+"""Forward evolution with species elimination, plus backward runs.
 
 The engine iterates ``phi <- M @ phi``. Negative transfers can drive a
 population below zero, which is unphysical; the step is then stopped at
@@ -44,8 +44,8 @@ removed row and column, since every other off-diagonal entry is kept.
 The trajectory is stored as columns, one entry per recorded row: step,
 crossing fraction, the full-length state (reduced states embedded back,
 with zeros in the slots of extinct species) and the eliminated species.
-Once eliminated, a species never respawns on its own; it can only
-re-enter through ``add_species``.
+Once eliminated, a species never re-enters: its slot stays zero for the
+rest of the run.
 
 ``elimination_time_scan`` needs only the step of each system's first
 elimination, so it does not run ``evolve`` per matrix. It stacks the
@@ -67,10 +67,8 @@ from .core import (
     ZERO_TOL,
     EvolutionMatrix,
     PopulationVector,
-    _check_finite_vector,
     _check_integer,
     _check_tolerance,
-    _check_vector,
     make_population,
     negative_offdiag_count,
 )
@@ -102,10 +100,10 @@ class ActiveSystem:
     """A (possibly reduced) evolving system plus its bookkeeping.
 
     ``alive_ids`` maps local indices to the original species ids;
-    ``universe_size`` is the total number of ids ever allocated, so that
-    species inserted after an elimination still get a fresh id. Both
-    hold Python or NumPy integers (not bools); anything else raises
-    ``ValidationError``.
+    ``universe_size`` is the width of the full-length state rows, where
+    extinct species keep their slot, so it stays put when the species
+    with the highest id is eliminated. Both hold Python or NumPy
+    integers (not bools); anything else raises ``ValidationError``.
     """
 
     matrix: EvolutionMatrix
@@ -211,21 +209,6 @@ class ScanRow:
     steps: int | None
 
 
-def step(matrix: EvolutionMatrix, phi) -> np.ndarray:
-    """One evolution step ``M @ phi``.
-
-    The result conserves the total but is not forced onto the simplex:
-    entries may come out negative, and it is the caller's job to detect
-    and handle such crossings.
-    """
-    values = np.asarray(phi, dtype=float)
-    if values.ndim != 1 or values.size != matrix.n:
-        raise ValidationError(
-            f"matrix is {matrix.n}x{matrix.n} but population has shape {values.shape}"
-        )
-    return matrix.entries @ values
-
-
 def crossing_fraction(phi_before, phi_after) -> tuple[int, float] | None:
     """First zero crossing within a step, as (local index, fraction).
 
@@ -317,52 +300,6 @@ def eliminate_species(system: ActiveSystem, local_index: int) -> ActiveSystem:
         populations=PopulationVector(survivors),
         alive_ids=alive,
         universe_size=system.universe_size,
-    )
-
-
-def add_species(
-    system: ActiveSystem,
-    couplings_in,
-    couplings_out,
-    self_rate: float,
-    seed_fraction: float,
-) -> ActiveSystem:
-    """Insert a new species (a mutation) and rebalance the columns.
-
-    ``couplings_in[j]`` is the per-step flow from existing species j into
-    the newcomer; j's diagonal drops by the same amount so its column
-    still sums to one. The new column (``couplings_out`` plus
-    ``self_rate``) must itself sum to one. The newcomer starts with
-    ``seed_fraction`` of the total; existing populations scale down by
-    ``1 - seed_fraction``.
-    """
-    c_in = np.asarray(couplings_in, dtype=float)
-    c_out = np.asarray(couplings_out, dtype=float)
-    n = system.n
-    if c_in.shape != (n,) or c_out.shape != (n,):
-        raise ValidationError(f"couplings must have length {n}")
-    new_column_sum = float(c_out.sum() + self_rate)
-    if abs(new_column_sum - 1.0) > ZERO_TOL:
-        raise ValidationError(
-            f"new species column sums to {new_column_sum!r}, expected 1"
-        )
-    if not 0.0 < seed_fraction < 1.0:
-        raise ValidationError(f"seed_fraction must lie in (0, 1), got {seed_fraction}")
-
-    grown = np.zeros((n + 1, n + 1))
-    grown[:n, :n] = system.matrix.entries
-    grown[np.diag_indices(n)] -= c_in
-    grown[n, :n] = c_in
-    grown[:n, n] = c_out
-    grown[n, n] = self_rate
-
-    populations = np.append(system.populations.values * (1.0 - seed_fraction), seed_fraction)
-    new_id = system.universe_size
-    return ActiveSystem(
-        matrix=EvolutionMatrix(grown),
-        populations=PopulationVector(populations),
-        alive_ids=system.alive_ids + (new_id,),
-        universe_size=new_id + 1,
     )
 
 
@@ -482,25 +419,6 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         terminated_reason=reason,
         final_system=final_system,
     )
-
-
-def growth_unconstrained(diagonal_rates, phi0, steps: int) -> np.ndarray:
-    """Resource-plenty growth: each species compounds its own rate.
-
-    No transfers and no conservation; populations simply scale by
-    ``rate ** steps`` entrywise. ``steps`` must be an integer (not a bool)
-    of at least 0, and the rates and populations nonempty 1-D vectors of
-    finite numbers, the populations nonnegative; anything else raises
-    ``ValidationError``.
-    """
-    _check_integer("steps", steps, 0)
-    rates = np.asarray(diagonal_rates, dtype=float)
-    start = np.asarray(phi0, dtype=float)
-    _check_finite_vector(rates, "rate")
-    _check_vector(start, "population")
-    if rates.shape != start.shape:
-        raise ValidationError("rates and populations must have matching shapes")
-    return rates**steps * start
 
 
 def evolve_backward(matrix: EvolutionMatrix, phi0: PopulationVector, max_steps: int) -> BackwardReport:

@@ -252,14 +252,6 @@ def stationary_by_iteration(
     )
 
 
-def convergence_rate(matrix: EvolutionMatrix) -> float:
-    """Modulus of the second eigenvalue: below one means decay toward the
-    stationary mix, above one means the mix is unstable."""
-    if matrix.n < 2:
-        raise ValidationError("convergence rate needs at least 2 species")
-    return eigendecompose(matrix).lambda2_modulus
-
-
 def check_biorthogonality(summary: SpectralSummary, tol: float) -> BiorthogonalityReport:
     """Largest cross-pairing between left and right vectors of different modes.
 

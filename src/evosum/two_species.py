@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ZERO_TOL, PopulationVector, _check_finite, _check_tolerance, two_species_matrix
+from .core import (
+    ZERO_TOL,
+    PopulationVector,
+    _check_finite,
+    _check_integer,
+    _check_tolerance,
+    two_species_matrix,
+)
 from .dynamics import ActiveSystem, SimulationConfig, evolve
 from .errors import NumericalError, ValidationError
 
@@ -87,7 +94,10 @@ def closed_form(params: TwoSpeciesParams, t_steps: int) -> np.ndarray:
     No non-negativity adjustment is applied; past the first elimination the
     formula keeps going where the physical system would have reduced, so
     comparisons against the engine are only meaningful up to that event.
+    ``t_steps`` must be an integer (not a bool) of at least 0; anything
+    else raises ``ValidationError``.
     """
+    _check_integer("t_steps", t_steps, 0)
     coeffs = closed_form_solution(params)
     stationary_mode = np.array([params.beta, params.alpha])
     transient_mode = np.array([1.0, -1.0])
@@ -148,9 +158,11 @@ def crosscheck(
 
     The comparison covers steps 0..min(steps, first elimination); the
     engine runs with the convergence stop disabled so every step exists
-    on both sides. ``tol`` must be a finite number of at least 0; anything
-    else raises ``ValidationError``.
+    on both sides. ``steps`` must be an integer (not a bool) of at least 1
+    and ``tol`` a finite number of at least 0; anything else raises
+    ``ValidationError``.
     """
+    _check_integer("steps", steps, 1)
     _check_tolerance("tol", tol)
     matrix = two_species_matrix(params.alpha, params.beta)
     start = PopulationVector(np.array([params.a, 1.0 - params.a]))

@@ -195,6 +195,13 @@ class TestRandomStochastic:
         with pytest.raises(ValidationError, match=re.escape(f"species count must be an integer, got {n!r}")):
             random_stochastic(n, 0.5, seed=1)
 
+    @pytest.mark.parametrize("scale", ["0.5", None, True, float("nan")])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_non_real_scale_rejected(self, n, scale):
+        # A string or None was a bare TypeError; True passed the range test as 1.
+        with pytest.raises(ValidationError, match=re.escape(f"coupling_scale must be finite, got {scale!r}")):
+            random_stochastic(n, scale, seed=1)
+
     def test_numpy_integer_size_accepted(self):
         assert random_stochastic(np.int64(3), 0.5, seed=1).n == 3
 
@@ -247,6 +254,22 @@ class TestRandomCompetitive:
     def test_non_integer_size_rejected(self, n):
         with pytest.raises(ValidationError, match=f"species count must be an integer, got {n!r}"):
             random_competitive(n, 0.5, 0.5, seed=1)
+
+    @pytest.mark.parametrize(
+        "scale, neg_fraction, message",
+        [
+            ("0.5", 0.5, "coupling_scale must be finite, got '0.5'"),
+            (None, 0.5, "coupling_scale must be finite, got None"),
+            (0.5, None, "neg_fraction must be finite, got None"),
+            (0.5, "0.5", "neg_fraction must be finite, got '0.5'"),
+            (0.5, True, "neg_fraction must be finite, got True"),
+            (0.5, float("nan"), "neg_fraction must be finite, got nan"),
+        ],
+    )
+    def test_non_real_arguments_rejected(self, scale, neg_fraction, message):
+        # None and strings were a bare TypeError; neg_fraction True drew as 1.
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            random_competitive(3, scale, neg_fraction, seed=1)
 
     @pytest.mark.parametrize(
         "seed, message",

@@ -11,13 +11,11 @@ from evosum import (
     ActiveSystem,
     EliminationEvent,
     EvolutionMatrix,
-    MatrixKind,
     PopulationVector,
     ScanRow,
     SimulationConfig,
     TerminationReason,
     Trajectory,
-    add_species,
     classify_matrix,
     crossing_fraction,
     eigendecompose,
@@ -25,11 +23,9 @@ from evosum import (
     elimination_time_scan,
     evolve,
     evolve_backward,
-    growth_unconstrained,
     make_population,
     random_competitive,
     random_stochastic,
-    step,
     two_species_matrix,
 )
 from evosum import core, dynamics, spectral, two_species
@@ -219,23 +215,6 @@ class TestActiveSystem:
         assert all(type(i) is int for i in (*system.alive_ids, system.universe_size))
 
 
-class TestStep:
-    def test_identity_fixes_everything(self):
-        assert_allclose(step(EvolutionMatrix(np.eye(2)), [0.3, 0.7]), [0.3, 0.7])
-
-    def test_stationary_point_is_fixed(self):
-        result = step(two_species_matrix(0.1, 0.2), [2 / 3, 1 / 3])
-        assert_allclose(result, [2 / 3, 1 / 3], atol=1e-15)
-
-    def test_competitive_step_value(self):
-        result = step(two_species_matrix(0.1, -0.05), [0.5, 0.5])
-        assert_allclose(result, [0.425, 0.575], atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="matrix is 2x2 but population has shape"):
-            step(two_species_matrix(0.1, 0.2), [0.2, 0.3, 0.5])
-
-
 class TestCrossingFraction:
     def test_no_crossing(self):
         assert crossing_fraction([0.5, 0.5], [0.6, 0.4]) is None
@@ -376,54 +355,6 @@ class TestEliminateSpecies:
             before = classify_matrix(matrix).negative_offdiag_count
             after = classify_matrix(eliminate_species(system, kill).matrix).negative_offdiag_count
             assert after <= before
-
-
-class TestAddSpecies:
-    def test_grow_from_single_species(self):
-        base = ActiveSystem(
-            matrix=EvolutionMatrix([[1.0]]),
-            populations=PopulationVector(np.array([1.0])),
-        )
-        grown = add_species(base, [0.1], [0.05], self_rate=0.95, seed_fraction=0.01)
-        assert_allclose(grown.matrix.entries, [[0.9, 0.05], [0.1, 0.95]])
-        assert_allclose(grown.populations.values, [0.99, 0.01])
-        assert grown.alive_ids == (0, 1)
-
-    def test_even_seed_split(self):
-        base = ActiveSystem(
-            matrix=EvolutionMatrix([[1.0]]),
-            populations=PopulationVector(np.array([1.0])),
-        )
-        grown = add_species(base, [0.0], [0.0], self_rate=1.0, seed_fraction=0.5)
-        assert_allclose(grown.populations.values, [0.5, 0.5])
-
-    def test_decoupled_insertion_keeps_stochasticity(self):
-        base = ActiveSystem(
-            matrix=random_stochastic(2, 0.1, seed=3),
-            populations=make_population([0.5, 0.5]),
-        )
-        grown = add_species(base, [0.0, 0.0], [0.0, 0.0], self_rate=1.0, seed_fraction=0.1)
-        assert classify_matrix(grown.matrix).kind is MatrixKind.STOCHASTIC
-        assert_allclose(grown.matrix.entries[:2, 2], [0.0, 0.0])
-
-    def test_new_id_is_fresh_after_elimination(self):
-        matrix = random_stochastic(3, 0.2, seed=1)
-        system = ActiveSystem(
-            matrix=matrix, populations=PopulationVector(np.array([0.4, 0.0, 0.6]))
-        )
-        reduced = eliminate_species(system, 1)
-        grown = add_species(reduced, [0.0, 0.0], [0.0, 0.0], self_rate=1.0, seed_fraction=0.2)
-        assert grown.alive_ids == (0, 2, 3)  # id 1 stays retired
-
-    def test_bad_inputs(self):
-        base = ActiveSystem(
-            matrix=EvolutionMatrix([[1.0]]),
-            populations=PopulationVector(np.array([1.0])),
-        )
-        with pytest.raises(ValidationError, match="new species column sums to"):
-            add_species(base, [0.1], [0.2], self_rate=0.9, seed_fraction=0.1)
-        with pytest.raises(ValidationError, match=r"seed_fraction must lie in \(0, 1\), got 0.0"):
-            add_species(base, [0.1], [0.05], self_rate=0.95, seed_fraction=0.0)
 
 
 class TestSimulationConfig:
@@ -798,46 +729,6 @@ class TestCompetitiveCascade:
             SimulationConfig(max_steps=2000),
         )
         assert trajectory.final_system.n == 2 - len(trajectory.events)
-
-
-class TestGrowthUnconstrained:
-    def test_compounding(self):
-        assert_allclose(growth_unconstrained([1.1, 1.0], [1.0, 1.0], 2), [1.21, 1.0])
-
-    def test_zero_steps(self):
-        assert_allclose(growth_unconstrained([1.1, 0.9], [0.4, 0.6], 0), [0.4, 0.6])
-
-    def test_doubling(self):
-        assert_allclose(growth_unconstrained([2.0], [3.0], 10), [3072.0])
-
-    def test_negative_steps_rejected(self):
-        with pytest.raises(ValidationError, match="steps must be at least 0"):
-            growth_unconstrained([1.0], [1.0], -1)
-
-    @pytest.mark.parametrize("steps", [np.nan, 2.0, True])
-    def test_non_integer_steps_rejected(self, steps):
-        with pytest.raises(ValidationError, match="steps must be an integer"):
-            growth_unconstrained([1.1, 1.0], [0.5, 0.5], steps)
-
-    def test_numpy_integer_steps_accepted(self):
-        assert_allclose(growth_unconstrained([1.1, 1.0], [1.0, 1.0], np.int64(2)), [1.21, 1.0])
-
-    @pytest.mark.parametrize(
-        "rates, phi0, match",
-        [
-            ([np.nan, 1.0], [0.5, 0.5], "rate entry 0 is not finite"),
-            ([1.1, np.inf], [0.5, 0.5], "rate entry 1 is not finite"),
-            ([1.1, 1.0], [0.5, np.inf], "population entry 1 is not finite"),
-            ([1.1, 1.0], [np.nan, 0.5], "population entry 0 is not finite"),
-        ],
-    )
-    def test_non_finite_entries_rejected(self, rates, phi0, match):
-        with pytest.raises(ValidationError, match=match):
-            growth_unconstrained(rates, phi0, 2)
-
-    def test_negative_population_rejected(self):
-        with pytest.raises(ValidationError, match="population entry 0 is negative"):
-            growth_unconstrained([1.1, 1.0], [-0.5, 1.5], 2)
 
 
 class TestEvolveBackward:

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from evosum import (
     EvolutionMatrix,
     check_biorthogonality,
-    convergence_rate,
     eigendecompose,
     random_competitive,
     random_stochastic,
@@ -253,24 +252,6 @@ class TestStationaryByIteration:
     def test_bad_max_iter_rejected(self, max_iter):
         with pytest.raises(ValidationError, match="max_iter must be"):
             stationary_by_iteration(two_species_matrix(0.1, 0.2), max_iter=max_iter)
-
-
-class TestConvergenceRate:
-    @pytest.mark.parametrize(
-        "alpha, beta, expected",
-        [(0.1, 0.2, 0.7), (-0.05, -0.05, 1.1)],
-    )
-    def test_two_species_rate(self, alpha, beta, expected):
-        assert convergence_rate(two_species_matrix(alpha, beta)) == pytest.approx(
-            expected, abs=1e-12
-        )
-
-    def test_identity_rate_is_one(self):
-        assert convergence_rate(EvolutionMatrix(np.eye(2))) == pytest.approx(1.0)
-
-    def test_needs_two_species(self):
-        with pytest.raises(ValidationError, match="convergence rate needs at least 2 species"):
-            convergence_rate(EvolutionMatrix([[1.0]]))
 
 
 class TestBiorthogonality:

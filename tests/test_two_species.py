@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from evosum import (
     ActiveSystem,
@@ -40,6 +40,24 @@ class TestClosedForm:
     def test_one_step_value(self):
         # 0.9*0.9 + 0.2*0.1 = 0.83, verified by direct matrix-vector product
         assert_allclose(closed_form(TwoSpeciesParams(0.1, 0.2, 0.9), 1), [0.83, 0.17], atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "t_steps, match",
+        [
+            (2.5, "t_steps must be an integer, got 2.5"),
+            (float("nan"), "t_steps must be an integer, got nan"),
+            (True, "t_steps must be an integer, got True"),
+            (-1, "t_steps must be at least 0"),
+        ],
+    )
+    def test_non_integer_step_count_rejected(self, t_steps, match):
+        # 2.5 gave a complex pair, nan gave [nan, nan] and True was taken as 1.
+        with pytest.raises(ValidationError, match=match):
+            closed_form(TwoSpeciesParams(0.8, 0.9, 0.3), t_steps)
+
+    def test_numpy_integer_step_count_accepted(self):
+        params = TwoSpeciesParams(0.1, 0.2, 0.9)
+        assert_array_equal(closed_form(params, np.int64(1)), closed_form(params, 1))
 
     def test_degenerate_params_rejected(self):
         with pytest.raises(NumericalError, match=r"alpha \+ beta is zero"):
@@ -240,3 +258,16 @@ class TestCrosscheck:
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValidationError, match="tol must be a finite nonnegative number"):
             crosscheck(TwoSpeciesParams(0.1, 0.2, 0.5), steps=10, tol=tol)
+
+    @pytest.mark.parametrize(
+        "steps, match",
+        [
+            (0, "steps must be at least 1"),
+            (2.5, "steps must be an integer, got 2.5"),
+            (True, "steps must be an integer, got True"),
+        ],
+    )
+    def test_bad_step_count_names_steps(self, steps, match):
+        # 0 used to be refused as "max_steps must be at least 1".
+        with pytest.raises(ValidationError, match=f"^{match}$"):
+            crosscheck(TwoSpeciesParams(0.1, 0.2, 0.5), steps=steps, tol=1e-10)
