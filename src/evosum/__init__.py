@@ -24,7 +24,6 @@ from .core import (
     two_species_matrix,
 )
 from .dynamics import (
-    ActiveSystem,
     BackwardReport,
     EliminationEvent,
     ScanRow,
@@ -32,7 +31,6 @@ from .dynamics import (
     TerminationReason,
     Trajectory,
     crossing_fraction,
-    eliminate_species,
     elimination_time_scan,
     evolve,
     evolve_backward,
@@ -64,7 +62,6 @@ __all__ = [
     "CONSTRUCTION_TOL",
     "EIG_TOL",
     "ZERO_TOL",
-    "ActiveSystem",
     "BackwardReport",
     "BiorthogonalityReport",
     "ClosedFormSolution",
@@ -92,7 +89,6 @@ __all__ = [
     "crosscheck",
     "crossing_fraction",
     "eigendecompose",
-    "eliminate_species",
     "elimination_time_scan",
     "evolve",
     "evolve_backward",

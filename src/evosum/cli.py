@@ -25,7 +25,6 @@ from dataclasses import replace
 
 from .core import make_population, two_species_matrix
 from .dynamics import (
-    ActiveSystem,
     SimulationConfig,
     Trajectory,
     elimination_time_scan,
@@ -99,10 +98,7 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.max_steps is not None:
         scenario = replace(scenario, config=replace(scenario.config, max_steps=args.max_steps))
-    trajectory = evolve(
-        ActiveSystem(matrix=scenario.matrix, populations=scenario.initial),
-        scenario.config,
-    )
+    trajectory = evolve(scenario.matrix, scenario.initial, scenario.config)
     names = scenario.species_names
     summary = {
         "terminal_populations": trajectory.values[-1].tolist(),
@@ -118,7 +114,7 @@ def cmd_simulate(args) -> int:
             }
             for e in trajectory.events
         ],
-        "spectral": _spectral_digest(eigendecompose(trajectory.final_system.matrix)),
+        "spectral": _spectral_digest(eigendecompose(trajectory.final_matrix)),
         "two_species": _two_species_report(scenario),
         "seed": scenario.seed,
     }

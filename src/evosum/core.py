@@ -16,8 +16,8 @@ count). Two more fixed tolerances are the model's numerical policy,
 read at call time: ``ZERO_TOL`` (1e-12) is what counts as zero, so a
 population below ``-ZERO_TOL`` has crossed and one in ``(-ZERO_TOL, 0)``
 is float dust, and ``EIG_TOL`` (1e-9) is what counts as equal
-eigenvalues. Only ``evolve``'s ``final_system`` is re-projected onto the
-simplex, via ``make_population``; trajectory rows keep the raw values.
+eigenvalues. ``evolve`` re-projects no state onto the simplex: its rows
+keep the raw values, with float dust floored to zero.
 """
 
 from __future__ import annotations

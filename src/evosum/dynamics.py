@@ -21,10 +21,10 @@ stop rule on a stack of proposed states (a crossing is an entry below
 callers apply the order, a crossing before convergence. ``_eliminate``
 is the elimination step: drop the row and column, fold the row onto the
 diagonals, drop the state entry and the id. ``evolve`` and the scan
-share the stop rule; ``evolve`` and ``eliminate_species`` share the
-elimination step. At width w it costs one (w-1)x(w-1) allocation filled
-by four slice copies, an O(w) diagonal update through a strided view,
-and two O(w) concatenations for the state and the ids.
+share the stop rule; only ``evolve`` eliminates. At width w the step
+costs one (w-1)x(w-1) allocation filled by four slice copies, an O(w)
+diagonal update through a strided view, and two O(w) concatenations for
+the state and the ids.
 
 ``evolve`` runs the steps in speculative blocks rather than one Python
 iteration per step. A block of K steps is K matvecs into one buffer,
@@ -69,7 +69,6 @@ from .core import (
     PopulationVector,
     _check_integer,
     _check_tolerance,
-    make_population,
     negative_offdiag_count,
 )
 from .errors import NumericalError, ValidationError
@@ -93,53 +92,6 @@ class SimulationConfig:
         _check_integer("max_steps", self.max_steps, 1)
         _check_integer("record_every", self.record_every, 1)
         _check_tolerance("convergence_tol", self.convergence_tol)
-
-
-@dataclass(frozen=True)
-class ActiveSystem:
-    """A (possibly reduced) evolving system plus its bookkeeping.
-
-    ``alive_ids`` maps local indices to the original species ids;
-    ``universe_size`` is the width of the full-length state rows, where
-    extinct species keep their slot, so it stays put when the species
-    with the highest id is eliminated. Both hold Python or NumPy
-    integers (not bools); anything else raises ``ValidationError``.
-    """
-
-    matrix: EvolutionMatrix
-    populations: PopulationVector
-    alive_ids: tuple[int, ...] | None = None
-    universe_size: int | None = None
-
-    def __post_init__(self) -> None:
-        n = self.matrix.n
-        alive = self.alive_ids
-        if alive is None:
-            alive = tuple(range(n))
-        else:
-            alive = tuple(alive)
-            for i in alive:
-                _check_integer("alive_ids entry", i, 0)
-            alive = tuple(map(int, alive))
-        object.__setattr__(self, "alive_ids", alive)
-        size = self.universe_size
-        if size is None:
-            size = (alive[-1] + 1) if alive else 0
-        _check_integer("universe_size", size, 0)
-        object.__setattr__(self, "universe_size", int(size))
-        if len(self.populations) != n or len(alive) != n:
-            raise ValidationError(
-                f"matrix is {n}x{n} but populations/alive_ids have lengths "
-                f"{len(self.populations)}/{len(alive)}"
-            )
-        if any(b <= a for a, b in zip(alive, alive[1:])):
-            raise ValidationError("alive_ids must be strictly increasing")
-        if alive and alive[-1] >= self.universe_size:
-            raise ValidationError("alive_ids must lie within the id universe")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
 
 
 @dataclass(frozen=True)
@@ -173,8 +125,9 @@ class Trajectory:
     slots hold zero) after ``steps[k]`` completed steps. ``fractions[k]``
     is 0 on ordinary rows and the interpolated crossing fraction on
     elimination rows, where ``event_species[k]`` is the eliminated
-    species id; it is -1 on ordinary rows. Rows keep raw values; only
-    ``final_system`` re-projects the terminal state onto the simplex.
+    species id; it is -1 on ordinary rows. ``final_matrix`` is the
+    reduced matrix the run ended with. Its rows and columns are the
+    survivors, the ids that no event names, in increasing order.
     """
 
     steps: np.ndarray
@@ -183,7 +136,7 @@ class Trajectory:
     event_species: np.ndarray
     events: tuple[EliminationEvent, ...]
     terminated_reason: TerminationReason
-    final_system: ActiveSystem
+    final_matrix: EvolutionMatrix
 
 
 @dataclass(frozen=True)
@@ -273,36 +226,6 @@ def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float
     return crossed, converged
 
 
-def eliminate_species(system: ActiveSystem, local_index: int) -> ActiveSystem:
-    """Remove an extinct species and rebalance the conserved columns.
-
-    The species' population must already be zero (within ``ZERO_TOL``).
-    Surviving populations pass through unchanged; they already carry the
-    whole total.
-    """
-    n = system.n
-    _check_integer("local_index", local_index, 0)
-    if local_index >= n:
-        raise ValidationError(f"local index {local_index} outside 0..{n - 1}")
-    if n == 1:
-        raise ValidationError("cannot eliminate the only remaining species")
-    pop = float(system.populations.values[local_index])
-    if abs(pop) > ZERO_TOL:
-        raise ValidationError(
-            f"species at local index {local_index} has population {pop!r}, not zero"
-        )
-    ids = np.array(system.alive_ids, dtype=np.intp)
-    reduced, survivors, alive = _eliminate(
-        system.matrix.entries, system.populations.values, ids, local_index
-    )
-    return ActiveSystem(
-        matrix=EvolutionMatrix(reduced),
-        populations=PopulationVector(survivors),
-        alive_ids=alive,
-        universe_size=system.universe_size,
-    )
-
-
 def _floor_dust(values: np.ndarray) -> np.ndarray:
     # Only sub-tolerance float dust is floored; a genuine negative entry
     # would be a bug and must stay visible.
@@ -312,8 +235,16 @@ def _floor_dust(values: np.ndarray) -> np.ndarray:
 _MAX_BLOCK = 256  # longest speculative block of steps in `evolve`
 
 
-def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) -> Trajectory:
+def evolve(
+    matrix: EvolutionMatrix,
+    populations: PopulationVector,
+    config: SimulationConfig = SimulationConfig(),
+) -> Trajectory:
     """Run the evolution engine until convergence, extinction, or the step cap.
+
+    Species ids are ``0..n-1`` for an n x n ``matrix``, and every
+    recorded row is n wide. A ``populations`` of another length raises
+    ``ValidationError``.
 
     Stops when the L1 step-to-step change drops below
     ``config.convergence_tol``, when a single species remains, or after
@@ -332,15 +263,19 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
     negative off-diagonal count of each event is kept incrementally:
     ``negative_offdiag_count`` runs once per run, at the first elimination.
     """
-    entries = np.array(system.matrix.entries)
-    phi = np.array(system.populations.values)
-    alive = np.array(system.alive_ids, dtype=np.intp)  # local index -> species id
-    full_size = system.universe_size
+    n = matrix.n
+    if len(populations) != n:
+        raise ValidationError(
+            f"matrix is {n}x{n} but the population has {len(populations)} entries"
+        )
+    entries = np.array(matrix.entries)
+    phi = np.array(populations.values)
+    alive = np.arange(n, dtype=np.intp)  # local index -> species id
     # Row blocks in order: (steps, fractions, full states, eliminated species or -1).
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def embed(states: np.ndarray) -> np.ndarray:
-        full = np.zeros((len(states), full_size))
+        full = np.zeros((len(states), n))
         full[:, alive] = states
         return _floor_dust(full)
 
@@ -401,15 +336,6 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
     steps, fractions, values, event_species = (np.concatenate(column) for column in zip(*chunks))
     for column in (steps, fractions, values, event_species):
         column.flags.writeable = False
-
-    # The report re-projects the terminal state onto the simplex; trajectory
-    # rows keep the raw values so conservation drift stays measurable.
-    final_system = ActiveSystem(
-        matrix=EvolutionMatrix(entries),
-        populations=make_population(_floor_dust(phi)),
-        alive_ids=alive,
-        universe_size=full_size,
-    )
     return Trajectory(
         steps=steps,
         fractions=fractions,
@@ -417,7 +343,7 @@ def evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) 
         event_species=event_species,
         events=tuple(events),
         terminated_reason=reason,
-        final_system=final_system,
+        final_matrix=EvolutionMatrix(entries),
     )
 
 

@@ -6,9 +6,10 @@ Top-level keys:
   ``entries`` (N x N numbers), ``generator`` (N x N numbers, zero column
   sums), or ``two_species`` ({"alpha": x, "beta": y}).
 * ``initial`` (required): raw nonnegative abundances; normalized on load.
-* ``species_names`` (optional): defaults to species_1..species_N. A name
-  may not contain a comma, a double quote, CR or LF: names become CSV
-  header and event cells, which are written unquoted.
+* ``species_names`` (optional): defaults to species_1..species_N. Names
+  must be distinct, and a name may not contain a comma, a double quote,
+  CR or LF: names become CSV header and event cells, which are written
+  unquoted.
 * ``dt`` (optional, default 1.0): provenance metadata with ``0 < dt < inf``,
   checked here and written back by ``save_scenario``; nothing computes with it.
 * ``config`` (optional): ``max_steps``, ``convergence_tol``, ``record_every``.
@@ -179,11 +180,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         len(names) == matrix.n,
         f"field 'species_names' has {len(names)} entries but the matrix is {matrix.n}x{matrix.n}",
     )
+    seen = set()
     for name in names:
         _require(
             not _CSV_SPECIAL & set(name),
             f"species name {name!r} contains a comma, double quote, CR or LF",
         )
+        _require(name not in seen, f"species name {name!r} appears more than once")
+        seen.add(name)
 
     seed = data.get("seed")
     _require(

@@ -33,7 +33,7 @@ from .core import (
     _check_tolerance,
     two_species_matrix,
 )
-from .dynamics import ActiveSystem, SimulationConfig, evolve
+from .dynamics import SimulationConfig, evolve
 from .errors import NumericalError, ValidationError
 
 
@@ -167,7 +167,7 @@ def crosscheck(
     matrix = two_species_matrix(params.alpha, params.beta)
     start = PopulationVector(np.array([params.a, 1.0 - params.a]))
     config = SimulationConfig(max_steps=steps, convergence_tol=0.0, record_every=1)
-    trajectory = evolve(ActiveSystem(matrix=matrix, populations=start), config)
+    trajectory = evolve(matrix, start, config)
 
     eliminations = trajectory.events
     last_step = min(steps, eliminations[0].step_index) if eliminations else steps

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from evosum import (
-    ActiveSystem,
     EvolutionMatrix,
     SimulationConfig,
     TerminationReason,
@@ -28,6 +27,7 @@ from evosum import (
     two_species_matrix,
 )
 from evosum.cli import main
+from test_dynamics import survivor_values
 
 #: Every trajectory produced while the suite runs, checked by criterion 5.
 ALL_TRAJECTORIES = []
@@ -35,7 +35,8 @@ ALL_TRAJECTORIES = []
 
 def run(matrix, raw_start, **config):
     trajectory = evolve(
-        ActiveSystem(matrix=matrix, populations=make_population(raw_start)),
+        matrix,
+        make_population(raw_start),
         SimulationConfig(**config) if config else SimulationConfig(),
     )
     ALL_TRAJECTORIES.append(trajectory)
@@ -196,13 +197,7 @@ def test_criterion_7_elimination_time_scaling():
     )
     for c in (0.01, 0.02, 0.04):
         ALL_TRAJECTORIES.append(
-            evolve(
-                ActiveSystem(
-                    matrix=two_species_matrix(c, -c / 2),
-                    populations=make_population([0.5, 0.5]),
-                ),
-                config,
-            )
+            evolve(two_species_matrix(c, -c / 2), make_population([0.5, 0.5]), config)
         )
     steps = [row.steps for row in rows]
     checks = [(steps == [80, 40, 20], f"steps {steps}, frozen regression values [80, 40, 20]")]
@@ -231,18 +226,18 @@ def test_criterion_8_reduced_system_stationarity():
         if trajectory.terminated_reason is TerminationReason.MAX_STEPS:
             continue
         eliminating += 1
-        final = trajectory.final_system
-        terminal = trajectory.values[-1][list(final.alive_ids)]
+        final = trajectory.final_matrix
+        terminal = survivor_values(trajectory)
         if final.n == 1:
             target = np.array([1.0])
         else:
-            stationary = eigendecompose(final.matrix).stationary
+            stationary = eigendecompose(final).stationary
             assert stationary is not None, "reduced system lost its stationary mix"
             target = stationary.values
         worst = max(worst, float(np.max(np.abs(terminal - target))))
     for a in (0.6, 0.4):
         trajectory = run(two_species_matrix(-0.05, -0.05), [a, 1 - a], max_steps=10_000)
-        terminal = trajectory.values[-1][list(trajectory.final_system.alive_ids)]
+        terminal = survivor_values(trajectory)
         worst = max(worst, float(np.max(np.abs(terminal - [1.0]))))
     checks = [
         (worst < 1e-6, f"terminal vs reduced-system stationary deviation {worst:.3e}"),

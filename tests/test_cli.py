@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evosum
 from evosum import (
-    ActiveSystem,
     EvolutionMatrix,
     PopulationVector,
     TerminationReason,
@@ -54,7 +57,7 @@ def scenario_dicts(draw):
     data = {"matrix": spec, "initial": draw(st.lists(abundance, min_size=n, max_size=n))}
     optional = {
         "species_names": st.lists(
-            st.text(NAME_CHARACTERS, min_size=1, max_size=6), min_size=n, max_size=n
+            st.text(NAME_CHARACTERS, min_size=1, max_size=6), min_size=n, max_size=n, unique=True
         ),
         "dt": st.one_of(
             st.sampled_from([0.25, 7, 1.0]),
@@ -99,10 +102,7 @@ def hand_trajectory(values, steps=None, fractions=None, event_species=None):
         event_species=np.full(rows, -1) if event_species is None else np.array(event_species),
         events=(),
         terminated_reason=TerminationReason.MAX_STEPS,
-        final_system=ActiveSystem(
-            matrix=EvolutionMatrix(np.eye(width)),
-            populations=PopulationVector(np.full(width, 1 / width)),
-        ),
+        final_matrix=EvolutionMatrix(np.eye(width)),
     )
 
 
@@ -205,6 +205,19 @@ class TestLoadScenario:
         assert "species name" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_name_rejected(self, tmp_path, capsys):
+        data = {
+            "species_names": ["a", "a"],
+            "matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}},
+            "initial": [0.9, 0.1],
+        }
+        with pytest.raises(ScenarioParseError, match="species name 'a' appears more than once"):
+            scenario_from_dict(data)
+        path, out = write_scenario(tmp_path / "s.json", data), tmp_path / "o.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
+        assert "species name 'a' appears more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_round_trip_is_structurally_identical(self, case_a, tmp_path):
         scenario = load_scenario(case_a)
         copy_path = tmp_path / "copy.json"
@@ -252,6 +265,32 @@ class TestLoadScenario:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, code, output",
+        [
+            (["classify", "0.1", "-0.05", "0.5"], 0, "MonotoneExtinction, species 2\n"),
+            (["classify", "0", "0", "nan"], 3, "error: a must be finite, got nan\n"),
+            (["simulate", "--out", "o.csv"], 2, "required: --scenario"),
+        ],
+        ids=["ok", "validation", "usage"],
+    )
+    def test_module_entry_point_sets_process_exit_code(self, tmp_path, argv, code, output):
+        # Only `python -m evosum.cli` runs `sys.exit(main())`, which turns the
+        # returned code into the process exit status.
+        package_root = str(Path(evosum.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "evosum.cli", *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == code
+        assert output in (result.stdout if code == 0 else result.stderr)
+        assert not (tmp_path / "o.csv").exists()
+
     def test_bad_column_sum_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path / "bad.json",
@@ -524,9 +563,7 @@ class TestSimulate:
         assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
 
         scenario = load_scenario(path)
-        trajectory = evolve(
-            ActiveSystem(matrix=scenario.matrix, populations=scenario.initial), scenario.config
-        )
+        trajectory = evolve(scenario.matrix, scenario.initial, scenario.config)
         assert len(trajectory.events) >= 1
         assert out.read_bytes() == reference_csv(trajectory, scenario.species_names)
 
@@ -619,9 +656,7 @@ class TestTrajectoryLines:
     def test_formats_only_rows_that_differ_from_the_last(self, tmp_path, monkeypatch):
         path = write_scenario(tmp_path / "tail.json", FIXED_POINT_TAIL)
         scenario = load_scenario(path)
-        trajectory = evolve(
-            ActiveSystem(matrix=scenario.matrix, populations=scenario.initial), scenario.config
-        )
+        trajectory = evolve(scenario.matrix, scenario.initial, scenario.config)
         rows = [row.tobytes() for row in trajectory.values]
         distinct = sum(k == 0 or rows[k] != rows[k - 1] for k in range(len(rows)))
         assert distinct < len(rows) / 2

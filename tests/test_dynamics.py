@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evosum import (
-    ActiveSystem,
     EliminationEvent,
     EvolutionMatrix,
     PopulationVector,
@@ -19,7 +18,6 @@ from evosum import (
     classify_matrix,
     crossing_fraction,
     eigendecompose,
-    eliminate_species,
     elimination_time_scan,
     evolve,
     evolve_backward,
@@ -32,8 +30,15 @@ from evosum import core, dynamics, spectral, two_species
 from evosum.errors import NumericalError, ValidationError
 
 
-def system_of(matrix: EvolutionMatrix, raw, **ids) -> ActiveSystem:
-    return ActiveSystem(matrix=matrix, populations=make_population(raw), **ids)
+def system_of(matrix: EvolutionMatrix, raw) -> tuple[EvolutionMatrix, PopulationVector]:
+    """The ``(matrix, populations)`` arguments of ``evolve``."""
+    return matrix, make_population(raw)
+
+
+def survivor_values(trajectory):
+    """The terminal row at the survivors, the ids that no event names."""
+    extinct = {event.species_id for event in trajectory.events}
+    return trajectory.values[-1][[i for i in range(trajectory.values.shape[1]) if i not in extinct]]
 
 
 def assert_conserved(trajectory, tol=1e-8, floor=-1e-12):
@@ -77,16 +82,20 @@ def reference_fold(entries, index):
     return reduced
 
 
-def serial_evolve(system: ActiveSystem, config: SimulationConfig = SimulationConfig()) -> Trajectory:
+def serial_evolve(
+    matrix: EvolutionMatrix,
+    populations: PopulationVector,
+    config: SimulationConfig = SimulationConfig(),
+) -> Trajectory:
     """Reference engine: one matvec and one ``crossing_fraction`` call per step.
 
     The plain per-step loop whose every output ``evolve``'s block stepping
     must reproduce bit for bit.
     """
-    entries = np.array(system.matrix.entries)
-    phi = np.array(system.populations.values)
-    alive = list(system.alive_ids)
-    full_size = system.universe_size
+    entries = np.array(matrix.entries)
+    phi = np.array(populations.values)
+    alive = list(range(matrix.n))
+    full_size = matrix.n
 
     def embed(state):
         full = np.zeros(full_size)
@@ -134,12 +143,6 @@ def serial_evolve(system: ActiveSystem, config: SimulationConfig = SimulationCon
     if last_step != t or not np.array_equal(last_values, terminal):
         rows.append((t, 0.0, terminal, -1))
     steps, fractions, values, event_species = zip(*rows)
-    final_system = ActiveSystem(
-        matrix=EvolutionMatrix(entries),
-        populations=make_population(dynamics._floor_dust(phi)),
-        alive_ids=tuple(alive),
-        universe_size=full_size,
-    )
     return Trajectory(
         steps=np.array(steps, dtype=int),
         fractions=np.array(fractions),
@@ -147,29 +150,26 @@ def serial_evolve(system: ActiveSystem, config: SimulationConfig = SimulationCon
         event_species=np.array(event_species, dtype=int),
         events=tuple(events),
         terminated_reason=reason,
-        final_system=final_system,
+        final_matrix=EvolutionMatrix(entries),
     )
 
 
 def assert_same_run(actual, expected):
-    """Bit-for-bit equality of every column, event and the final system."""
+    """Bit-for-bit equality of every column, event and the final matrix."""
     for name in ("steps", "fractions", "values", "event_species"):
         a, e = getattr(actual, name), getattr(expected, name)
         assert (a.dtype, a.shape) == (e.dtype, e.shape), name
         assert a.tobytes() == e.tobytes(), name
     assert actual.events == expected.events
     assert actual.terminated_reason is expected.terminated_reason
-    final, reference = actual.final_system, expected.final_system
-    assert final.matrix.entries.tobytes() == reference.matrix.entries.tobytes()
-    assert final.populations.values.tobytes() == reference.populations.values.tobytes()
-    assert (final.alive_ids, final.universe_size) == (reference.alive_ids, reference.universe_size)
+    assert actual.final_matrix.entries.tobytes() == expected.final_matrix.entries.tobytes()
 
 
 def serial_scan(builder, phi0, scales, config=SimulationConfig()):
     """Reference scan: one full ``evolve`` per scale, keeping only the first event."""
     rows = []
     for scale in scales:
-        trajectory = evolve(ActiveSystem(matrix=builder(scale), populations=phi0), config)
+        trajectory = evolve(builder(scale), phi0, config)
         events = trajectory.events
         rows.append(ScanRow(scale=float(scale), steps=events[0].step_index if events else None))
     return rows
@@ -184,35 +184,6 @@ def shrunk_family(base: EvolutionMatrix):
     """Builder for ``I + c * (M - I)``: the generator of ``base`` scaled by c."""
     identity = np.eye(base.n)
     return lambda c: EvolutionMatrix(identity + c * (base.entries - identity))
-
-
-class TestActiveSystem:
-    @pytest.mark.parametrize(
-        "ids, message",
-        [
-            ((0.0, 1.9, 2.2), "alive_ids entry must be an integer, got 0.0"),
-            ((0, True, 2), "alive_ids entry must be an integer, got True"),
-            ((-1, 0, 1), "alive_ids entry must be at least 0"),
-        ],
-    )
-    def test_bad_ids_rejected(self, ids, message):
-        with pytest.raises(ValidationError, match=message):
-            system_of(random_stochastic(3, 0.3, 1), [1, 1, 1], alive_ids=ids)
-
-    @pytest.mark.parametrize("size", [3.9, True])
-    def test_non_integer_universe_size_rejected(self, size):
-        with pytest.raises(ValidationError, match=f"universe_size must be an integer, got {size}"):
-            system_of(random_stochastic(3, 0.3, 1), [1, 1, 1], universe_size=size)
-
-    def test_numpy_integers_accepted(self):
-        system = system_of(
-            random_stochastic(3, 0.3, 1),
-            [1, 1, 1],
-            alive_ids=np.array([0, 2, 5], dtype=np.intp),
-            universe_size=np.int64(6),
-        )
-        assert (system.alive_ids, system.universe_size) == ((0, 2, 5), 6)
-        assert all(type(i) is int for i in (*system.alive_ids, system.universe_size))
 
 
 class TestCrossingFraction:
@@ -233,75 +204,41 @@ class TestCrossingFraction:
 
 
 class TestEliminateSpecies:
+    """``dynamics._eliminate``, the one fold, against ``reference_fold``."""
+
     def test_two_species_collapse_is_forced(self):
-        system = ActiveSystem(
-            matrix=two_species_matrix(0.1, -0.05),
-            populations=PopulationVector(np.array([0.0, 1.0])),
+        entries, phi, alive = dynamics._eliminate(
+            two_species_matrix(0.1, -0.05).entries, np.array([0.0, 1.0]), np.arange(2), 0
         )
-        reduced = eliminate_species(system, 0)
-        assert_allclose(reduced.matrix.entries, [[1.0]])
-        assert_allclose(reduced.populations.values, [1.0])
-        assert reduced.alive_ids == (1,)
+        assert_allclose(entries, [[1.0]])
+        assert_allclose(phi, [1.0])
+        assert alive.tolist() == [1]
 
     def test_fold_preserves_column_sums(self):
         matrix = EvolutionMatrix([[0.9, -0.05], [0.1, 1.05]])
-        system = ActiveSystem(
-            matrix=matrix, populations=PopulationVector(np.array([0.0, 1.0]))
-        )
-        reduced = eliminate_species(system, 0)
-        assert_allclose(reduced.matrix.entries, [[1.0]], atol=1e-15)
+        entries, _, _ = dynamics._eliminate(matrix.entries, np.array([0.0, 1.0]), np.arange(2), 0)
+        assert_allclose(entries, [[1.0]], atol=1e-15)
 
     def test_middle_species_bookkeeping(self):
         matrix = random_stochastic(3, 0.2, seed=1)
-        system = ActiveSystem(
-            matrix=matrix, populations=PopulationVector(np.array([0.4, 0.0, 0.6]))
+        entries, phi, alive = dynamics._eliminate(
+            matrix.entries, np.array([0.4, 0.0, 0.6]), np.arange(3), 1
         )
-        reduced = eliminate_species(system, 1)
-        assert reduced.alive_ids == (0, 2)
-        assert reduced.universe_size == 3
-        assert_allclose(reduced.matrix.entries.sum(axis=0), 1.0, atol=1e-12)
-        assert_allclose(reduced.populations.values, [0.4, 0.6])
-
-    def test_not_extinct_rejected(self):
-        system = system_of(two_species_matrix(0.1, 0.2), [0.5, 0.5])
-        with pytest.raises(ValidationError, match="species at local index 0 has population 0.5, not zero"):
-            eliminate_species(system, 0)
-
-    def test_last_species_rejected(self):
-        system = ActiveSystem(
-            matrix=EvolutionMatrix([[1.0]]),
-            populations=PopulationVector(np.array([1.0])),
-        )
-        with pytest.raises(ValidationError, match="cannot eliminate the only remaining species"):
-            eliminate_species(system, 0)
-
-    @pytest.mark.parametrize(
-        "local, message",
-        [
-            (0.5, "local_index must be an integer, got 0.5"),
-            (False, "local_index must be an integer, got False"),
-            (-1, "local_index must be at least 0"),
-            (2, r"local index 2 outside 0\.\.1"),
-        ],
-    )
-    def test_bad_local_index_rejected(self, local, message):
-        system = system_of(two_species_matrix(0.1, 0.2), [1.0, 0.0])
-        with pytest.raises(ValidationError, match=message):
-            eliminate_species(system, local)
+        assert alive.tolist() == [0, 2]
+        assert_allclose(EvolutionMatrix(entries).entries.sum(axis=0), 1.0, atol=1e-12)
+        assert_allclose(phi, [0.4, 0.6])
 
     @pytest.mark.parametrize("kill", [0, 3, 6])
     def test_same_bytes_as_reference_fold(self, kill):
         matrix = random_competitive(7, 0.5, 0.5, seed=11)
         pops = np.full(7, 1.0 / 6)
         pops[kill] = 0.0
-        populations = PopulationVector(pops)
-        system = ActiveSystem(matrix=matrix, populations=populations, alive_ids=range(1, 8))
-        reduced = eliminate_species(system, kill)
+        ids = np.arange(1, 8)
+        entries, phi, alive = dynamics._eliminate(matrix.entries, pops, ids, kill)
         expected = reference_fold(np.array(matrix.entries), kill)
-        assert reduced.matrix.entries.tobytes() == expected.tobytes()
-        assert reduced.populations.values.tobytes() == np.delete(pops, kill).tobytes()
-        assert reduced.alive_ids == tuple(i for i in range(1, 8) if i != kill + 1)
-        assert reduced.universe_size == 8
+        assert entries.tobytes() == expected.tobytes()
+        assert phi.tobytes() == np.delete(pops, kill).tobytes()
+        assert alive.tolist() == [i for i in range(1, 8) if i != kill + 1]
 
     @pytest.mark.parametrize(
         "width, local",
@@ -320,13 +257,6 @@ class TestEliminateSpecies:
         assert phi.tobytes() == np.delete(pops, local).tobytes()
         assert alive.dtype == np.intp
         assert alive.tobytes() == np.delete(ids, local).tobytes()
-
-        system = ActiveSystem(matrix=matrix, populations=PopulationVector(pops), alive_ids=ids)
-        reduced = eliminate_species(system, local)
-        assert reduced.matrix.entries.tobytes() == expected.tobytes()
-        assert reduced.populations.values.tobytes() == np.delete(pops, local).tobytes()
-        assert reduced.alive_ids == tuple(np.delete(ids, local).tolist())
-        assert reduced.universe_size == 3 * width - 1
 
     @pytest.mark.parametrize(
         "entries, local, after",
@@ -351,9 +281,9 @@ class TestEliminateSpecies:
             pops = np.full(n, 1.0 / (n - 1))
             kill = int(rng.integers(0, n))
             pops[kill] = 0.0
-            system = ActiveSystem(matrix=matrix, populations=PopulationVector(pops))
             before = classify_matrix(matrix).negative_offdiag_count
-            after = classify_matrix(eliminate_species(system, kill).matrix).negative_offdiag_count
+            entries, _, _ = dynamics._eliminate(matrix.entries, pops, np.arange(n), kill)
+            after = classify_matrix(EvolutionMatrix(entries)).negative_offdiag_count
             assert after <= before
 
 
@@ -393,14 +323,14 @@ class TestSimulationConfig:
 
     def test_numpy_integer_step_counts_accepted(self):
         config = SimulationConfig(max_steps=np.int64(30), record_every=np.int32(7))
-        trajectory = evolve(system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), config)
+        trajectory = evolve(*system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), config)
         assert trajectory.steps.tolist() == [0, 7, 14, 21, 28, 30]
 
 
 class TestEvolve:
     def test_coexistence_converges_with_no_events(self):
         trajectory = evolve(
-            system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]),
+            *system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]),
             SimulationConfig(max_steps=500),
         )
         assert trajectory.events == ()
@@ -411,7 +341,7 @@ class TestEvolve:
     def test_monotone_extinction_has_one_event(self):
         # Frozen from the brute-force oracle: crossing during step 7.
         trajectory = evolve(
-            system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
+            *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000),
         )
         events = trajectory.events
@@ -429,7 +359,7 @@ class TestEvolve:
         matrix = two_species_matrix(0.1, -0.05)
         oracle = brute_first_crossing(matrix.entries, [0.5, 0.5])
         event = evolve(
-            system_of(matrix, [0.5, 0.5]), SimulationConfig(max_steps=1000)
+            *system_of(matrix, [0.5, 0.5]), SimulationConfig(max_steps=1000)
         ).events[0]
         assert (event.step_index, event.species_id) == oracle[:2]
         assert event.fraction == pytest.approx(oracle[2], abs=1e-12)
@@ -440,7 +370,7 @@ class TestEvolve:
     )
     def test_winner_takes_all_depends_on_start(self, a, eliminated, survivor_state):
         trajectory = evolve(
-            system_of(two_species_matrix(-0.05, -0.05), [a, 1 - a]),
+            *system_of(two_species_matrix(-0.05, -0.05), [a, 1 - a]),
             SimulationConfig(max_steps=1000),
         )
         events = trajectory.events
@@ -452,19 +382,21 @@ class TestEvolve:
 
     def test_already_extinct_start_eliminates_at_step_zero(self):
         trajectory = evolve(
-            ActiveSystem(
-                matrix=two_species_matrix(0.02, -0.01),
-                populations=PopulationVector(np.array([0.0, 1.0])),
-            ),
+            two_species_matrix(0.02, -0.01),
+            PopulationVector(np.array([0.0, 1.0])),
             SimulationConfig(max_steps=100),
         )
         event = trajectory.events[0]
         assert event.step_index == 0
         assert event.fraction == 0.0
 
+    def test_population_size_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="matrix is 3x3 but the population has 2 entries"):
+            evolve(random_stochastic(3, 0.3, 1), make_population([1, 1]))
+
     def test_max_steps_stop(self):
         trajectory = evolve(
-            system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]),
+            *system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]),
             SimulationConfig(max_steps=5, convergence_tol=0.0),
         )
         assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
@@ -472,7 +404,7 @@ class TestEvolve:
 
     def test_record_every_thins_snapshots_but_keeps_events(self):
         trajectory = evolve(
-            system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
+            *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000, record_every=50),
         )
         assert np.any(trajectory.event_species >= 0)
@@ -481,7 +413,7 @@ class TestEvolve:
 
     def test_columns_are_aligned_and_readonly(self):
         trajectory = evolve(
-            system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
+            *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000, record_every=3),
         )
         rows = len(trajectory.steps)
@@ -499,7 +431,7 @@ class TestEvolve:
 
     def test_event_rows_place_extinct_species_at_exact_zero(self):
         trajectory = evolve(
-            system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
+            *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000),
         )
         k = int(np.flatnonzero(trajectory.event_species >= 0)[0])
@@ -558,7 +490,7 @@ class TestBlockStepping:
     def test_matches_serial_engine(self, run):
         system, config, zero_tol = run
         with patched_zero_tol(zero_tol):
-            assert_same_run(evolve(system, config), serial_evolve(system, config))
+            assert_same_run(evolve(*system, config), serial_evolve(*system, config))
 
     @pytest.mark.parametrize("alpha, beta, step", [(0.1, -0.05, 7), (0.02, -0.01, 40)])
     def test_crossing_and_convergence_in_one_step(self, alpha, beta, step):
@@ -570,19 +502,19 @@ class TestBlockStepping:
         assert crossing_step == step
         system = system_of(matrix, [0.5, 0.5])
         config = SimulationConfig(max_steps=1000, convergence_tol=tol)
-        trajectory = evolve(system, config)
+        trajectory = evolve(*system, config)
         assert [e.step_index for e in trajectory.events] == [step]
         assert trajectory.terminated_reason is TerminationReason.ALL_BUT_ONE_EXTINCT
-        assert_same_run(trajectory, serial_evolve(system, config))
+        assert_same_run(trajectory, serial_evolve(*system, config))
 
     def test_crossing_on_first_step_of_a_block(self):
         # The crossing during step 7 is the first step of the block of 8 that
         # starts after 1 + 2 + 4 clean steps.
         system = system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5])
         config = SimulationConfig(max_steps=1000)
-        trajectory = evolve(system, config)
+        trajectory = evolve(*system, config)
         assert [e.step_index for e in trajectory.events] == [7]
-        assert_same_run(trajectory, serial_evolve(system, config))
+        assert_same_run(trajectory, serial_evolve(*system, config))
 
     @pytest.mark.parametrize("max_steps", [5, 10, 100, 257, 1000])
     @pytest.mark.parametrize("record_every", [1, 7])
@@ -590,18 +522,18 @@ class TestBlockStepping:
         # Blocks of 1, 2, 4, ... clean steps: none of these caps falls on a block edge.
         system = system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1])
         config = SimulationConfig(max_steps=max_steps, convergence_tol=0.0, record_every=record_every)
-        trajectory = evolve(system, config)
+        trajectory = evolve(*system, config)
         assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
         assert trajectory.steps[-1] == max_steps
-        assert_same_run(trajectory, serial_evolve(system, config))
+        assert_same_run(trajectory, serial_evolve(*system, config))
 
     def test_cap_inside_a_block_after_events(self):
         system = system_of(random_competitive(40, 0.5, 0.5, 3), np.ones(40))
         config = SimulationConfig(max_steps=1000, convergence_tol=0.0, record_every=7)
-        trajectory = evolve(system, config)
+        trajectory = evolve(*system, config)
         assert len(trajectory.events) >= 5
         assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
-        assert_same_run(trajectory, serial_evolve(system, config))
+        assert_same_run(trajectory, serial_evolve(*system, config))
 
     def test_crossing_fraction_called_once_per_event(self, monkeypatch):
         calls = []
@@ -613,7 +545,7 @@ class TestBlockStepping:
 
         monkeypatch.setattr(dynamics, "crossing_fraction", counted)
         trajectory = evolve(
-            system_of(random_competitive(40, 0.5, 0.5, 3), np.ones(40)),
+            *system_of(random_competitive(40, 0.5, 0.5, 3), np.ones(40)),
             SimulationConfig(max_steps=6000),
         )
         assert len(trajectory.events) >= 5
@@ -621,7 +553,7 @@ class TestBlockStepping:
 
         calls.clear()
         altruistic = evolve(
-            system_of(random_stochastic(40, 0.3, 3), np.ones(40)),
+            *system_of(random_stochastic(40, 0.3, 3), np.ones(40)),
             SimulationConfig(max_steps=6000, convergence_tol=0.0),
         )
         assert altruistic.events == ()
@@ -641,7 +573,8 @@ class TestStochasticRegime:
         matrix = random_stochastic(n, 0.4, seed)
         start = make_population(np.random.default_rng(seed).random(n) + 1e-3)
         trajectory = evolve(
-            ActiveSystem(matrix=matrix, populations=start),
+            matrix,
+            start,
             SimulationConfig(max_steps=300),
         )
         assert trajectory.events == ()
@@ -671,7 +604,8 @@ class TestCompetitiveCascade:
             matrix = random_competitive(n, 0.12, 0.5, int(rng.integers(0, 2**31)))
             start = make_population(rng.random(n) + 0.05)
             trajectory = evolve(
-                ActiveSystem(matrix=matrix, populations=start),
+                matrix,
+                start,
                 SimulationConfig(max_steps=20_000, convergence_tol=1e-13),
             )
             assert_conserved(trajectory)
@@ -680,13 +614,13 @@ class TestCompetitiveCascade:
             eliminating_runs += 1
             # the cascade must settle rather than run out of budget
             assert trajectory.terminated_reason is not TerminationReason.MAX_STEPS
-            final = trajectory.final_system
+            final = trajectory.final_matrix
+            terminal = survivor_values(trajectory)
             if final.n == 1:
-                assert_allclose(final.populations.values, [1.0])
+                assert_allclose(terminal, [1.0])
                 continue
-            stationary = eigendecompose(final.matrix).stationary
+            stationary = eigendecompose(final).stationary
             assert stationary is not None
-            terminal = trajectory.values[-1][list(final.alive_ids)]
             assert np.max(np.abs(terminal - stationary.values)) < 1e-6
         assert eliminating_runs >= 10
 
@@ -700,7 +634,7 @@ class TestCompetitiveCascade:
 
         monkeypatch.setattr(dynamics, "negative_offdiag_count", counted)
         matrix = random_competitive(30, 0.5, 0.5, 3)
-        trajectory = evolve(system_of(matrix, np.ones(30)), SimulationConfig(max_steps=6000))
+        trajectory = evolve(*system_of(matrix, np.ones(30)), SimulationConfig(max_steps=6000))
         events = trajectory.events
         assert len(events) >= 5
         # the initial matrix once; each fold updates the count from the removed row and column
@@ -708,27 +642,18 @@ class TestCompetitiveCascade:
         assert events[0].neg_offdiag_before == real(matrix.entries)
         for previous, event in zip(events, events[1:]):
             assert event.neg_offdiag_before == previous.neg_offdiag_after
-        assert events[-1].neg_offdiag_after == real(trajectory.final_system.matrix.entries)
+        assert events[-1].neg_offdiag_after == real(trajectory.final_matrix.entries)
 
         calls.clear()
-        evolve(system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), SimulationConfig())
+        evolve(*system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), SimulationConfig())
         assert calls == []
-
-    def test_final_system_reprojects_terminal_row(self):
-        matrix = random_competitive(30, 0.5, 0.5, 3)
-        trajectory = evolve(system_of(matrix, np.ones(30)), SimulationConfig(max_steps=6000))
-        final = trajectory.final_system
-        terminal = trajectory.values[-1][list(final.alive_ids)]
-        assert final.populations.values.tobytes() == (terminal / terminal.sum()).tobytes()
-        # a valid start for further runs
-        assert evolve(final, SimulationConfig(max_steps=10)).values.shape[1] == 30
 
     def test_eliminations_strictly_reduce_dimension(self):
         trajectory = evolve(
-            system_of(two_species_matrix(-0.05, -0.05), [0.3, 0.7]),
+            *system_of(two_species_matrix(-0.05, -0.05), [0.3, 0.7]),
             SimulationConfig(max_steps=2000),
         )
-        assert trajectory.final_system.n == 2 - len(trajectory.events)
+        assert trajectory.final_matrix.n == 2 - len(trajectory.events)
 
 
 class TestEvolveBackward:
@@ -794,7 +719,7 @@ class TestStopRuleBoundary:
 
     def test_evolve_eliminates_on_the_second_step(self):
         with patched_zero_tol(self.Z):
-            trajectory = evolve(ActiveSystem(matrix=self.MATRIX, populations=self.START), self.CONFIG)
+            trajectory = evolve(self.MATRIX, self.START, self.CONFIG)
         assert trajectory.values[1].tolist() == [-self.Z, 1.0 + self.Z]
         assert [(e.step_index, e.species_id) for e in trajectory.events] == [(1, 0)]
 

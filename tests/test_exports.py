@@ -22,7 +22,6 @@ PACKAGE = ROOT / "src" / "evosum"
 
 ALLOWED = {
     "crosscheck": "the two-species oracle that test_acceptance runs",
-    "eliminate_species": "the public face of _eliminate, which the fold-reference tests drive",
     "save_scenario": "the writer in the round-trip tests of load_scenario",
 }
 

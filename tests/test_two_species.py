@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from evosum import (
-    ActiveSystem,
     Regime,
     SimulationConfig,
     TwoSpeciesParams,
@@ -178,10 +177,8 @@ class TestPredictWinner:
                     continue
             predicted = predict_winner(params)
             trajectory = evolve(
-                ActiveSystem(
-                    matrix=two_species_matrix(alpha, beta),
-                    populations=make_population([a, 1 - a]),
-                ),
+                two_species_matrix(alpha, beta),
+                make_population([a, 1 - a]),
                 SimulationConfig(max_steps=50_000),
             )
             terminal = trajectory.values[-1]
