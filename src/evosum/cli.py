@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections.abc import Iterator
 from dataclasses import replace
@@ -176,6 +177,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# argparse reads an argument as a negative number, not an option, only when
+# it matches -\d+ or -\d*\.\d+. repr also writes exponents (-1e-05) and
+# -inf, and no evosum option looks like a number, so a minus before anything
+# `float` reads as a literal (digit groups with `_`, a decimal point, an
+# exponent), or before inf, infinity or nan, is read as a number too.
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[-+]?{_DIGITS})?$"
+    r"|^-(?:inf|infinity|nan)$",
+    re.IGNORECASE,
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evosum",
@@ -215,6 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-steps", type=int, dest="max_steps", default=10_000)
     sweep.set_defaults(func=cmd_sweep)
 
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

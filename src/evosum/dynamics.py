@@ -32,20 +32,28 @@ then one vectorized test of all K proposed states for a crossing and for
 convergence. Steps before the first stopping step are accepted as they
 stand; the stopping step is handled under the per-step rules (a crossing
 wins over convergence), and the steps computed past it are discarded. K
-restarts at 1 after every elimination and doubles after each clean block,
-up to 256. Every accepted state is the same matvec result the per-step
-loop would compute, so the outputs are identical bit for bit. The cost
-is one matvec call per step, including the discarded ones, and per
-elimination one ``crossing_fraction`` call and one fold.
-``negative_offdiag_count`` runs once per run, at the first elimination;
-each fold then subtracts the negative off-diagonal entries of the
-removed row and column, since every other off-diagonal entry is kept.
+starts at 1 and doubles after each clean block, up to 256. After an
+elimination found at block index ``stop`` (the block ran ``stop`` clean
+steps first), the next block has ``stop + 1`` steps, capped at 256; an
+elimination in the same step as the one before has ``stop = 0``, so the
+re-evaluated step runs alone. Every accepted state is the same matvec
+result the per-step loop would compute, so the outputs are identical bit
+for bit. The cost is one matvec call per step, including the discarded
+ones, and a fixed handful of vectorized tests per block. Per elimination
+it is one ``crossing_fraction`` call, the interpolation, the fold, and
+the count of negative transfers in the removed row and column:
+``negative_offdiag_count`` runs once per run, at the first elimination,
+and each fold then subtracts those entries, since every other
+off-diagonal entry is kept.
 
 The trajectory is stored as columns, one entry per recorded row: step,
 crossing fraction, the full-length state (reduced states embedded back,
 with zeros in the slots of extinct species) and the eliminated species.
-Once eliminated, a species never re-enters: its slot stays zero for the
-rest of the run.
+Rows are embedded as they are recorded and joined into one (rows, n)
+array after the run; the sub-tolerance dust in (-ZERO_TOL, 0) is then
+floored to 0.0 once, in place, on that array (-0.0 is not below 0.0 and
+keeps its sign). Once eliminated, a species never re-enters: its slot
+stays zero for the rest of the run.
 
 ``elimination_time_scan`` needs only the step of each system's first
 elimination, so it does not run ``evolve`` per matrix. It stacks the
@@ -174,8 +182,12 @@ def crossing_fraction(phi_before, phi_after) -> tuple[int, float] | None:
     negative = np.flatnonzero(after < -ZERO_TOL)
     if negative.size == 0:
         return None
-    taus = before[negative] / (before[negative] - after[negative])
-    taus = np.clip(taus, 0.0, 1.0)  # guards entries already at (dust) zero
+    start = before[negative]
+    taus = start / (start - after[negative])
+    # Clamp to [0, 1], which guards entries already at (dust) zero, as
+    # np.clip does: NaN and -0.0 stay as they are.
+    taus[taus < 0.0] = 0.0
+    taus[taus > 1.0] = 1.0
     k = int(np.argmin(taus))  # argmin takes the first minimum: lowest id wins ties
     return int(negative[k]), float(taus[k])
 
@@ -222,14 +234,9 @@ def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float
     ``before`` below ``convergence_tol``. The caller puts a crossing first.
     """
     crossed = (proposed < -ZERO_TOL).any(axis=1)
-    converged = np.abs(proposed - before).sum(axis=1) < convergence_tol
+    change = proposed - before
+    converged = np.abs(change, out=change).sum(axis=1) < convergence_tol
     return crossed, converged
-
-
-def _floor_dust(values: np.ndarray) -> np.ndarray:
-    # Only sub-tolerance float dust is floored; a genuine negative entry
-    # would be a bug and must stay visible.
-    return np.where((values < 0.0) & (values > -ZERO_TOL), 0.0, values)
 
 
 _MAX_BLOCK = 256  # longest speculative block of steps in `evolve`
@@ -255,13 +262,17 @@ def evolve(
     crossing and for convergence. The steps before the first stopping
     step are accepted; at that step the crossing wins over convergence,
     exactly as if the steps ran one by one, and the steps computed past it
-    are discarded. K restarts at 1 after every elimination and doubles
-    after each block without a stop, up to 256, never past the step cap.
+    are discarded. K doubles after each block without a stop, up to 256,
+    never past the step cap. After an elimination at block index ``stop``
+    the next block has ``min(stop + 1, 256)`` steps, so a step that is
+    re-evaluated after an elimination in the same step runs alone.
     The cost is one matvec call per step, including the discarded ones,
-    and per elimination one ``crossing_fraction`` call and one slice-copy
-    fold (O(width) bookkeeping plus one copy of the reduced matrix). The
+    and per elimination one ``crossing_fraction`` call, one slice-copy
+    fold (one copy of the reduced matrix) and O(width) bookkeeping. The
     negative off-diagonal count of each event is kept incrementally:
     ``negative_offdiag_count`` runs once per run, at the first elimination.
+    The dust in (-ZERO_TOL, 0) is floored to 0.0 once per run, on the
+    joined rows.
     """
     n = matrix.n
     if len(populations) != n:
@@ -271,21 +282,23 @@ def evolve(
     entries = np.array(matrix.entries)
     phi = np.array(populations.values)
     alive = np.arange(n, dtype=np.intp)  # local index -> species id
-    # Row blocks in order: (steps, fractions, full states, eliminated species or -1).
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    # Recorded rows in order, as (steps, full-width states). The fractions
+    # and event species are filled in after the run, at `event_rows`.
+    chunks: list[tuple[np.ndarray, np.ndarray]] = []
+    event_rows: list[int] = []
+    rows = 0
 
-    def embed(states: np.ndarray) -> np.ndarray:
-        full = np.zeros((len(states), n))
+    def record(steps: np.ndarray, states: np.ndarray) -> None:
+        nonlocal rows
+        full = np.zeros((len(steps), n))
         full[:, alive] = states
-        return _floor_dust(full)
-
-    def record(steps: np.ndarray, states: np.ndarray, fraction: float = 0.0, species: int = -1) -> None:
-        m = steps.size
-        chunks.append((steps, np.full(m, fraction), embed(states), np.full(m, species)))
+        chunks.append((steps, full))
+        rows += len(steps)
 
     record(np.zeros(1, dtype=int), phi[None, :])
     events: list[EliminationEvent] = []
     neg_after = None  # negative off-diagonal count, counted in full at the first fold only
+    every = config.record_every
     t = 0
     block = 1
     while True:
@@ -298,42 +311,59 @@ def evolve(
         k = min(block, config.max_steps - t)
         states = np.empty((k + 1, phi.size))  # states[j] holds phi after t + j steps
         states[0] = phi
-        for j in range(k):
-            entries.dot(states[j], out=states[j + 1])
+        previous = states[0]
+        for current in states[1:]:  # one row view per matvec
+            entries.dot(previous, out=current)
+            previous = current
         crossed, converged = _stop_tests(states[1:], states[:-1], config.convergence_tol)
-        stops = np.flatnonzero(crossed | converged)
-        if stops.size == 0:
+        stops = crossed | converged
+        stop = int(stops.argmax())
+        if not stops[stop]:
             accepted = k
         else:
-            stop = int(stops[0])
             accepted = stop if crossed[stop] else stop + 1  # a crossing step does not complete
-        first = t + config.record_every - t % config.record_every  # next step to record
-        recorded = np.arange(first, t + accepted + 1, config.record_every)
-        if recorded.size:
+        first = t + every - t % every  # next step to record
+        if first <= t + accepted:
+            recorded = np.arange(first, t + accepted + 1, every)
             record(recorded, states[recorded - t])
         t += accepted
         phi = states[accepted]
-        if stops.size == 0:
+        if not stops[stop]:
             block = min(2 * block, _MAX_BLOCK)
             continue
         if not crossed[stop]:
             reason = TerminationReason.CONVERGED
             break
-        local, tau = crossing_fraction(phi, states[stop + 1])
-        phi = (1.0 - tau) * phi + tau * states[stop + 1]
+        after = states[stop + 1]
+        local, tau = crossing_fraction(phi, after)
+        # (1 - tau) * phi + tau * after, in the block buffer, which is not read again
+        phi *= 1.0 - tau
+        after *= tau
+        phi += after
         phi[local] = 0.0
         if neg_after is None:
             neg_after = negative_offdiag_count(entries)
         neg_before, species = neg_after, int(alive[local])
-        record(np.full(1, t), phi[None, :], tau, species)
+        event_rows.append(rows)
+        record(np.array([t]), phi[None, :])
         neg_after = neg_before - _negatives_removed(entries, local)
         entries, phi, alive = _eliminate(entries, phi, alive, local)
         events.append(EliminationEvent(t, tau, species, neg_before, neg_after))
-        block = 1  # re-evaluate the interrupted step on the reduced system
+        # Re-evaluate the interrupted step on the reduced system. The block
+        # that stopped ran `stop` clean steps first, so the next one may too.
+        block = min(stop + 1, _MAX_BLOCK)
 
     if chunks[-1][0][-1] != t:  # a row at step t is always the current state
-        record(np.full(1, t), phi[None, :])
-    steps, fractions, values, event_species = (np.concatenate(column) for column in zip(*chunks))
+        record(np.array([t]), phi[None, :])
+    steps, values = (np.concatenate(column) for column in zip(*chunks))
+    del chunks  # free the recorded blocks before the floor's masks are allocated
+    # Only sub-tolerance float dust is floored; a genuine negative entry
+    # would be a bug and must stay visible. -0.0 is not below 0.0 and stays.
+    np.copyto(values, 0.0, where=(values < 0.0) & (values > -ZERO_TOL))
+    fractions = np.zeros(steps.size)
+    fractions[event_rows] = [event.fraction for event in events]
+    event_species = np.full(steps.size, -1)
+    event_species[event_rows] = [event.species_id for event in events]
     for column in (steps, fractions, values, event_species):
         column.flags.writeable = False
     return Trajectory(

@@ -7,9 +7,10 @@ Top-level keys:
   sums), or ``two_species`` ({"alpha": x, "beta": y}).
 * ``initial`` (required): raw nonnegative abundances; normalized on load.
 * ``species_names`` (optional): defaults to species_1..species_N. Names
-  must be distinct, and a name may not contain a comma, a double quote,
-  CR or LF: names become CSV header and event cells, which are written
-  unquoted.
+  must be distinct and non-empty, may not be ``step``, ``tau`` or
+  ``event`` (the CSV's own columns), and may not contain a comma, a
+  double quote, CR or LF: names become CSV header and event cells, which
+  are written unquoted.
 * ``dt`` (optional, default 1.0): provenance metadata with ``0 < dt < inf``,
   checked here and written back by ``save_scenario``; nothing computes with it.
 * ``config`` (optional): ``max_steps``, ``convergence_tol``, ``record_every``.
@@ -52,6 +53,8 @@ _MATRIX_KEYS = {"entries", "generator", "two_species"}
 _CONFIG_KEYS = {"max_steps", "convergence_tol", "record_every"}
 # Characters that would break the unquoted cells of the trajectory CSV.
 _CSV_SPECIAL = frozenset(',"\r\n')
+# The trajectory CSV's own columns; a species of the same name would repeat one.
+_CSV_COLUMNS = frozenset({"step", "tau", "event"})
 # Exact types, not isinstance: JSON true/false decode to bool, a subclass of int.
 _NUMBER_TYPES = {int, float}
 # Every number field becomes a float; a JSON integer beyond this would overflow.
@@ -185,6 +188,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require(
             not _CSV_SPECIAL & set(name),
             f"species name {name!r} contains a comma, double quote, CR or LF",
+        )
+        _require(name != "", "species name is empty")
+        _require(
+            name not in _CSV_COLUMNS,
+            f"species name {name!r} is the name of a trajectory CSV column",
         )
         _require(name not in seen, f"species name {name!r} appears more than once")
         seen.add(name)

@@ -36,6 +36,8 @@ from test_golden import FIXED_POINT_TAIL
 HUGE = 10**400
 # st.text()'s default alphabet less the characters a species name may not hold.
 NAME_CHARACTERS = st.characters(codec="utf-8", exclude_characters=',"\r\n')
+# Names of the trajectory CSV's own columns, which a species may not take.
+CSV_COLUMNS = {"step", "tau", "event"}
 
 
 @st.composite
@@ -57,7 +59,10 @@ def scenario_dicts(draw):
     data = {"matrix": spec, "initial": draw(st.lists(abundance, min_size=n, max_size=n))}
     optional = {
         "species_names": st.lists(
-            st.text(NAME_CHARACTERS, min_size=1, max_size=6), min_size=n, max_size=n, unique=True
+            st.text(NAME_CHARACTERS, min_size=1, max_size=6).filter(lambda s: s not in CSV_COLUMNS),
+            min_size=n,
+            max_size=n,
+            unique=True,
         ),
         "dt": st.one_of(
             st.sampled_from([0.25, 7, 1.0]),
@@ -217,6 +222,38 @@ class TestLoadScenario:
         assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
         assert "species name 'a' appears more than once" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("", "species name is empty"),
+            ("step", "species name 'step' is the name of a trajectory CSV column"),
+            ("tau", "species name 'tau' is the name of a trajectory CSV column"),
+            ("event", "species name 'event' is the name of a trajectory CSV column"),
+        ],
+    )
+    def test_name_that_makes_the_header_ambiguous_rejected(self, tmp_path, capsys, name, message):
+        data = {
+            "species_names": ["finch", name],
+            "matrix": {"two_species": {"alpha": 0.1, "beta": -0.05}},
+            "initial": [0.5, 0.5],
+        }
+        with pytest.raises(ScenarioParseError, match=message):
+            scenario_from_dict(data)
+        path, out = write_scenario(tmp_path / "s.json", data), tmp_path / "o.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_column_names_in_other_case_or_inside_a_name_accepted(self, tmp_path):
+        data = {
+            "species_names": ["Step", "events"],
+            "matrix": {"two_species": {"alpha": 0.1, "beta": -0.05}},
+            "initial": [0.5, 0.5],
+        }
+        path, out = write_scenario(tmp_path / "s.json", data), tmp_path / "o.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "step,tau,Step,events,event"
 
     def test_round_trip_is_structurally_identical(self, case_a, tmp_path):
         scenario = load_scenario(case_a)
@@ -520,6 +557,34 @@ class TestSimulate:
         assert summary["events"] == []
         assert summary["two_species"]["regime"] == "Coexistence"
 
+    @pytest.mark.parametrize(
+        "beta, rows, fraction",
+        [
+            (0.2, ["0,0.0,-0.0,1.0,", "1,0.0,0.2,0.8,"], None),
+            # Species 1 crosses during step 0 from -0.0, at the fraction -0.0.
+            (-0.05, ["0,0.0,-0.0,1.0,", "0,-0.0,0.0,1.0,elim:species_1"], "-0.0"),
+        ],
+        ids=["no-event", "event-at-negative-zero"],
+    )
+    def test_negative_zero_start_keeps_its_sign(self, tmp_path, beta, rows, fraction):
+        # A dust floor built on np.maximum would write these -0.0 cells as 0.0.
+        path = write_scenario(
+            tmp_path / "z.json",
+            {
+                "matrix": {"two_species": {"alpha": 0.1, "beta": beta}},
+                "initial": [-0.0, 1.0],
+                "config": {"max_steps": 3},
+            },
+        )
+        out = tmp_path / "z.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:3] == rows
+        events = json.loads((tmp_path / "z.csv.summary.json").read_text())["events"]
+        if fraction is None:
+            assert events == []
+        else:
+            assert repr(events[0]["fraction"]) == fraction
+
     def test_extinction_run_records_one_event(self, case_b, tmp_path):
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--scenario", case_b, "--out", str(out)]) == 0
@@ -743,6 +808,8 @@ class TestClassifyCommand:
             (["classify", "--", "-inf", "-0.1", "0.5"], "alpha must be finite, got -inf"),
             (["classify", "0.1", "0.2", "nan"], "a must be finite, got nan"),
             (["classify", "0", "0", "nan"], "a must be finite, got nan"),
+            (["classify", "0.1", "-inf", "0.6"], "beta must be finite, got -inf"),
+            (["classify", "-nan", "0.1", "0.6"], "alpha must be finite, got nan"),
         ],
     )
     def test_non_finite_argument_is_validation_error(self, capsys, argv, message):
@@ -750,6 +817,27 @@ class TestClassifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, separated",
+        [
+            (["0.1", "-1e-1", "0.6"], ["0.1", "-0.1", "0.6"]),
+            (["-5e-2", "-5E-02", "0.6"], ["-0.05", "-0.05", "0.6"]),
+            (["-1.5e-05", "2e-05", "0.4"], ["-1.5e-05", "2e-05", "0.4"]),
+            (["0.1", "-1_000e-4", "0.6"], ["0.1", "-0.1", "0.6"]),
+            (["-0.0_5", "-5_0E-0_3", "0.6"], ["-0.05", "-0.05", "0.6"]),
+        ],
+    )
+    def test_negative_numbers_in_exponent_form_need_no_separator(self, capsys, argv, separated):
+        assert main(["classify", "--", *separated]) == 0
+        expected = capsys.readouterr().out
+        assert main(["classify", *argv]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_dash_word_is_still_an_option(self, capsys):
+        # "-x" is read as an unknown option, so the third value is missing.
+        assert main(["classify", "0.1", "-x", "0.6"]) == 2
+        assert "the following arguments are required: a" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha, beta", [("0.1", "0.2"), ("0", "0")])
     def test_share_outside_unit_interval_is_validation_error(self, capsys, alpha, beta):
@@ -807,6 +895,15 @@ class TestSweepCommand:
         assert steps == [80, 40, 20]
         for slow, fast in zip(steps, steps[1:]):
             assert 1.6 <= slow / fast <= 2.4
+
+    def test_negative_exponent_value_needs_no_equals_sign(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        scales = ["--scales", "0.01", "0.02", "--initial", "0.5", "0.5"]
+        argv = ["sweep", "--alpha-per-scale", "1.0", "--beta-per-scale", "-5e-1", *scales]
+        assert main([*argv, "--out", str(spaced)]) == 0
+        argv = ["sweep", "--alpha-per-scale", "1.0", "--beta-per-scale=-0.5", *scales]
+        assert main([*argv, "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
 
     def test_coexistence_family_marks_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -100,7 +100,8 @@ def serial_evolve(
     def embed(state):
         full = np.zeros(full_size)
         full[alive] = state
-        return dynamics._floor_dust(full)
+        # Its own copy of the dust floor: only entries in (-ZERO_TOL, 0) become 0.0.
+        return np.where((full < 0.0) & (full > -dynamics.ZERO_TOL), 0.0, full)
 
     rows = [(0, 0.0, embed(phi), -1)]
     events = []
@@ -201,6 +202,28 @@ class TestCrossingFraction:
     def test_tie_breaks_to_lowest_index(self):
         index, _ = crossing_fraction([0.2, 0.2, 0.6], [-0.2, -0.2, 1.4])
         assert index == 0
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ([-0.0, 1.0], [-0.05, 1.05]),  # -0.0 / 0.05 is -0.0, and -0.0 is not below 0.0
+            ([-1e-13, 0.5, 0.5], [-0.1, -0.2, 1.3]),  # dust start: a negative fraction
+            ([-0.3, 1.3], [-0.1, 1.1]),  # both negative: a fraction above 1
+            ([np.nan, 0.5, 0.5], [-0.1, -0.1, 1.2]),  # NaN is the minimum
+            ([0.5, 0.5], [-np.inf, np.inf]),
+        ],
+        ids=["negative-zero", "below-zero", "above-one", "nan", "inf"],
+    )
+    def test_clamp_keeps_the_bits_of_np_clip(self, before, after):
+        # The fraction is clamped into [0, 1] with np.clip's exact results,
+        # sign of zero and NaN included.
+        b, a = np.array(before), np.array(after)
+        negative = np.flatnonzero(a < -dynamics.ZERO_TOL)
+        taus = np.clip(b[negative] / (b[negative] - a[negative]), 0.0, 1.0)
+        k = int(np.argmin(taus))
+        index, tau = crossing_fraction(before, after)
+        assert index == int(negative[k])
+        assert np.float64(tau).tobytes() == taus[k].tobytes()
 
 
 class TestEliminateSpecies:
@@ -533,6 +556,18 @@ class TestBlockStepping:
         trajectory = evolve(*system, config)
         assert len(trajectory.events) >= 5
         assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
+        assert_same_run(trajectory, serial_evolve(*system, config))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("record_every", [1, 1000])
+    def test_matches_serial_engine_at_benchmark_width(self, seed, record_every):
+        # The width and draw of the benchmark's extinction cascade: long chains
+        # of events within one step, where a re-evaluated step crosses again.
+        system = system_of(random_competitive(200, 0.5, 0.5, seed), np.ones(200))
+        config = SimulationConfig(max_steps=3000, record_every=record_every)
+        trajectory = evolve(*system, config)
+        steps = [event.step_index for event in trajectory.events]
+        assert any(a == b for a, b in zip(steps, steps[1:]))
         assert_same_run(trajectory, serial_evolve(*system, config))
 
     def test_crossing_fraction_called_once_per_event(self, monkeypatch):
