@@ -88,9 +88,21 @@ def _check_vector(values: np.ndarray, noun: str) -> None:
 
 
 def _check_matrix(entries: np.ndarray, column_sum: float, what: str) -> None:
-    """Checks shared by every per-step matrix: square, finite, column sums."""
+    """Checks shared by every per-step matrix: square, finite, column sums.
+
+    A valid matrix passes on one column-sum test: a non-finite entry makes
+    its column sum inf or NaN, and NaN fails ``<=``, so every column within
+    ``CONSTRUCTION_TOL`` means every entry is finite. That sum runs with
+    overflow and invalid-value warnings off. Any other matrix goes through
+    the full sequence, which names the first non-finite entry, else the
+    column furthest off (warning on an overflowing sum, as it always has).
+    """
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
         raise ValidationError(f"{what} must be a nonempty square matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = entries.sum(axis=0)
+    if (np.abs(sums - column_sum) <= CONSTRUCTION_TOL).all():
+        return
     finite = np.isfinite(entries)
     if not finite.all():
         i, j = np.argwhere(~finite)[0].tolist()
@@ -182,10 +194,17 @@ class EvolutionMatrix:
 
 
 def make_population(raw) -> PopulationVector:
-    """Normalize a vector of nonnegative abundances onto the simplex."""
+    """Normalize a vector of nonnegative abundances onto the simplex.
+
+    The entries must be finite and nonnegative, with a positive total that
+    is itself finite: finite entries near the largest float can sum to inf.
+    """
     values = np.asarray(raw, dtype=float)
     _check_vector(values, "abundance")
-    total = float(values.sum())
+    with np.errstate(over="ignore"):  # an overflowing total is reported below
+        total = float(values.sum())
+    if not math.isfinite(total):
+        raise ValidationError(f"total abundance is not finite ({total})")
     if total <= 0:
         raise ValidationError("total abundance must be positive")
     return PopulationVector(values / total)

@@ -57,11 +57,18 @@ stays zero for the rest of the run.
 
 ``elimination_time_scan`` needs only the step of each system's first
 elimination, so it does not run ``evolve`` per matrix. It stacks the
-whole family and advances every system in lockstep, one stacked matvec
-per step, and each system stops at its first elimination, at
-convergence or at the step cap, under ``evolve``'s rules in ``evolve``'s
-order. The cost is about one stacked matvec per step of the slowest
-system, and nothing is recorded.
+whole family and advances every live system in lockstep, in speculative
+blocks as ``evolve`` does: K stacked matvecs into one buffer, then one
+``_stop_tests`` call on all of the block's states. Each system stops at
+its first elimination, at convergence or at the step cap, under
+``evolve``'s rules in ``evolve``'s order: its first stopping step in the
+block decides, and the systems that stopped leave the stack once per
+block. K starts at 1 and doubles up to 256, never past the step cap,
+with at most 4096 stacked states (K times the live systems) per block.
+Every state is the stacked matvec the per-step loop would compute, so
+the steps are identical. The cost is one stacked matvec per step of the
+slowest live system, including the steps computed past a stop, plus a
+fixed handful of vectorized tests per block; nothing is recorded.
 """
 
 from __future__ import annotations
@@ -228,18 +235,22 @@ def _negatives_removed(entries: np.ndarray, local: int) -> int:
 
 
 def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float):
-    """The stop rule for each row of (S, n) states, as ``(crossed, converged)``.
+    """The stop rule for each state in a stack, as ``(crossed, converged)``.
 
-    Crossed: an entry below ``-ZERO_TOL``. Converged: an L1 change from
-    ``before`` below ``convergence_tol``. The caller puts a crossing first.
+    ``proposed`` and ``before`` have any leading shape and hold one state
+    along the last axis; both results drop that axis: ``evolve`` passes
+    (K, w) blocks and the scan (K, L, n) blocks. Crossed: an entry below
+    ``-ZERO_TOL``. Converged: an L1 change from ``before`` below
+    ``convergence_tol``. The caller puts a crossing first.
     """
-    crossed = (proposed < -ZERO_TOL).any(axis=1)
+    crossed = (proposed < -ZERO_TOL).any(axis=-1)
     change = proposed - before
-    converged = np.abs(change, out=change).sum(axis=1) < convergence_tol
+    converged = np.abs(change, out=change).sum(axis=-1) < convergence_tol
     return crossed, converged
 
 
-_MAX_BLOCK = 256  # longest speculative block of steps in `evolve`
+_MAX_BLOCK = 256  # longest speculative block of steps in `evolve` and the scan
+_SCAN_BLOCK_STATES = 4096  # most stacked states (steps x live systems) in one scan block
 
 
 def evolve(
@@ -413,10 +424,15 @@ def _first_elimination_steps(
 ) -> list[int | None]:
     """Steps to first elimination of each system in ``entries`` (S, n, n), all from ``phi0``.
 
-    Every live system takes one step per iteration through one stacked
-    matvec, under ``evolve``'s stop rules in ``evolve``'s order: the step
-    cap, then a crossing (the system's result is the completed step count),
-    then convergence (None). Finished systems leave the stacked arrays.
+    The live systems advance in speculative blocks under ``evolve``'s stop
+    rules in ``evolve``'s order: the step cap, then a crossing (the
+    system's result is the completed step count), then convergence (None).
+    A block of K steps is K stacked matvecs into one ``(K+1, L, n)`` buffer
+    for the L live systems, then one ``_stop_tests`` call on all K * L
+    proposed states. Each system stops at its first stopping step in the
+    block, and the systems that stopped leave the stack. K starts at 1 and
+    doubles up to ``_MAX_BLOCK``, never past the step cap, and K * L stays
+    within ``_SCAN_BLOCK_STATES`` (K is 1 when L alone exceeds it).
     """
     steps: list[int | None] = [None] * entries.shape[0]
     if phi0.size == 1:
@@ -424,17 +440,30 @@ def _first_elimination_steps(
     live = np.arange(entries.shape[0])
     phi = np.repeat(phi0[None, :], entries.shape[0], axis=0)
     t = 0
+    block = 1
     while live.size and t < config.max_steps:
-        proposed = np.matmul(entries, phi[:, :, None])[:, :, 0]
-        crossed, converged = _stop_tests(proposed, phi, config.convergence_tol)
-        finished = crossed | converged
-        if finished.any():
-            for k in live[crossed].tolist():
-                steps[k] = t
-            running = ~finished
-            live, entries, proposed = live[running], entries[running], proposed[running]
-        phi = proposed
-        t += 1
+        k = min(block, config.max_steps - t, max(1, _SCAN_BLOCK_STATES // live.size))
+        states = np.empty((k + 1, *phi.shape))  # states[j] holds phi after t + j steps
+        states[0] = phi
+        # Each state as an (n, 1) column. Writing the matmul through `out=`
+        # gives the same bits as assigning its result: the same BLAS path.
+        columns = states[:, :, :, None]
+        for j in range(k):
+            np.matmul(entries, columns[j], out=columns[j + 1])
+        crossed, converged = _stop_tests(states[1:], states[:-1], config.convergence_tol)
+        stops = crossed | converged  # (k, L)
+        phi = states[k]
+        if stops.any():
+            first = stops.argmax(axis=0)  # each system's first stopping step in the block
+            systems = np.arange(live.size)
+            stopped = stops[first, systems]
+            hit = stopped & crossed[first, systems]  # a crossing wins over convergence
+            for system, step in zip(live[hit].tolist(), (t + first[hit]).tolist()):
+                steps[system] = step
+            running = ~stopped
+            live, entries, phi = live[running], entries[running], phi[running]
+        t += k
+        block = min(2 * block, _MAX_BLOCK)
     return steps
 
 
@@ -446,13 +475,17 @@ def elimination_time_scan(
 ) -> list[ScanRow]:
     """Steps to first elimination across a family of matrices ``builder(c)``.
 
-    All scales advance in lockstep from ``phi0``, one stacked matvec per
-    step, and each stops at its first elimination (the row holds the number
-    of completed steps), at convergence or at ``config.max_steps``; the
-    last two give ``steps=None`` rather than failing the whole scan. The
-    stop rules and their order are ``evolve``'s, so the steps equal those
-    of the first event of ``evolve`` on each matrix, at the cost of about
-    one stacked matvec per step of the slowest scale. Nothing is recorded.
+    All scales advance in lockstep from ``phi0``, in blocks of stacked
+    matvecs tested at once, and each stops at its first elimination (the
+    row holds the number of completed steps), at convergence or at
+    ``config.max_steps``; the last two give ``steps=None`` rather than
+    failing the whole scan. The stop rules and their order are
+    ``evolve``'s, so the steps equal those of the first event of ``evolve``
+    on each matrix. A block has K steps for the L scales still running:
+    K doubles from 1 up to 256, never past the step cap, and K * L stays
+    within 4096. The cost is one stacked matvec per step of the slowest
+    scale, including the steps computed past a stop, and one vectorized
+    stop test per block. Nothing is recorded.
     """
     scales = list(scales)
     if not scales:

@@ -328,6 +328,26 @@ class TestExitCodes:
         assert output in (result.stdout if code == 0 else result.stderr)
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("route", ["sweep", "scenario"])
+    def test_overflowing_initial_total_is_validation_error(self, tmp_path, capsys, route):
+        # The suite turns warnings into errors, as `python -W error` does: an
+        # overflow warning would surface here as a RuntimeWarning, not exit 3.
+        out = tmp_path / "o.csv"
+        if route == "sweep":
+            argv = ["sweep", "--alpha-per-scale", "0.02", "--beta-per-scale", "-0.01",
+                    "--scales", "1", "--initial", "1e308", "1e308", "--out", str(out)]
+        else:
+            path = write_scenario(
+                tmp_path / "big.json",
+                {"matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}}, "initial": [1e308, 1e308]},
+            )
+            argv = ["simulate", "--scenario", path, "--out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: total abundance is not finite (inf)\n"
+        assert not out.exists()
+
     def test_bad_column_sum_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path / "bad.json",

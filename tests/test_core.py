@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evosum import (
+    CONSTRUCTION_TOL,
     EvolutionMatrix,
     GeneratorMatrix,
     MatrixKind,
@@ -19,6 +21,7 @@ from evosum import (
     random_stochastic,
     two_species_matrix,
 )
+from evosum import core
 from evosum.errors import ValidationError
 
 
@@ -41,6 +44,15 @@ class TestMakePopulation:
     def test_zero_total_rejected(self):
         with pytest.raises(ValidationError, match="total abundance must be positive"):
             make_population([0.0, 0.0])
+
+    @pytest.mark.parametrize("raw", [[1e308, 1e308], [1.7e308, 0.0, 1.7e308]])
+    def test_overflowing_total_rejected(self, raw):
+        # The suite turns warnings into errors, so an overflow warning fails this test.
+        with pytest.raises(ValidationError, match=r"^total abundance is not finite \(inf\)$"):
+            make_population(raw)
+
+    def test_large_finite_total_accepted(self):
+        assert_allclose(make_population([1e308, 7e307]).values, [1e308 / 1.7e308, 7e307 / 1.7e308])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="expected a nonempty 1-D vector of abundances"):
@@ -323,3 +335,91 @@ class TestNonFinite:
     def test_make_population(self, n, index, bad):
         with pytest.raises(ValidationError, match="not finite"):
             make_population(self._poison(np.ones(n), index, bad))
+
+
+def reference_check_matrix(entries, column_sum, what):
+    """The construction check as a fixed sequence: finite entries, then column sums.
+
+    ``core._check_matrix`` returns early on one column-sum test; it must
+    accept the same matrices and raise the same messages and warnings.
+    """
+    finite = np.isfinite(entries)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise ValidationError(f"{what} entry ({i}, {j}) is not finite ({float(entries[i, j])})")
+    sums = entries.sum(axis=0)
+    dev = np.abs(sums - column_sum)
+    if np.any(dev > CONSTRUCTION_TOL):
+        j = int(np.argmax(dev))
+        raise ValidationError(
+            f"column {j} of {what} sums to {float(sums[j])!r}, "
+            f"expected {column_sum} within {CONSTRUCTION_TOL}"
+        )
+
+
+def check_outcome(check, entries, column_sum, what):
+    """``(error message or None, warning messages)`` of one check call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            check(entries, column_sum, what)
+            error = None
+        except ValidationError as exc:
+            error = str(exc)
+    return error, [str(w.message) for w in caught]
+
+
+@st.composite
+def checked_matrices(draw):
+    """A square matrix with column sums 1 or 0, then poisoned, inflated or nudged."""
+    n = draw(st.integers(1, 5))
+    column_sum = draw(st.sampled_from([1.0, 0.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = rng.uniform(-0.5, 0.5, size=(n, n))
+    entries[np.diag_indices(n)] += column_sum - entries.sum(axis=0)
+    positions = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    changes = st.one_of(
+        st.tuples(st.just("set"), positions, st.sampled_from([np.nan, np.inf, -np.inf])),
+        st.tuples(
+            st.just("set"),
+            positions,
+            st.floats(1e307, 1.7976931348623157e308) | st.floats(-1.7976931348623157e308, -1e307),
+        ),
+        st.tuples(st.just("add"), positions, st.sampled_from([0.5e-12, -0.5e-12, 2e-12, -2e-12])),
+    )
+    for kind, (i, j), value in draw(st.lists(changes, max_size=4)):
+        if kind == "set":
+            entries[i, j] = value
+        else:
+            entries[i, j] += value
+    return entries, column_sum
+
+
+class TestOneSumCheck:
+    @given(checked_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome_as_reference(self, case):
+        entries, column_sum = case
+        what = "evolution matrix" if column_sum == 1.0 else "generator"
+        expected = check_outcome(reference_check_matrix, entries, column_sum, what)
+        assert check_outcome(core._check_matrix, entries, column_sum, what) == expected
+
+    @pytest.mark.parametrize(
+        "entries, error, warned",
+        [
+            ([[np.inf, 0.0], [-np.inf, 1.0]], "evolution matrix entry (0, 0) is not finite (inf)", []),
+            ([[1.7e308, 0.0], [1.7e308, 1.0]], "column 0 of evolution matrix sums to inf", ["overflow"]),
+            ([[1.7e308, 0.0], [-1.7e308, 1.0]], "column 0 of evolution matrix sums to 0.0", []),
+            ([[1.0 + 2e-12, 0.0], [0.0, 1.0]], "column 0 of evolution matrix sums to", []),
+            ([[1.0 + 0.5e-12, 0.0], [0.0, 1.0]], None, []),
+        ],
+        ids=["inf-minus-inf", "overflow", "cancelling", "off-by-2e-12", "off-by-0.5e-12"],
+    )
+    def test_fixed_cases(self, entries, error, warned):
+        entries = np.array(entries)
+        outcome = check_outcome(core._check_matrix, entries, 1.0, "evolution matrix")
+        assert outcome == check_outcome(reference_check_matrix, entries, 1.0, "evolution matrix")
+        message, caught = outcome
+        assert (message is None) == (error is None)
+        assert error is None or message.startswith(error)
+        assert [w.split()[0] for w in caught] == warned

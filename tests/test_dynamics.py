@@ -176,6 +176,46 @@ def serial_scan(builder, phi0, scales, config=SimulationConfig()):
     return rows
 
 
+def stepwise_scan(entries, phi0, config=SimulationConfig()):
+    """Reference lockstep scan: one stacked matvec and one stop test per step.
+
+    The plain per-step loop over ``entries`` (S, n, n) whose results the
+    block-stepped ``dynamics._first_elimination_steps`` must reproduce. It
+    keeps its own copy of the stop rule and reads ``ZERO_TOL`` at call time.
+    """
+    steps = [None] * entries.shape[0]
+    if phi0.size == 1:
+        return steps
+    live = np.arange(entries.shape[0])
+    phi = np.repeat(phi0[None, :], entries.shape[0], axis=0)
+    t = 0
+    while live.size and t < config.max_steps:
+        proposed = np.matmul(entries, phi[:, :, None])[:, :, 0]
+        crossed = (proposed < -dynamics.ZERO_TOL).any(axis=1)
+        converged = np.abs(proposed - phi).sum(axis=1) < config.convergence_tol
+        finished = crossed | converged
+        if finished.any():
+            for k in live[crossed].tolist():
+                steps[k] = t
+            running = ~finished
+            live, entries, proposed = live[running], entries[running], proposed[running]
+        phi = proposed
+        t += 1
+    return steps
+
+
+def stacked(builder, scales):
+    """The (S, n, n) stack of ``builder(c)`` entries that the scan advances."""
+    return np.stack([builder(scale).entries for scale in scales])
+
+
+def bench_grid(seed):
+    """The benchmark sweep's 400 scales over [0.05, 2], shifted within one spacing by ``seed``."""
+    spacing = (2.0 - 0.05) / 400
+    offset = float(np.random.default_rng(seed).random())
+    return [0.05 + (i + offset) * spacing for i in range(400)]
+
+
 def pair_family(alpha: float, beta: float):
     """Builder for ``two_species_matrix(alpha * c, beta * c)``."""
     return lambda c: two_species_matrix(alpha * c, beta * c)
@@ -861,6 +901,27 @@ class TestEliminationTimeScan:
                 builder, phi0, scales, config
             )
 
+    @given(
+        n=st.sampled_from([2, 3, 10, 30]),
+        seed=st.integers(0, 2**16),
+        neg_fraction=st.floats(0.0, 1.0),
+        scales=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=60),
+        max_steps=st.integers(1, 600),
+        convergence_tol=st.sampled_from([0.0, 1e-12, 1e-3]),
+        zero_tol=st.sampled_from([1e-12, 1e-6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_stepwise_scan(
+        self, n, seed, neg_fraction, scales, max_steps, convergence_tol, zero_tol
+    ):
+        entries = stacked(shrunk_family(random_competitive(n, 0.5, neg_fraction, seed)), scales)
+        phi0 = make_population(np.random.default_rng(seed).random(n) + 0.05).values
+        config = SimulationConfig(max_steps=max_steps, convergence_tol=convergence_tol)
+        with patched_zero_tol(zero_tol):
+            assert dynamics._first_elimination_steps(entries, phi0, config) == stepwise_scan(
+                entries, phi0, config
+            )
+
     def test_makes_no_per_scale_engine_calls(self, monkeypatch):
         calls = {"evolve": 0, "crossing_fraction": 0}
 
@@ -902,3 +963,143 @@ class TestEliminationTimeScan:
             lambda c: EvolutionMatrix([[1.0]]), make_population([1.0]), [0.5, 1.0]
         )
         assert rows == [ScanRow(scale=0.5, steps=None), ScanRow(scale=1.0, steps=None)]
+
+
+class TestScanBlocks:
+    """The scan steps in speculative blocks; ``stepwise_scan`` and ``serial_scan`` are the references.
+
+    With at most 16 live systems the blocks cover steps 0, 1-2, 3-6, 7-14,
+    15-30, 31-62, ... From (1/2, 1/2), ``two_species_matrix(c, -c/2)``
+    first crosses during step 6 at c = 0.113, 7 at 0.099, 10 at 0.073, 14
+    at 0.054 and 15 at 0.051.
+    """
+
+    HALF = make_population([1, 1])
+
+    def assert_scan(self, builder, scales, config, expected, phi0=HALF):
+        rows = elimination_time_scan(builder, phi0, scales, config)
+        assert [row.steps for row in rows] == expected
+        assert rows == serial_scan(builder, phi0, scales, config)
+        assert stepwise_scan(stacked(builder, scales), phi0.values, config) == expected
+
+    @pytest.mark.parametrize(
+        "scale, step",
+        [(0.099, 7), (0.051, 15), (0.113, 6), (0.054, 14), (0.073, 10)],
+        ids=["first-of-7-14", "first-of-15-30", "last-of-3-6", "last-of-7-14", "inside-7-14"],
+    )
+    def test_stop_at_block_edges_and_inside(self, scale, step):
+        self.assert_scan(pair_family(1.0, -0.5), [scale], SimulationConfig(), [step])
+
+    @pytest.mark.parametrize(
+        "max_steps, expected", [(35, None), (40, None), (41, 40), (100, 40)]
+    )
+    def test_cap_inside_a_block(self, max_steps, expected):
+        # c = 0.02 crosses during step 40, inside the block 31-62; caps of
+        # 35, 40 and 41 cut that block short.
+        self.assert_scan(pair_family(1.0, -0.5), [0.02], SimulationConfig(max_steps=max_steps), [expected])
+
+    def test_systems_stop_at_different_indices_of_one_block(self):
+        # In the block 7-14: crossings at its indices 0, 3 and 7, convergence
+        # (to 1e-3) at 4 and 6; one system runs on to converge at step 25 and
+        # one crosses at step 15, the first of the next block.
+        matrices = [
+            two_species_matrix(0.099, -0.0495),
+            two_species_matrix(0.073, -0.0365),
+            two_species_matrix(0.054, -0.027),
+            two_species_matrix(0.12, 0.24),
+            two_species_matrix(0.1, 0.2),
+            two_species_matrix(0.05, 0.1),
+            two_species_matrix(0.051, -0.0255),
+        ]
+        config = SimulationConfig(convergence_tol=1e-3)
+        scales = list(range(len(matrices)))
+        self.assert_scan(matrices.__getitem__, scales, config, [7, 10, 14, None, None, None, 15])
+        convergence = [evolve(matrix, self.HALF, config) for matrix in matrices[3:6]]
+        assert [trajectory.steps[-1] for trajectory in convergence] == [12, 14, 26]
+
+    def test_convergence_before_a_crossing_in_one_block(self):
+        # The L1 change dips below 0.016 only during step 18, then grows until
+        # the crossing during step 30, the last of the block 15-30. The system
+        # stops at the convergence, the first stopping step of the block.
+        builder = shrunk_family(random_competitive(3, 0.5, 0.5, 111))
+        phi0 = make_population(np.random.default_rng(111).random(3) + 0.05)
+        self.assert_scan(builder, [0.3], SimulationConfig(), [30], phi0)
+        self.assert_scan(builder, [0.3], SimulationConfig(convergence_tol=0.016), [None], phi0)
+        assert evolve(builder(0.3), phi0, SimulationConfig(convergence_tol=0.016)).steps[-1] == 19
+
+    def test_crossing_and_convergence_in_one_step_inside_a_block(self):
+        # Step 40 lies inside the block 31-62 and is the first step whose
+        # change is below convergence_tol; the crossing must win.
+        matrix = two_species_matrix(0.02, -0.01)
+        crossing_step, tol = crossing_and_convergence_tol(matrix, [0.5, 0.5])
+        assert crossing_step == 40
+        config = SimulationConfig(max_steps=1000, convergence_tol=tol)
+        self.assert_scan(lambda c: matrix, [1.0], config, [40])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_benchmark_grid(self, seed):
+        # 400 live systems allow blocks of at most 4096 // 400 = 10 steps.
+        scales = bench_grid(seed)
+        builder = pair_family(0.02, -0.01)
+        config = SimulationConfig(max_steps=10_000)
+        rows = elimination_time_scan(builder, self.HALF, scales, config)
+        assert max(row.steps for row in rows) > 700
+        assert rows == serial_scan(builder, self.HALF, scales, config)
+        assert [row.steps for row in rows] == stepwise_scan(
+            stacked(builder, scales), self.HALF.values, config
+        )
+
+    @pytest.mark.parametrize("n, seed", [(3, 1), (10, 2), (30, 3), (30, 4)])
+    def test_n_species_stacks(self, n, seed):
+        builder = shrunk_family(random_competitive(n, 0.5, 0.5, seed))
+        phi0 = make_population(np.random.default_rng(seed).random(n) + 0.05)
+        scales = list(np.linspace(0.05, 1.0, 48))
+        config = SimulationConfig(max_steps=2000)
+        rows = elimination_time_scan(builder, phi0, scales, config)
+        assert any(row.steps is not None for row in rows)
+        assert rows == serial_scan(builder, phi0, scales, config)
+        assert [row.steps for row in rows] == stepwise_scan(
+            stacked(builder, scales), phi0.values, config
+        )
+
+    @given(
+        n=st.integers(2, 30),
+        live=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_into_the_buffer_keeps_the_bits(self, n, live, seed):
+        # The scan writes each stacked matvec into its block buffer through
+        # `out=`; the per-step loop assigns a fresh result. Same bits.
+        rng = np.random.default_rng(seed)
+        entries = rng.normal(size=(live, n, n))
+        states = np.empty((2, live, n))
+        states[0] = rng.normal(size=(live, n))
+        columns = states[:, :, :, None]
+        np.matmul(entries, columns[0], out=columns[1])
+        fresh = np.matmul(entries, states[0][:, :, None])[:, :, 0]
+        assert states[1].tobytes() == fresh.tobytes()
+
+    def test_blocks_stay_within_their_bounds(self, monkeypatch):
+        shapes = []
+        real = dynamics._stop_tests
+
+        def spied(proposed, before, convergence_tol):
+            shapes.append(proposed.shape)
+            return real(proposed, before, convergence_tol)
+
+        monkeypatch.setattr(dynamics, "_stop_tests", spied)
+        elimination_time_scan(
+            pair_family(0.02, -0.01), self.HALF, bench_grid(1), SimulationConfig(max_steps=10_000)
+        )
+        n30 = shrunk_family(random_competitive(30, 0.5, 0.5, 3))
+        elimination_time_scan(
+            n30, make_population(np.ones(30)), list(np.linspace(0.05, 1.0, 48)),
+            SimulationConfig(max_steps=2000),
+        )
+        assert all(len(shape) == 3 for shape in shapes)
+        blocks = [(k, live) for k, live, _ in shapes]
+        assert all(k <= dynamics._MAX_BLOCK and k * live <= 4096 for k, live in blocks)
+        # Both bounds are reached: the cell cap at 400 live systems, the block cap later.
+        assert (10, 400) in blocks
+        assert max(k for k, _ in blocks) == dynamics._MAX_BLOCK
