@@ -26,7 +26,6 @@ from .core import (
 from .dynamics import (
     BackwardReport,
     EliminationEvent,
-    ScanRow,
     SimulationConfig,
     TerminationReason,
     Trajectory,
@@ -73,7 +72,6 @@ __all__ = [
     "MatrixKind",
     "PopulationVector",
     "Regime",
-    "ScanRow",
     "Scenario",
     "SimulationConfig",
     "SpectralSummary",

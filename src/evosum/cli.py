@@ -24,7 +24,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import replace
 
-from .core import make_population, two_species_matrix
+from .core import _two_species_family, make_population
 from .dynamics import (
     SimulationConfig,
     Trajectory,
@@ -162,17 +162,14 @@ def cmd_backward(args) -> int:
 def cmd_sweep(args) -> int:
     initial = make_population(args.initial)
     config = SimulationConfig(max_steps=args.max_steps)
-
-    def builder(scale: float):
-        return two_species_matrix(args.alpha_per_scale * scale, args.beta_per_scale * scale)
-
-    rows = elimination_time_scan(builder, initial, args.scales, config)
+    family = _two_species_family(args.alpha_per_scale, args.beta_per_scale, args.scales)
+    steps = elimination_time_scan(family, initial, config)
     lines = ["scale,steps,status"]
-    for row in rows:
-        if row.steps is None:
-            lines.append(f"{_fmt(row.scale)},,no-elimination")
+    for scale, k in zip(args.scales, steps):
+        if k is None:
+            lines.append(f"{_fmt(scale)},,no-elimination")
         else:
-            lines.append(f"{_fmt(row.scale)},{row.steps},ok")
+            lines.append(f"{_fmt(scale)},{k},ok")
     _atomic_write([(args.out, ["\n".join(lines) + "\n"])])
     return EXIT_OK
 

@@ -87,27 +87,37 @@ def _check_vector(values: np.ndarray, noun: str) -> None:
         raise ValidationError(f"{noun} entry {bad} is negative ({float(values[bad])})")
 
 
+def _column_sums(entries: np.ndarray, column_sum: float) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums of each matrix in ``entries`` (..., n, n), and whether all are in tolerance.
+
+    Returns ``(sums, ok)``: ``sums`` has shape (..., n) and ``ok`` shape
+    (...), True where every column is within ``CONSTRUCTION_TOL`` of
+    ``column_sum``. A non-finite entry makes its column sum inf or NaN,
+    and NaN fails ``<=``, so ``ok`` also means every entry is finite. The
+    sums run with overflow and invalid-value warnings off: an overflowing
+    sum is reported as inf by the caller, not as a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = entries.sum(axis=-2)
+    return sums, (np.abs(sums - column_sum) <= CONSTRUCTION_TOL).all(axis=-1)
+
+
 def _check_matrix(entries: np.ndarray, column_sum: float, what: str) -> None:
     """Checks shared by every per-step matrix: square, finite, column sums.
 
-    A valid matrix passes on one column-sum test: a non-finite entry makes
-    its column sum inf or NaN, and NaN fails ``<=``, so every column within
-    ``CONSTRUCTION_TOL`` means every entry is finite. That sum runs with
-    overflow and invalid-value warnings off. Any other matrix goes through
-    the full sequence, which names the first non-finite entry, else the
-    column furthest off (warning on an overflowing sum, as it always has).
+    A valid matrix passes on one column-sum test (``_column_sums``). Any
+    other matrix goes through the full sequence on the same sums, which
+    names the first non-finite entry, else the column furthest off.
     """
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
         raise ValidationError(f"{what} must be a nonempty square matrix")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = entries.sum(axis=0)
-    if (np.abs(sums - column_sum) <= CONSTRUCTION_TOL).all():
+    sums, ok = _column_sums(entries, column_sum)
+    if ok:
         return
     finite = np.isfinite(entries)
     if not finite.all():
         i, j = np.argwhere(~finite)[0].tolist()
         raise ValidationError(f"{what} entry ({i}, {j}) is not finite ({float(entries[i, j])})")
-    sums = entries.sum(axis=0)
     dev = np.abs(sums - column_sum)
     if np.any(dev > CONSTRUCTION_TOL):
         j = int(np.argmax(dev))
@@ -140,7 +150,8 @@ class PopulationVector:
         values = _readonly(self.values)
         object.__setattr__(self, "values", values)
         _check_vector(values, "population")
-        total = float(values.sum())
+        with np.errstate(over="ignore"):  # an overflowing total is reported below
+            total = float(values.sum())
         if abs(total - 1.0) > CONSTRUCTION_TOL:
             raise ValidationError(
                 f"populations sum to {total!r}, expected 1 within {CONSTRUCTION_TOL}"
@@ -235,14 +246,32 @@ def classify_matrix(matrix: EvolutionMatrix) -> MatrixClass:
     return MatrixClass(kind=kind, negative_offdiag_count=count)
 
 
+def _two_species_family(alpha, beta, scales) -> np.ndarray:
+    """The entries ``[[1-a, b], [a, 1-b]]`` with ``a = alpha*c`` and ``b = beta*c`` per scale c.
+
+    ``scales`` of shape (S,) gives an (S, 2, 2) stack, and a scalar scale
+    one (2, 2) matrix. The arithmetic is Python float arithmetic done
+    elementwise: a product overflows to inf and ``inf * 0`` is NaN, with
+    the warnings numpy would give turned off, so a bad scale is reported
+    by the matrix check. No entry is checked here.
+    """
+    scales = np.asarray(scales, dtype=float)
+    entries = np.empty((*scales.shape, 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(alpha, scales, out=entries[..., 1, 0])
+        np.multiply(beta, scales, out=entries[..., 0, 1])
+        np.subtract(1.0, entries[..., 1, 0], out=entries[..., 0, 0])
+        np.subtract(1.0, entries[..., 0, 1], out=entries[..., 1, 1])
+    return entries
+
+
 def two_species_matrix(alpha: float, beta: float) -> EvolutionMatrix:
     """Two-species coupling matrix ``[[1-alpha, beta], [alpha, 1-beta]]``.
 
     ``alpha`` is the per-step transfer out of species 1 into species 2;
     ``beta`` the reverse. Negative values model takings instead of gifts.
     """
-    entries = np.array([[1.0 - alpha, beta], [alpha, 1.0 - beta]], dtype=float)
-    return EvolutionMatrix(entries)
+    return EvolutionMatrix(_two_species_family(alpha, beta, 1.0))
 
 
 def _offdiag_magnitudes(n: int, coupling_scale: float, rng: np.random.Generator) -> np.ndarray:

@@ -56,19 +56,22 @@ keeps its sign). Once eliminated, a species never re-enters: its slot
 stays zero for the rest of the run.
 
 ``elimination_time_scan`` needs only the step of each system's first
-elimination, so it does not run ``evolve`` per matrix. It stacks the
-whole family and advances every live system in lockstep, in speculative
-blocks as ``evolve`` does: K stacked matvecs into one buffer, then one
-``_stop_tests`` call on all of the block's states. Each system stops at
-its first elimination, at convergence or at the step cap, under
-``evolve``'s rules in ``evolve``'s order: its first stopping step in the
-block decides, and the systems that stopped leave the stack once per
-block. K starts at 1 and doubles up to 256, never past the step cap,
-with at most 4096 stacked states (K times the live systems) per block.
-Every state is the stacked matvec the per-step loop would compute, so
-the steps are identical. The cost is one stacked matvec per step of the
-slowest live system, including the steps computed past a stop, plus a
-fixed handful of vectorized tests per block; nothing is recorded.
+elimination, so it does not run ``evolve`` per matrix. It takes the
+whole family as one (S, n, n) array, checks every member with one
+column-sum test over the stack (an ``EvolutionMatrix`` is built only for
+the first member that fails, to raise its message), and advances every
+live system in lockstep, in speculative blocks as ``evolve`` does: K
+stacked matvecs into one buffer, then one ``_stop_tests`` call on all of
+the block's states. Each system stops at its first elimination, at
+convergence or at the step cap, under ``evolve``'s rules in ``evolve``'s
+order: its first stopping step in the block decides, and the systems
+that stopped leave the stack once per block. K starts at 1 and doubles
+up to 256, never past the step cap, with at most 4096 stacked states (K
+times the live systems) per block. Every state is the stacked matvec the
+per-step loop would compute, so the steps are identical. The cost is one
+stacked matvec per step of the slowest live system, including the steps
+computed past a stop, plus a fixed handful of vectorized tests per
+block; nothing is recorded.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ from .core import (
     PopulationVector,
     _check_integer,
     _check_tolerance,
+    _column_sums,
     negative_offdiag_count,
 )
 from .errors import NumericalError, ValidationError
@@ -167,14 +171,6 @@ class BackwardReport:
     horizon: int
     offender: int | None
     endpoint: np.ndarray
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """Steps to first elimination for one coupling scale; None if none occurred."""
-
-    scale: float
-    steps: int | None
 
 
 def crossing_fraction(phi_before, phi_after) -> tuple[int, float] | None:
@@ -468,36 +464,41 @@ def _first_elimination_steps(
 
 
 def elimination_time_scan(
-    builder,
+    family,
     phi0: PopulationVector,
-    scales,
     config: SimulationConfig = SimulationConfig(),
-) -> list[ScanRow]:
-    """Steps to first elimination across a family of matrices ``builder(c)``.
+) -> list[int | None]:
+    """Steps to first elimination of each matrix in ``family`` (S, n, n), all from ``phi0``.
 
-    All scales advance in lockstep from ``phi0``, in blocks of stacked
-    matvecs tested at once, and each stops at its first elimination (the
-    row holds the number of completed steps), at convergence or at
-    ``config.max_steps``; the last two give ``steps=None`` rather than
-    failing the whole scan. The stop rules and their order are
-    ``evolve``'s, so the steps equal those of the first event of ``evolve``
-    on each matrix. A block has K steps for the L scales still running:
-    K doubles from 1 up to 256, never past the step cap, and K * L stays
-    within 4096. The cost is one stacked matvec per step of the slowest
-    scale, including the steps computed past a stop, and one vectorized
-    stop test per block. Nothing is recorded.
+    ``family[s]`` is checked as an ``EvolutionMatrix`` would check it, but
+    for the whole stack at once: one column-sum test over all S members.
+    Only when some member fails is ``EvolutionMatrix`` built, for the first
+    failing member, which raises its message (the first non-finite entry,
+    else the column furthest off). A family that is not a stack of square
+    matrices, or whose matrices do not match ``phi0`` in size, raises
+    ``ValidationError`` too.
+
+    All members advance in lockstep from ``phi0``, in blocks of stacked
+    matvecs tested at once, and each stops at its first elimination (its
+    result is the number of completed steps), at convergence or at
+    ``config.max_steps``; the last two give None rather than failing the
+    whole scan. The stop rules and their order are ``evolve``'s, so the
+    steps equal those of the first event of ``evolve`` on each matrix. A
+    block has K steps for the L members still running: K doubles from 1
+    up to 256, never past the step cap, and K * L stays within 4096. The
+    cost is one stacked matvec per step of the slowest member, including
+    the steps computed past a stop, and one vectorized stop test per
+    block. Nothing is recorded.
     """
-    scales = list(scales)
-    if not scales:
-        return []
-    matrices = [builder(scale) for scale in scales]
-    n = phi0.n
-    for scale, matrix in zip(scales, matrices):
-        if matrix.n != n:
-            raise ValidationError(
-                f"matrix for scale {float(scale)!r} is {matrix.n}x{matrix.n} "
-                f"but the population has {n} entries"
-            )
-    entries = np.stack([matrix.entries for matrix in matrices])
-    steps = _first_elimination_steps(entries, np.array(phi0.values), config)
-    return [ScanRow(scale=float(scale), steps=k) for scale, k in zip(scales, steps)]
+    family = np.ascontiguousarray(family, dtype=float)
+    if family.ndim != 3 or family.shape[1] != family.shape[2] or family.shape[1] < 1:
+        raise ValidationError("a matrix family must be a stack of nonempty square matrices")
+    _, ok = _column_sums(family, 1.0)
+    if not ok.all():
+        EvolutionMatrix(family[int(ok.argmin())])  # raises the first failing member's message
+    n = family.shape[1]
+    if n != phi0.n:
+        raise ValidationError(
+            f"each matrix in the family is {n}x{n} but the population has {phi0.n} entries"
+        )
+    return _first_elimination_steps(family, np.array(phi0.values), config)

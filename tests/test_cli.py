@@ -348,6 +348,22 @@ class TestExitCodes:
         assert captured.err == "error: total abundance is not finite (inf)\n"
         assert not out.exists()
 
+    def test_overflowing_column_sum_is_validation_error(self, tmp_path, capsys):
+        # Finite entries whose column sum overflows: under the suite's
+        # warnings-as-errors, as under `python -W error`, the check must not warn.
+        path = write_scenario(
+            tmp_path / "big.json",
+            {"matrix": {"entries": [[1.7e308, 0.0], [1.7e308, 1.0]]}, "initial": [1, 1]},
+        )
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: column 0 of evolution matrix sums to inf, expected 1.0 within 1e-12\n"
+        )
+        assert not out.exists()
+
     def test_bad_column_sum_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path / "bad.json",
@@ -896,6 +912,9 @@ class TestBackwardCommand:
         assert "max_steps must be at least 1" in captured.err
 
 
+CANCELLED_COLUMN = "column 0 of evolution matrix sums to 0.0, expected 1.0 within 1e-12"
+
+
 class TestSweepCommand:
     def test_inverse_scaling_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -959,9 +978,9 @@ class TestSweepCommand:
     def test_initial_summing_to_one_keeps_its_bits(self, tmp_path, monkeypatch):
         starts = []
 
-        def spy(builder, phi0, scales, config):
+        def spy(family, phi0, config):
             starts.append(phi0)
-            return elimination_time_scan(builder, phi0, scales, config)
+            return elimination_time_scan(family, phi0, config)
 
         monkeypatch.setattr("evosum.cli.elimination_time_scan", spy)
         argv = ["sweep", "--alpha-per-scale", "1.0", "--beta-per-scale", "-0.5",
@@ -983,6 +1002,28 @@ class TestSweepCommand:
                 "--scales", "0.01", "--initial", *initial, "--out", str(out)]
         assert main(argv) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "alpha, beta, scales, message",
+        [
+            ("inf", "-0.5", ["0.01", "0.02"], "evolution matrix entry (0, 0) is not finite (-inf)"),
+            ("1e300", "-0.5", ["0.01", "1e10"], CANCELLED_COLUMN),
+            ("1e17", "-0.5", ["0.5", "1"], CANCELLED_COLUMN),
+            ("0.02", "-0.01", ["nan", "1"], "evolution matrix entry (0, 0) is not finite (nan)"),
+        ],
+        ids=["inf-coupling", "overflowing-product", "cancelling-column", "nan-scale"],
+    )
+    def test_bad_family_member_is_validation_error(self, tmp_path, capsys, alpha, beta, scales, message):
+        # The first bad scale names the error. Under the suite's warnings-as-errors,
+        # an overflowing product (1e300 * 1e10) must reach the check, not warn.
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--alpha-per-scale", alpha, "--beta-per-scale", beta,
+                "--scales", *scales, "--out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
         assert not out.exists()
 
     def test_csv_matches_serial_scan(self, tmp_path, monkeypatch):

@@ -11,7 +11,6 @@ from evosum import (
     EliminationEvent,
     EvolutionMatrix,
     PopulationVector,
-    ScanRow,
     SimulationConfig,
     TerminationReason,
     Trajectory,
@@ -166,14 +165,13 @@ def assert_same_run(actual, expected):
     assert actual.final_matrix.entries.tobytes() == expected.final_matrix.entries.tobytes()
 
 
-def serial_scan(builder, phi0, scales, config=SimulationConfig()):
-    """Reference scan: one full ``evolve`` per scale, keeping only the first event."""
-    rows = []
-    for scale in scales:
-        trajectory = evolve(builder(scale), phi0, config)
-        events = trajectory.events
-        rows.append(ScanRow(scale=float(scale), steps=events[0].step_index if events else None))
-    return rows
+def serial_scan(family, phi0, config=SimulationConfig()):
+    """Reference scan: one full ``evolve`` per member of ``family``, keeping its first event."""
+    steps = []
+    for entries in family:
+        events = evolve(EvolutionMatrix(entries), phi0, config).events
+        steps.append(events[0].step_index if events else None)
+    return steps
 
 
 def stepwise_scan(entries, phi0, config=SimulationConfig()):
@@ -800,43 +798,31 @@ class TestStopRuleBoundary:
 
     def test_scan_eliminates_on_the_second_step(self):
         with patched_zero_tol(self.Z):
-            rows = elimination_time_scan(lambda c: self.MATRIX, self.START, [1.0], self.CONFIG)
-        assert rows == [ScanRow(scale=1.0, steps=1)]
+            steps = elimination_time_scan(self.MATRIX.entries[None], self.START, self.CONFIG)
+        assert steps == [1]
 
 
 class TestEliminationTimeScan:
     def test_inverse_scaling_family(self):
-        rows = elimination_time_scan(
-            lambda c: two_species_matrix(c, -c / 2),
-            make_population([0.5, 0.5]),
-            [0.01, 0.02, 0.04],
-        )
-        assert [(r.scale, r.steps) for r in rows] == [(0.01, 80), (0.02, 40), (0.04, 20)]
+        family = stacked(lambda c: two_species_matrix(c, -c / 2), [0.01, 0.02, 0.04])
+        assert elimination_time_scan(family, make_population([0.5, 0.5])) == [80, 40, 20]
 
     def test_matches_brute_force_oracle(self):
         for c in (0.01, 0.02, 0.04):
             matrix = two_species_matrix(c, -c / 2)
             oracle_steps = brute_first_crossing(matrix.entries, [0.5, 0.5])[0]
-            rows = elimination_time_scan(
-                lambda c=c: matrix, make_population([0.5, 0.5]), [c]
-            )
-            assert rows[0].steps == oracle_steps
+            steps = elimination_time_scan(matrix.entries[None], make_population([0.5, 0.5]))
+            assert steps == [oracle_steps]
 
     def test_coexistence_family_reports_no_elimination(self):
-        rows = elimination_time_scan(
-            lambda c: two_species_matrix(c, c),
-            make_population([0.5, 0.5]),
-            [0.01, 0.02],
-        )
-        assert all(r.steps is None for r in rows)
+        family = stacked(lambda c: two_species_matrix(c, c), [0.01, 0.02])
+        assert elimination_time_scan(family, make_population([0.5, 0.5])) == [None, None]
 
     def test_extinct_start_counts_zero_steps(self):
-        rows = elimination_time_scan(
-            lambda c: two_species_matrix(c, -c / 2),
-            PopulationVector(np.array([0.0, 1.0])),
-            [0.02],
+        steps = elimination_time_scan(
+            two_species_matrix(0.02, -0.01).entries[None], PopulationVector(np.array([0.0, 1.0]))
         )
-        assert rows[0].steps == 0
+        assert steps == [0]
 
     @pytest.mark.parametrize(
         "alpha, beta, start, config, expected",
@@ -854,11 +840,11 @@ class TestEliminationTimeScan:
         ids=["converged", "extinct-start", "capped", "just-uncapped", "crossed-and-converged", "wide-zero-tol"],
     )
     def test_regimes_match_serial_scan(self, alpha, beta, start, config, expected):
-        builder = pair_family(alpha, beta)
+        family = stacked(pair_family(alpha, beta), [1.0])
         phi0 = PopulationVector(np.array(start))
-        rows = elimination_time_scan(builder, phi0, [1.0], config)
-        assert rows == [ScanRow(scale=1.0, steps=expected)]
-        assert rows == serial_scan(builder, phi0, [1.0], config)
+        steps = elimination_time_scan(family, phi0, config)
+        assert steps == [expected]
+        assert steps == serial_scan(family, phi0, config)
 
     @given(
         alpha=st.floats(-0.4, 0.4).filter(lambda x: abs(x) > 0.01),
@@ -874,12 +860,11 @@ class TestEliminationTimeScan:
         self, alpha, beta, share, scales, max_steps, convergence_tol, zero_tol
     ):
         builder = pair_family(alpha, beta)
+        family = np.reshape([builder(scale).entries for scale in scales], (-1, 2, 2))  # S may be 0
         phi0 = PopulationVector(np.array([share, 1.0 - share]))
         config = SimulationConfig(max_steps=max_steps, convergence_tol=convergence_tol)
         with patched_zero_tol(zero_tol):
-            assert elimination_time_scan(builder, phi0, scales, config) == serial_scan(
-                builder, phi0, scales, config
-            )
+            assert elimination_time_scan(family, phi0, config) == serial_scan(family, phi0, config)
 
     @given(
         n=st.sampled_from([2, 3, 5, 10, 30]),
@@ -893,13 +878,11 @@ class TestEliminationTimeScan:
     def test_n_species_families_match_serial_scan(
         self, n, seed, neg_fraction, scales, max_steps, zero_tol
     ):
-        builder = shrunk_family(random_competitive(n, 0.5, neg_fraction, seed))
+        family = stacked(shrunk_family(random_competitive(n, 0.5, neg_fraction, seed)), scales)
         phi0 = make_population(np.random.default_rng(seed).random(n) + 0.05)
         config = SimulationConfig(max_steps=max_steps)
         with patched_zero_tol(zero_tol):
-            assert elimination_time_scan(builder, phi0, scales, config) == serial_scan(
-                builder, phi0, scales, config
-            )
+            assert elimination_time_scan(family, phi0, config) == serial_scan(family, phi0, config)
 
     @given(
         n=st.sampled_from([2, 3, 10, 30]),
@@ -936,33 +919,79 @@ class TestEliminationTimeScan:
 
         for name in calls:
             monkeypatch.setattr(dynamics, name, counted(name))
-        rows = elimination_time_scan(
-            lambda c: two_species_matrix(c, -c / 2), make_population([0.5, 0.5]), [0.01, 0.02]
-        )
-        assert [r.steps for r in rows] == [80, 40]
+        family = stacked(lambda c: two_species_matrix(c, -c / 2), [0.01, 0.02])
+        assert elimination_time_scan(family, make_population([0.5, 0.5])) == [80, 40]
         assert calls == {"evolve": 0, "crossing_fraction": 0}
+
+    def test_valid_family_builds_no_matrix(self, monkeypatch):
+        def refused(entries):
+            raise AssertionError("a valid family is checked as one stack")
+
+        monkeypatch.setattr(dynamics, "EvolutionMatrix", refused)
+        family = stacked(lambda c: two_species_matrix(c, -c / 2), [0.01, 0.02])
+        assert elimination_time_scan(family, make_population([0.5, 0.5])) == [80, 40]
 
     def test_population_size_mismatch_names_both_sizes(self):
         with pytest.raises(ValidationError, match="is 2x2 but the population has 3 entries"):
             elimination_time_scan(
-                lambda c: two_species_matrix(c, -c / 2), make_population([1, 1, 1]), [0.1]
+                two_species_matrix(0.1, -0.05).entries[None], make_population([1, 1, 1])
             )
 
-    def test_matrices_of_different_sizes_rejected(self):
-        def builder(c):
-            return shrunk_family(random_competitive(3 if c < 0.15 else 2, 0.5, 0.5, 1))(c)
+    @pytest.mark.parametrize(
+        "family",
+        [np.ones((2, 3, 2)), np.ones((2, 2)), np.ones((1, 1, 2, 2)), np.ones((2, 0, 0))],
+        ids=["non-square", "one-matrix", "four-dims", "empty-matrices"],
+    )
+    def test_family_not_a_stack_of_square_matrices_rejected(self, family):
+        with pytest.raises(ValidationError, match="stack of nonempty square matrices"):
+            elimination_time_scan(family, make_population([1, 1]))
 
-        with pytest.raises(ValidationError, match="scale 0.2 is 2x2 but the population has 3"):
-            elimination_time_scan(builder, make_population([1, 1, 1]), [0.1, 0.2])
+    @given(
+        n=st.integers(1, 5),
+        size=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        poison=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.sampled_from([np.nan, np.inf, -np.inf, 1.7e308, 2e-12, 5e-13, -1e-11]),
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_family_check_raises_the_first_failing_members_message(self, n, size, seed, poison):
+        # Each member is a valid matrix, then some get one entry replaced by a
+        # non-finite value, a huge one, or one nudged by a few 1e-12.
+        rng = np.random.default_rng(seed)
+        family = rng.uniform(-0.5, 0.5, size=(size, n, n))
+        family[:, np.arange(n), np.arange(n)] += 1.0 - family.sum(axis=1)
+        for member, value in poison:
+            i, j = rng.integers(0, n, size=2)
+            if abs(value) < 1e-10:
+                family[member % size, i, j] += value
+            else:
+                family[member % size, i, j] = value
+        expected = None
+        for entries in family:
+            try:
+                EvolutionMatrix(entries)
+            except ValidationError as exc:
+                expected = str(exc)
+                break
+        phi0 = make_population(np.ones(n))
+        config = SimulationConfig(max_steps=5)
+        if expected is None:
+            assert elimination_time_scan(family, phi0, config) == serial_scan(family, phi0, config)
+        else:
+            with pytest.raises(ValidationError) as caught:
+                elimination_time_scan(family, phi0, config)
+            assert str(caught.value) == expected
 
     def test_empty_scales_give_no_rows(self):
-        assert elimination_time_scan(lambda c: two_species_matrix(c, c), make_population([1, 1]), []) == []
+        assert elimination_time_scan(np.empty((0, 2, 2)), make_population([1, 1])) == []
 
     def test_single_species_never_eliminates(self):
-        rows = elimination_time_scan(
-            lambda c: EvolutionMatrix([[1.0]]), make_population([1.0]), [0.5, 1.0]
-        )
-        assert rows == [ScanRow(scale=0.5, steps=None), ScanRow(scale=1.0, steps=None)]
+        assert elimination_time_scan(np.ones((2, 1, 1)), make_population([1.0])) == [None, None]
 
 
 class TestScanBlocks:
@@ -977,10 +1006,10 @@ class TestScanBlocks:
     HALF = make_population([1, 1])
 
     def assert_scan(self, builder, scales, config, expected, phi0=HALF):
-        rows = elimination_time_scan(builder, phi0, scales, config)
-        assert [row.steps for row in rows] == expected
-        assert rows == serial_scan(builder, phi0, scales, config)
-        assert stepwise_scan(stacked(builder, scales), phi0.values, config) == expected
+        family = stacked(builder, scales)
+        assert elimination_time_scan(family, phi0, config) == expected
+        assert serial_scan(family, phi0, config) == expected
+        assert stepwise_scan(family, phi0.values, config) == expected
 
     @pytest.mark.parametrize(
         "scale, step",
@@ -1040,27 +1069,23 @@ class TestScanBlocks:
     def test_benchmark_grid(self, seed):
         # 400 live systems allow blocks of at most 4096 // 400 = 10 steps.
         scales = bench_grid(seed)
-        builder = pair_family(0.02, -0.01)
+        family = stacked(pair_family(0.02, -0.01), scales)
         config = SimulationConfig(max_steps=10_000)
-        rows = elimination_time_scan(builder, self.HALF, scales, config)
-        assert max(row.steps for row in rows) > 700
-        assert rows == serial_scan(builder, self.HALF, scales, config)
-        assert [row.steps for row in rows] == stepwise_scan(
-            stacked(builder, scales), self.HALF.values, config
-        )
+        steps = elimination_time_scan(family, self.HALF, config)
+        assert max(steps) > 700
+        assert steps == serial_scan(family, self.HALF, config)
+        assert steps == stepwise_scan(family, self.HALF.values, config)
 
     @pytest.mark.parametrize("n, seed", [(3, 1), (10, 2), (30, 3), (30, 4)])
     def test_n_species_stacks(self, n, seed):
         builder = shrunk_family(random_competitive(n, 0.5, 0.5, seed))
+        family = stacked(builder, np.linspace(0.05, 1.0, 48))
         phi0 = make_population(np.random.default_rng(seed).random(n) + 0.05)
-        scales = list(np.linspace(0.05, 1.0, 48))
         config = SimulationConfig(max_steps=2000)
-        rows = elimination_time_scan(builder, phi0, scales, config)
-        assert any(row.steps is not None for row in rows)
-        assert rows == serial_scan(builder, phi0, scales, config)
-        assert [row.steps for row in rows] == stepwise_scan(
-            stacked(builder, scales), phi0.values, config
-        )
+        steps = elimination_time_scan(family, phi0, config)
+        assert any(k is not None for k in steps)
+        assert steps == serial_scan(family, phi0, config)
+        assert steps == stepwise_scan(family, phi0.values, config)
 
     @given(
         n=st.integers(2, 30),
@@ -1090,13 +1115,12 @@ class TestScanBlocks:
 
         monkeypatch.setattr(dynamics, "_stop_tests", spied)
         elimination_time_scan(
-            pair_family(0.02, -0.01), self.HALF, bench_grid(1), SimulationConfig(max_steps=10_000)
+            stacked(pair_family(0.02, -0.01), bench_grid(1)),
+            self.HALF,
+            SimulationConfig(max_steps=10_000),
         )
-        n30 = shrunk_family(random_competitive(30, 0.5, 0.5, 3))
-        elimination_time_scan(
-            n30, make_population(np.ones(30)), list(np.linspace(0.05, 1.0, 48)),
-            SimulationConfig(max_steps=2000),
-        )
+        n30 = stacked(shrunk_family(random_competitive(30, 0.5, 0.5, 3)), np.linspace(0.05, 1, 48))
+        elimination_time_scan(n30, make_population(np.ones(30)), SimulationConfig(max_steps=2000))
         assert all(len(shape) == 3 for shape in shapes)
         blocks = [(k, live) for k, live, _ in shapes]
         assert all(k <= dynamics._MAX_BLOCK and k * live <= 4096 for k, live in blocks)
