@@ -13,7 +13,6 @@ from .core import (
     ZERO_TOL,
     EvolutionMatrix,
     GeneratorMatrix,
-    MatrixClass,
     MatrixKind,
     PopulationVector,
     classify_matrix,
@@ -34,7 +33,7 @@ from .dynamics import (
     evolve,
     evolve_backward,
 )
-from .scenario import Scenario, load_scenario, save_scenario, scenario_from_dict, scenario_to_dict
+from .scenario import Scenario, load_scenario, scenario_from_dict
 from .spectral import (
     BiorthogonalityReport,
     SpectralSummary,
@@ -44,14 +43,12 @@ from .spectral import (
 )
 from .two_species import (
     ClosedFormSolution,
-    CrosscheckReport,
     Regime,
     TwoSpeciesParams,
     Winner,
     classify_regime,
     closed_form,
     closed_form_solution,
-    crosscheck,
     predict_winner,
 )
 
@@ -64,11 +61,9 @@ __all__ = [
     "BackwardReport",
     "BiorthogonalityReport",
     "ClosedFormSolution",
-    "CrosscheckReport",
     "EliminationEvent",
     "EvolutionMatrix",
     "GeneratorMatrix",
-    "MatrixClass",
     "MatrixKind",
     "PopulationVector",
     "Regime",
@@ -84,7 +79,6 @@ __all__ = [
     "classify_regime",
     "closed_form",
     "closed_form_solution",
-    "crosscheck",
     "crossing_fraction",
     "eigendecompose",
     "elimination_time_scan",
@@ -96,9 +90,7 @@ __all__ = [
     "predict_winner",
     "random_competitive",
     "random_stochastic",
-    "save_scenario",
     "scenario_from_dict",
-    "scenario_to_dict",
     "stationary_by_iteration",
     "two_species_matrix",
 ]

@@ -2,9 +2,8 @@
 
 Outputs are deterministic: floats are written with their shortest
 round-tripping repr and JSON keys are sorted, so identical inputs produce
-byte-identical files. All files are written atomically (temp file plus
-rename), and a command renames its files into place only after every
-one of them is written, so a run that fails leaves each output as it was.
+byte-identical files. Every command writes its files through
+``_atomic_write``, so a run that fails leaves each output as it was.
 The trajectory CSV formats a row's populations only when their bits
 differ from the row before, so its cost scales with the number of
 distinct consecutive rows: a run held at its fixed point reuses one
@@ -18,10 +17,12 @@ with `--out` and `--summary` naming the same file), 3 validation error,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
-from collections.abc import Iterator
+import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 from .core import _two_species_family, make_population
@@ -33,7 +34,7 @@ from .dynamics import (
     evolve_backward,
 )
 from .errors import NumericalError, ScenarioParseError, ValidationError
-from .scenario import Scenario, _atomic_write, _json_text, load_scenario
+from .scenario import Scenario, load_scenario
 from .spectral import SpectralSummary, check_biorthogonality, eigendecompose
 from .two_species import Regime, TwoSpeciesParams, classify_regime, predict_winner
 
@@ -46,6 +47,34 @@ EXIT_IO = 5
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _atomic_write(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Write each ``(path, chunks)`` to a temp file beside ``path``, then rename them all.
+
+    Every temp file is written in full before the first rename, so a failure
+    while writing any of them leaves every target as it was; the temp files
+    are removed on any failure.
+    """
+    renames = []
+    try:
+        for path, chunks in outputs:
+            directory = os.path.dirname(os.path.abspath(path)) or "."
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
+            renames.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        for tmp, path in renames:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in renames:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
 
 
 def _trajectory_lines(trajectory: Trajectory, names: tuple[str, ...]) -> Iterator[str]:

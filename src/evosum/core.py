@@ -133,14 +133,6 @@ class MatrixKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MatrixClass:
-    """Classification of an evolution matrix by the sign of its entries."""
-
-    kind: MatrixKind
-    negative_offdiag_count: int
-
-
-@dataclass(frozen=True)
 class PopulationVector:
     """Point on the probability simplex: population fractions per species."""
 
@@ -233,17 +225,11 @@ def negative_offdiag_count(entries: np.ndarray) -> int:
     return int(np.count_nonzero(off < -ZERO_TOL))
 
 
-def classify_matrix(matrix: EvolutionMatrix) -> MatrixClass:
-    """Classify as stochastic (all entries in [0, 1]) or competitive.
-
-    The negative off-diagonal count is reported for both kinds; it is zero
-    whenever the matrix is stochastic.
-    """
+def classify_matrix(matrix: EvolutionMatrix) -> MatrixKind:
+    """Classify as stochastic (all entries in [0, 1]) or competitive."""
     entries = matrix.entries
     in_range = np.all(entries >= -ZERO_TOL) and np.all(entries <= 1.0 + ZERO_TOL)
-    count = negative_offdiag_count(entries)
-    kind = MatrixKind.STOCHASTIC if in_range else MatrixKind.COMPETITIVE
-    return MatrixClass(kind=kind, negative_offdiag_count=count)
+    return MatrixKind.STOCHASTIC if in_range else MatrixKind.COMPETITIVE
 
 
 def _two_species_family(alpha, beta, scales) -> np.ndarray:

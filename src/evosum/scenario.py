@@ -12,7 +12,7 @@ Top-level keys:
   double quote, CR or LF: names become CSV header and event cells, which
   are written unquoted.
 * ``dt`` (optional, default 1.0): provenance metadata with ``0 < dt < inf``,
-  checked here and written back by ``save_scenario``; nothing computes with it.
+  checked here and then discarded; nothing computes with it.
 * ``config`` (optional): ``max_steps``, ``convergence_tol``, ``record_every``.
 * ``seed`` (optional): recorded for provenance and output determinism.
 
@@ -21,20 +21,13 @@ objects nested too deeply for the parser, are a parse error.
 
 Fields that become floats take JSON numbers only: a boolean, or an
 integer larger in magnitude than the largest float, is a parse error.
-
-Floats survive a save/load round trip exactly: they are serialized with
-Python's shortest round-tripping repr. Files are written atomically
-(temp file plus rename), so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-import tempfile
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import (
@@ -64,10 +57,7 @@ _FLOAT_MAX = int(sys.float_info.max)
 @dataclass(frozen=True)
 class Scenario:
     species_names: tuple[str, ...]
-    dt: float
-    matrix_spec: dict
     matrix: EvolutionMatrix
-    initial_raw: tuple[float, ...]
     initial: PopulationVector
     config: SimulationConfig
     seed: int | None
@@ -205,10 +195,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     return Scenario(
         species_names=tuple(names),
-        dt=float(dt),
-        matrix_spec=data["matrix"],
         matrix=matrix,
-        initial_raw=tuple(float(x) for x in initial),
         initial=make_population(initial),
         config=_build_config(data.get("config")),
         seed=seed,
@@ -233,52 +220,3 @@ def load_scenario(path) -> Scenario:
         return scenario_from_dict(data)
     except ScenarioParseError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    data = {
-        "species_names": list(scenario.species_names),
-        "dt": scenario.dt,
-        "matrix": scenario.matrix_spec,
-        "initial": list(scenario.initial_raw),
-        "config": {
-            "max_steps": scenario.config.max_steps,
-            "convergence_tol": scenario.config.convergence_tol,
-            "record_every": scenario.config.record_every,
-        },
-    }
-    if scenario.seed is not None:
-        data["seed"] = scenario.seed
-    return data
-
-
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _atomic_write(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
-    """Write each ``(path, chunks)`` to a temp file beside ``path``, then rename them all.
-
-    Every temp file is written in full before the first rename, so a failure
-    while writing any of them leaves every target as it was; the temp files
-    are removed on any failure.
-    """
-    renames = []
-    try:
-        for path, chunks in outputs:
-            directory = os.path.dirname(os.path.abspath(path)) or "."
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
-            renames.append((tmp, path))
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-        for tmp, path in renames:
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in renames:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        raise
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    _atomic_write([(path, [_json_text(scenario_to_dict(scenario))])])

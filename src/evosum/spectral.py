@@ -238,7 +238,7 @@ def stationary_by_iteration(
     """
     _check_tolerance("tol", tol)
     _check_integer("max_iter", max_iter, 1)
-    if classify_matrix(matrix).kind is not MatrixKind.STOCHASTIC:
+    if classify_matrix(matrix) is not MatrixKind.STOCHASTIC:
         raise ValidationError("iterated averaging requires a stochastic matrix")
     power = np.asarray(matrix.entries, dtype=float).copy()
     for _ in range(max_iter):

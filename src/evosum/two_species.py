@@ -25,15 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ZERO_TOL,
-    PopulationVector,
-    _check_finite,
-    _check_integer,
-    _check_tolerance,
-    two_species_matrix,
-)
-from .dynamics import SimulationConfig, evolve
+from .core import ZERO_TOL, _check_finite, _check_integer
 from .errors import NumericalError, ValidationError
 
 
@@ -142,40 +134,3 @@ def predict_winner(params: TwoSpeciesParams) -> Winner:
     if abs(coeff) <= ZERO_TOL:
         return Winner.KNIFE_EDGE
     return Winner.SPECIES_1 if coeff > 0 else Winner.SPECIES_2
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    max_deviation: float
-    steps_compared: int
-    passed: bool
-
-
-def crosscheck(
-    params: TwoSpeciesParams, steps: int, tol: float
-) -> CrosscheckReport:
-    """Run the engine and the closed form in lockstep and compare.
-
-    The comparison covers steps 0..min(steps, first elimination); the
-    engine runs with the convergence stop disabled so every step exists
-    on both sides. ``steps`` must be an integer (not a bool) of at least 1
-    and ``tol`` a finite number of at least 0; anything else raises
-    ``ValidationError``.
-    """
-    _check_integer("steps", steps, 1)
-    _check_tolerance("tol", tol)
-    matrix = two_species_matrix(params.alpha, params.beta)
-    start = PopulationVector(np.array([params.a, 1.0 - params.a]))
-    config = SimulationConfig(max_steps=steps, convergence_tol=0.0, record_every=1)
-    trajectory = evolve(matrix, start, config)
-
-    eliminations = trajectory.events
-    last_step = min(steps, eliminations[0].step_index) if eliminations else steps
-    keep = (trajectory.event_species < 0) & (trajectory.steps <= last_step)
-    deviation = 0.0
-    compared = int(keep.sum())
-    for t, values in zip(trajectory.steps[keep].tolist(), trajectory.values[keep]):
-        deviation = max(deviation, float(np.max(np.abs(values - closed_form(params, t)))))
-    return CrosscheckReport(
-        max_deviation=deviation, steps_compared=compared, passed=deviation <= tol
-    )

@@ -15,7 +15,6 @@ from evosum import (
     SimulationConfig,
     TerminationReason,
     TwoSpeciesParams,
-    crosscheck,
     eigendecompose,
     elimination_time_scan,
     evolve,
@@ -28,6 +27,7 @@ from evosum import (
 )
 from evosum.cli import main
 from test_dynamics import survivor_values
+from test_two_species import crosscheck
 
 #: Every trajectory produced while the suite runs, checked by criterion 5.
 ALL_TRAJECTORIES = []
@@ -78,8 +78,8 @@ def test_criterion_2_closed_form_vs_engine():
             beta=float(rng.uniform(0.01, 0.2)),
             a=float(rng.uniform(0.0, 1.0)),
         )
-        report = crosscheck(params, steps=200, tol=1e-9)
-        worst = max(worst, report.max_deviation)
+        deviation, _ = crosscheck(params, steps=200)
+        worst = max(worst, deviation)
     checks = [(worst < 1e-9, f"worst closed-form/engine deviation {worst:.3e}")]
     finish(2, "closed form matches engine within 1e-9 over 200 steps x 100 draws", start, 5.0, checks)
 

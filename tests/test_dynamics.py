@@ -14,7 +14,6 @@ from evosum import (
     SimulationConfig,
     TerminationReason,
     Trajectory,
-    classify_matrix,
     crossing_fraction,
     eigendecompose,
     elimination_time_scan,
@@ -342,9 +341,9 @@ class TestEliminateSpecies:
             pops = np.full(n, 1.0 / (n - 1))
             kill = int(rng.integers(0, n))
             pops[kill] = 0.0
-            before = classify_matrix(matrix).negative_offdiag_count
+            before = core.negative_offdiag_count(matrix.entries)
             entries, _, _ = dynamics._eliminate(matrix.entries, pops, np.arange(n), kill)
-            after = classify_matrix(EvolutionMatrix(entries)).negative_offdiag_count
+            after = core.negative_offdiag_count(EvolutionMatrix(entries).entries)
             assert after <= before
 
 

@@ -7,9 +7,9 @@ A name in ``evosum.__all__`` counts as reached when either holds:
 * its own module loads it outside its own definition.
 
 A load inside a function or comprehension that binds the same name itself,
-such as a loop variable, does not count. ``ALLOWED`` lists the public names
-that only tests reach, each with the reason it stays; any other unreached
-name should be deleted rather than exported.
+such as a loop variable, does not count. There are no exceptions: a name
+that only tests reach is deleted, or moved into the tests, rather than
+exported.
 """
 
 import ast
@@ -19,11 +19,6 @@ import evosum
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "evosum"
-
-ALLOWED = {
-    "crosscheck": "the two-species oracle that test_acceptance runs",
-    "save_scenario": "the writer in the round-trip tests of load_scenario",
-}
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -108,13 +103,7 @@ def test_every_public_name_comes_from_a_package_module():
 
 def test_every_public_name_is_reached():
     reached = reached_names()
-    assert sorted(name for name in evosum.__all__ if name not in reached and name not in ALLOWED) == []
-
-
-def test_allowlist_names_only_unreached_public_names():
-    reached = reached_names()
-    stale = sorted(name for name in ALLOWED if name not in evosum.__all__ or name in reached)
-    assert stale == []
+    assert sorted(name for name in evosum.__all__ if name not in reached) == []
 
 
 def test_local_bindings_and_own_definition_do_not_count():
