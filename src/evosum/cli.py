@@ -58,8 +58,13 @@ def _atomic_write(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
 
     Every temp file is written in full before the first rename, so a failure
     while writing any of them leaves every target as it was; the temp files
-    are removed on any failure.
+    are removed on any failure. ``mkstemp`` creates its file with mode
+    0600, so before the renames each temp file is given ``0o666 & ~umask``,
+    the mode ``open()`` creates a new file with; a replaced output gets
+    that mode too.
     """
+    umask = os.umask(0)  # the only portable way to read it is to set it
+    os.umask(umask)
     renames = []
     try:
         for path, chunks in outputs:
@@ -68,6 +73,7 @@ def _atomic_write(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
             renames.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
+            os.chmod(tmp, 0o666 & ~umask)
         for tmp, path in renames:
             os.replace(tmp, path)
     except BaseException:

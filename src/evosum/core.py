@@ -196,6 +196,20 @@ class EvolutionMatrix:
         return self.entries.shape[0]
 
 
+def _derived_matrix(entries: np.ndarray) -> EvolutionMatrix:
+    """An ``EvolutionMatrix`` over ``entries`` computed from a checked one, not checked again.
+
+    Folding a species out keeps every column sum in exact arithmetic, but
+    rounding can move a sum by an ulp or so; a column that sat just inside
+    ``CONSTRUCTION_TOL`` on input can land just outside it. ``entries`` is
+    made read-only and kept, not copied: the caller must own it.
+    """
+    matrix = object.__new__(EvolutionMatrix)
+    entries.flags.writeable = False
+    object.__setattr__(matrix, "entries", entries)
+    return matrix
+
+
 def make_population(raw) -> PopulationVector:
     """Normalize a vector of nonnegative abundances onto the simplex.
 
@@ -220,9 +234,8 @@ def matrix_from_generator(generator: GeneratorMatrix) -> EvolutionMatrix:
 
 def negative_offdiag_count(entries: np.ndarray) -> int:
     """Count off-diagonal entries below ``-ZERO_TOL``."""
-    off = np.array(entries, dtype=float)
-    np.fill_diagonal(off, 0.0)
-    return int(np.count_nonzero(off < -ZERO_TOL))
+    negative = np.asarray(entries, dtype=float) < -ZERO_TOL
+    return int(np.count_nonzero(negative)) - int(np.count_nonzero(np.diagonal(negative)))
 
 
 def classify_matrix(matrix: EvolutionMatrix) -> MatrixKind:

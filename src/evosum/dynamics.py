@@ -49,11 +49,22 @@ off-diagonal entry is kept.
 The trajectory is stored as columns, one entry per recorded row: step,
 crossing fraction, the full-length state (reduced states embedded back,
 with zeros in the slots of extinct species) and the eliminated species.
-Rows are embedded as they are recorded and joined into one (rows, n)
-array after the run; the sub-tolerance dust in (-ZERO_TOL, 0) is then
-floored to 0.0 once, in place, on that array (-0.0 is not below 0.0 and
-keeps its sign). Once eliminated, a species never re-enters: its slot
-stays zero for the rest of the run.
+Rows are embedded as they are recorded, straight into one zero-filled
+(capacity, n) buffer beside one steps buffer, so each recorded row exists
+once. A run records at most ``2 + max_steps // record_every + (n - 1)``
+rows: the start, every ``record_every``-th step, one row per elimination
+and a last row at the final step. The capacity starts at 64 rows (or that
+bound, if smaller). Before each block it grows, if needed, to hold every
+row the block can add: it doubles (or jumps to what the block needs),
+capped at the bound. The buffers grow, and are trimmed to the row count
+at the end, by ``ndarray.resize``, which reallocates in place where the
+allocator can and zero-fills new rows. The sub-tolerance dust in
+(-ZERO_TOL, 0) is then floored to 0.0 once, in place, over bounded row
+slices (-0.0 is not below 0.0 and keeps its sign). Once eliminated, a
+species never re-enters: its slot stays zero for the rest of the run.
+The reduced matrix the run ends with is derived from a checked matrix,
+so it is not checked again: rounding in the fold may move a column sum
+past the input tolerance.
 
 ``elimination_time_scan`` needs only the step of each system's first
 elimination, so it does not run ``evolve`` per matrix. It takes the
@@ -88,6 +99,7 @@ from .core import (
     _check_integer,
     _check_tolerance,
     _column_sums,
+    _derived_matrix,
     negative_offdiag_count,
 )
 from .errors import NumericalError, ValidationError
@@ -246,6 +258,8 @@ def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float
 
 
 _MAX_BLOCK = 256  # longest speculative block of steps in `evolve` and the scan
+_FIRST_ROWS = 64  # first capacity of `evolve`'s row buffer, which then doubles
+_FLOOR_ENTRIES = 1 << 16  # most entries per slice of `evolve`'s dust floor
 _SCAN_BLOCK_STATES = 4096  # most stacked states (steps x live systems) in one scan block
 
 
@@ -278,8 +292,11 @@ def evolve(
     fold (one copy of the reduced matrix) and O(width) bookkeeping. The
     negative off-diagonal count of each event is kept incrementally:
     ``negative_offdiag_count`` runs once per run, at the first elimination.
-    The dust in (-ZERO_TOL, 0) is floored to 0.0 once per run, on the
-    joined rows.
+    Recorded rows are written straight into one row buffer that starts
+    at 64 rows and doubles, capped at the run's row bound
+    ``2 + max_steps // record_every + (n - 1)``, and is trimmed to the row
+    count at the end. The dust in (-ZERO_TOL, 0) is floored to 0.0 once
+    per run, over bounded row slices of that buffer.
     """
     n = matrix.n
     if len(populations) != n:
@@ -289,23 +306,28 @@ def evolve(
     entries = np.array(matrix.entries)
     phi = np.array(populations.values)
     alive = np.arange(n, dtype=np.intp)  # local index -> species id
-    # Recorded rows in order, as (steps, full-width states). The fractions
-    # and event species are filled in after the run, at `event_rows`.
-    chunks: list[tuple[np.ndarray, np.ndarray]] = []
+    every = config.record_every
+    # Recorded rows go straight into one (capacity, n) buffer and one steps
+    # buffer. The fractions and event species are filled in after the run,
+    # at `event_rows`. A run records at most the start, every `every`-th
+    # step, one row per event and a last row at the final step.
+    bound = 2 + config.max_steps // every + (n - 1)
+    capacity = min(bound, _FIRST_ROWS)
+    values = np.zeros((capacity, n))
+    steps = np.zeros(capacity, dtype=int)
     event_rows: list[int] = []
     rows = 0
 
-    def record(steps: np.ndarray, states: np.ndarray) -> None:
+    def record(recorded_steps: np.ndarray, states: np.ndarray) -> None:
         nonlocal rows
-        full = np.zeros((len(steps), n))
-        full[:, alive] = states
-        chunks.append((steps, full))
-        rows += len(steps)
+        end = rows + len(recorded_steps)
+        values[rows:end, alive] = states
+        steps[rows:end] = recorded_steps
+        rows = end
 
     record(np.zeros(1, dtype=int), phi[None, :])
     events: list[EliminationEvent] = []
     neg_after = None  # negative off-diagonal count, counted in full at the first fold only
-    every = config.record_every
     t = 0
     block = 1
     while True:
@@ -316,6 +338,17 @@ def evolve(
             reason = TerminationReason.MAX_STEPS
             break
         k = min(block, config.max_steps - t)
+        # Room for every row this block can add: at most k // every + 1
+        # recorded steps and an event row, plus the run's last row. Growing
+        # before the block's buffer exists lets the allocator extend the
+        # buffers in place rather than copy them past it. The new rows are
+        # zero-filled, which extinct slots rely on; no view of either buffer
+        # is alive here.
+        needed = rows + k // every + 3
+        if needed > capacity:
+            capacity = min(bound, max(2 * capacity, needed))
+            values.resize((capacity, n), refcheck=False)
+            steps.resize(capacity, refcheck=False)
         states = np.empty((k + 1, phi.size))  # states[j] holds phi after t + j steps
         states[0] = phi
         previous = states[0]
@@ -360,13 +393,17 @@ def evolve(
         # that stopped ran `stop` clean steps first, so the next one may too.
         block = min(stop + 1, _MAX_BLOCK)
 
-    if chunks[-1][0][-1] != t:  # a row at step t is always the current state
+    if steps[rows - 1] != t:  # a row at step t is always the current state
         record(np.array([t]), phi[None, :])
-    steps, values = (np.concatenate(column) for column in zip(*chunks))
-    del chunks  # free the recorded blocks before the floor's masks are allocated
+    values.resize((rows, n), refcheck=False)
+    steps.resize(rows, refcheck=False)
     # Only sub-tolerance float dust is floored; a genuine negative entry
     # would be a bug and must stay visible. -0.0 is not below 0.0 and stays.
-    np.copyto(values, 0.0, where=(values < 0.0) & (values > -ZERO_TOL))
+    # Bounded row slices keep the masks small beside the rows.
+    slice_rows = max(1, _FLOOR_ENTRIES // n)
+    for start in range(0, rows, slice_rows):
+        part = values[start : start + slice_rows]
+        np.copyto(part, 0.0, where=(part < 0.0) & (part > -ZERO_TOL))
     fractions = np.zeros(steps.size)
     fractions[event_rows] = [event.fraction for event in events]
     event_species = np.full(steps.size, -1)
@@ -380,7 +417,7 @@ def evolve(
         event_species=event_species,
         events=tuple(events),
         terminated_reason=reason,
-        final_matrix=EvolutionMatrix(entries),
+        final_matrix=_derived_matrix(entries),
     )
 
 

@@ -216,6 +216,7 @@ def load_scenario(path) -> Scenario:
         ) from exc
     except RecursionError as exc:
         raise ScenarioParseError(f"{path}: invalid JSON: nested too deeply") from exc
+    del text  # free the decoded file before the arrays are built
     try:
         return scenario_from_dict(data)
     except ScenarioParseError as exc:

@@ -20,6 +20,14 @@ exactly 1 (this also fixes the phase of complex vectors). Non-leading
 left vectors are taken from the inverse of the right-vector matrix, which
 makes each left/right pairing sum to one by construction.
 
+Memory: ``eigendecompose`` keeps one live n x n complex copy of the
+eigenvectors. ``right`` is built as one reordered copy of ``eig``'s
+vectors, which are dropped before ``inv``; the normalization runs in
+place on its rows, and ``left`` is ``inv``'s result itself. The peak is
+about two complex n x n arrays (``right`` and ``left``) besides LAPACK's
+own workspace. ``check_biorthogonality`` normalizes its Gram matrix in
+place.
+
 Degeneracy rule: eigenvalues ``p < q`` coincide when
 ``|w[p] - w[q]| <= EIG_TOL``. The spectrum is flagged ``defective`` when
 some coinciding pair has unit eigenvectors ``u, v`` with
@@ -81,16 +89,10 @@ class BiorthogonalityReport:
     passed: bool
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Scale so the largest-magnitude component is exactly 1 (real, positive)."""
-    k = int(np.argmax(np.abs(v)))
-    return v / v[k]
-
-
-def _realify(v: np.ndarray) -> np.ndarray:
-    if np.max(np.abs(v.imag)) <= EIG_TOL * max(1.0, np.max(np.abs(v.real))):
-        return v.real.astype(complex)
-    return v
+def _canonical_phase(vectors: np.ndarray) -> None:
+    """Scale each row in place so its largest-magnitude component is exactly 1 (real, positive)."""
+    pivots = vectors[np.arange(len(vectors)), np.abs(vectors).argmax(axis=1)]
+    vectors /= pivots[:, None]
 
 
 def _near_equal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,14 +154,15 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     )
     order = [lead, *rest]
     w = w[order]
-    v = v[:, order].astype(complex)
-
-    right = np.empty((n, n), dtype=complex)
-    for p in range(n):
-        vec = _canonical_phase(v[:, p])
-        if abs(w[p].imag) <= EIG_TOL:
-            vec = _realify(vec)
-        right[p] = vec
+    right = v.T[order].astype(complex, copy=False)  # right[p] is eigenvector p
+    del v  # one live n x n copy of the vectors from here on
+    _canonical_phase(right)
+    # A real eigenvalue whose vector is real up to EIG_TOL gets an exactly real vector.
+    realify = np.abs(w.imag) <= EIG_TOL
+    realify &= np.abs(right.imag).max(axis=1) <= EIG_TOL * np.maximum(
+        1.0, np.abs(right.real).max(axis=1)
+    )
+    right.imag[realify] = 0.0
 
     leading_degenerate = int(np.count_nonzero(np.abs(w - 1.0) <= EIG_TOL)) > 1
     defective = _is_defective(right, *_near_equal_pairs(w))
@@ -168,7 +171,7 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     lead_sum = complex(right[0].sum())
     sum_normalized = abs(lead_sum) > EIG_TOL
     if sum_normalized:
-        right[0] = right[0] / lead_sum
+        right[0] /= lead_sum
 
     stationary: PopulationVector | None = None
     mixed_sign = False
@@ -181,37 +184,36 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
         else:
             mixed_sign = True
 
-    left = np.empty((n, n), dtype=complex)
     try:
-        inv = np.linalg.inv(right.T)  # rows pair with right vectors: inv @ right.T = I
-        if not np.all(np.isfinite(inv)):
+        left = np.linalg.inv(right.T)  # rows pair with right vectors: left @ right.T = I
+        if not np.all(np.isfinite(left)):
             raise np.linalg.LinAlgError
-        left[:] = inv
     except np.linalg.LinAlgError:
         # Defective basis: fall back to left eigenvectors of the transpose,
         # matched greedily by eigenvalue. Pairings may not be normalizable.
         wl, vl = np.linalg.eig(a.T)
         diff = wl[None, :] - w[:, None]
         dist = np.hypot(diff.real, diff.imag)
+        matched = []
         for p in range(n):
             q = int(np.argmin(dist[p]))  # first of the nearest unused, as ids ascend
             dist[:, q] = np.inf
-            u = _canonical_phase(vl[:, q].astype(complex))
-            pairing = complex(u @ right[p])
+            matched.append(q)
+        left = vl.T[matched].astype(complex, copy=False)
+        _canonical_phase(left)
+        for p in range(n):
+            pairing = complex(left[p] @ right[p])
             if abs(pairing) > EIG_TOL:
-                u = u / pairing
-            left[p] = u
+                left[p] /= pairing
     if sum_normalized:
         left[0] = np.ones(n)  # exact: pairs to 1 with the sum-one leading vector
 
     lambda2_modulus = float(abs(w[1])) if n >= 2 else 0.0
 
-    eigenvalues = w.copy()
-    eigenvalues.flags.writeable = False
-    right.flags.writeable = False
-    left.flags.writeable = False
+    for array in (w, right, left):
+        array.flags.writeable = False
     return SpectralSummary(
-        eigenvalues=eigenvalues,
+        eigenvalues=w,
         right_vectors=right,
         left_vectors=left,
         stationary=stationary,
@@ -270,7 +272,7 @@ def check_biorthogonality(summary: SpectralSummary, tol: float) -> Biorthogonali
     diag = np.diag(gram).copy()
     if np.any(np.abs(diag) < 1e-300):
         raise NumericalError("a left/right pairing vanished; cannot normalize")
-    gram = gram / diag[:, None]
+    gram /= diag[:, None]
     np.fill_diagonal(gram, 0.0)
     violation = float(np.max(np.abs(gram))) if n > 1 else 0.0
     return BiorthogonalityReport(max_violation=violation, passed=violation < tol)

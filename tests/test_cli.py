@@ -567,7 +567,56 @@ class TestExitCodes:
         assert not out.exists()
 
 
+@pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])
+def umask(request):
+    previous = os.umask(request.param)
+    yield request.param
+    os.umask(previous)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+class TestOutputMode:
+    """Outputs get the mode ``open()`` gives a new file, ``0o666 & ~umask``, not mkstemp's 0600."""
+
+    def test_new_targets(self, case_a, tmp_path, umask):
+        out, spectrum = tmp_path / "traj.csv", tmp_path / "spec.json"
+        assert main(["simulate", "--scenario", case_a, "--out", str(out)]) == 0
+        assert main(["spectrum", "--scenario", case_a, "--out", str(spectrum)]) == 0
+        for path in (out, tmp_path / "traj.csv.summary.json", spectrum):
+            assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, path.name
+
+    def test_replaced_targets(self, tmp_path, umask):
+        out = tmp_path / "sweep.csv"
+        out.write_text("old\n")
+        os.chmod(out, 0o644)
+        argv = ["sweep", "--alpha-per-scale", "0.1", "--beta-per-scale", "-0.05"]
+        assert main([*argv, "--scales", "1", "--out", str(out)]) == 0
+        assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
+        assert out.read_text().startswith("scale,steps,status\n")
+        assert list(tmp_path.glob(".evosum-*.tmp")) == []
+
+
 class TestSimulate:
+    def test_fold_past_the_input_tolerance_writes_both_outputs(self, tmp_path, capsys):
+        # Column 0 loads 9.9987e-13 off; the run's folds round it just past
+        # 1e-12. The reduced matrix is derived, so the run is not refused.
+        rng = np.random.default_rng(4)
+        family = rng.uniform(-0.5, 0.5, size=(4, 5, 5))
+        family[:, np.arange(5), np.arange(5)] += 1.0 - family.sum(axis=1)
+        for _ in range(2):
+            i, j = rng.integers(0, 5, size=2)
+            family[2, i, j] += 5e-13
+        path = write_scenario(
+            tmp_path / "edge.json",
+            {"matrix": {"entries": family[2].tolist()}, "initial": [1] * 5, "config": {"max_steps": 5}},
+        )
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().startswith("step,tau,species_1,")
+        summary = json.loads((tmp_path / "traj.csv.summary.json").read_text())
+        assert summary["events"]
+
     def test_coexistence_run(self, case_a, tmp_path):
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--scenario", case_a, "--out", str(out)]) == 0

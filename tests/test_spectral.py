@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evosum import (
+    BiorthogonalityReport,
     EvolutionMatrix,
+    PopulationVector,
+    SpectralSummary,
     check_biorthogonality,
     eigendecompose,
     random_competitive,
@@ -13,10 +16,105 @@ from evosum import (
     stationary_by_iteration,
     two_species_matrix,
 )
+from evosum import spectral
 from evosum.errors import NumericalError, ValidationError
 
 SWAP = EvolutionMatrix([[0.0, 1.0], [1.0, 0.0]])
 EIG_TOL = 1e-9
+ZERO_TOL = 1e-12
+
+
+def reference_right_vectors(w, v):
+    """Reference: the per-vector loop ``eigendecompose`` ran before it normalized with array ops.
+
+    Takes ``eig``'s ``(w, v)`` and returns the reordered eigenvalues and the
+    right vectors as rows: each scaled so its largest-magnitude component
+    is 1, and made exactly real when its eigenvalue's imaginary part and
+    its own are within ``EIG_TOL``.
+    """
+    n = w.size
+    lead = int(np.argmin(np.abs(w - 1.0)))
+    rest = sorted(
+        (p for p in range(n) if p != lead),
+        key=lambda p: (-abs(w[p]), -w[p].real, w[p].imag),
+    )
+    order = [lead, *rest]
+    w = w[order]
+    v = v[:, order].astype(complex)
+    right = np.empty((n, n), dtype=complex)
+    for p in range(n):
+        vec = v[:, p] / v[int(np.argmax(np.abs(v[:, p]))), p]
+        if abs(w[p].imag) <= EIG_TOL:
+            if np.max(np.abs(vec.imag)) <= EIG_TOL * max(1.0, np.max(np.abs(vec.real))):
+                vec = vec.real.astype(complex)
+        right[p] = vec
+    return w.copy(), right
+
+
+def reference_eigendecompose(matrix):
+    """Reference: ``eigendecompose`` as it was before its one-copy rewrite.
+
+    Right vectors from ``reference_right_vectors``, left vectors copied out
+    of ``inv`` into their own array. The degeneracy helpers are shared.
+    """
+    a = np.asarray(matrix.entries, dtype=float)
+    n = matrix.n
+    w, right = reference_right_vectors(*np.linalg.eig(a))
+    leading_degenerate = int(np.count_nonzero(np.abs(w - 1.0) <= EIG_TOL)) > 1
+    defective = spectral._is_defective(right, *spectral._near_equal_pairs(w))
+    lead_sum = complex(right[0].sum())
+    sum_normalized = abs(lead_sum) > EIG_TOL
+    if sum_normalized:
+        right[0] = right[0] / lead_sum
+    stationary = None
+    mixed_sign = not sum_normalized
+    if sum_normalized and not leading_degenerate:
+        candidate = right[0].real
+        if np.min(candidate) >= -ZERO_TOL:
+            stationary = PopulationVector(np.maximum(candidate, 0.0))
+        else:
+            mixed_sign = True
+    left = np.empty((n, n), dtype=complex)
+    inv = np.linalg.inv(right.T)
+    assert np.all(np.isfinite(inv))  # the fallback is compared in its own test
+    left[:] = inv
+    if sum_normalized:
+        left[0] = np.ones(n)
+    return SpectralSummary(
+        eigenvalues=w,
+        right_vectors=right,
+        left_vectors=left,
+        stationary=stationary,
+        lambda2_modulus=float(abs(w[1])) if n >= 2 else 0.0,
+        leading_degenerate=leading_degenerate,
+        stationary_mixed_sign=mixed_sign,
+        defective=defective,
+    )
+
+
+def reference_biorthogonality(summary, tol):
+    """Reference: ``check_biorthogonality`` dividing into a second Gram array."""
+    p, q = spectral._near_equal_pairs(summary.eigenvalues)
+    if p.size:
+        raise NumericalError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
+    gram = summary.left_vectors @ summary.right_vectors.T
+    diag = np.diag(gram).copy()
+    gram = gram / diag[:, None]
+    np.fill_diagonal(gram, 0.0)
+    violation = float(np.max(np.abs(gram))) if summary.eigenvalues.size > 1 else 0.0
+    return BiorthogonalityReport(max_violation=violation, passed=violation < tol)
+
+
+def biorthogonality_outcome(check, summary):
+    try:
+        return check(summary, tol=1e-8)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def assert_same_bytes(actual, expected):
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
 
 
 def pairwise_flags(summary, eig_tol=EIG_TOL):
@@ -320,3 +418,50 @@ class TestSpectralInvariants:
                     continue  # complex pair: no real representative
                 mode = summary.right_vectors[p].real
                 assert np.min(mode) < 0
+
+
+def equivalence_matrices():
+    """The draws, identities and edge cases the one-copy ``eigendecompose`` is compared on."""
+    cases = []
+    for n in (1, 2, 3, 10, 40, 100):
+        for seed in (0, 1, 2):
+            cases.append(pytest.param(random_stochastic, (n, 0.3, seed), id=f"stochastic-{n}-{seed}"))
+            if n > 1:
+                for neg in (0.3, 0.7):
+                    cases.append(
+                        pytest.param(
+                            random_competitive, (n, 0.4, neg, seed), id=f"competitive-{n}-{neg}-{seed}"
+                        )
+                    )
+    for n in (1, 2, 50):
+        cases.append(pytest.param(lambda n: EvolutionMatrix(np.eye(n)), (n,), id=f"eye-{n}"))
+    # alpha + beta = 0: a double eigenvalue 1 with one eigenvector, a Jordan block.
+    cases.append(pytest.param(two_species_matrix, (0.05, -0.05), id="jordan"))
+    # Eigenvalue 1.00028 beside the pinned 1; right vectors with condition number 3.4e6.
+    cases.append(pytest.param(random_competitive, (3, 0.5, 0.5, 539), id="ill-conditioned"))
+    return cases
+
+
+class TestOneCopyEquivalence:
+    """The in-place, one-copy ``eigendecompose`` gives the per-vector loop's bytes."""
+
+    @pytest.mark.parametrize("build, args", equivalence_matrices())
+    def test_same_bytes_as_per_vector_loop(self, build, args):
+        matrix = build(*args)
+        actual, expected = eigendecompose(matrix), reference_eigendecompose(matrix)
+        for name in ("eigenvalues", "right_vectors", "left_vectors"):
+            assert_same_bytes(getattr(actual, name), getattr(expected, name))
+        if expected.stationary is None:
+            assert actual.stationary is None
+        else:
+            assert_same_bytes(actual.stationary.values, expected.stationary.values)
+        for name in ("lambda2_modulus", "leading_degenerate", "stationary_mixed_sign", "defective"):
+            assert getattr(actual, name) == getattr(expected, name), name
+        assert biorthogonality_outcome(check_biorthogonality, actual) == biorthogonality_outcome(
+            reference_biorthogonality, expected
+        )
+
+    def test_arrays_are_read_only(self):
+        summary = eigendecompose(random_competitive(10, 0.4, 0.5, 1))
+        for array in (summary.eigenvalues, summary.right_vectors, summary.left_vectors):
+            assert not array.flags.writeable
