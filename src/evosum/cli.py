@@ -11,7 +11,8 @@ string for the whole tail.
 
 Exit codes: 0 success, 2 scenario/usage parse error (including `simulate`
 with `--out` and `--summary` naming the same file), 3 validation error,
-4 numerical failure (singular or degenerate), 5 I/O error.
+4 numerical failure (singular or degenerate), 5 I/O error (including
+`simulate` with `--out` or `--summary` naming a directory).
 """
 
 from __future__ import annotations
@@ -85,20 +86,17 @@ def _atomic_write(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
 
 def _trajectory_lines(trajectory: Trajectory, names: tuple[str, ...]) -> Iterator[str]:
     yield "step,tau," + ",".join(names) + ",event\n"
-    columns = zip(
-        trajectory.steps.tolist(),
-        trajectory.fractions.tolist(),
-        trajectory.values,
-        trajectory.event_species.tolist(),
-    )
+    events = {e.row_index: e for e in trajectory.events}
     key = cells = None
-    for step, tau, values, species in columns:
+    for k, (step, values) in enumerate(zip(trajectory.steps.tolist(), trajectory.values)):
         # A run at its fixed point repeats its row; compare bits, not values,
         # since -0.0 == 0.0 but their reprs differ.
         if (row := values.tobytes()) != key:
             key, cells = row, ",".join(map(repr, values.tolist()))
-        event = "" if species < 0 else f"elim:{names[species]}"
-        yield f"{step},{tau!r},{cells},{event}\n"
+        if (e := events.get(k)) is None:
+            yield f"{step},0.0,{cells},\n"
+        else:
+            yield f"{step},{e.fraction!r},{cells},elim:{names[e.species_id]}\n"
 
 
 def _spectral_digest(summary: SpectralSummary) -> dict:
@@ -131,6 +129,12 @@ def cmd_simulate(args) -> int:
         # Both renames would succeed and the summary would replace the CSV.
         print(f"error: --out and --summary name the same file: {args.out}", file=sys.stderr)
         return EXIT_PARSE
+    for path in (args.out, summary_path):
+        if os.path.isdir(path) and not os.path.islink(path):
+            # Renaming onto a directory fails, and for the summary it would
+            # fail only after the CSV had been replaced.
+            print(f"error: output is a directory: {path}", file=sys.stderr)
+            return EXIT_IO
     scenario = load_scenario(args.scenario)
     if args.max_steps is not None:
         scenario = replace(scenario, config=replace(scenario.config, max_steps=args.max_steps))

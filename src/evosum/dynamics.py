@@ -46,25 +46,26 @@ the count of negative transfers in the removed row and column:
 and each fold then subtracts those entries, since every other
 off-diagonal entry is kept.
 
-The trajectory is stored as columns, one entry per recorded row: step,
-crossing fraction, the full-length state (reduced states embedded back,
-with zeros in the slots of extinct species) and the eliminated species.
-Rows are embedded as they are recorded, straight into one zero-filled
-(capacity, n) buffer beside one steps buffer, so each recorded row exists
-once. A run records at most ``2 + max_steps // record_every + (n - 1)``
+The trajectory is stored as columns, one entry per recorded row: the step
+and the full-length state (reduced states embedded back, with zeros in
+the slots of extinct species). Each elimination is stored once, as an
+``EliminationEvent`` that names its row. Rows are embedded as they are
+recorded, straight into one zero-filled (capacity, n) buffer beside one
+steps buffer, so each recorded row exists once, and each row is final
+when written: the sub-tolerance dust in (-ZERO_TOL, 0) of the rows just
+written is floored to 0.0 in place (-0.0 is not below 0.0 and keeps its
+sign). A run records at most ``2 + max_steps // record_every + (n - 1)``
 rows: the start, every ``record_every``-th step, one row per elimination
 and a last row at the final step. The capacity starts at 64 rows (or that
 bound, if smaller). Before each block it grows, if needed, to hold every
 row the block can add: it doubles (or jumps to what the block needs),
 capped at the bound. The buffers grow, and are trimmed to the row count
 at the end, by ``ndarray.resize``, which reallocates in place where the
-allocator can and zero-fills new rows. The sub-tolerance dust in
-(-ZERO_TOL, 0) is then floored to 0.0 once, in place, over bounded row
-slices (-0.0 is not below 0.0 and keeps its sign). Once eliminated, a
-species never re-enters: its slot stays zero for the rest of the run.
-The reduced matrix the run ends with is derived from a checked matrix,
-so it is not checked again: rounding in the fold may move a column sum
-past the input tolerance.
+allocator can and zero-fills new rows. Once eliminated, a species never
+re-enters: its slot stays zero for the rest of the run. The reduced
+matrix the run ends with is derived from a checked matrix, so it is not
+checked again: rounding in the fold may move a column sum past the input
+tolerance.
 
 ``elimination_time_scan`` needs only the step of each system's first
 elimination, so it does not run ``evolve`` per matrix. It takes the
@@ -127,13 +128,19 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class EliminationEvent:
-    """A species hit zero during step ``step_index`` at sub-step ``fraction``."""
+    """A species hit zero during step ``step_index`` at sub-step ``fraction``.
+
+    ``row_index`` is the trajectory row recorded at the elimination:
+    ``steps[row_index]`` is ``step_index`` and ``values[row_index]`` is
+    the interpolated state, with ``species_id`` at exactly 0.0.
+    """
 
     step_index: int
     fraction: float
     species_id: int
     neg_offdiag_before: int
     neg_offdiag_after: int
+    row_index: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
@@ -153,18 +160,15 @@ class Trajectory:
     """Recorded rows of one run as read-only columns of equal length T.
 
     Row k is the full-length state ``values[k]`` (shape (T, N); extinct
-    slots hold zero) after ``steps[k]`` completed steps. ``fractions[k]``
-    is 0 on ordinary rows and the interpolated crossing fraction on
-    elimination rows, where ``event_species[k]`` is the eliminated
-    species id; it is -1 on ordinary rows. ``final_matrix`` is the
-    reduced matrix the run ended with. Its rows and columns are the
-    survivors, the ids that no event names, in increasing order.
+    slots hold zero) after ``steps[k]`` completed steps. Each elimination
+    row is named by exactly one of ``events``, through its ``row_index``;
+    the events are in row order. ``final_matrix`` is the reduced matrix
+    the run ended with. Its rows and columns are the survivors, the ids
+    that no event names, in increasing order.
     """
 
     steps: np.ndarray
-    fractions: np.ndarray
     values: np.ndarray
-    event_species: np.ndarray
     events: tuple[EliminationEvent, ...]
     terminated_reason: TerminationReason
     final_matrix: EvolutionMatrix
@@ -259,7 +263,6 @@ def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float
 
 _MAX_BLOCK = 256  # longest speculative block of steps in `evolve` and the scan
 _FIRST_ROWS = 64  # first capacity of `evolve`'s row buffer, which then doubles
-_FLOOR_ENTRIES = 1 << 16  # most entries per slice of `evolve`'s dust floor
 _SCAN_BLOCK_STATES = 4096  # most stacked states (steps x live systems) in one scan block
 
 
@@ -295,8 +298,9 @@ def evolve(
     Recorded rows are written straight into one row buffer that starts
     at 64 rows and doubles, capped at the run's row bound
     ``2 + max_steps // record_every + (n - 1)``, and is trimmed to the row
-    count at the end. The dust in (-ZERO_TOL, 0) is floored to 0.0 once
-    per run, over bounded row slices of that buffer.
+    count at the end. Each recorded row is final when written: its dust in
+    (-ZERO_TOL, 0) is floored to 0.0 there, and an elimination row is
+    named only by its event's ``row_index``.
     """
     n = matrix.n
     if len(populations) != n:
@@ -308,20 +312,22 @@ def evolve(
     alive = np.arange(n, dtype=np.intp)  # local index -> species id
     every = config.record_every
     # Recorded rows go straight into one (capacity, n) buffer and one steps
-    # buffer. The fractions and event species are filled in after the run,
-    # at `event_rows`. A run records at most the start, every `every`-th
-    # step, one row per event and a last row at the final step.
+    # buffer. A run records at most the start, every `every`-th step, one
+    # row per event and a last row at the final step.
     bound = 2 + config.max_steps // every + (n - 1)
     capacity = min(bound, _FIRST_ROWS)
     values = np.zeros((capacity, n))
     steps = np.zeros(capacity, dtype=int)
-    event_rows: list[int] = []
     rows = 0
 
     def record(recorded_steps: np.ndarray, states: np.ndarray) -> None:
         nonlocal rows
         end = rows + len(recorded_steps)
-        values[rows:end, alive] = states
+        written = values[rows:end]
+        written[:, alive] = states
+        # Only sub-tolerance float dust is floored; a genuine negative entry
+        # would be a bug and must stay visible. -0.0 is not below 0.0 and stays.
+        np.copyto(written, 0.0, where=(written < 0.0) & (written > -ZERO_TOL))
         steps[rows:end] = recorded_steps
         rows = end
 
@@ -384,11 +390,10 @@ def evolve(
         if neg_after is None:
             neg_after = negative_offdiag_count(entries)
         neg_before, species = neg_after, int(alive[local])
-        event_rows.append(rows)
-        record(np.array([t]), phi[None, :])
         neg_after = neg_before - _negatives_removed(entries, local)
+        events.append(EliminationEvent(t, tau, species, neg_before, neg_after, rows))
+        record(np.array([t]), phi[None, :])
         entries, phi, alive = _eliminate(entries, phi, alive, local)
-        events.append(EliminationEvent(t, tau, species, neg_before, neg_after))
         # Re-evaluate the interrupted step on the reduced system. The block
         # that stopped ran `stop` clean steps first, so the next one may too.
         block = min(stop + 1, _MAX_BLOCK)
@@ -397,24 +402,11 @@ def evolve(
         record(np.array([t]), phi[None, :])
     values.resize((rows, n), refcheck=False)
     steps.resize(rows, refcheck=False)
-    # Only sub-tolerance float dust is floored; a genuine negative entry
-    # would be a bug and must stay visible. -0.0 is not below 0.0 and stays.
-    # Bounded row slices keep the masks small beside the rows.
-    slice_rows = max(1, _FLOOR_ENTRIES // n)
-    for start in range(0, rows, slice_rows):
-        part = values[start : start + slice_rows]
-        np.copyto(part, 0.0, where=(part < 0.0) & (part > -ZERO_TOL))
-    fractions = np.zeros(steps.size)
-    fractions[event_rows] = [event.fraction for event in events]
-    event_species = np.full(steps.size, -1)
-    event_species[event_rows] = [event.species_id for event in events]
-    for column in (steps, fractions, values, event_species):
+    for column in (steps, values):
         column.flags.writeable = False
     return Trajectory(
         steps=steps,
-        fractions=fractions,
         values=values,
-        event_species=event_species,
         events=tuple(events),
         terminated_reason=reason,
         final_matrix=_derived_matrix(entries),

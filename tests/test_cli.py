@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import evosum
 from evosum import (
+    EliminationEvent,
     EvolutionMatrix,
     PopulationVector,
     TerminationReason,
@@ -83,25 +84,32 @@ def scenario_dicts(draw):
 def reference_csv(trajectory, names):
     """The trajectory CSV formatted value by value, with no reuse between rows."""
     lines = ["step,tau," + ",".join(names) + ",event"]
+    events = {e.row_index: e for e in trajectory.events}
     for k in range(len(trajectory.steps)):
-        species = int(trajectory.event_species[k])
-        event = "" if species < 0 else f"elim:{names[species]}"
+        e = events.get(k)
+        event = "" if e is None else f"elim:{names[e.species_id]}"
         values = ",".join(repr(float(x)) for x in trajectory.values[k])
-        tau = repr(float(trajectory.fractions[k]))
+        tau = repr(float(0.0 if e is None else e.fraction))
         lines.append(f"{int(trajectory.steps[k])},{tau},{values},{event}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def hand_trajectory(values, steps=None, fractions=None, event_species=None):
-    """A Trajectory with the given rows; only the four CSV columns matter."""
+def hand_trajectory(values, steps=None, eliminations=()):
+    """A Trajectory with the given rows and ``(row, fraction, species)`` eliminations.
+
+    Only the CSV's columns matter: the steps, the values and each event's
+    row, fraction and species.
+    """
     values = np.array(values, dtype=float)
     rows, width = values.shape
+    steps = np.arange(rows) if steps is None else np.array(steps)
     return Trajectory(
-        steps=np.arange(rows) if steps is None else np.array(steps),
-        fractions=np.zeros(rows) if fractions is None else np.array(fractions, dtype=float),
+        steps=steps,
         values=values,
-        event_species=np.full(rows, -1) if event_species is None else np.array(event_species),
-        events=(),
+        events=tuple(
+            EliminationEvent(int(steps[row]), fraction, species, 0, 0, row)
+            for row, fraction, species in eliminations
+        ),
         terminated_reason=TerminationReason.MAX_STEPS,
         final_matrix=EvolutionMatrix(np.eye(width)),
     )
@@ -538,6 +546,28 @@ class TestExitCodes:
         assert list(tmp_path.glob(".evosum-*.tmp")) == []
         assert "No such file or directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("directory", ["out", "summary"])
+    def test_output_naming_a_directory_leaves_the_other_output(
+        self, case_a, tmp_path, capsys, directory
+    ):
+        paths = {"out": tmp_path / "t.csv", "summary": tmp_path / "s.json"}
+        for name, path in paths.items():
+            if name == directory:
+                path.mkdir()
+            else:
+                path.write_bytes(b"kept\n")
+        argv = ["simulate", "--scenario", case_a]
+        argv += ["--out", str(paths["out"]), "--summary", str(paths["summary"])]
+        assert main(argv) == 5
+        for name, path in paths.items():
+            if name == directory:
+                assert list(path.iterdir()) == []
+            else:
+                assert path.read_bytes() == b"kept\n"
+        assert list(tmp_path.glob("**/.evosum-*.tmp")) == []
+        err = capsys.readouterr().err
+        assert err == f"error: output is a directory: {paths[directory]}\n"
+
     @pytest.mark.parametrize("summary", ["t.csv", "sub/../t.csv", "link.json"])
     def test_out_and_summary_naming_one_file_is_usage_error(
         self, case_a, tmp_path, capsys, monkeypatch, summary
@@ -752,8 +782,7 @@ class TestTrajectoryLines:
         trajectory = hand_trajectory(
             [[0.25, 0.75], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
             steps=[0, 1, 1, 2],
-            fractions=[0.0, 0.0, 0.5, 0.0],
-            event_species=[-1, -1, 0, -1],
+            eliminations=[(2, 0.5, 0)],
         )
         csv = cli_csv(trajectory, self.NAMES)
         assert csv == reference_csv(trajectory, self.NAMES)
@@ -785,8 +814,7 @@ class TestTrajectoryLines:
         species = data.draw(events)
         trajectory = hand_trajectory(
             [pool[i] for i in picks],
-            fractions=[0.0 if s < 0 else 0.5 for s in species],
-            event_species=species,
+            eliminations=[(row, 0.5, s) for row, s in enumerate(species) if s >= 0],
         )
         names = tuple(f"s{i}" for i in range(width))
         assert cli_csv(trajectory, names) == reference_csv(trajectory, names)

@@ -101,7 +101,7 @@ def serial_evolve(
         # Its own copy of the dust floor: only entries in (-ZERO_TOL, 0) become 0.0.
         return np.where((full < 0.0) & (full > -dynamics.ZERO_TOL), 0.0, full)
 
-    rows = [(0, 0.0, embed(phi), -1)]
+    rows = [(0, embed(phi))]
     events = []
     neg_after = None
     t = 0
@@ -123,8 +123,8 @@ def serial_evolve(
             neg_before = neg_after
             entries = reference_fold(entries, local)
             neg_after = dynamics.negative_offdiag_count(entries)
-            events.append(EliminationEvent(t, tau, alive[local], neg_before, neg_after))
-            rows.append((t, tau, embed(phi), alive[local]))
+            events.append(EliminationEvent(t, tau, alive[local], neg_before, neg_after, len(rows)))
+            rows.append((t, embed(phi)))
             phi = np.delete(phi, local)
             del alive[local]
             continue
@@ -132,21 +132,19 @@ def serial_evolve(
         phi = proposed
         t += 1
         if t % config.record_every == 0:
-            rows.append((t, 0.0, embed(phi), -1))
+            rows.append((t, embed(phi)))
         if l1_change < config.convergence_tol:
             reason = TerminationReason.CONVERGED
             break
 
     terminal = embed(phi)
-    last_step, _, last_values, _ = rows[-1]
+    last_step, last_values = rows[-1]
     if last_step != t or not np.array_equal(last_values, terminal):
-        rows.append((t, 0.0, terminal, -1))
-    steps, fractions, values, event_species = zip(*rows)
+        rows.append((t, terminal))
+    steps, values = zip(*rows)
     return Trajectory(
         steps=np.array(steps, dtype=int),
-        fractions=np.array(fractions),
         values=np.array(values),
-        event_species=np.array(event_species, dtype=int),
         events=tuple(events),
         terminated_reason=reason,
         # Derived from a checked matrix: rounding in the fold may move a
@@ -156,8 +154,8 @@ def serial_evolve(
 
 
 def assert_same_run(actual, expected):
-    """Bit-for-bit equality of every column, event and the final matrix."""
-    for name in ("steps", "fractions", "values", "event_species"):
+    """Bit-for-bit equality of every column, event (with its row) and the final matrix."""
+    for name in ("steps", "values"):
         a, e = getattr(actual, name), getattr(expected, name)
         assert (a.dtype, a.shape) == (e.dtype, e.shape), name
         assert a.tobytes() == e.tobytes(), name
@@ -469,8 +467,8 @@ class TestEvolve:
             *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000, record_every=50),
         )
-        assert np.any(trajectory.event_species >= 0)
-        ordinary = trajectory.steps[trajectory.event_species < 0]
+        assert trajectory.events
+        ordinary = np.delete(trajectory.steps, [e.row_index for e in trajectory.events])
         assert np.all(ordinary[:-1] % 50 == 0)
 
     def test_columns_are_aligned_and_readonly(self):
@@ -480,14 +478,8 @@ class TestEvolve:
         )
         rows = len(trajectory.steps)
         assert trajectory.values.shape == (rows, 2)
-        assert trajectory.fractions.shape == trajectory.event_species.shape == (rows,)
-        columns = (
-            trajectory.steps,
-            trajectory.fractions,
-            trajectory.values,
-            trajectory.event_species,
-        )
-        for column in columns:
+        assert all(0 <= e.row_index < rows for e in trajectory.events)
+        for column in (trajectory.steps, trajectory.values):
             with pytest.raises(ValueError):
                 column[0] = 0
 
@@ -496,8 +488,9 @@ class TestEvolve:
             *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000),
         )
-        k = int(np.flatnonzero(trajectory.event_species >= 0)[0])
-        assert trajectory.values[k, trajectory.event_species[k]] == 0.0
+        event = trajectory.events[0]
+        k = event.row_index
+        assert trajectory.values[k, event.species_id] == 0.0
         assert abs(trajectory.values[k].sum() - 1.0) < 1e-12
 
 
@@ -705,6 +698,51 @@ class TestRowBuffer:
         for column in (trajectory.steps, trajectory.values):
             assert column.flags.c_contiguous and column.flags.owndata
             assert not column.flags.writeable
+
+
+def assert_event_rows(trajectory):
+    """Each event's ``row_index`` names its own row, and the rows strictly increase."""
+    rows = [event.row_index for event in trajectory.events]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    for event in trajectory.events:
+        assert trajectory.steps[event.row_index] == event.step_index
+        assert trajectory.values[event.row_index, event.species_id] == 0.0
+
+
+class TestEventRows:
+    """``EliminationEvent.row_index`` is the only record of which rows are eliminations."""
+
+    @pytest.mark.parametrize("record_every", [1, 7, 1000])
+    @pytest.mark.parametrize("n, seed", [(10, 2), (40, 3), (40, 4), (200, 1)])
+    def test_rows_of_competitive_cascades(self, n, seed, record_every):
+        system = system_of(random_competitive(n, 0.5, 0.5, seed), np.ones(n))
+        trajectory = evolve(*system, SimulationConfig(max_steps=3000, record_every=record_every))
+        assert len(trajectory.events) >= 3
+        assert_event_rows(trajectory)
+        if record_every == 1:
+            # Every step is recorded, so an event's row follows a row of its
+            # own step: the ordinary row of that step, or an event before it.
+            for event in trajectory.events:
+                assert trajectory.steps[event.row_index - 1] == event.step_index
+            steps = [event.step_index for event in trajectory.events]
+            assert any(a == b for a, b in zip(steps, steps[1:]))
+
+    def test_ordinary_row_and_two_event_rows_share_a_step(self):
+        # Species 0 and 1 start extinct and are driven below zero by species 2
+        # in step 0: both cross at fraction 0, species 0 first (the lower id),
+        # then species 1 when the step is re-evaluated on the reduced system.
+        matrix = EvolutionMatrix([[1.0, 0.0, -0.1], [0.0, 1.0, -0.1], [0.0, 0.0, 1.2]])
+        system = system_of(matrix, [0.0, 0.0, 1.0])
+        trajectory = evolve(*system, SimulationConfig(max_steps=10))
+        assert trajectory.steps.tolist() == [0, 0, 0]
+        assert [(e.step_index, e.species_id, e.row_index) for e in trajectory.events] == [
+            (0, 0, 1),
+            (0, 1, 2),
+        ]
+        assert trajectory.terminated_reason is TerminationReason.ALL_BUT_ONE_EXTINCT
+        assert_event_rows(trajectory)
+        assert_same_run(trajectory, serial_evolve(*system, SimulationConfig(max_steps=10)))
+
 
 class TestStochasticRegime:
     """Properties that hold whenever all transfers are nonnegative."""

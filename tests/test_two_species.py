@@ -42,7 +42,8 @@ def crosscheck(params: TwoSpeciesParams, steps: int) -> tuple[float, int]:
 
     eliminations = trajectory.events
     last_step = min(steps, eliminations[0].step_index) if eliminations else steps
-    keep = (trajectory.event_species < 0) & (trajectory.steps <= last_step)
+    keep = trajectory.steps <= last_step
+    keep[[e.row_index for e in eliminations]] = False
     deviation = 0.0
     for t, values in zip(trajectory.steps[keep].tolist(), trajectory.values[keep]):
         deviation = max(deviation, float(np.max(np.abs(values - closed_form(params, t)))))
