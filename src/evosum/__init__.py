@@ -27,7 +27,6 @@ from .dynamics import (
     EliminationEvent,
     SimulationConfig,
     TerminationReason,
-    Trajectory,
     crossing_fraction,
     elimination_time_scan,
     evolve,
@@ -71,7 +70,6 @@ __all__ = [
     "SimulationConfig",
     "SpectralSummary",
     "TerminationReason",
-    "Trajectory",
     "TwoSpeciesParams",
     "Winner",
     "check_biorthogonality",

@@ -4,10 +4,15 @@ Outputs are deterministic: floats are written with their shortest
 round-tripping repr and JSON keys are sorted, so identical inputs produce
 byte-identical files. Every command writes its files through
 ``_atomic_write``, so a run that fails leaves each output as it was.
+``simulate`` writes the trajectory CSV while the engine runs: each window
+of rows that ``evolve`` hands over is formatted into the CSV's temp file
+as it arrives, so the command holds about one window of rows however
+long the run. The summary is built once the windows run out, from the
+events, the last row and the end facts, and written after the CSV.
 The trajectory CSV formats a row's populations only when their bits
-differ from the row before, so its cost scales with the number of
-distinct consecutive rows: a run held at its fixed point reuses one
-string for the whole tail.
+differ from the row before, in the same window or the one before, so its
+cost scales with the number of distinct consecutive rows: a run held at
+its fixed point reuses one string for the whole tail.
 
 Exit codes: 0 success, 2 scenario/usage parse error (including `simulate`
 with `--out` and `--summary` naming the same file), 3 validation error,
@@ -27,13 +32,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 from .core import _two_species_family, make_population
-from .dynamics import (
-    SimulationConfig,
-    Trajectory,
-    elimination_time_scan,
-    evolve,
-    evolve_backward,
-)
+from .dynamics import SimulationConfig, elimination_time_scan, evolve, evolve_backward
 from .errors import NumericalError, ScenarioParseError, ValidationError
 from .scenario import Scenario, load_scenario
 from .spectral import SpectralSummary, check_biorthogonality, eigendecompose
@@ -57,9 +56,11 @@ def _json_text(data) -> str:
 def _atomic_write(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
     """Write each ``(path, chunks)`` to a temp file beside ``path``, then rename them all.
 
-    Every temp file is written in full before the first rename, so a failure
-    while writing any of them leaves every target as it was; the temp files
-    are removed on any failure. ``mkstemp`` creates its file with mode
+    ``outputs`` is read one pair at a time, after the pair before is
+    written, so a later pair may be built from what writing an earlier one
+    computed. Every temp file is written in full before the first rename,
+    so a failure while writing any of them leaves every target as it was;
+    the temp files are removed on any failure. ``mkstemp`` creates its file with mode
     0600, so before the renames each temp file is given ``0o666 & ~umask``,
     the mode ``open()`` creates a new file with; a replaced output gets
     that mode too.
@@ -84,19 +85,37 @@ def _atomic_write(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
         raise
 
 
-def _trajectory_lines(trajectory: Trajectory, names: tuple[str, ...]) -> Iterator[str]:
+def _until_end(run, outcome: dict):
+    """The windows of the ``evolve`` generator ``run``; its end facts go into ``outcome``."""
+    outcome["reason"], outcome["final_matrix"] = yield from run
+
+
+def _trajectory_lines(run, names: tuple[str, ...], outcome: dict) -> Iterator[str]:
+    """The trajectory CSV of ``run``, an ``evolve`` generator, one window at a time.
+
+    Once the lines run out, ``outcome`` holds what the summary reads: the
+    run's ``events``, its ``last`` row, its exit ``reason`` and its
+    ``final_matrix``.
+    """
     yield "step,tau," + ",".join(names) + ",event\n"
-    events = {e.row_index: e for e in trajectory.events}
     key = cells = None
-    for k, (step, values) in enumerate(zip(trajectory.steps.tolist(), trajectory.values)):
-        # A run at its fixed point repeats its row; compare bits, not values,
-        # since -0.0 == 0.0 but their reprs differ.
-        if (row := values.tobytes()) != key:
-            key, cells = row, ",".join(map(repr, values.tolist()))
-        if (e := events.get(k)) is None:
-            yield f"{step},0.0,{cells},\n"
-        else:
-            yield f"{step},{e.fraction!r},{cells},elim:{names[e.species_id]}\n"
+    start = 0  # the run's row index of the window's first row
+    outcome["events"] = []
+    for steps, values, events in _until_end(run, outcome):
+        marks = {e.row_index - start: e for e in events}
+        for k, (step, row) in enumerate(zip(steps.tolist(), values)):
+            # A run at its fixed point repeats its row; compare bits, not values,
+            # since -0.0 == 0.0 but their reprs differ.
+            if (bits := row.tobytes()) != key:
+                key, cells = bits, ",".join(map(repr, row.tolist()))
+            if (e := marks.get(k)) is None:
+                yield f"{step},0.0,{cells},\n"
+            else:
+                yield f"{step},{e.fraction!r},{cells},elim:{names[e.species_id]}\n"
+        start += len(steps)
+        outcome["events"] += events
+        outcome["last"] = row.tolist()
+        del steps, values, row  # let the engine free this window before it fills the next
 
 
 def _spectral_digest(summary: SpectralSummary) -> dict:
@@ -138,29 +157,33 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.max_steps is not None:
         scenario = replace(scenario, config=replace(scenario.config, max_steps=args.max_steps))
-    trajectory = evolve(scenario.matrix, scenario.initial, scenario.config)
+    run = evolve(scenario.matrix, scenario.initial, scenario.config)
     names = scenario.species_names
-    summary = {
-        "terminal_populations": trajectory.values[-1].tolist(),
-        "exit_reason": trajectory.terminated_reason.value,
-        "events": [
-            {
-                "step": e.step_index,
-                "fraction": e.fraction,
-                "species_id": e.species_id,
-                "species": names[e.species_id],
-                "neg_offdiag_before": e.neg_offdiag_before,
-                "neg_offdiag_after": e.neg_offdiag_after,
-            }
-            for e in trajectory.events
-        ],
-        "spectral": _spectral_digest(eigendecompose(trajectory.final_matrix)),
-        "two_species": _two_species_report(scenario),
-        "seed": scenario.seed,
-    }
-    _atomic_write(
-        [(args.out, _trajectory_lines(trajectory, names)), (summary_path, [_json_text(summary)])]
-    )
+    outcome: dict = {}
+
+    def outputs():
+        yield args.out, _trajectory_lines(run, names, outcome)
+        summary = {
+            "terminal_populations": outcome["last"],
+            "exit_reason": outcome["reason"].value,
+            "events": [
+                {
+                    "step": e.step_index,
+                    "fraction": e.fraction,
+                    "species_id": e.species_id,
+                    "species": names[e.species_id],
+                    "neg_offdiag_before": e.neg_offdiag_before,
+                    "neg_offdiag_after": e.neg_offdiag_after,
+                }
+                for e in outcome["events"]
+            ],
+            "spectral": _spectral_digest(eigendecompose(outcome["final_matrix"])),
+            "two_species": _two_species_report(scenario),
+            "seed": scenario.seed,
+        }
+        yield summary_path, [_json_text(summary)]
+
+    _atomic_write(outputs())
     return EXIT_OK
 
 

@@ -46,26 +46,25 @@ the count of negative transfers in the removed row and column:
 and each fold then subtracts those entries, since every other
 off-diagonal entry is kept.
 
-The trajectory is stored as columns, one entry per recorded row: the step
-and the full-length state (reduced states embedded back, with zeros in
-the slots of extinct species). Each elimination is stored once, as an
-``EliminationEvent`` that names its row. Rows are embedded as they are
-recorded, straight into one zero-filled (capacity, n) buffer beside one
-steps buffer, so each recorded row exists once, and each row is final
-when written: the sub-tolerance dust in (-ZERO_TOL, 0) of the rows just
-written is floored to 0.0 in place (-0.0 is not below 0.0 and keeps its
-sign). A run records at most ``2 + max_steps // record_every + (n - 1)``
-rows: the start, every ``record_every``-th step, one row per elimination
-and a last row at the final step. The capacity starts at 64 rows (or that
-bound, if smaller). Before each block it grows, if needed, to hold every
-row the block can add: it doubles (or jumps to what the block needs),
-capped at the bound. The buffers grow, and are trimmed to the row count
-at the end, by ``ndarray.resize``, which reallocates in place where the
-allocator can and zero-fills new rows. Once eliminated, a species never
-re-enters: its slot stays zero for the rest of the run. The reduced
-matrix the run ends with is derived from a checked matrix, so it is not
-checked again: rounding in the fold may move a column sum past the input
-tolerance.
+``evolve`` is a generator that hands its recorded rows over in windows,
+so a run holds about one window of rows (1 MiB) however long it runs. A
+window is two columns, one entry per recorded row: the step and the
+full-length state (reduced states embedded back, with zeros in the slots
+of extinct species), plus the eliminations whose rows fall in it. Each
+elimination is stored once, as an ``EliminationEvent`` that names its
+row, counted from the start of the run. Rows are embedded as they are
+recorded, straight into the window's zero-filled (capacity, n) buffer
+beside its steps buffer. A full window is handed over when the next row
+does not fit, and the rows go on in a fresh buffer; the last window is
+handed over when the run ends, and the generator then returns the exit
+reason and the reduced matrix. The sub-tolerance dust in (-ZERO_TOL, 0)
+of a window's rows is floored to 0.0 once, when it is handed over (-0.0
+is not below 0.0 and keeps its sign). A run records the start, every
+``record_every``-th step, one row per elimination and a last row at the
+final step. Once eliminated, a species never re-enters: its slot stays
+zero for the rest of the run. The reduced matrix the run ends with is
+derived from a checked matrix, so it is not checked again: rounding in
+the fold may move a column sum past the input tolerance.
 
 ``elimination_time_scan`` needs only the step of each system's first
 elimination, so it does not run ``evolve`` per matrix. It takes the
@@ -89,6 +88,7 @@ block; nothing is recorded.
 from __future__ import annotations
 
 import enum
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,9 +130,11 @@ class SimulationConfig:
 class EliminationEvent:
     """A species hit zero during step ``step_index`` at sub-step ``fraction``.
 
-    ``row_index`` is the trajectory row recorded at the elimination:
-    ``steps[row_index]`` is ``step_index`` and ``values[row_index]`` is
-    the interpolated state, with ``species_id`` at exactly 0.0.
+    ``row_index`` is the row recorded at the elimination, counted from the
+    start of the run over all of ``evolve``'s windows; the event comes in
+    the window that holds that row. In the run's rows, ``steps[row_index]``
+    is ``step_index`` and ``values[row_index]`` is the interpolated state,
+    with ``species_id`` at exactly 0.0.
     """
 
     step_index: int
@@ -153,25 +155,6 @@ class TerminationReason(enum.Enum):
     MAX_STEPS = "MaxSteps"
     CONVERGED = "Converged"
     ALL_BUT_ONE_EXTINCT = "AllButOneExtinct"
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded rows of one run as read-only columns of equal length T.
-
-    Row k is the full-length state ``values[k]`` (shape (T, N); extinct
-    slots hold zero) after ``steps[k]`` completed steps. Each elimination
-    row is named by exactly one of ``events``, through its ``row_index``;
-    the events are in row order. ``final_matrix`` is the reduced matrix
-    the run ended with. Its rows and columns are the survivors, the ids
-    that no event names, in increasing order.
-    """
-
-    steps: np.ndarray
-    values: np.ndarray
-    events: tuple[EliminationEvent, ...]
-    terminated_reason: TerminationReason
-    final_matrix: EvolutionMatrix
 
 
 @dataclass(frozen=True)
@@ -262,7 +245,7 @@ def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float
 
 
 _MAX_BLOCK = 256  # longest speculative block of steps in `evolve` and the scan
-_FIRST_ROWS = 64  # first capacity of `evolve`'s row buffer, which then doubles
+_WINDOW_BYTES = 1 << 20  # about how many bytes of recorded rows one window of `evolve` holds
 _SCAN_BLOCK_STATES = 4096  # most stacked states (steps x live systems) in one scan block
 
 
@@ -270,11 +253,34 @@ def evolve(
     matrix: EvolutionMatrix,
     populations: PopulationVector,
     config: SimulationConfig = SimulationConfig(),
-) -> Trajectory:
-    """Run the evolution engine until convergence, extinction, or the step cap.
+) -> Generator[
+    tuple[np.ndarray, np.ndarray, tuple[EliminationEvent, ...]],
+    None,
+    tuple[TerminationReason, EvolutionMatrix],
+]:
+    """Run the evolution engine, handing its recorded rows over in windows.
 
-    Species ids are ``0..n-1`` for an n x n ``matrix``, and every
-    recorded row is n wide. A ``populations`` of another length raises
+    A generator: it yields ``(steps, values, events)`` windows in row order
+    and, when the run ends, returns ``(reason, final_matrix)``, which a
+    caller reads as ``reason, final_matrix = yield from evolve(...)`` or
+    from ``StopIteration.value``. Nothing runs, and a bad argument raises
+    nothing, until the first window is asked for.
+
+    Species ids are ``0..n-1`` for an n x n ``matrix``. Row k of a window
+    is the full-length state ``values[k]`` (n wide; extinct slots hold
+    zero) after ``steps[k]`` completed steps. A run records the start,
+    every ``config.record_every``-th step, one row per elimination and a
+    last row at the final step. ``events`` are the eliminations whose rows
+    fall in the window, in row order; each names its row by
+    ``row_index``, counted from the start of the run. Each window is
+    fresh and read-only, and every window but the last is full: it holds
+    ``max(_WINDOW_BYTES // (8 * n), 256)`` rows, about 1 MiB and at least
+    the most one block records. The dust in (-ZERO_TOL, 0) of a window's
+    rows is floored to 0.0 when it is handed over. A caller that lets go
+    of each window before asking for the next holds one window at a
+    time. ``final_matrix`` is the reduced matrix the run ended with; its
+    rows and columns are the survivors, the ids that no event names, in
+    increasing order. A ``populations`` of another length than n raises
     ``ValidationError``.
 
     Stops when the L1 step-to-step change drops below
@@ -295,12 +301,6 @@ def evolve(
     fold (one copy of the reduced matrix) and O(width) bookkeeping. The
     negative off-diagonal count of each event is kept incrementally:
     ``negative_offdiag_count`` runs once per run, at the first elimination.
-    Recorded rows are written straight into one row buffer that starts
-    at 64 rows and doubles, capped at the run's row bound
-    ``2 + max_steps // record_every + (n - 1)``, and is trimmed to the row
-    count at the end. Each recorded row is final when written: its dust in
-    (-ZERO_TOL, 0) is floored to 0.0 there, and an elimination row is
-    named only by its event's ``row_index``.
     """
     n = matrix.n
     if len(populations) != n:
@@ -311,28 +311,48 @@ def evolve(
     phi = np.array(populations.values)
     alive = np.arange(n, dtype=np.intp)  # local index -> species id
     every = config.record_every
-    # Recorded rows go straight into one (capacity, n) buffer and one steps
-    # buffer. A run records at most the start, every `every`-th step, one
-    # row per event and a last row at the final step.
-    bound = 2 + config.max_steps // every + (n - 1)
-    capacity = min(bound, _FIRST_ROWS)
-    values = np.zeros((capacity, n))
-    steps = np.zeros(capacity, dtype=int)
-    rows = 0
+    # A window's rows: about _WINDOW_BYTES, and at least the most one block
+    # records, so the rows of one `record` call spill into at most one new window.
+    capacity = max(_WINDOW_BYTES // (8 * n), _MAX_BLOCK)
+    values = np.zeros((capacity, n))  # zero-filled: extinct slots rely on it
+    steps = np.empty(capacity, dtype=int)
+    events: list[EliminationEvent] = []  # the window's events
+    rows = 0  # rows written to the window
+    start = 0  # the run's row index of the window's first row
 
-    def record(recorded_steps: np.ndarray, states: np.ndarray) -> None:
-        nonlocal rows
-        end = rows + len(recorded_steps)
-        written = values[rows:end]
-        written[:, alive] = states
+    def window():
+        """The rows written so far as a read-only window, their dust floored."""
+        written_steps, written = steps[:rows], values[:rows]
         # Only sub-tolerance float dust is floored; a genuine negative entry
         # would be a bug and must stay visible. -0.0 is not below 0.0 and stays.
         np.copyto(written, 0.0, where=(written < 0.0) & (written > -ZERO_TOL))
+        for column in (written_steps, written):
+            column.flags.writeable = False
+        return written_steps, written, tuple(events)
+
+    def write(recorded_steps: np.ndarray, states: np.ndarray) -> None:
+        nonlocal rows
+        end = rows + len(recorded_steps)
+        values[rows:end][:, alive] = states
         steps[rows:end] = recorded_steps
         rows = end
 
-    record(np.zeros(1, dtype=int), phi[None, :])
-    events: list[EliminationEvent] = []
+    def record(recorded_steps: np.ndarray, states: np.ndarray):
+        """Append rows; if they spill past the window, hand it over full and fill a fresh one."""
+        nonlocal values, steps, events, rows, start
+        room = capacity - rows
+        if len(recorded_steps) > room:
+            write(recorded_steps[:room], states[:room])
+            yield window()
+            # Drop the full window before the next exists, so that a caller
+            # that has let go of it holds one window at a time.
+            del values, steps
+            start, rows, events = start + rows, 0, []
+            values, steps = np.zeros((capacity, n)), np.empty(capacity, dtype=int)
+            recorded_steps, states = recorded_steps[room:], states[room:]
+        write(recorded_steps, states)
+
+    yield from record(np.zeros(1, dtype=int), phi[None, :])
     neg_after = None  # negative off-diagonal count, counted in full at the first fold only
     t = 0
     block = 1
@@ -344,17 +364,6 @@ def evolve(
             reason = TerminationReason.MAX_STEPS
             break
         k = min(block, config.max_steps - t)
-        # Room for every row this block can add: at most k // every + 1
-        # recorded steps and an event row, plus the run's last row. Growing
-        # before the block's buffer exists lets the allocator extend the
-        # buffers in place rather than copy them past it. The new rows are
-        # zero-filled, which extinct slots rely on; no view of either buffer
-        # is alive here.
-        needed = rows + k // every + 3
-        if needed > capacity:
-            capacity = min(bound, max(2 * capacity, needed))
-            values.resize((capacity, n), refcheck=False)
-            steps.resize(capacity, refcheck=False)
         states = np.empty((k + 1, phi.size))  # states[j] holds phi after t + j steps
         states[0] = phi
         previous = states[0]
@@ -371,7 +380,7 @@ def evolve(
         first = t + every - t % every  # next step to record
         if first <= t + accepted:
             recorded = np.arange(first, t + accepted + 1, every)
-            record(recorded, states[recorded - t])
+            yield from record(recorded, states[recorded - t])
         t += accepted
         phi = states[accepted]
         if not stops[stop]:
@@ -391,26 +400,18 @@ def evolve(
             neg_after = negative_offdiag_count(entries)
         neg_before, species = neg_after, int(alive[local])
         neg_after = neg_before - _negatives_removed(entries, local)
-        events.append(EliminationEvent(t, tau, species, neg_before, neg_after, rows))
-        record(np.array([t]), phi[None, :])
+        event = EliminationEvent(t, tau, species, neg_before, neg_after, start + rows)
+        yield from record(np.array([t]), phi[None, :])
+        events.append(event)  # after the hand-over: the event row may open a window
         entries, phi, alive = _eliminate(entries, phi, alive, local)
         # Re-evaluate the interrupted step on the reduced system. The block
         # that stopped ran `stop` clean steps first, so the next one may too.
         block = min(stop + 1, _MAX_BLOCK)
 
     if steps[rows - 1] != t:  # a row at step t is always the current state
-        record(np.array([t]), phi[None, :])
-    values.resize((rows, n), refcheck=False)
-    steps.resize(rows, refcheck=False)
-    for column in (steps, values):
-        column.flags.writeable = False
-    return Trajectory(
-        steps=steps,
-        values=values,
-        events=tuple(events),
-        terminated_reason=reason,
-        final_matrix=_derived_matrix(entries),
-    )
+        yield from record(np.array([t]), phi[None, :])
+    yield window()
+    return reason, _derived_matrix(entries)
 
 
 def evolve_backward(matrix: EvolutionMatrix, phi0: PopulationVector, max_steps: int) -> BackwardReport:

@@ -26,7 +26,7 @@ from evosum import (
     two_species_matrix,
 )
 from evosum.cli import main
-from test_dynamics import survivor_values
+from test_dynamics import collect, survivor_values
 from test_two_species import crosscheck
 
 #: Every trajectory produced while the suite runs, checked by criterion 5.
@@ -34,11 +34,11 @@ ALL_TRAJECTORIES = []
 
 
 def run(matrix, raw_start, **config):
-    trajectory = evolve(
+    trajectory = collect(evolve(
         matrix,
         make_population(raw_start),
         SimulationConfig(**config) if config else SimulationConfig(),
-    )
+    ))
     ALL_TRAJECTORIES.append(trajectory)
     return trajectory
 
@@ -193,7 +193,7 @@ def test_criterion_7_elimination_time_scaling():
     steps = elimination_time_scan(family, make_population([0.5, 0.5]), config)
     for c in (0.01, 0.02, 0.04):
         ALL_TRAJECTORIES.append(
-            evolve(two_species_matrix(c, -c / 2), make_population([0.5, 0.5]), config)
+            collect(evolve(two_species_matrix(c, -c / 2), make_population([0.5, 0.5]), config))
         )
     checks = [(steps == [80, 40, 20], f"steps {steps}, frozen regression values [80, 40, 20]")]
     for slow, fast in zip(steps, steps[1:]):

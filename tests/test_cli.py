@@ -15,7 +15,6 @@ from evosum import (
     EvolutionMatrix,
     PopulationVector,
     TerminationReason,
-    Trajectory,
     elimination_time_scan,
     evolve,
     load_scenario,
@@ -25,8 +24,8 @@ from evosum import (
     stationary_by_iteration,
 )
 from evosum.cli import _atomic_write, _trajectory_lines, main
-from evosum.errors import ScenarioParseError
-from test_dynamics import serial_evolve, serial_scan
+from evosum.errors import NumericalError, ScenarioParseError
+from test_dynamics import Trajectory, collect, serial_evolve, serial_scan, windows_of
 from test_golden import FIXED_POINT_TAIL
 
 # A JSON integer with 401 digits: valid JSON, far beyond the largest float.
@@ -116,7 +115,14 @@ def hand_trajectory(values, steps=None, eliminations=()):
 
 
 def cli_csv(trajectory, names):
-    return "".join(_trajectory_lines(trajectory, names)).encode("utf-8")
+    """The CLI's CSV of ``trajectory``, which must not depend on how its rows come in windows."""
+    rows = len(trajectory.steps)
+    csvs = {
+        "".join(_trajectory_lines(windows_of(trajectory, size), names, {})).encode("utf-8")
+        for size in {1, 2, 3, rows}
+    }
+    assert len(csvs) == 1
+    return csvs.pop()
 
 
 def write_scenario(path, data):
@@ -546,6 +552,33 @@ class TestExitCodes:
         assert list(tmp_path.glob(".evosum-*.tmp")) == []
         assert "No such file or directory" in capsys.readouterr().err
 
+    def test_failure_mid_run_leaves_both_outputs(self, tmp_path, capsys, monkeypatch):
+        # The CSV's temp file is open and filling while the engine runs. With
+        # 256-row windows, this run's 16th elimination comes after row 722.
+        matrix = random_competitive(20, 0.05, 0.5, 1)
+        data = {"matrix": {"entries": matrix.entries.tolist()}, "initial": [1] * 20}
+        path = write_scenario(tmp_path / "cascade.json", data)
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        out.write_bytes(b"kept csv\n")
+        summary.write_bytes(b"kept summary\n")
+        monkeypatch.setattr(evosum.dynamics, "_WINDOW_BYTES", 8 * 20 * 256)
+        real, calls, written = evosum.dynamics.crossing_fraction, [], []
+
+        def failing(before, after):
+            calls.append(None)
+            if len(calls) == 16:
+                written.extend(p.stat().st_size for p in tmp_path.glob(".evosum-*.tmp"))
+                raise NumericalError("injected failure")
+            return real(before, after)
+
+        monkeypatch.setattr(evosum.dynamics, "crossing_fraction", failing)
+        argv = ["simulate", "--scenario", path, "--out", str(out), "--summary", str(summary)]
+        assert main(argv) == 4
+        assert capsys.readouterr() == ("", "error: injected failure\n")
+        assert len(written) == 1 and written[0] > 0  # the CSV's temp file held rows
+        assert (out.read_bytes(), summary.read_bytes()) == (b"kept csv\n", b"kept summary\n")
+        assert list(tmp_path.glob(".evosum-*.tmp")) == []
+
     @pytest.mark.parametrize("directory", ["out", "summary"])
     def test_output_naming_a_directory_leaves_the_other_output(
         self, case_a, tmp_path, capsys, directory
@@ -731,7 +764,7 @@ class TestSimulate:
         assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
 
         scenario = load_scenario(path)
-        trajectory = evolve(scenario.matrix, scenario.initial, scenario.config)
+        trajectory = collect(evolve(scenario.matrix, scenario.initial, scenario.config))
         assert len(trajectory.events) >= 1
         assert out.read_bytes() == reference_csv(trajectory, scenario.species_names)
 
@@ -750,7 +783,8 @@ class TestSimulate:
         data = {"matrix": {"entries": matrix.entries.tolist()}, "initial": initial, "config": config}
         argv = ["simulate", "--scenario", write_scenario(tmp_path / "s.json", data), "--out"]
         assert main([*argv, str(tmp_path / "block.csv")]) == 0
-        monkeypatch.setattr("evosum.cli.evolve", serial_evolve)
+        # The serial rows come in windows of 97, so the CLI reuses a row across windows.
+        monkeypatch.setattr("evosum.cli.evolve", lambda *run: windows_of(serial_evolve(*run), 97))
         assert main([*argv, str(tmp_path / "serial.csv")]) == 0
         for suffix in (".csv", ".csv.summary.json"):
             assert (tmp_path / f"block{suffix}").read_bytes() == (tmp_path / f"serial{suffix}").read_bytes()
@@ -822,7 +856,7 @@ class TestTrajectoryLines:
     def test_formats_only_rows_that_differ_from_the_last(self, tmp_path, monkeypatch):
         path = write_scenario(tmp_path / "tail.json", FIXED_POINT_TAIL)
         scenario = load_scenario(path)
-        trajectory = evolve(scenario.matrix, scenario.initial, scenario.config)
+        trajectory = collect(evolve(scenario.matrix, scenario.initial, scenario.config))
         rows = [row.tobytes() for row in trajectory.values]
         distinct = sum(k == 0 or rows[k] != rows[k - 1] for k in range(len(rows)))
         assert distinct < len(rows) / 2
@@ -834,6 +868,8 @@ class TestTrajectoryLines:
 
         # Population cells go through the module's `repr`; `step` and `tau` do not.
         monkeypatch.setattr("evosum.cli.repr", counting_repr, raising=False)
+        # Windows of 256 rows: row 256, in the fixed-point tail, reuses the cells of row 255.
+        monkeypatch.setattr("evosum.dynamics._WINDOW_BYTES", 8 * 6 * 256)
         out = tmp_path / "t.csv"
         assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
         assert calls == [float] * (distinct * trajectory.values.shape[1])

@@ -1,4 +1,5 @@
 import contextlib
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,6 @@ from evosum import (
     PopulationVector,
     SimulationConfig,
     TerminationReason,
-    Trajectory,
     crossing_fraction,
     eigendecompose,
     elimination_time_scan,
@@ -26,6 +26,64 @@ from evosum import (
 )
 from evosum import core, dynamics, spectral, two_species
 from evosum.errors import NumericalError, ValidationError
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """One whole run as columns of equal length T, rebuilt from ``evolve``'s windows.
+
+    Row k is the full-length state ``values[k]`` (shape (T, N)) after
+    ``steps[k]`` completed steps; ``events`` name their rows by
+    ``row_index``. ``window_rows`` holds the length of each window the run
+    was handed over in (empty for ``serial_evolve``, which has none).
+    """
+
+    steps: np.ndarray
+    values: np.ndarray
+    events: tuple[EliminationEvent, ...]
+    terminated_reason: TerminationReason
+    final_matrix: EvolutionMatrix
+    window_rows: tuple[int, ...] = ()
+
+
+def collect(run) -> Trajectory:
+    """Every window of ``run``, an ``evolve`` generator, joined into one ``Trajectory``.
+
+    Checks each window as it is joined: its columns are read-only and of
+    one length, every window but the last has the first one's length, and
+    each of its events names a row inside it.
+    """
+    windows = []
+    try:
+        while True:
+            windows.append(next(run))
+    except StopIteration as end:
+        reason, final_matrix = end.value
+    start = 0
+    for steps, values, events in windows:
+        assert len(steps) == len(values) > 0
+        assert not steps.flags.writeable and not values.flags.writeable
+        assert all(start <= e.row_index < start + len(steps) for e in events)
+        start += len(steps)
+    lengths = tuple(len(steps) for steps, _, _ in windows)
+    assert all(length == lengths[0] for length in lengths[:-1])
+    return Trajectory(
+        steps=np.concatenate([steps for steps, _, _ in windows]),
+        values=np.concatenate([values for _, values, _ in windows]),
+        events=tuple(e for _, _, events in windows for e in events),
+        terminated_reason=reason,
+        final_matrix=final_matrix,
+        window_rows=lengths,
+    )
+
+
+def windows_of(trajectory: Trajectory, size: int):
+    """Hand ``trajectory``'s rows over as ``evolve`` does, in windows of ``size`` rows."""
+    for start in range(0, len(trajectory.steps), size):
+        end = start + size
+        events = tuple(e for e in trajectory.events if start <= e.row_index < end)
+        yield trajectory.steps[start:end], trajectory.values[start:end], events
+    return trajectory.terminated_reason, trajectory.final_matrix
 
 
 def system_of(matrix: EvolutionMatrix, raw) -> tuple[EvolutionMatrix, PopulationVector]:
@@ -168,7 +226,7 @@ def serial_scan(family, phi0, config=SimulationConfig()):
     """Reference scan: one full ``evolve`` per member of ``family``, keeping its first event."""
     steps = []
     for entries in family:
-        events = evolve(EvolutionMatrix(entries), phi0, config).events
+        events = collect(evolve(EvolutionMatrix(entries), phi0, config)).events
         steps.append(events[0].step_index if events else None)
     return steps
 
@@ -383,16 +441,16 @@ class TestSimulationConfig:
 
     def test_numpy_integer_step_counts_accepted(self):
         config = SimulationConfig(max_steps=np.int64(30), record_every=np.int32(7))
-        trajectory = evolve(*system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), config)
+        trajectory = collect(evolve(*system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), config))
         assert trajectory.steps.tolist() == [0, 7, 14, 21, 28, 30]
 
 
 class TestEvolve:
     def test_coexistence_converges_with_no_events(self):
-        trajectory = evolve(
+        trajectory = collect(evolve(
             *system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]),
             SimulationConfig(max_steps=500),
-        )
+        ))
         assert trajectory.events == ()
         assert trajectory.terminated_reason is TerminationReason.CONVERGED
         assert np.max(np.abs(trajectory.values[-1] - [2 / 3, 1 / 3])) < 1e-6
@@ -400,10 +458,10 @@ class TestEvolve:
 
     def test_monotone_extinction_has_one_event(self):
         # Frozen from the brute-force oracle: crossing during step 7.
-        trajectory = evolve(
+        trajectory = collect(evolve(
             *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000),
-        )
+        ))
         events = trajectory.events
         assert len(events) == 1
         assert events[0].species_id == 0
@@ -418,9 +476,9 @@ class TestEvolve:
     def test_engine_agrees_with_crossing_oracle(self):
         matrix = two_species_matrix(0.1, -0.05)
         oracle = brute_first_crossing(matrix.entries, [0.5, 0.5])
-        event = evolve(
+        event = collect(evolve(
             *system_of(matrix, [0.5, 0.5]), SimulationConfig(max_steps=1000)
-        ).events[0]
+        )).events[0]
         assert (event.step_index, event.species_id) == oracle[:2]
         assert event.fraction == pytest.approx(oracle[2], abs=1e-12)
 
@@ -429,10 +487,10 @@ class TestEvolve:
         [(0.6, 1, [1.0, 0.0]), (0.4, 0, [0.0, 1.0])],
     )
     def test_winner_takes_all_depends_on_start(self, a, eliminated, survivor_state):
-        trajectory = evolve(
+        trajectory = collect(evolve(
             *system_of(two_species_matrix(-0.05, -0.05), [a, 1 - a]),
             SimulationConfig(max_steps=1000),
-        )
+        ))
         events = trajectory.events
         assert len(events) == 1
         assert events[0].species_id == eliminated
@@ -441,53 +499,54 @@ class TestEvolve:
         assert_conserved(trajectory)
 
     def test_already_extinct_start_eliminates_at_step_zero(self):
-        trajectory = evolve(
+        trajectory = collect(evolve(
             two_species_matrix(0.02, -0.01),
             PopulationVector(np.array([0.0, 1.0])),
             SimulationConfig(max_steps=100),
-        )
+        ))
         event = trajectory.events[0]
         assert event.step_index == 0
         assert event.fraction == 0.0
 
     def test_population_size_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="matrix is 3x3 but the population has 2 entries"):
-            evolve(random_stochastic(3, 0.3, 1), make_population([1, 1]))
+            collect(evolve(random_stochastic(3, 0.3, 1), make_population([1, 1])))
 
     def test_max_steps_stop(self):
-        trajectory = evolve(
+        trajectory = collect(evolve(
             *system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]),
             SimulationConfig(max_steps=5, convergence_tol=0.0),
-        )
+        ))
         assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
         assert trajectory.steps[-1] == 5
 
     def test_record_every_thins_snapshots_but_keeps_events(self):
-        trajectory = evolve(
+        trajectory = collect(evolve(
             *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000, record_every=50),
-        )
+        ))
         assert trajectory.events
         ordinary = np.delete(trajectory.steps, [e.row_index for e in trajectory.events])
         assert np.all(ordinary[:-1] % 50 == 0)
 
     def test_columns_are_aligned_and_readonly(self):
-        trajectory = evolve(
+        windows = list(evolve(
             *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000, record_every=3),
-        )
-        rows = len(trajectory.steps)
-        assert trajectory.values.shape == (rows, 2)
-        assert all(0 <= e.row_index < rows for e in trajectory.events)
-        for column in (trajectory.steps, trajectory.values):
+        ))
+        [(steps, values, events)] = windows
+        rows = len(steps)
+        assert values.shape == (rows, 2)
+        assert len(events) == 1 and 0 <= events[0].row_index < rows
+        for column in (steps, values):
             with pytest.raises(ValueError):
                 column[0] = 0
 
     def test_event_rows_place_extinct_species_at_exact_zero(self):
-        trajectory = evolve(
+        trajectory = collect(evolve(
             *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000),
-        )
+        ))
         event = trajectory.events[0]
         k = event.row_index
         assert trajectory.values[k, event.species_id] == 0.0
@@ -545,7 +604,7 @@ class TestBlockStepping:
     def test_matches_serial_engine(self, run):
         system, config, zero_tol = run
         with patched_zero_tol(zero_tol):
-            assert_same_run(evolve(*system, config), serial_evolve(*system, config))
+            assert_same_run(collect(evolve(*system, config)), serial_evolve(*system, config))
 
     @pytest.mark.parametrize("alpha, beta, step", [(0.1, -0.05, 7), (0.02, -0.01, 40)])
     def test_crossing_and_convergence_in_one_step(self, alpha, beta, step):
@@ -557,7 +616,7 @@ class TestBlockStepping:
         assert crossing_step == step
         system = system_of(matrix, [0.5, 0.5])
         config = SimulationConfig(max_steps=1000, convergence_tol=tol)
-        trajectory = evolve(*system, config)
+        trajectory = collect(evolve(*system, config))
         assert [e.step_index for e in trajectory.events] == [step]
         assert trajectory.terminated_reason is TerminationReason.ALL_BUT_ONE_EXTINCT
         assert_same_run(trajectory, serial_evolve(*system, config))
@@ -567,7 +626,7 @@ class TestBlockStepping:
         # starts after 1 + 2 + 4 clean steps.
         system = system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5])
         config = SimulationConfig(max_steps=1000)
-        trajectory = evolve(*system, config)
+        trajectory = collect(evolve(*system, config))
         assert [e.step_index for e in trajectory.events] == [7]
         assert_same_run(trajectory, serial_evolve(*system, config))
 
@@ -577,7 +636,7 @@ class TestBlockStepping:
         # Blocks of 1, 2, 4, ... clean steps: none of these caps falls on a block edge.
         system = system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1])
         config = SimulationConfig(max_steps=max_steps, convergence_tol=0.0, record_every=record_every)
-        trajectory = evolve(*system, config)
+        trajectory = collect(evolve(*system, config))
         assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
         assert trajectory.steps[-1] == max_steps
         assert_same_run(trajectory, serial_evolve(*system, config))
@@ -585,7 +644,7 @@ class TestBlockStepping:
     def test_cap_inside_a_block_after_events(self):
         system = system_of(random_competitive(40, 0.5, 0.5, 3), np.ones(40))
         config = SimulationConfig(max_steps=1000, convergence_tol=0.0, record_every=7)
-        trajectory = evolve(*system, config)
+        trajectory = collect(evolve(*system, config))
         assert len(trajectory.events) >= 5
         assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
         assert_same_run(trajectory, serial_evolve(*system, config))
@@ -597,7 +656,7 @@ class TestBlockStepping:
         # of events within one step, where a re-evaluated step crosses again.
         system = system_of(random_competitive(200, 0.5, 0.5, seed), np.ones(200))
         config = SimulationConfig(max_steps=3000, record_every=record_every)
-        trajectory = evolve(*system, config)
+        trajectory = collect(evolve(*system, config))
         steps = [event.step_index for event in trajectory.events]
         assert any(a == b for a, b in zip(steps, steps[1:]))
         assert_same_run(trajectory, serial_evolve(*system, config))
@@ -611,18 +670,18 @@ class TestBlockStepping:
             return real(*args)
 
         monkeypatch.setattr(dynamics, "crossing_fraction", counted)
-        trajectory = evolve(
+        trajectory = collect(evolve(
             *system_of(random_competitive(40, 0.5, 0.5, 3), np.ones(40)),
             SimulationConfig(max_steps=6000),
-        )
+        ))
         assert len(trajectory.events) >= 5
         assert len(calls) == len(trajectory.events)
 
         calls.clear()
-        altruistic = evolve(
+        altruistic = collect(evolve(
             *system_of(random_stochastic(40, 0.3, 3), np.ones(40)),
             SimulationConfig(max_steps=6000, convergence_tol=0.0),
-        )
+        ))
         assert altruistic.events == ()
         assert altruistic.steps[-1] == 6000
         assert calls == []
@@ -638,7 +697,7 @@ class TestBlockStepping:
             family[2, i, j] += 5e-13
         system = system_of(EvolutionMatrix(family[2]), np.ones(5))
         config = SimulationConfig(max_steps=5)
-        trajectory = evolve(*system, config)
+        trajectory = collect(evolve(*system, config))
         sums = trajectory.final_matrix.entries.sum(axis=0)
         assert np.max(np.abs(sums - 1.0)) > core.CONSTRUCTION_TOL
         assert not trajectory.final_matrix.entries.flags.writeable
@@ -646,20 +705,22 @@ class TestBlockStepping:
 
 
 class TestRowBuffer:
-    """``evolve`` records into one row buffer that doubles; ``serial_evolve`` is the reference."""
+    """``evolve`` fills a row buffer and hands it over as a window when the next row does not fit.
 
-    @staticmethod
-    def doublings():
-        """Row counts one below, on and one above each capacity the buffer doubles through."""
-        capacities = [dynamics._FIRST_ROWS * 2**k for k in range(5)]
-        return [rows + d for rows in capacities for d in (-1, 0, 1)]
+    The tests shrink the windows through ``_WINDOW_BYTES``; ``serial_evolve``
+    is the reference.
+    """
+
+    CAPACITY = 300  # rows of a shrunk window, above the 256 rows one block can record
 
     @pytest.mark.parametrize("record_every", [1, 7])
-    def test_rows_around_each_doubling(self, record_every):
+    def test_rows_around_each_window_edge(self, monkeypatch, record_every):
         # No event and no convergence: the start plus one row per recorded
-        # step, and a last row at the cap when it is not a recorded step.
+        # step, and a last row at the cap when it is not a recorded step. A
+        # run one row over a window's edge hands its last row over alone.
+        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 8 * 6 * self.CAPACITY)
         system = system_of(random_stochastic(6, 0.3, 2), np.ones(6))
-        for rows in self.doublings():
+        for rows in [k * self.CAPACITY + d for k in (1, 2) for d in (-1, 0, 1)]:
             if record_every == 1 or rows % 2 == 0:
                 max_steps = (rows - 1) * record_every  # the cap is a recorded step
             else:
@@ -667,37 +728,43 @@ class TestRowBuffer:
             config = SimulationConfig(
                 max_steps=max_steps, convergence_tol=0.0, record_every=record_every
             )
-            trajectory = evolve(*system, config)
-            assert trajectory.values.shape == (rows, 6)
+            trajectory = collect(evolve(*system, config))
+            full, rest = divmod(rows, self.CAPACITY)
+            assert trajectory.window_rows == (self.CAPACITY,) * full + ((rest,) if rest else ())
             assert_same_run(trajectory, serial_evolve(*system, config))
 
     @pytest.mark.parametrize("record_every", [1, 7])
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_rows_with_events_across_doublings(self, record_every, seed):
-        system = system_of(random_competitive(40, 0.5, 0.5, seed), np.ones(40))
+    @pytest.mark.parametrize("offset", [0, 1], ids=["opens-a-window", "ends-a-window"])
+    def test_event_row_at_a_window_edge(self, monkeypatch, record_every, offset):
+        # The first event row past 256 (row 259 or 283) is made the first row
+        # of the second window, or the last row of the first; `collect`
+        # checks that each event comes in the window that holds its row.
+        system = system_of(random_competitive(20, 0.05, 0.5, 1), np.ones(20))
         config = SimulationConfig(max_steps=3000, convergence_tol=0.0, record_every=record_every)
-        trajectory = evolve(*system, config)
-        assert len(trajectory.events) >= 5
-        assert len(trajectory.steps) > 2 * dynamics._FIRST_ROWS
+        expected = serial_evolve(*system, config)
+        row = next(e.row_index for e in expected.events if e.row_index >= dynamics._MAX_BLOCK)
+        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 8 * 20 * (row + offset))
+        trajectory = collect(evolve(*system, config))
+        assert trajectory.window_rows[0] == row + offset
+        assert_same_run(trajectory, expected)
+
+    def test_window_holds_at_least_one_block(self, monkeypatch):
+        # A window too small for one block's 256 rows gets 256 rows.
+        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 1)
+        system = system_of(random_stochastic(6, 0.3, 2), np.ones(6))
+        config = SimulationConfig(max_steps=600, convergence_tol=0.0)
+        trajectory = collect(evolve(*system, config))
+        assert trajectory.window_rows == (256, 256, 89)
         assert_same_run(trajectory, serial_evolve(*system, config))
 
     def test_huge_step_cap_that_converges_early(self):
-        # The row bound is about 1e9 rows; the buffer holds only the rows recorded.
+        # About 1e9 rows could be recorded; the run hands over the rows it records.
         system = system_of(random_stochastic(5, 0.3, 1), np.ones(5))
         config = SimulationConfig(max_steps=10**9, convergence_tol=1e-9)
-        trajectory = evolve(*system, config)
+        trajectory = collect(evolve(*system, config))
         assert trajectory.terminated_reason is TerminationReason.CONVERGED
         assert len(trajectory.steps) < 1000
         assert_same_run(trajectory, serial_evolve(*system, config))
-
-    def test_columns_own_their_trimmed_data(self):
-        trajectory = evolve(
-            *system_of(random_competitive(10, 0.5, 0.5, 1), np.ones(10)),
-            SimulationConfig(max_steps=500, record_every=3),
-        )
-        for column in (trajectory.steps, trajectory.values):
-            assert column.flags.c_contiguous and column.flags.owndata
-            assert not column.flags.writeable
 
 
 def assert_event_rows(trajectory):
@@ -716,7 +783,8 @@ class TestEventRows:
     @pytest.mark.parametrize("n, seed", [(10, 2), (40, 3), (40, 4), (200, 1)])
     def test_rows_of_competitive_cascades(self, n, seed, record_every):
         system = system_of(random_competitive(n, 0.5, 0.5, seed), np.ones(n))
-        trajectory = evolve(*system, SimulationConfig(max_steps=3000, record_every=record_every))
+        config = SimulationConfig(max_steps=3000, record_every=record_every)
+        trajectory = collect(evolve(*system, config))
         assert len(trajectory.events) >= 3
         assert_event_rows(trajectory)
         if record_every == 1:
@@ -733,7 +801,7 @@ class TestEventRows:
         # then species 1 when the step is re-evaluated on the reduced system.
         matrix = EvolutionMatrix([[1.0, 0.0, -0.1], [0.0, 1.0, -0.1], [0.0, 0.0, 1.2]])
         system = system_of(matrix, [0.0, 0.0, 1.0])
-        trajectory = evolve(*system, SimulationConfig(max_steps=10))
+        trajectory = collect(evolve(*system, SimulationConfig(max_steps=10)))
         assert trajectory.steps.tolist() == [0, 0, 0]
         assert [(e.step_index, e.species_id, e.row_index) for e in trajectory.events] == [
             (0, 0, 1),
@@ -755,11 +823,11 @@ class TestStochasticRegime:
     def test_no_eliminations_ever(self, n, seed):
         matrix = random_stochastic(n, 0.4, seed)
         start = make_population(np.random.default_rng(seed).random(n) + 1e-3)
-        trajectory = evolve(
+        trajectory = collect(evolve(
             matrix,
             start,
             SimulationConfig(max_steps=300),
-        )
+        ))
         assert trajectory.events == ()
         assert_conserved(trajectory)
 
@@ -786,11 +854,11 @@ class TestCompetitiveCascade:
             n = int(rng.integers(3, 6))
             matrix = random_competitive(n, 0.12, 0.5, int(rng.integers(0, 2**31)))
             start = make_population(rng.random(n) + 0.05)
-            trajectory = evolve(
+            trajectory = collect(evolve(
                 matrix,
                 start,
                 SimulationConfig(max_steps=20_000, convergence_tol=1e-13),
-            )
+            ))
             assert_conserved(trajectory)
             if not trajectory.events:
                 continue
@@ -817,7 +885,8 @@ class TestCompetitiveCascade:
 
         monkeypatch.setattr(dynamics, "negative_offdiag_count", counted)
         matrix = random_competitive(30, 0.5, 0.5, 3)
-        trajectory = evolve(*system_of(matrix, np.ones(30)), SimulationConfig(max_steps=6000))
+        system = system_of(matrix, np.ones(30))
+        trajectory = collect(evolve(*system, SimulationConfig(max_steps=6000)))
         events = trajectory.events
         assert len(events) >= 5
         # the initial matrix once; each fold updates the count from the removed row and column
@@ -828,14 +897,14 @@ class TestCompetitiveCascade:
         assert events[-1].neg_offdiag_after == real(trajectory.final_matrix.entries)
 
         calls.clear()
-        evolve(*system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), SimulationConfig())
+        collect(evolve(*system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), SimulationConfig()))
         assert calls == []
 
     def test_eliminations_strictly_reduce_dimension(self):
-        trajectory = evolve(
+        trajectory = collect(evolve(
             *system_of(two_species_matrix(-0.05, -0.05), [0.3, 0.7]),
             SimulationConfig(max_steps=2000),
-        )
+        ))
         assert trajectory.final_matrix.n == 2 - len(trajectory.events)
 
 
@@ -902,7 +971,7 @@ class TestStopRuleBoundary:
 
     def test_evolve_eliminates_on_the_second_step(self):
         with patched_zero_tol(self.Z):
-            trajectory = evolve(self.MATRIX, self.START, self.CONFIG)
+            trajectory = collect(evolve(self.MATRIX, self.START, self.CONFIG))
         assert trajectory.values[1].tolist() == [-self.Z, 1.0 + self.Z]
         assert [(e.step_index, e.species_id) for e in trajectory.events] == [(1, 0)]
 
@@ -1156,7 +1225,7 @@ class TestScanBlocks:
         config = SimulationConfig(convergence_tol=1e-3)
         scales = list(range(len(matrices)))
         self.assert_scan(matrices.__getitem__, scales, config, [7, 10, 14, None, None, None, 15])
-        convergence = [evolve(matrix, self.HALF, config) for matrix in matrices[3:6]]
+        convergence = [collect(evolve(matrix, self.HALF, config)) for matrix in matrices[3:6]]
         assert [trajectory.steps[-1] for trajectory in convergence] == [12, 14, 26]
 
     def test_convergence_before_a_crossing_in_one_block(self):
@@ -1167,7 +1236,8 @@ class TestScanBlocks:
         phi0 = make_population(np.random.default_rng(111).random(3) + 0.05)
         self.assert_scan(builder, [0.3], SimulationConfig(), [30], phi0)
         self.assert_scan(builder, [0.3], SimulationConfig(convergence_tol=0.016), [None], phi0)
-        assert evolve(builder(0.3), phi0, SimulationConfig(convergence_tol=0.016)).steps[-1] == 19
+        converged = collect(evolve(builder(0.3), phi0, SimulationConfig(convergence_tol=0.016)))
+        assert converged.steps[-1] == 19
 
     def test_crossing_and_convergence_in_one_step_inside_a_block(self):
         # Step 40 lies inside the block 31-62 and is the first step whose

@@ -2,22 +2,24 @@
 
 NumPy reports its data allocations to ``tracemalloc``, so the traced peak
 of a call counts every array it holds at once. Each peak is taken above
-what was traced before the call and given in units of the call's own
-large array. LAPACK's workspace is allocated outside NumPy and is not
-counted. Each bound sits between the peak of the code that kept two live
-copies of its largest array and the peak of the one-copy code:
+what was traced before the call. LAPACK's workspace is allocated outside
+NumPy and is not counted. Each bound sits between the peak of the code
+that kept more live copies of its largest array and the peak of the
+current code:
 
 - ``eigendecompose`` at n=300: 4.09 before, 2.09 now (units of 16 n^2
   bytes, one complex n x n array);
 - ``check_biorthogonality`` on that draw: 2.09 before, 1.51 now;
-- a 5,000-step n=50 ``evolve`` recording every step: 2.08 before, 1.20
-  now (units of ``values.nbytes``);
+- a full iteration of an n=50 ``evolve`` recording every step, which
+  lets go of each window before asking for the next: 1.71 MiB at 5,000,
+  20,000 and 80,000 steps, one 1 MiB window and its dust-floor masks.
+  When ``evolve`` kept every recorded row until the run ended, it read
+  2.32 MiB at 5,000 steps and 31.5 MiB at 80,000;
 - a CLI ``simulate`` of ``random_competitive(50, 0.05, 0.1, 1)`` recording
-  all 20,000 steps, from loading the scenario to renaming both outputs:
-  1.27-1.30 before, with per-row fraction and event-species columns
-  beside the rows, 1.13-1.16 now, with each elimination stored once, as
-  its event (units of the recorded ``values``' bytes; the higher figure
-  is the first call in a process).
+  every step, from loading the scenario to renaming both outputs: 1.79 MiB
+  at 20,000 steps and at 80,000 (1.95 MiB as the first call in a process).
+  When ``simulate`` wrote the CSV from the whole run's rows, it read 8.66
+  MiB at 20,000 steps and 34.3 MiB at 80,000.
 """
 
 import json
@@ -72,24 +74,38 @@ def test_check_biorthogonality_normalizes_in_place(traced_peak):
     assert peak / COMPLEX_MATRIX < 1.8
 
 
-def test_evolve_holds_each_recorded_row_once(traced_peak):
+MIB = 2**20
+DENSE_STEPS = (20_000, 80_000)  # the benchmark's simulate-dense length, and four times it
+
+
+def test_evolve_holds_one_window(traced_peak):
     matrix, start = random_stochastic(50, 0.3, 1), make_population(np.ones(50))
-    config = SimulationConfig(max_steps=5000, convergence_tol=0.0)
-    trajectory, peak = traced_peak(lambda: evolve(matrix, start, config))
-    assert trajectory.values.shape == (5001, 50)
-    assert peak / trajectory.values.nbytes < 1.7
+
+    def rows_handed_over(config):
+        rows = 0
+        for window in evolve(matrix, start, config):
+            rows += len(window[0])
+            del window  # let go of it before the next one is filled
+        return rows
+
+    for steps in DENSE_STEPS:
+        config = SimulationConfig(max_steps=steps, convergence_tol=0.0)
+        rows, peak = traced_peak(lambda: rows_handed_over(config))
+        assert rows == steps + 1
+        assert peak < 2 * MIB
 
 
-def test_simulate_stores_each_elimination_once(traced_peak, tmp_path):
-    steps, n = 20_000, 50
+def test_simulate_peak_is_flat_in_run_length(traced_peak, tmp_path):
+    n = 50
     scenario = tmp_path / "dense.json"
-    data = {
-        "matrix": {"entries": random_competitive(n, 0.05, 0.1, 1).entries.tolist()},
-        "initial": [1.0] * n,
-        "config": {"max_steps": steps, "convergence_tol": 0.0, "record_every": 1},
-    }
-    scenario.write_text(json.dumps(data), encoding="utf-8")
     argv = ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "dense.csv")]
-    code, peak = traced_peak(lambda: main(argv))
-    assert code == 0
-    assert peak / ((steps + 1) * n * 8) < 1.21
+    for steps in DENSE_STEPS:
+        data = {
+            "matrix": {"entries": random_competitive(n, 0.05, 0.1, 1).entries.tolist()},
+            "initial": [1.0] * n,
+            "config": {"max_steps": steps, "convergence_tol": 0.0, "record_every": 1},
+        }
+        scenario.write_text(json.dumps(data), encoding="utf-8")
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak < 2.5 * MIB

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from evosum import SimulationConfig, eigendecompose, evolve, make_population, random_competitive
 from evosum.core import ZERO_TOL
+from test_dynamics import collect
 
 WIDTHS = (3, 5, 10, 20)
 CONFIG = SimulationConfig(max_steps=3000)
@@ -63,7 +64,7 @@ def check_first_event(n, seed):
     if summary.defective or np.linalg.cond(summary.right_vectors) > MAX_BASIS_COND:
         return False
     start = make_population(np.ones(n))
-    trajectory = evolve(matrix, start, CONFIG)
+    trajectory = collect(evolve(matrix, start, CONFIG))
     if not trajectory.events:
         # No crossing through the last step the engine ran.
         assert expansion_first_crossing(summary, start.values, int(trajectory.steps[-1])) is None

@@ -22,6 +22,7 @@ from evosum import (
     two_species_matrix,
 )
 from evosum.errors import NumericalError, ValidationError
+from test_dynamics import collect
 
 couplings = st.floats(min_value=-0.2, max_value=0.2)
 shares = st.floats(min_value=0.0, max_value=1.0)
@@ -38,7 +39,7 @@ def crosscheck(params: TwoSpeciesParams, steps: int) -> tuple[float, int]:
     matrix = two_species_matrix(params.alpha, params.beta)
     start = PopulationVector(np.array([params.a, 1.0 - params.a]))
     config = SimulationConfig(max_steps=steps, convergence_tol=0.0, record_every=1)
-    trajectory = evolve(matrix, start, config)
+    trajectory = collect(evolve(matrix, start, config))
 
     eliminations = trajectory.events
     last_step = min(steps, eliminations[0].step_index) if eliminations else steps
@@ -199,11 +200,11 @@ class TestPredictWinner:
                 if abs(coeff) < 1e-3:  # skip near-knife-edge draws
                     continue
             predicted = predict_winner(params)
-            trajectory = evolve(
+            trajectory = collect(evolve(
                 two_species_matrix(alpha, beta),
                 make_population([a, 1 - a]),
                 SimulationConfig(max_steps=50_000),
-            )
+            ))
             terminal = trajectory.values[-1]
             if predicted is Winner.BOTH:
                 assert not trajectory.events
