@@ -38,13 +38,28 @@ steps first), the next block has ``stop + 1`` steps, capped at 256; an
 elimination in the same step as the one before has ``stop = 0``, so the
 re-evaluated step runs alone. Every accepted state is the same matvec
 result the per-step loop would compute, so the outputs are identical bit
-for bit. The cost is one matvec call per step, including the discarded
-ones, and a fixed handful of vectorized tests per block. Per elimination
-it is one ``crossing_fraction`` call, the interpolation, the fold, and
-the count of negative transfers in the removed row and column:
-``negative_offdiag_count`` runs once per run, at the first elimination,
-and each fold then subtracts those entries, since every other
-off-diagonal entry is kept.
+for bit. Up to a fixed point, the cost is one matvec call per step,
+including the discarded ones, and a fixed handful of vectorized tests
+per block. Per elimination it is one ``crossing_fraction`` call, the
+interpolation, the fold, and the count of negative transfers in the
+removed row and column: ``negative_offdiag_count`` runs once per run, at
+the first elimination, and each fold then subtracts those entries, since
+every other off-diagonal entry is kept.
+
+A run can reach an exact fixed point: a step whose result has the bits
+of its input. After each clean block ``evolve`` compares the bytes of
+its last state with those of the state before it, an O(width) test.
+A matvec's result depends only on the bits of its input (the block
+stepping already relies on this), so on a match every later state is
+that state too. It has no entry below ``-ZERO_TOL``, since it was
+accepted, so nothing can cross again. ``evolve`` then stops stepping: it
+records the remaining ``record_every``-th steps and the last row at the
+step cap straight from that state, at most one window of rows at a
+time, and ends with ``MaxSteps``. From the fixed point on, the
+cost is O(recorded rows), with no matvec and no stop test. The L1 change
+of such a step is exactly 0, so with a ``convergence_tol`` above 0 the
+run has already stopped there as ``Converged``; only a run with
+``convergence_tol`` 0, which runs to its step cap, reaches this path.
 
 ``evolve`` is a generator that hands its recorded rows over in windows,
 so a run holds about one window of rows (1 MiB) however long it runs. A
@@ -59,12 +74,14 @@ does not fit, and the rows go on in a fresh buffer; the last window is
 handed over when the run ends, and the generator then returns the exit
 reason and the reduced matrix. The sub-tolerance dust in (-ZERO_TOL, 0)
 of a window's rows is floored to 0.0 once, when it is handed over (-0.0
-is not below 0.0 and keeps its sign). A run records the start, every
-``record_every``-th step, one row per elimination and a last row at the
-final step. Once eliminated, a species never re-enters: its slot stays
-zero for the rest of the run. The reduced matrix the run ends with is
-derived from a checked matrix, so it is not checked again: rounding in
-the fold may move a column sum past the input tolerance.
+is not below 0.0 and keeps its sign), in chunks of at most 16,384
+entries, so that its boolean masks stay small beside the window. A run
+records the start, every ``record_every``-th step, one row per
+elimination and a last row at the final step. Once eliminated, a
+species never re-enters: its slot stays zero for the rest of the run.
+The reduced matrix the run ends with is derived from a checked matrix,
+so it is not checked again: rounding in the fold may move a column sum
+past the input tolerance.
 
 ``elimination_time_scan`` needs only the step of each system's first
 elimination, so it does not run ``evolve`` per matrix. It takes the
@@ -246,6 +263,7 @@ def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float
 
 _MAX_BLOCK = 256  # longest speculative block of steps in `evolve` and the scan
 _WINDOW_BYTES = 1 << 20  # about how many bytes of recorded rows one window of `evolve` holds
+_FLOOR_ENTRIES = 1 << 14  # most entries of a window one dust-floor pass masks at once
 _SCAN_BLOCK_STATES = 4096  # most stacked states (steps x live systems) in one scan block
 
 
@@ -296,11 +314,20 @@ def evolve(
     never past the step cap. After an elimination at block index ``stop``
     the next block has ``min(stop + 1, 256)`` steps, so a step that is
     re-evaluated after an elimination in the same step runs alone.
-    The cost is one matvec call per step, including the discarded ones,
-    and per elimination one ``crossing_fraction`` call, one slice-copy
-    fold (one copy of the reduced matrix) and O(width) bookkeeping. The
-    negative off-diagonal count of each event is kept incrementally:
-    ``negative_offdiag_count`` runs once per run, at the first elimination.
+    Up to a fixed point, the cost is one matvec call per step, including
+    the discarded ones, and per elimination one ``crossing_fraction``
+    call, one slice-copy fold (one copy of the reduced matrix) and
+    O(width) bookkeeping. The negative off-diagonal count of each event
+    is kept incrementally: ``negative_offdiag_count`` runs once per run,
+    at the first elimination.
+
+    When the last step of a clean block has the bits of the step before
+    it, the run is at an exact fixed point, and every later step would
+    have those bits too. The run then stops stepping: the remaining rows
+    are recorded from that state and the run ends at ``config.max_steps``
+    with ``MaxSteps``, as the steps would have. From there the cost is
+    O(recorded rows). Only a run with ``convergence_tol`` 0 gets there;
+    with a positive tolerance the step with zero change converges.
     """
     n = matrix.n
     if len(populations) != n:
@@ -314,6 +341,7 @@ def evolve(
     # A window's rows: about _WINDOW_BYTES, and at least the most one block
     # records, so the rows of one `record` call spill into at most one new window.
     capacity = max(_WINDOW_BYTES // (8 * n), _MAX_BLOCK)
+    floor_rows = max(_FLOOR_ENTRIES // n, 1)
     values = np.zeros((capacity, n))  # zero-filled: extinct slots rely on it
     steps = np.empty(capacity, dtype=int)
     events: list[EliminationEvent] = []  # the window's events
@@ -325,7 +353,10 @@ def evolve(
         written_steps, written = steps[:rows], values[:rows]
         # Only sub-tolerance float dust is floored; a genuine negative entry
         # would be a bug and must stay visible. -0.0 is not below 0.0 and stays.
-        np.copyto(written, 0.0, where=(written < 0.0) & (written > -ZERO_TOL))
+        # A chunk of rows at a time, so the masks stay small beside the window.
+        for low in range(0, rows, floor_rows):
+            part = written[low : low + floor_rows]
+            np.copyto(part, 0.0, where=(part < 0.0) & (part > -ZERO_TOL))
         for column in (written_steps, written):
             column.flags.writeable = False
         return written_steps, written, tuple(events)
@@ -384,6 +415,19 @@ def evolve(
         t += accepted
         phi = states[accepted]
         if not stops[stop]:
+            if phi.tobytes() == states[accepted - 1].tobytes():
+                # A step reproduced its input bit for bit, so every later step
+                # would too: record the rest of the run from phi, at most a
+                # window of rows per call, and stop at the cap.
+                first = t + every - t % every
+                while first <= config.max_steps:
+                    end = min(first + capacity * every, config.max_steps + 1)
+                    recorded = np.arange(first, end, every)
+                    yield from record(recorded, np.broadcast_to(phi, (len(recorded), phi.size)))
+                    first = end
+                t = config.max_steps
+                reason = TerminationReason.MAX_STEPS
+                break
             block = min(2 * block, _MAX_BLOCK)
             continue
         if not crossed[stop]:

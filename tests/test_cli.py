@@ -680,6 +680,34 @@ class TestSimulate:
         summary = json.loads((tmp_path / "traj.csv.summary.json").read_text())
         assert summary["events"]
 
+    @pytest.mark.parametrize("max_steps", [10**7, 10**7 + 5])
+    def test_run_past_a_fixed_point_records_to_the_cap(self, tmp_path, max_steps):
+        # Species 1 hands its mass to 2, and 2 to 3, which keeps it: from
+        # step 2 on every step reproduces its input, so the 10**7 steps are
+        # never computed.
+        path = write_scenario(
+            tmp_path / "chain.json",
+            {
+                "matrix": {"entries": [[0, 0, 0], [1, 0, 0], [0, 1, 1]]},
+                "initial": [1, 0, 0],
+                "config": {"max_steps": max_steps, "convergence_tol": 0, "record_every": 10**6},
+            },
+        )
+        out = tmp_path / "chain.csv"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
+        settled = [f"{k * 10**6},0.0,0.0,0.0,1.0," for k in range(1, 11)]
+        if max_steps % 10**6:
+            settled.append(f"{max_steps},0.0,0.0,0.0,1.0,")
+        assert out.read_text().splitlines() == [
+            "step,tau,species_1,species_2,species_3,event",
+            "0,0.0,1.0,0.0,0.0,",
+            *settled,
+        ]
+        summary = json.loads((tmp_path / "chain.csv.summary.json").read_text())
+        assert summary["exit_reason"] == "MaxSteps"
+        assert summary["events"] == []
+        assert summary["terminal_populations"] == [0.0, 0.0, 1.0]
+
     def test_coexistence_run(self, case_a, tmp_path):
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--scenario", case_a, "--out", str(out)]) == 0

@@ -767,6 +767,132 @@ class TestRowBuffer:
         assert_same_run(trajectory, serial_evolve(*system, config))
 
 
+def chain(length: int) -> EvolutionMatrix:
+    """Species i hands all of its mass to species i + 1, and the last keeps its own.
+
+    From species 0 alone, the state after s steps is species min(s, length - 1)
+    alone, computed exactly: step ``length`` is the first to reproduce its input.
+    """
+    entries = np.eye(length, k=-1)
+    entries[-1, -1] = 1.0
+    return EvolutionMatrix(entries)
+
+
+def counted_stop_tests(monkeypatch) -> list:
+    """Patch ``dynamics._stop_tests`` to log each call; one call is one block."""
+    calls = []
+    real = dynamics._stop_tests
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_stop_tests", counted)
+    return calls
+
+
+class TestFixedPoint:
+    """``evolve`` stops stepping once a step reproduces its input bit for bit.
+
+    It records the rest of the run from that state; ``serial_evolve``, the
+    reference, steps to the cap.
+    """
+
+    # Blocks of 1, 2, 4, 8, ... steps end after steps 1, 3, 7, 15, ...
+    @pytest.mark.parametrize(
+        "matrix, start, blocks",
+        [
+            (EvolutionMatrix(np.eye(3)), [1, 2, 3], 1),  # step 1 reproduces the start
+            (chain(5), [1, 0, 0, 0, 0], 3),  # step 5, inside the block of steps 4-7
+            (chain(7), [1, 0, 0, 0, 0, 0, 0], 3),  # step 7, at the end of that block
+            (chain(8), [1, 0, 0, 0, 0, 0, 0, 0], 4),  # step 8, first of the block of 8-15
+        ],
+        ids=["step-1", "inside-a-block", "at-a-block-end", "opens-a-block"],
+    )
+    @pytest.mark.parametrize("record_every", [1, 7, 1000])
+    def test_fixed_point_positions(self, monkeypatch, matrix, start, blocks, record_every):
+        calls = counted_stop_tests(monkeypatch)
+        system = system_of(matrix, start)
+        config = SimulationConfig(max_steps=10_006, convergence_tol=0.0, record_every=record_every)
+        trajectory = collect(evolve(*system, config))
+        assert len(calls) == blocks  # no block runs after the one that found the fixed point
+        assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
+        assert trajectory.steps[-1] == 10_006
+        assert_same_run(trajectory, serial_evolve(*system, config))
+
+    @pytest.mark.parametrize("max_steps", [4, 5, 6, 7, 8, 13])
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_cap_near_the_fixed_point(self, max_steps, record_every):
+        # The chain's state settles after step 4 and step 5 reproduces it.
+        system = system_of(chain(5), [1, 0, 0, 0, 0])
+        config = SimulationConfig(max_steps=max_steps, convergence_tol=0.0, record_every=record_every)
+        trajectory = collect(evolve(*system, config))
+        assert trajectory.steps[-1] == max_steps
+        assert_same_run(trajectory, serial_evolve(*system, config))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("record_every", [1, 7, 1000])
+    def test_dense_draws_of_the_benchmark(self, seed, record_every):
+        # The benchmark's dense draw, which reaches an exact fixed point
+        # after about 2,000 of its 20,000 steps.
+        system = system_of(random_competitive(50, 0.05, 0.1, seed), np.ones(50))
+        config = SimulationConfig(max_steps=20_003, convergence_tol=0.0, record_every=record_every)
+        assert_same_run(collect(evolve(*system, config)), serial_evolve(*system, config))
+
+    CAPACITY = 300  # rows of a shrunk window of a 3-wide run
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_tail_windows_around_each_edge(self, monkeypatch, record_every):
+        # Every row after the start comes from the fixed point. The last
+        # window holds one row short of full, exactly full, or one row alone.
+        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 8 * 3 * self.CAPACITY)
+        system = system_of(EvolutionMatrix(np.eye(3)), [1, 2, 3])
+        for rows in [k * self.CAPACITY + d for k in (1, 2, 3) for d in (-1, 0, 1)]:
+            if record_every == 1 or rows % 2 == 0:
+                max_steps = (rows - 1) * record_every  # the cap is a recorded step
+            else:
+                max_steps = (rows - 1) * record_every - 1  # a last row at the cap
+            config = SimulationConfig(
+                max_steps=max_steps, convergence_tol=0.0, record_every=record_every
+            )
+            trajectory = collect(evolve(*system, config))
+            full, rest = divmod(rows, self.CAPACITY)
+            assert trajectory.window_rows == (self.CAPACITY,) * full + ((rest,) if rest else ())
+            assert_same_run(trajectory, serial_evolve(*system, config))
+
+    def test_after_events_at_a_narrower_width(self):
+        # Species 0 and 1 are driven out in step 0, then the last two
+        # species settle: the rows keep the extinct slots at zero.
+        matrix = EvolutionMatrix(
+            [[1.0, 0.0, -0.1, 0.0], [0.0, 1.0, -0.1, 0.0], [0.0, 0.0, 1.2, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        )
+        system = system_of(matrix, [0.0, 0.0, 1.0, 1.0])
+        config = SimulationConfig(max_steps=5000, convergence_tol=0.0, record_every=7)
+        trajectory = collect(evolve(*system, config))
+        assert [e.species_id for e in trajectory.events] == [0, 1]
+        assert_same_run(trajectory, serial_evolve(*system, config))
+
+    def test_costs_one_block_however_long_the_run(self, monkeypatch):
+        # Stepping to the cap would take 3,914 blocks of up to 256 steps.
+        calls = counted_stop_tests(monkeypatch)
+        system = system_of(EvolutionMatrix(np.eye(3)), [1, 2, 3])
+        config = SimulationConfig(max_steps=10**6, convergence_tol=0.0, record_every=10**5)
+        trajectory = collect(evolve(*system, config))
+        assert calls == [(1, 3)]
+        assert trajectory.steps.tolist() == list(range(0, 10**6 + 1, 10**5))
+        assert (trajectory.values == trajectory.values[0]).all()
+        assert trajectory.terminated_reason is TerminationReason.MAX_STEPS
+
+    def test_positive_tolerance_converges_at_the_fixed_point(self):
+        # A step with zero change is below any positive tolerance.
+        system = system_of(chain(5), [1, 0, 0, 0, 0])
+        config = SimulationConfig(max_steps=10**6, convergence_tol=1e-300)
+        trajectory = collect(evolve(*system, config))
+        assert trajectory.terminated_reason is TerminationReason.CONVERGED
+        assert trajectory.steps.tolist() == [0, 1, 2, 3, 4, 5]
+        assert_same_run(trajectory, serial_evolve(*system, config))
+
+
 def assert_event_rows(trajectory):
     """Each event's ``row_index`` names its own row, and the rows strictly increase."""
     rows = [event.row_index for event in trajectory.events]

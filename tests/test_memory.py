@@ -11,13 +11,18 @@ current code:
   bytes, one complex n x n array);
 - ``check_biorthogonality`` on that draw: 2.09 before, 1.51 now;
 - a full iteration of an n=50 ``evolve`` recording every step, which
-  lets go of each window before asking for the next: 1.71 MiB at 5,000,
-  20,000 and 80,000 steps, one 1 MiB window and its dust-floor masks.
-  When ``evolve`` kept every recorded row until the run ended, it read
-  2.32 MiB at 5,000 steps and 31.5 MiB at 80,000;
+  lets go of each window before asking for the next: 1.39 MiB at 5,000,
+  20,000 and 80,000 steps for a run that never reaches a fixed point
+  (one 1 MiB window, one block's buffers and the small masks of its
+  chunked dust floor), and 1.17 MiB for one that does. The bound, 1.45
+  MiB, is the larger figure plus 4% headroom. When the dust floor masked
+  the whole window at once, both read 1.71 MiB; when ``evolve`` kept
+  every recorded row until the run ended, 2.32 MiB at 5,000 steps and
+  31.5 MiB at 80,000;
 - a CLI ``simulate`` of ``random_competitive(50, 0.05, 0.1, 1)`` recording
-  every step, from loading the scenario to renaming both outputs: 1.79 MiB
-  at 20,000 steps and at 80,000 (1.95 MiB as the first call in a process).
+  every step, from loading the scenario to renaming both outputs: 1.41 MiB
+  at 20,000 steps and at 80,000 (1.57 MiB as the first call in a process),
+  and 1.79 MiB before the chunked dust floor and the stop at a fixed point.
   When ``simulate`` wrote the CSV from the whole run's rows, it read 8.66
   MiB at 20,000 steps and 34.3 MiB at 80,000.
 """
@@ -29,6 +34,7 @@ import numpy as np
 import pytest
 
 from evosum import (
+    EvolutionMatrix,
     SimulationConfig,
     check_biorthogonality,
     eigendecompose,
@@ -79,20 +85,26 @@ DENSE_STEPS = (20_000, 80_000)  # the benchmark's simulate-dense length, and fou
 
 
 def test_evolve_holds_one_window(traced_peak):
-    matrix, start = random_stochastic(50, 0.3, 1), make_population(np.ones(50))
+    systems = [
+        (random_stochastic(50, 0.3, 1), np.ones(50)),  # reaches an exact fixed point
+        # A cyclic shift from distinct abundances: no step reproduces its
+        # input, so the run steps to the cap.
+        (EvolutionMatrix(np.roll(np.eye(50), 1, axis=0)), np.arange(1.0, 51.0)),
+    ]
 
-    def rows_handed_over(config):
+    def rows_handed_over(matrix, start, config):
         rows = 0
-        for window in evolve(matrix, start, config):
+        for window in evolve(matrix, make_population(start), config):
             rows += len(window[0])
             del window  # let go of it before the next one is filled
         return rows
 
-    for steps in DENSE_STEPS:
-        config = SimulationConfig(max_steps=steps, convergence_tol=0.0)
-        rows, peak = traced_peak(lambda: rows_handed_over(config))
-        assert rows == steps + 1
-        assert peak < 2 * MIB
+    for matrix, start in systems:
+        for steps in DENSE_STEPS:
+            config = SimulationConfig(max_steps=steps, convergence_tol=0.0)
+            rows, peak = traced_peak(lambda: rows_handed_over(matrix, start, config))
+            assert rows == steps + 1
+            assert peak < 1.45 * MIB
 
 
 def test_simulate_peak_is_flat_in_run_length(traced_peak, tmp_path):
