@@ -12,12 +12,10 @@ from .core import (
     EIG_TOL,
     ZERO_TOL,
     EvolutionMatrix,
-    GeneratorMatrix,
     MatrixKind,
     PopulationVector,
     classify_matrix,
     make_population,
-    matrix_from_generator,
     random_competitive,
     random_stochastic,
     two_species_matrix,
@@ -41,13 +39,11 @@ from .spectral import (
     stationary_by_iteration,
 )
 from .two_species import (
-    ClosedFormSolution,
     Regime,
     TwoSpeciesParams,
     Winner,
     classify_regime,
     closed_form,
-    closed_form_solution,
     predict_winner,
 )
 
@@ -59,10 +55,8 @@ __all__ = [
     "ZERO_TOL",
     "BackwardReport",
     "BiorthogonalityReport",
-    "ClosedFormSolution",
     "EliminationEvent",
     "EvolutionMatrix",
-    "GeneratorMatrix",
     "MatrixKind",
     "PopulationVector",
     "Regime",
@@ -76,7 +70,6 @@ __all__ = [
     "classify_matrix",
     "classify_regime",
     "closed_form",
-    "closed_form_solution",
     "crossing_fraction",
     "eigendecompose",
     "elimination_time_scan",
@@ -84,7 +77,6 @@ __all__ = [
     "evolve_backward",
     "load_scenario",
     "make_population",
-    "matrix_from_generator",
     "predict_winner",
     "random_competitive",
     "random_stochastic",

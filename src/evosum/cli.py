@@ -146,14 +146,12 @@ def cmd_simulate(args) -> int:
     summary_path = args.summary or args.out + ".summary.json"
     if os.path.realpath(summary_path) == os.path.realpath(args.out):
         # Both renames would succeed and the summary would replace the CSV.
-        print(f"error: --out and --summary name the same file: {args.out}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ScenarioParseError(f"--out and --summary name the same file: {args.out}")
     for path in (args.out, summary_path):
         if os.path.isdir(path) and not os.path.islink(path):
             # Renaming onto a directory fails, and for the summary it would
             # fail only after the CSV had been replaced.
-            print(f"error: output is a directory: {path}", file=sys.stderr)
-            return EXIT_IO
+            raise IsADirectoryError(f"output is a directory: {path}")
     scenario = load_scenario(args.scenario)
     if args.max_steps is not None:
         scenario = replace(scenario, config=replace(scenario.config, max_steps=args.max_steps))

@@ -161,22 +161,6 @@ class PopulationVector:
 
 
 @dataclass(frozen=True)
-class GeneratorMatrix:
-    """Per-step change matrix with zero column sums."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = _readonly(self.entries)
-        object.__setattr__(self, "entries", entries)
-        _check_matrix(entries, 0.0, "generator")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class EvolutionMatrix:
     """Per-step linear map on populations with unit column sums.
 
@@ -225,11 +209,6 @@ def make_population(raw) -> PopulationVector:
     if total <= 0:
         raise ValidationError("total abundance must be positive")
     return PopulationVector(values / total)
-
-
-def matrix_from_generator(generator: GeneratorMatrix) -> EvolutionMatrix:
-    """Build the evolution matrix ``I + C`` from a zero-column-sum generator."""
-    return EvolutionMatrix(np.eye(generator.n) + generator.entries)
 
 
 def negative_offdiag_count(entries: np.ndarray) -> int:

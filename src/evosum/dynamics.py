@@ -122,6 +122,8 @@ from .core import (
 )
 from .errors import NumericalError, ValidationError
 
+_MAX_STEPS = 2**63 - 2  # the largest step cap whose steps, and the one past it, fit in an int64
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -130,7 +132,10 @@ class SimulationConfig:
     ``max_steps`` and ``record_every`` must be Python or NumPy integers
     (not bools) of at least 1, and ``convergence_tol`` a finite real
     number (not a bool) of at least 0; anything else raises
-    ``ValidationError``.
+    ``ValidationError``. ``max_steps`` is also at most ``2**63 - 2``:
+    recorded steps are int64, and ``evolve`` takes ranges of steps up to
+    ``max_steps + 1``. ``record_every`` has no upper bound, since a row is
+    recorded only at a step up to ``max_steps``.
     """
 
     max_steps: int = 10_000
@@ -139,6 +144,8 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         _check_integer("max_steps", self.max_steps, 1)
+        if self.max_steps > _MAX_STEPS:
+            raise ValidationError(f"max_steps must be at most {_MAX_STEPS}")
         _check_integer("record_every", self.record_every, 1)
         _check_tolerance("convergence_tol", self.convergence_tol)
 
@@ -209,6 +216,12 @@ def crossing_fraction(phi_before, phi_after) -> tuple[int, float] | None:
     taus[taus > 1.0] = 1.0
     k = int(np.argmin(taus))  # argmin takes the first minimum: lowest id wins ties
     return int(negative[k]), float(taus[k])
+
+
+def _check_size(n: int, populations: PopulationVector) -> None:
+    """Refuse a population whose length is not the matrix size ``n``."""
+    if populations.n != n:
+        raise ValidationError(f"matrix is {n}x{n} but the population has {populations.n} entries")
 
 
 def _drop(values: np.ndarray, local: int) -> np.ndarray:
@@ -330,10 +343,7 @@ def evolve(
     with a positive tolerance the step with zero change converges.
     """
     n = matrix.n
-    if len(populations) != n:
-        raise ValidationError(
-            f"matrix is {n}x{n} but the population has {len(populations)} entries"
-        )
+    _check_size(n, populations)
     entries = np.array(matrix.entries)
     phi = np.array(populations.values)
     alive = np.arange(n, dtype=np.intp)  # local index -> species id
@@ -470,8 +480,7 @@ def evolve_backward(matrix: EvolutionMatrix, phi0: PopulationVector, max_steps: 
     ``ValidationError``.
     """
     a = np.asarray(matrix.entries, dtype=float)
-    if matrix.n != len(phi0):
-        raise ValidationError("matrix and population dimensions differ")
+    _check_size(matrix.n, phi0)
     _check_integer("max_steps", max_steps, 1)
     if abs(float(np.linalg.det(a))) <= 1e-12:
         raise NumericalError("evolution matrix is singular; cannot step backward")
@@ -570,9 +579,5 @@ def elimination_time_scan(
     _, ok = _column_sums(family, 1.0)
     if not ok.all():
         EvolutionMatrix(family[int(ok.argmin())])  # raises the first failing member's message
-    n = family.shape[1]
-    if n != phi0.n:
-        raise ValidationError(
-            f"each matrix in the family is {n}x{n} but the population has {phi0.n} entries"
-        )
+    _check_size(family.shape[1], phi0)
     return _first_elimination_steps(family, np.array(phi0.values), config)

@@ -10,7 +10,9 @@ Top-level keys:
   must be distinct and non-empty, may not be ``step``, ``tau`` or
   ``event`` (the CSV's own columns), and may not contain a comma, a
   double quote, CR or LF: names become CSV header and event cells, which
-  are written unquoted.
+  are written unquoted. A name must also encode as UTF-8, the encoding of
+  every output: a lone surrogate such as ``"\\ud800"`` is valid JSON but
+  is a parse error.
 * ``dt`` (optional, default 1.0): provenance metadata with ``0 < dt < inf``,
   checked here and then discarded; nothing computes with it.
 * ``config`` (optional): ``max_steps``, ``convergence_tol``, ``record_every``.
@@ -30,12 +32,13 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     EvolutionMatrix,
-    GeneratorMatrix,
     PopulationVector,
+    _check_matrix,
     make_population,
-    matrix_from_generator,
     two_species_matrix,
 )
 from .dynamics import SimulationConfig
@@ -76,8 +79,17 @@ def _numbers(values: list) -> bool:
     )
 
 
+def _utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8; a surrogate code point, such as JSON's ``\\ud800``, does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _matrix_rows(value, field: str) -> list[list[float]]:
-    """Validate a square array of numeric rows; the matrix type converts it once."""
+    """Validate a square array of numeric rows; the caller converts it to floats once."""
     _require(isinstance(value, list) and value, f"field '{field}' must be a nonempty array of rows")
     for i, row in enumerate(value):
         _require(
@@ -101,9 +113,10 @@ def _build_matrix(spec: dict) -> EvolutionMatrix:
     if kind == "entries":
         return EvolutionMatrix(_matrix_rows(spec["entries"], "matrix.entries"))
     if kind == "generator":
-        return matrix_from_generator(
-            GeneratorMatrix(_matrix_rows(spec["generator"], "matrix.generator"))
-        )
+        # C = M - I: zero column sums, so that M = I + C conserves the total.
+        generator = np.array(_matrix_rows(spec["generator"], "matrix.generator"), dtype=float)
+        _check_matrix(generator, 0.0, "generator")
+        return EvolutionMatrix(np.eye(len(generator)) + generator)
     block = spec["two_species"]
     _require(
         isinstance(block, dict) and set(block) == {"alpha", "beta"},
@@ -179,6 +192,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             not _CSV_SPECIAL & set(name),
             f"species name {name!r} contains a comma, double quote, CR or LF",
         )
+        _require(_utf8(name), f"species name {name!r} does not encode as UTF-8")
         _require(name != "", "species name is empty")
         _require(
             name not in _CSV_COLUMNS,

@@ -57,27 +57,15 @@ class TwoSpeciesParams:
             raise ValidationError(f"initial share a must lie in [0, 1], got {self.a}")
 
 
-@dataclass(frozen=True)
-class ClosedFormSolution:
-    """Mode coefficients: stationary weight, transient weight, transient rate."""
-
-    stationary_coeff: float
-    transient_coeff: float
-    lambda2: float
-
-
-def closed_form_solution(params: TwoSpeciesParams) -> ClosedFormSolution:
+def _modes(params: TwoSpeciesParams) -> tuple[float, float, float]:
+    """Mode coefficients ``(stationary, transient, lambda2)``: the two weights and the transient rate."""
     total = params.alpha + params.beta
     if abs(total) <= ZERO_TOL:
         raise NumericalError(
             "alpha + beta is zero: the coupling matrix has no eigenbasis "
             "and the closed form does not apply"
         )
-    return ClosedFormSolution(
-        stationary_coeff=1.0 / total,
-        transient_coeff=params.a - params.beta / total,
-        lambda2=1.0 - total,
-    )
+    return 1.0 / total, params.a - params.beta / total, 1.0 - total
 
 
 def closed_form(params: TwoSpeciesParams, t_steps: int) -> np.ndarray:
@@ -90,13 +78,10 @@ def closed_form(params: TwoSpeciesParams, t_steps: int) -> np.ndarray:
     else raises ``ValidationError``.
     """
     _check_integer("t_steps", t_steps, 0)
-    coeffs = closed_form_solution(params)
+    stationary, transient, lambda2 = _modes(params)
     stationary_mode = np.array([params.beta, params.alpha])
     transient_mode = np.array([1.0, -1.0])
-    return (
-        coeffs.stationary_coeff * stationary_mode
-        + coeffs.lambda2**t_steps * coeffs.transient_coeff * transient_mode
-    )
+    return stationary * stationary_mode + lambda2**t_steps * transient * transient_mode
 
 
 def classify_regime(alpha: float, beta: float) -> Regime:
@@ -130,7 +115,7 @@ def predict_winner(params: TwoSpeciesParams) -> Winner:
     if regime is Regime.MONOTONE_EXTINCTION:
         # Row 1's off-diagonal entry is beta; row 2's is alpha.
         return Winner.SPECIES_2 if params.beta < 0 else Winner.SPECIES_1
-    coeff = closed_form_solution(params).transient_coeff
+    _, coeff, _ = _modes(params)
     if abs(coeff) <= ZERO_TOL:
         return Winner.KNIFE_EDGE
     return Winner.SPECIES_1 if coeff > 0 else Winner.SPECIES_2

@@ -215,7 +215,10 @@ class TestLoadScenario:
         with pytest.raises(ScenarioParseError, match="extra"):
             load_scenario(path)
 
-    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+    # A lone surrogate is valid JSON, but no output can encode it as UTF-8.
+    @pytest.mark.parametrize(
+        "char", [",", '"', "\r", "\n", "\ud800"], ids=["comma", "quote", "cr", "lf", "surrogate"]
+    )
     def test_csv_special_character_in_name_rejected(self, tmp_path, capsys, char):
         data = {
             "species_names": ["finch", f"spar{char}row"],
@@ -487,7 +490,8 @@ class TestExitCodes:
             {
                 "matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}},
                 "initial": [1, 1],
-                "config": {"max_steps": HUGE, "record_every": HUGE},
+                # max_steps is bounded by the int64 step counter.
+                "config": {"max_steps": 2**63 - 2, "record_every": HUGE},
                 "seed": HUGE,
             },
         )
@@ -820,6 +824,30 @@ class TestSimulate:
         assert len(summary["events"]) == events
         assert summary["exit_reason"] == reason
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("max_steps", [2**63 - 2, 2**63 - 1, 10**20])
+    def test_step_cap_at_most_the_int64_bound(self, tmp_path, capsys, where, max_steps):
+        # A fixed point from the first step: the run is O(rows), at any cap.
+        # record_every has no bound: rows are recorded only up to the cap.
+        config = {"convergence_tol": 0, "record_every": 10**20}
+        if where == "config":
+            config["max_steps"] = max_steps
+        path = write_scenario(
+            tmp_path / "s.json",
+            {"matrix": {"two_species": {"alpha": 0.5, "beta": 0.5}}, "initial": [1, 1], "config": config},
+        )
+        out = tmp_path / "t.csv"
+        argv = ["simulate", "--scenario", path, "--out", str(out)]
+        if where == "flag":
+            argv += ["--max-steps", str(max_steps)]
+        if max_steps <= 2**63 - 2:
+            assert main(argv) == 0
+            assert out.read_text().splitlines()[1:] == ["0,0.0,0.5,0.5,", f"{max_steps},0.0,0.5,0.5,"]
+        else:
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("", "error: max_steps must be at most 9223372036854775806\n")
+            assert list(tmp_path.iterdir()) == [tmp_path / "s.json"]
+
     def test_max_steps_override(self, case_a, tmp_path):
         out = tmp_path / "short.csv"
         main(["simulate", "--scenario", case_a, "--out", str(out), "--max-steps", "3"])
@@ -1094,6 +1122,14 @@ class TestSweepCommand:
                 "--scales", "0.01", "--initial", "0.2", "0.3", "0.5", "--out", str(out)]
         assert main(argv) == 3
         assert "is 2x2 but the population has 3 entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_cap_past_the_int64_bound_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--alpha-per-scale", "1.0", "--beta-per-scale", "-0.5",
+                "--scales", "0.01", "--max-steps", str(10**20), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: max_steps must be at most 9223372036854775806\n"
         assert not out.exists()
 
     def test_initial_is_normalized_like_a_scenario(self, tmp_path):

@@ -11,14 +11,13 @@ from numpy.testing import assert_allclose
 from evosum import (
     CONSTRUCTION_TOL,
     EvolutionMatrix,
-    GeneratorMatrix,
     MatrixKind,
     PopulationVector,
     classify_matrix,
     make_population,
-    matrix_from_generator,
     random_competitive,
     random_stochastic,
+    scenario_from_dict,
     two_species_matrix,
 )
 from evosum import core
@@ -79,22 +78,27 @@ class TestPopulationVector:
             PopulationVector(np.array([1e308, 1e308]))
 
 
+def from_generator(generator) -> EvolutionMatrix:
+    """The matrix ``I + C`` of a scenario whose matrix is the generator ``C``."""
+    generator = np.asarray(generator, dtype=float)
+    spec = {"matrix": {"generator": generator.tolist()}, "initial": [1] * len(generator)}
+    return scenario_from_dict(spec).matrix
+
+
 class TestGenerator:
     def test_zero_generator_gives_identity(self):
-        gen = GeneratorMatrix(np.zeros((2, 2)))
-        assert_allclose(matrix_from_generator(gen).entries, np.eye(2))
+        assert_allclose(from_generator(np.zeros((2, 2))).entries, np.eye(2))
 
     def test_stochastic_coupling_form(self):
-        gen = GeneratorMatrix([[-0.1, 0.2], [0.1, -0.2]])
-        assert_allclose(matrix_from_generator(gen).entries, [[0.9, 0.2], [0.1, 0.8]])
+        assert_allclose(from_generator([[-0.1, 0.2], [0.1, -0.2]]).entries, [[0.9, 0.2], [0.1, 0.8]])
 
     def test_competitive_coupling_form(self):
-        gen = GeneratorMatrix([[-0.1, -0.05], [0.1, 0.05]])
-        assert_allclose(matrix_from_generator(gen).entries, [[0.9, -0.05], [0.1, 1.05]])
+        matrix = from_generator([[-0.1, -0.05], [0.1, 0.05]])
+        assert_allclose(matrix.entries, [[0.9, -0.05], [0.1, 1.05]])
 
     def test_leaky_generator_rejected(self):
         with pytest.raises(ValidationError, match="column 0 of generator sums to"):
-            GeneratorMatrix([[-0.1, 0.0], [0.2, 0.0]])
+            from_generator([[-0.1, 0.0], [0.2, 0.0]])
 
     @given(
         st.integers(min_value=2, max_value=6),
@@ -105,9 +109,8 @@ class TestGenerator:
         rng = np.random.default_rng(seed)
         raw = rng.uniform(-0.2, 0.2, size=(n, n))
         raw -= raw.mean(axis=0)  # zero column sums
-        gen = GeneratorMatrix(raw)
-        matrix = matrix_from_generator(gen)
-        assert np.max(np.abs((matrix.entries - np.eye(n)) - gen.entries)) < 1e-15
+        matrix = from_generator(raw)
+        assert np.max(np.abs((matrix.entries - np.eye(n)) - raw)) < 1e-15
 
 
 class TestEvolutionMatrix:
@@ -119,12 +122,11 @@ class TestEvolutionMatrix:
         with pytest.raises(ValidationError, match="evolution matrix must be a nonempty square matrix"):
             EvolutionMatrix(np.ones((2, 3)) / 2)
 
-    @pytest.mark.parametrize("cls", [EvolutionMatrix, GeneratorMatrix])
-    def test_carries_only_entries(self, cls):
+    def test_carries_only_entries(self):
         # Time is the step count: no step size is stored, checked or accepted.
-        assert [field.name for field in dataclasses.fields(cls)] == ["entries"]
+        assert [field.name for field in dataclasses.fields(EvolutionMatrix)] == ["entries"]
         with pytest.raises(TypeError):
-            cls(np.eye(2) if cls is EvolutionMatrix else np.zeros((2, 2)), dt=1.0)
+            EvolutionMatrix(np.eye(2), dt=1.0)
 
     @given(
         st.integers(min_value=2, max_value=6),
@@ -343,7 +345,7 @@ class TestNonFinite:
     @settings(max_examples=40, deadline=None)
     def test_generator_matrix(self, n, index, bad):
         with pytest.raises(ValidationError, match="not finite"):
-            GeneratorMatrix(self._poison(np.zeros((n, n)), index, bad))
+            from_generator(self._poison(np.zeros((n, n)), index, bad))
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0), bad_values)
     @settings(max_examples=40, deadline=None)

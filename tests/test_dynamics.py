@@ -433,6 +433,9 @@ class TestSimulationConfig:
             ({"max_steps": 3.0}, "max_steps must be an integer, got 3.0"),
             ({"record_every": True}, "record_every must be an integer, got True"),
             ({"max_steps": "5"}, "max_steps must be an integer, got '5'"),
+            # Steps are int64: a larger cap wrapped the last row's step or overflowed.
+            ({"max_steps": 2**63 - 1}, "max_steps must be at most 9223372036854775806"),
+            ({"max_steps": 10**20}, "max_steps must be at most 9223372036854775806"),
         ],
     )
     def test_step_count_messages(self, kwargs, message):
@@ -1075,6 +1078,10 @@ class TestEvolveBackward:
     def test_non_integer_step_budget_rejected(self, max_steps):
         with pytest.raises(ValidationError, match="max_steps must be an integer"):
             evolve_backward(two_species_matrix(0.1, 0.1), make_population([0.6, 0.4]), max_steps)
+
+    def test_population_size_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="^matrix is 2x2 but the population has 3 entries$"):
+            evolve_backward(two_species_matrix(0.1, 0.1), make_population([1, 1, 1]), max_steps=5)
 
     def test_singular_matrix_rejected(self):
         flat = EvolutionMatrix([[0.5, 0.5], [0.5, 0.5]])

@@ -2,18 +2,28 @@
 
 ``evosum.errors`` defines exactly ``EvosumError`` and its three subclasses,
 one per CLI exit code (2, 3, 4), and every ``raise`` in ``src/evosum``
-names one of the three or re-raises. A bare ``ValueError`` or a new leaf
-class would end in a traceback and exit 1, or add a name nothing catches.
-The one exception is an error that its own function catches: the
+names one of the three, ``OSError`` or one of its builtin subclasses
+(exit 5), or re-raises. A bare ``ValueError`` or a new leaf class would
+end in a traceback and exit 1, or add a name nothing catches. The one
+exception is an error that its own function catches: the
 ``np.linalg.LinAlgError`` that ``eigendecompose`` raises to reach its
 fallback.
+
+The CLI's ``main`` is the one place that turns an error into a stderr
+line and an exit code, so no ``cmd_*`` command writes to ``sys.stderr``.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "evosum"
-EXIT_CODE_CLASSES = {"ScenarioParseError", "ValidationError", "NumericalError"}
+# Each maps to one exit code in `cli.main`: 2, 3, 4 and, for OSError and its subclasses, 5.
+EXIT_CODE_CLASSES = {"ScenarioParseError", "ValidationError", "NumericalError"} | {
+    name
+    for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, OSError)
+}
 
 
 def parse(path: Path) -> ast.Module:
@@ -66,6 +76,22 @@ def test_every_raise_names_an_exit_code_class():
     assert stray == []
     assert [entry.split(": ")[1] for entry in self_caught] == ["np.linalg.LinAlgError"]
     assert self_caught[0].startswith("spectral.py:")
+
+
+def test_no_command_writes_to_stderr():
+    commands = [
+        node
+        for node in parse(PACKAGE / "cli.py").body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    ]
+    assert commands, "no cmd_* functions in cli.py"
+    writes = [
+        f"{command.name}:{node.lineno}"
+        for command in commands
+        for node in ast.walk(command)
+        if isinstance(node, ast.Attribute) and node.attr == "stderr"
+    ]
+    assert writes == []
 
 
 def test_errors_module_defines_one_class_per_exit_code():

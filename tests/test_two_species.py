@@ -14,7 +14,6 @@ from evosum import (
     Winner,
     classify_regime,
     closed_form,
-    closed_form_solution,
     eigendecompose,
     evolve,
     make_population,
@@ -86,7 +85,7 @@ class TestClosedForm:
         with pytest.raises(NumericalError, match=r"alpha \+ beta is zero"):
             closed_form(TwoSpeciesParams(0.0, 0.0, 0.4), 1)
         with pytest.raises(NumericalError, match=r"alpha \+ beta is zero"):
-            closed_form_solution(TwoSpeciesParams(0.05, -0.05, 0.4))
+            closed_form(TwoSpeciesParams(0.05, -0.05, 0.4), 0)
 
     def test_share_out_of_range_rejected(self):
         with pytest.raises(ValidationError, match=r"initial share a must lie in \[0, 1\], got 1.5"):
@@ -105,8 +104,7 @@ class TestClosedForm:
     @settings(max_examples=150, deadline=None)
     def test_solution_reconstructs_start_exactly(self, alpha, beta, a):
         assume(abs(alpha + beta) > 1e-6)
-        coeffs = closed_form_solution(TwoSpeciesParams(alpha, beta, a))
-        rebuilt = coeffs.stationary_coeff * np.array([beta, alpha]) + coeffs.transient_coeff * np.array([1.0, -1.0])
+        rebuilt = closed_form(TwoSpeciesParams(alpha, beta, a), 0)
         assert np.max(np.abs(rebuilt - [a, 1 - a])) < 1e-12
 
     @given(couplings, couplings, shares, st.integers(min_value=0, max_value=60))
@@ -196,7 +194,7 @@ class TestPredictWinner:
             params = TwoSpeciesParams(alpha, beta, a)
             regime = classify_regime(alpha, beta)
             if regime is Regime.UNSTABLE_WINNER_TAKES_ALL:
-                coeff = closed_form_solution(params).transient_coeff
+                coeff = a - beta / (alpha + beta)  # the transient mode's weight
                 if abs(coeff) < 1e-3:  # skip near-knife-edge draws
                     continue
             predicted = predict_winner(params)
