@@ -76,12 +76,34 @@ def closed_form(params: TwoSpeciesParams, t_steps: int) -> np.ndarray:
     comparisons against the engine are only meaningful up to that event.
     ``t_steps`` must be an integer (not a bool) of at least 0; anything
     else raises ``ValidationError``.
+
+    With both couplings negative the transient grows by ``|1 - alpha -
+    beta| > 1`` per step. A result that would not be finite raises
+    ``NumericalError``, for a Python ``int`` and a numpy integer
+    ``t_steps`` alike. The one exception is a transient weight of exactly
+    0, the knife edge, which stays at the stationary mix at every
+    ``t_steps``.
     """
     _check_integer("t_steps", t_steps, 0)
     stationary, transient, lambda2 = _modes(params)
     stationary_mode = np.array([params.beta, params.alpha])
     transient_mode = np.array([1.0, -1.0])
-    return stationary * stationary_mode + lambda2**t_steps * transient * transient_mode
+    # A float base raises OverflowError; a numpy integer exponent makes a
+    # numpy float, which overflows to inf instead.
+    with np.errstate(over="ignore"):
+        try:
+            growth = lambda2**t_steps
+        except OverflowError:
+            growth = np.inf
+        if transient == 0.0 and np.isinf(growth):
+            growth = 0.0  # nothing to grow, and inf * 0 would be nan
+        phi = stationary * stationary_mode + growth * transient * transient_mode
+    if not np.isfinite(phi).all():
+        raise NumericalError(
+            f"the closed form overflows at t_steps={t_steps}: its transient grows "
+            f"by |1 - alpha - beta| = {abs(lambda2)!r} per step"
+        )
+    return phi
 
 
 def classify_regime(alpha: float, beta: float) -> Regime:

@@ -14,10 +14,12 @@ from evosum import (
     EliminationEvent,
     EvolutionMatrix,
     PopulationVector,
+    SimulationConfig,
     TerminationReason,
     elimination_time_scan,
     evolve,
     load_scenario,
+    make_population,
     random_competitive,
     random_stochastic,
     scenario_from_dict,
@@ -930,6 +932,79 @@ class TestTrajectoryLines:
         assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
         assert calls == [float] * (distinct * trajectory.values.shape[1])
         assert out.read_bytes() == reference_csv(trajectory, scenario.species_names)
+
+    def test_event_row_between_equal_rows_keeps_its_own_line(self):
+        trajectory = hand_trajectory(
+            [[0.0, 1.0]] * 5, steps=[0, 1, 2, 2, 3], eliminations=[(2, 0.25, 0)]
+        )
+        csv = cli_csv(trajectory, self.NAMES)
+        assert csv == reference_csv(trajectory, self.NAMES)
+        assert csv.splitlines()[1:] == [
+            b"0,0.0,0.0,1.0,",
+            b"1,0.0,0.0,1.0,",
+            b"2,0.25,0.0,1.0,elim:a",
+            b"2,0.0,0.0,1.0,",
+            b"3,0.0,0.0,1.0,",
+        ]
+
+    def test_repeated_run_longer_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr("evosum.cli._CHUNK_CHARS", 40)
+        trajectory = hand_trajectory([[0.25, 0.75]] + [[0.5, 0.5]] * 30)
+        assert cli_csv(trajectory, self.NAMES) == reference_csv(trajectory, self.NAMES)
+        chunks = list(_trajectory_lines(windows_of(trajectory, 31), self.NAMES, {}))
+        assert "".join(chunks).encode() == reference_csv(trajectory, self.NAMES)
+        longest = len("30,0.0,0.5,0.5,\n")
+        assert len(chunks) > 10
+        assert all(40 <= len(chunk) < 40 + longest for chunk in chunks[:-1])
+        assert all(chunk.endswith("\n") for chunk in chunks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reference_in_small_chunks_and_blocks(self, data):
+        width = data.draw(st.integers(min_value=1, max_value=4))
+        row = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=width, max_size=width)
+        pool = data.draw(st.lists(row, min_size=1, max_size=3))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+        rows = len(picks)
+        events = st.lists(st.integers(-4 * width, width - 1), min_size=rows, max_size=rows)
+        species = data.draw(events)
+        trajectory = hand_trajectory(
+            [pool[i] for i in picks],
+            eliminations=[(row, 0.5, s) for row, s in enumerate(species) if s >= 0],
+        )
+        names = tuple(f"s{i}" for i in range(width))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("evosum.cli._CHUNK_CHARS", data.draw(st.integers(1, 80)))
+            patch.setattr("evosum.cli._BLOCK_ENTRIES", data.draw(st.integers(1, 12)))
+            assert cli_csv(trajectory, names) == reference_csv(trajectory, names)
+
+    def test_dense_run_is_written_in_few_chunks(self):
+        # The benchmark's simulate-dense run: 20,001 rows of 50 species, most
+        # of them past an exact fixed point.
+        n, steps = 50, 20_000
+        config = SimulationConfig(max_steps=steps, convergence_tol=0.0)
+        run = evolve(random_competitive(n, 0.05, 0.1, 1), make_population([1.0] * n), config)
+        windows = []
+
+        def counted(run):
+            while True:
+                try:
+                    window = next(run)
+                except StopIteration as end:
+                    return end.value
+                windows.append(len(window[0]))
+                yield window
+
+        names = tuple(f"s{i}" for i in range(n))
+        chunks = list(_trajectory_lines(counted(run), names, {}))
+        text = "".join(chunks)
+        lines = text.splitlines(keepends=True)
+        assert len(lines) == steps + 2
+        bound = evosum.cli._CHUNK_CHARS
+        assert len(chunks) <= len(text.encode()) / bound + len(windows) + 2
+        longest = max(map(len, lines))
+        assert all(len(chunk) < bound + longest for chunk in chunks)
+        assert all(chunk.endswith("\n") for chunk in chunks)
 
 
 class TestSpectrum:

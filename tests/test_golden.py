@@ -42,6 +42,13 @@ FIXED_POINT_TAIL = entries(
     [1, 2, 3, 4, 5, 6],
     config={"max_steps": 400, "convergence_tol": 0},
 )
+# The same run for 50,000 steps: 50,001 rows (6.3 MB of CSV) span three
+# `evolve` windows, and the tail past step 182 repeats one row throughout.
+FIXED_POINT_LONG_TAIL = entries(
+    random_stochastic(6, 0.3, 1).entries,
+    [1, 2, 3, 4, 5, 6],
+    config={"max_steps": 50_000, "convergence_tol": 0},
+)
 
 # label -> (scenario or None, argv, output files)
 PASSING = {
@@ -68,6 +75,7 @@ PASSING = {
         SIMULATE, SIMULATE_OUTPUTS,
     ),
     "fixed-point-tail": (FIXED_POINT_TAIL, SIMULATE, SIMULATE_OUTPUTS),
+    "fixed-point-long-tail": (FIXED_POINT_LONG_TAIL, SIMULATE, SIMULATE_OUTPUTS),
     "sweep": (
         None,
         [
@@ -114,6 +122,8 @@ FAILING = {
 # into their bases; that change and every later one must keep these bytes.
 # "fixed-point-tail" was computed on the parent of the change that reuses a
 # repeated row's formatted cells, so it pins that those bytes did not move.
+# "fixed-point-long-tail" was computed on the parent of the change that
+# writes each run of repeated rows with one join.
 GOLDEN = {
     "backward50": {
         "stdout": "horizon=10 offender=species_23\n",
@@ -126,6 +136,11 @@ GOLDEN = {
     "coexistence": {
         "t.csv": "6cf4bdd40eedb39d6e8f42271d4b9f8708e7c677d4b1ee2afe66d69e38d49c09",
         "t.csv.summary.json": "03dc58c098596ef1f7733b13aae5ec6ce479e52804cbbedc1bb8cbd59e03b80b",
+        "stdout": "",
+    },
+    "fixed-point-long-tail": {
+        "t.csv": "c580d41d776d153e1151b6e6b9ecdb64e6c8c8415ada6ffc81659c7f3859928a",
+        "t.csv.summary.json": "751784373c341406bb0505253deb15ec9f6c86d468ebb44ad40addcf6b54db1b",
         "stdout": "",
     },
     "fixed-point-tail": {

@@ -20,9 +20,11 @@ current code:
   every recorded row until the run ended, 2.32 MiB at 5,000 steps and
   31.5 MiB at 80,000;
 - a CLI ``simulate`` of ``random_competitive(50, 0.05, 0.1, 1)`` recording
-  every step, from loading the scenario to renaming both outputs: 1.41 MiB
-  at 20,000 steps and at 80,000 (1.57 MiB as the first call in a process),
-  and 1.79 MiB before the chunked dust floor and the stop at a fixed point.
+  every step, from loading the scenario to renaming both outputs: 1.44 MiB
+  at 20,000 steps and at 80,000 (1.60 MiB as the first call in a process).
+  It read 1.41 MiB (1.57 MiB) when each CSV line was written as its own
+  string, before the CSV went out in strings of about 64 KiB, and 1.79
+  MiB before the chunked dust floor and the stop at a fixed point.
   When ``simulate`` wrote the CSV from the whole run's rows, it read 8.66
   MiB at 20,000 steps and 34.3 MiB at 80,000.
 """

@@ -81,6 +81,30 @@ class TestClosedForm:
         params = TwoSpeciesParams(0.1, 0.2, 0.9)
         assert_array_equal(closed_form(params, np.int64(1)), closed_form(params, 1))
 
+    @pytest.mark.parametrize("t_steps", [5000, np.int64(5000)])
+    def test_overflow_raises_numerical_error(self, t_steps):
+        # A Python int raised a bare OverflowError; a numpy integer gave
+        # [inf, -inf] with a RuntimeWarning.
+        with pytest.raises(NumericalError, match=r"overflows at t_steps=5000: .* 1\.7 per step"):
+            closed_form(TwoSpeciesParams(-0.3, -0.4, 0.6), t_steps)
+
+    @pytest.mark.parametrize("t_steps", [1000, np.int64(1000)])
+    def test_large_finite_result_keeps_its_bits(self, t_steps):
+        alpha, beta, a = -0.3, -0.4, 0.6
+        total = alpha + beta
+        expected = (1.0 / total) * np.array([beta, alpha]) + (1.0 - total) ** 1000 * (
+            a - beta / total
+        ) * np.array([1.0, -1.0])
+        assert np.isfinite(expected).all()
+        assert_array_equal(closed_form(TwoSpeciesParams(alpha, beta, a), t_steps), expected)
+
+    @pytest.mark.parametrize("t_steps", [0, 7, 5000, np.int64(5000)])
+    def test_knife_edge_stays_at_the_stationary_mix(self, t_steps):
+        alpha, beta = -0.3, -0.4
+        params = TwoSpeciesParams(alpha, beta, beta / (alpha + beta))  # transient weight 0.0
+        stationary = (1.0 / (alpha + beta)) * np.array([beta, alpha])
+        assert_array_equal(closed_form(params, t_steps), stationary)
+
     def test_degenerate_params_rejected(self):
         with pytest.raises(NumericalError, match=r"alpha \+ beta is zero"):
             closed_form(TwoSpeciesParams(0.0, 0.0, 0.4), 1)
