@@ -13,12 +13,11 @@ The trajectory CSV formats a row's populations only when their bits
 differ from the row before, in the same window or the one before, so its
 cost scales with the number of distinct consecutive rows: a run held at
 its fixed point reuses one string for the whole tail. The CSV is built a
-block of rows at a time, not a row at a time: one vectorized comparison
-finds the repeated rows, the lines of each run of repeated rows without
-an event are one join, and the lines go to the file in strings of about
-64 KiB. A 20,000-step n=50 run recorded past its fixed point is written
-in about 320 strings, not 20,002, and its ``simulate`` is about 10% faster
-than with one string per line (a 2-vCPU Xeon guest, one BLAS thread).
+window at a time, not a row at a time: one vectorized comparison per
+window finds the repeated rows, and the lines of each run of repeated
+rows without an event are one join, one string, so a run held at its
+fixed point costs one string per window, not one per row. The file's
+buffer gathers the strings into writes.
 
 Exit codes: 0 success, 2 scenario/usage parse error (including `simulate`
 with `--out` and `--summary` naming the same file), 3 validation error,
@@ -98,81 +97,54 @@ def _until_end(run, outcome: dict):
     outcome["reason"], outcome["final_matrix"] = yield from run
 
 
-_CHUNK_CHARS = 1 << 16  # about how many characters of CSV `_trajectory_lines` yields at a time
-_BLOCK_ENTRIES = 1 << 14  # about how many entries of a window `_trajectory_lines` takes at once
-
-
 def _trajectory_lines(run, names: tuple[str, ...], outcome: dict) -> Iterator[str]:
-    """The trajectory CSV of ``run``, an ``evolve`` generator, a chunk at a time.
+    """The trajectory CSV of ``run``, an ``evolve`` generator, a span of lines at a time.
 
-    Each chunk is whole lines: ``_CHUNK_CHARS`` characters or more, and
-    less than that plus one line (unless the header alone is longer); the
-    last chunk may be shorter. Each window is read in blocks of rows, about
-    ``_BLOCK_ENTRIES`` values at a time, and a block is cut into spans
-    where a row's bits differ from the row before (in the same block or
-    the one before) or an event row starts or ends. A span is one event
-    row or a run of rows with the same cells, whose lines are one join.
-    Once the chunks run out, ``outcome`` holds what the summary reads: the
-    run's ``events``, its ``last`` row, its exit ``reason`` and its
+    The header comes first. Each window is cut into spans where a row's
+    bits differ from the row before (in the same window or the one before)
+    or an event row starts or ends. A span is one event row or a run of
+    rows with the same cells, whose lines are one join, and each span is
+    one string; the file's buffer gathers them into writes. Once the
+    strings run out, ``outcome`` holds what the summary reads: the run's
+    ``events``, its ``last`` row, its exit ``reason`` and its
     ``final_matrix``.
     """
-    pieces = ["step,tau," + ",".join(names) + ",event\n"]
-    size = len(pieces[0])
+    yield "step,tau," + ",".join(names) + ",event\n"
     last = cells = None  # the bits of the row before and its formatted cells
     start = 0  # the run's row index of the window's first row
     outcome["events"] = []
     for steps, values, events in _until_end(run, outcome):
         marks = {e.row_index - start: e for e in events}
         bits = values.view(np.int64)
-        span = max(_BLOCK_ENTRIES // bits.shape[1], 1)
-        for low in range(0, len(steps), span):
-            block = bits[low : low + span]
-            rows = len(block)
-            # A run at its fixed point repeats its row; compare bits, not values,
-            # since -0.0 == 0.0 but their reprs differ.
-            fresh = np.empty(rows, dtype=bool)
-            fresh[0] = last is None or bool((block[0] != last).any())
-            np.any(block[1:] != block[:-1], axis=1, out=fresh[1:])
-            last = block[-1]
-            cuts = fresh.copy()
-            cuts[0] = True
-            for k in marks:
-                if low <= k < low + rows:
-                    cuts[k - low : k - low + 2] = True
-            edges = np.flatnonzero(cuts)
-            formats = fresh[edges].tolist()
-            edges = edges.tolist()
-            step_list = steps[low : low + rows].tolist()
-            for a, b, formats_cells in zip(edges, edges[1:] + [rows], formats):
-                if formats_cells:
-                    cells = ",".join(map(repr, values[low + a].tolist()))
-                e = marks.get(low + a)
-                while a < b:
-                    if e is not None:
-                        elim = names[e.species_id]
-                        piece, a = f"{step_list[a]},{e.fraction!r},{cells},elim:{elim}\n", b
-                    elif b - a == 1:
-                        piece, a = f"{step_list[a]},0.0,{cells},\n", b
-                    else:
-                        # Rows with the same cells: one join, cut to the chunk's
-                        # room or one line. The span's widest line is its last.
-                        suffix = f",0.0,{cells},\n"
-                        room = (_CHUNK_CHARS - size) // (len(suffix) + len(str(step_list[b - 1])))
-                        end = min(b, a + max(room, 1))
-                        piece, a = suffix.join(map(str, step_list[a:end])) + suffix, end
-                    pieces.append(piece)
-                    size += len(piece)
-                    if size >= _CHUNK_CHARS:
-                        chunk = "".join(pieces)
-                        pieces, size = [], 0  # before the write, which encodes a copy
-                        yield chunk
-        start += len(steps)
+        rows = len(steps)
+        # A run at its fixed point repeats its row; compare bits, not values,
+        # since -0.0 == 0.0 but their reprs differ.
+        fresh = np.empty(rows, dtype=bool)
+        fresh[0] = last is None or bool((bits[0] != last).any())
+        np.any(bits[1:] != bits[:-1], axis=1, out=fresh[1:])
+        cuts = fresh.copy()
+        cuts[0] = True
+        for k in marks:
+            cuts[k : k + 2] = True
+        edges = np.flatnonzero(cuts)
+        formats = fresh[edges].tolist()
+        edges = edges.tolist()
+        step_list = steps.tolist()
+        for a, b, formats_cells in zip(edges, edges[1:] + [rows], formats):
+            if formats_cells:
+                cells = ",".join(map(repr, values[a].tolist()))
+            e = marks.get(a)
+            if e is not None:
+                yield f"{step_list[a]},{e.fraction!r},{cells},elim:{names[e.species_id]}\n"
+            else:
+                suffix = f",0.0,{cells},\n"
+                yield suffix.join(map(str, step_list[a:b])) + suffix
+        start += rows
         outcome["events"] += events
         outcome["last"] = values[-1].tolist()
         # Let the engine free this window before it fills the next.
-        last = last.copy()
-        del steps, values, bits, block
-    yield "".join(pieces)
+        last = bits[-1].copy()
+        del steps, values, bits
 
 
 def _spectral_digest(summary: SpectralSummary) -> dict:

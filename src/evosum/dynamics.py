@@ -62,20 +62,21 @@ run has already stopped there as ``Converged``; only a run with
 ``convergence_tol`` 0, which runs to its step cap, reaches this path.
 
 ``evolve`` is a generator that hands its recorded rows over in windows,
-so a run holds about one window of rows (1 MiB) however long it runs. A
-window is two columns, one entry per recorded row: the step and the
-full-length state (reduced states embedded back, with zeros in the slots
-of extinct species), plus the eliminations whose rows fall in it. Each
-elimination is stored once, as an ``EliminationEvent`` that names its
-row, counted from the start of the run. Rows are embedded as they are
-recorded, straight into the window's zero-filled (capacity, n) buffer
-beside its steps buffer. A full window is handed over when the next row
-does not fit, and the rows go on in a fresh buffer; the last window is
-handed over when the run ends, and the generator then returns the exit
-reason and the reduced matrix. The sub-tolerance dust in (-ZERO_TOL, 0)
-of a window's rows is floored to 0.0 once, when it is handed over (-0.0
-is not below 0.0 and keeps its sign), in chunks of at most 16,384
-entries, so that its boolean masks stay small beside the window. A run
+so a run holds about one window of rows (16,384 values, 128 KiB) however
+long it runs. A window is two columns, one entry per recorded row: the
+step and the full-length state (reduced states embedded back, with zeros
+in the slots of extinct species), plus the eliminations whose rows fall
+in it. Each elimination is stored once, as an ``EliminationEvent`` that
+names its row, counted from the start of the run. Rows are embedded as
+they are recorded, straight into the window's zero-filled (capacity, n)
+buffer beside its steps buffer, where capacity is ``16_384 // n`` rows
+and at least one. A full window is handed over when the next row does
+not fit, and the rows go on in a fresh buffer; the rows of one block may
+fill several windows in turn. The last window is handed over when the
+run ends, and the generator then returns the exit reason and the reduced
+matrix. The sub-tolerance dust in (-ZERO_TOL, 0) of a window's rows is
+floored to 0.0 once, when it is handed over, by one ``np.copyto`` over
+the whole window (-0.0 is not below 0.0 and keeps its sign). A run
 records the start, every ``record_every``-th step, one row per
 elimination and a last row at the final step. Once eliminated, a
 species never re-enters: its slot stays zero for the rest of the run.
@@ -275,8 +276,7 @@ def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float
 
 
 _MAX_BLOCK = 256  # longest speculative block of steps in `evolve` and the scan
-_WINDOW_BYTES = 1 << 20  # about how many bytes of recorded rows one window of `evolve` holds
-_FLOOR_ENTRIES = 1 << 14  # most entries of a window one dust-floor pass masks at once
+_WINDOW_ENTRIES = 1 << 14  # about how many values of recorded rows one window of `evolve` holds
 _SCAN_BLOCK_STATES = 4096  # most stacked states (steps x live systems) in one scan block
 
 
@@ -305,12 +305,13 @@ def evolve(
     fall in the window, in row order; each names its row by
     ``row_index``, counted from the start of the run. Each window is
     fresh and read-only, and every window but the last is full: it holds
-    ``max(_WINDOW_BYTES // (8 * n), 256)`` rows, about 1 MiB and at least
-    the most one block records. The dust in (-ZERO_TOL, 0) of a window's
-    rows is floored to 0.0 when it is handed over. A caller that lets go
-    of each window before asking for the next holds one window at a
-    time. ``final_matrix`` is the reduced matrix the run ended with; its
-    rows and columns are the survivors, the ids that no event names, in
+    ``max(_WINDOW_ENTRIES // n, 1)`` rows, about 16,384 values, so the
+    rows one block records may spill over several windows. The dust in
+    (-ZERO_TOL, 0) of a window's rows is floored to 0.0, in one pass over
+    the window, when it is handed over. A caller that lets go of each
+    window before asking for the next holds one window at a time.
+    ``final_matrix`` is the reduced matrix the run ended with; its rows
+    and columns are the survivors, the ids that no event names, in
     increasing order. A ``populations`` of another length than n raises
     ``ValidationError``.
 
@@ -348,10 +349,7 @@ def evolve(
     phi = np.array(populations.values)
     alive = np.arange(n, dtype=np.intp)  # local index -> species id
     every = config.record_every
-    # A window's rows: about _WINDOW_BYTES, and at least the most one block
-    # records, so the rows of one `record` call spill into at most one new window.
-    capacity = max(_WINDOW_BYTES // (8 * n), _MAX_BLOCK)
-    floor_rows = max(_FLOOR_ENTRIES // n, 1)
+    capacity = max(_WINDOW_ENTRIES // n, 1)  # rows per window
     values = np.zeros((capacity, n))  # zero-filled: extinct slots rely on it
     steps = np.empty(capacity, dtype=int)
     events: list[EliminationEvent] = []  # the window's events
@@ -363,10 +361,7 @@ def evolve(
         written_steps, written = steps[:rows], values[:rows]
         # Only sub-tolerance float dust is floored; a genuine negative entry
         # would be a bug and must stay visible. -0.0 is not below 0.0 and stays.
-        # A chunk of rows at a time, so the masks stay small beside the window.
-        for low in range(0, rows, floor_rows):
-            part = written[low : low + floor_rows]
-            np.copyto(part, 0.0, where=(part < 0.0) & (part > -ZERO_TOL))
+        np.copyto(written, 0.0, where=(written < 0.0) & (written > -ZERO_TOL))
         for column in (written_steps, written):
             column.flags.writeable = False
         return written_steps, written, tuple(events)
@@ -379,10 +374,10 @@ def evolve(
         rows = end
 
     def record(recorded_steps: np.ndarray, states: np.ndarray):
-        """Append rows; if they spill past the window, hand it over full and fill a fresh one."""
+        """Append rows, handing each window over full as they spill past it."""
         nonlocal values, steps, events, rows, start
-        room = capacity - rows
-        if len(recorded_steps) > room:
+        while len(recorded_steps) > capacity - rows:
+            room = capacity - rows
             write(recorded_steps[:room], states[:room])
             yield window()
             # Drop the full window before the next exists, so that a caller

@@ -567,7 +567,7 @@ class TestExitCodes:
         out, summary = tmp_path / "t.csv", tmp_path / "s.json"
         out.write_bytes(b"kept csv\n")
         summary.write_bytes(b"kept summary\n")
-        monkeypatch.setattr(evosum.dynamics, "_WINDOW_BYTES", 8 * 20 * 256)
+        monkeypatch.setattr(evosum.dynamics, "_WINDOW_ENTRIES", 20 * 256)
         real, calls, written = evosum.dynamics.crossing_fraction, [], []
 
         def failing(before, after):
@@ -901,8 +901,10 @@ class TestTrajectoryLines:
         cell = st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, 0.1 + 0.2])
         row = st.lists(cell, min_size=width, max_size=width)
         pool = data.draw(st.lists(row, min_size=1, max_size=3))
-        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20))
-        events = st.lists(st.integers(-1, width - 1), min_size=len(picks), max_size=len(picks))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+        # Events on nearly every row, or on a few rows among many.
+        sparsity = data.draw(st.integers(1, 4 * width))
+        events = st.lists(st.integers(-sparsity, width - 1), min_size=len(picks), max_size=len(picks))
         species = data.draw(events)
         trajectory = hand_trajectory(
             [pool[i] for i in picks],
@@ -910,6 +912,28 @@ class TestTrajectoryLines:
         )
         names = tuple(f"s{i}" for i in range(width))
         assert cli_csv(trajectory, names) == reference_csv(trajectory, names)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reference_in_small_chunks_and_blocks(self, data):
+        # Each window is the CLI's one block: windows of any small size, not
+        # only the 1, 2, 3 and all rows of `cli_csv`.
+        width = data.draw(st.integers(min_value=1, max_value=4))
+        row = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=width, max_size=width)
+        pool = data.draw(st.lists(row, min_size=1, max_size=3))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+        rows = len(picks)
+        events = st.lists(st.integers(-4 * width, width - 1), min_size=rows, max_size=rows)
+        species = data.draw(events)
+        trajectory = hand_trajectory(
+            [pool[i] for i in picks],
+            eliminations=[(row, 0.5, s) for row, s in enumerate(species) if s >= 0],
+        )
+        names = tuple(f"s{i}" for i in range(width))
+        size = data.draw(st.integers(1, 12))
+        lines = list(_trajectory_lines(windows_of(trajectory, size), names, {}))
+        assert "".join(lines).encode("utf-8") == reference_csv(trajectory, names)
+        assert all(line.endswith("\n") for line in lines)
 
     def test_formats_only_rows_that_differ_from_the_last(self, tmp_path, monkeypatch):
         path = write_scenario(tmp_path / "tail.json", FIXED_POINT_TAIL)
@@ -927,7 +951,7 @@ class TestTrajectoryLines:
         # Population cells go through the module's `repr`; `step` and `tau` do not.
         monkeypatch.setattr("evosum.cli.repr", counting_repr, raising=False)
         # Windows of 256 rows: row 256, in the fixed-point tail, reuses the cells of row 255.
-        monkeypatch.setattr("evosum.dynamics._WINDOW_BYTES", 8 * 6 * 256)
+        monkeypatch.setattr("evosum.dynamics._WINDOW_ENTRIES", 6 * 256)
         out = tmp_path / "t.csv"
         assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
         assert calls == [float] * (distinct * trajectory.values.shape[1])
@@ -947,64 +971,36 @@ class TestTrajectoryLines:
             b"3,0.0,0.0,1.0,",
         ]
 
-    def test_repeated_run_longer_than_a_chunk(self, monkeypatch):
-        monkeypatch.setattr("evosum.cli._CHUNK_CHARS", 40)
-        trajectory = hand_trajectory([[0.25, 0.75]] + [[0.5, 0.5]] * 30)
-        assert cli_csv(trajectory, self.NAMES) == reference_csv(trajectory, self.NAMES)
-        chunks = list(_trajectory_lines(windows_of(trajectory, 31), self.NAMES, {}))
-        assert "".join(chunks).encode() == reference_csv(trajectory, self.NAMES)
-        longest = len("30,0.0,0.5,0.5,\n")
-        assert len(chunks) > 10
-        assert all(40 <= len(chunk) < 40 + longest for chunk in chunks[:-1])
-        assert all(chunk.endswith("\n") for chunk in chunks)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_matches_reference_in_small_chunks_and_blocks(self, data):
-        width = data.draw(st.integers(min_value=1, max_value=4))
-        row = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=width, max_size=width)
-        pool = data.draw(st.lists(row, min_size=1, max_size=3))
-        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
-        rows = len(picks)
-        events = st.lists(st.integers(-4 * width, width - 1), min_size=rows, max_size=rows)
-        species = data.draw(events)
-        trajectory = hand_trajectory(
-            [pool[i] for i in picks],
-            eliminations=[(row, 0.5, s) for row, s in enumerate(species) if s >= 0],
-        )
-        names = tuple(f"s{i}" for i in range(width))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("evosum.cli._CHUNK_CHARS", data.draw(st.integers(1, 80)))
-            patch.setattr("evosum.cli._BLOCK_ENTRIES", data.draw(st.integers(1, 12)))
-            assert cli_csv(trajectory, names) == reference_csv(trajectory, names)
-
-    def test_dense_run_is_written_in_few_chunks(self):
+    def test_dense_run_yields_a_string_per_span(self):
         # The benchmark's simulate-dense run: 20,001 rows of 50 species, most
-        # of them past an exact fixed point.
+        # of them past an exact fixed point. A run of rows with the same
+        # cells is one string, so the strings are at most one per distinct
+        # row, event and window, plus the header; not one per line.
         n, steps = 50, 20_000
         config = SimulationConfig(max_steps=steps, convergence_tol=0.0)
         run = evolve(random_competitive(n, 0.05, 0.1, 1), make_population([1.0] * n), config)
-        windows = []
+        counts = {"windows": 0, "distinct": 0, "events": 0}
 
         def counted(run):
+            last = None
             while True:
                 try:
-                    window = next(run)
+                    steps, values, events = next(run)
                 except StopIteration as end:
                     return end.value
-                windows.append(len(window[0]))
-                yield window
+                rows = [row.tobytes() for row in values]
+                counts["windows"] += 1
+                counts["events"] += len(events)
+                counts["distinct"] += sum(row != before for before, row in zip([last] + rows, rows))
+                last = rows[-1]
+                yield steps, values, events
 
         names = tuple(f"s{i}" for i in range(n))
-        chunks = list(_trajectory_lines(counted(run), names, {}))
-        text = "".join(chunks)
-        lines = text.splitlines(keepends=True)
-        assert len(lines) == steps + 2
-        bound = evosum.cli._CHUNK_CHARS
-        assert len(chunks) <= len(text.encode()) / bound + len(windows) + 2
-        longest = max(map(len, lines))
-        assert all(len(chunk) < bound + longest for chunk in chunks)
-        assert all(chunk.endswith("\n") for chunk in chunks)
+        strings = list(_trajectory_lines(counted(run), names, {}))
+        assert "".join(strings).count("\n") == steps + 2
+        assert counts["events"] == 0 and counts["distinct"] < steps / 4
+        assert len(strings) <= counts["distinct"] + counts["events"] + counts["windows"] + 1
+        assert all(string.endswith("\n") for string in strings)
 
 
 class TestSpectrum:

@@ -710,18 +710,18 @@ class TestBlockStepping:
 class TestRowBuffer:
     """``evolve`` fills a row buffer and hands it over as a window when the next row does not fit.
 
-    The tests shrink the windows through ``_WINDOW_BYTES``; ``serial_evolve``
+    The tests shrink the windows through ``_WINDOW_ENTRIES``; ``serial_evolve``
     is the reference.
     """
 
-    CAPACITY = 300  # rows of a shrunk window, above the 256 rows one block can record
+    CAPACITY = 300  # rows of a shrunk window, more than one 256-step block records
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_rows_around_each_window_edge(self, monkeypatch, record_every):
         # No event and no convergence: the start plus one row per recorded
         # step, and a last row at the cap when it is not a recorded step. A
         # run one row over a window's edge hands its last row over alone.
-        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 8 * 6 * self.CAPACITY)
+        monkeypatch.setattr(dynamics, "_WINDOW_ENTRIES", 6 * self.CAPACITY)
         system = system_of(random_stochastic(6, 0.3, 2), np.ones(6))
         for rows in [k * self.CAPACITY + d for k in (1, 2) for d in (-1, 0, 1)]:
             if record_every == 1 or rows % 2 == 0:
@@ -746,18 +746,38 @@ class TestRowBuffer:
         config = SimulationConfig(max_steps=3000, convergence_tol=0.0, record_every=record_every)
         expected = serial_evolve(*system, config)
         row = next(e.row_index for e in expected.events if e.row_index >= dynamics._MAX_BLOCK)
-        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 8 * 20 * (row + offset))
+        monkeypatch.setattr(dynamics, "_WINDOW_ENTRIES", 20 * (row + offset))
         trajectory = collect(evolve(*system, config))
         assert trajectory.window_rows[0] == row + offset
         assert_same_run(trajectory, expected)
 
-    def test_window_holds_at_least_one_block(self, monkeypatch):
-        # A window too small for one block's 256 rows gets 256 rows.
-        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 1)
-        system = system_of(random_stochastic(6, 0.3, 2), np.ones(6))
-        config = SimulationConfig(max_steps=600, convergence_tol=0.0)
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("window", [1, 7])
+    def test_one_block_fills_several_windows(self, monkeypatch, window, record_every):
+        # The rows of a 256-step block spill over windows of 1 or 7 rows in turn.
+        calls = counted_stop_tests(monkeypatch)
+        monkeypatch.setattr(dynamics, "_WINDOW_ENTRIES", 6 * window)
+        system = system_of(random_stochastic(6, 0.3, 5), np.ones(6))
+        config = SimulationConfig(max_steps=600, convergence_tol=0.0, record_every=record_every)
         trajectory = collect(evolve(*system, config))
-        assert trajectory.window_rows == (256, 256, 89)
+        assert max(shape[0] for shape in calls) == dynamics._MAX_BLOCK
+        full, rest = divmod(len(trajectory.steps), window)
+        assert trajectory.window_rows == (window,) * full + ((rest,) if rest else ())
+        assert_same_run(trajectory, serial_evolve(*system, config))
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("window", [1, 7])
+    def test_cascade_in_windows_smaller_than_one_block(self, monkeypatch, window, record_every):
+        # 16 eliminations: some event rows open a window and some end one
+        # (with 7-row windows, rows 259 and 118, or rows 21 and 20).
+        monkeypatch.setattr(dynamics, "_WINDOW_ENTRIES", 20 * window)
+        system = system_of(random_competitive(20, 0.05, 0.5, 1), np.ones(20))
+        config = SimulationConfig(max_steps=3000, convergence_tol=0.0, record_every=record_every)
+        trajectory = collect(evolve(*system, config))
+        assert len(trajectory.events) == 16
+        assert {0, window - 1} <= {e.row_index % window for e in trajectory.events}
+        full, rest = divmod(len(trajectory.steps), window)
+        assert trajectory.window_rows == (window,) * full + ((rest,) if rest else ())
         assert_same_run(trajectory, serial_evolve(*system, config))
 
     def test_huge_step_cap_that_converges_early(self):
@@ -848,7 +868,7 @@ class TestFixedPoint:
     def test_tail_windows_around_each_edge(self, monkeypatch, record_every):
         # Every row after the start comes from the fixed point. The last
         # window holds one row short of full, exactly full, or one row alone.
-        monkeypatch.setattr(dynamics, "_WINDOW_BYTES", 8 * 3 * self.CAPACITY)
+        monkeypatch.setattr(dynamics, "_WINDOW_ENTRIES", 3 * self.CAPACITY)
         system = system_of(EvolutionMatrix(np.eye(3)), [1, 2, 3])
         for rows in [k * self.CAPACITY + d for k in (1, 2, 3) for d in (-1, 0, 1)]:
             if record_every == 1 or rows % 2 == 0:

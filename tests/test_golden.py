@@ -49,6 +49,13 @@ FIXED_POINT_LONG_TAIL = entries(
     [1, 2, 3, 4, 5, 6],
     config={"max_steps": 50_000, "convergence_tol": 0},
 )
+# A 20-species cascade: 3,017 rows and 16 eliminations. Its rows fill four
+# `evolve` windows, and its events fall in the first and the third.
+CASCADE20_WINDOWS = entries(
+    random_competitive(20, 0.05, 0.5, 1).entries,
+    [1] * 20,
+    config={"max_steps": 3000, "convergence_tol": 0},
+)
 
 # label -> (scenario or None, argv, output files)
 PASSING = {
@@ -74,6 +81,7 @@ PASSING = {
         ),
         SIMULATE, SIMULATE_OUTPUTS,
     ),
+    "cascade20-windows": (CASCADE20_WINDOWS, SIMULATE, SIMULATE_OUTPUTS),
     "fixed-point-tail": (FIXED_POINT_TAIL, SIMULATE, SIMULATE_OUTPUTS),
     "fixed-point-long-tail": (FIXED_POINT_LONG_TAIL, SIMULATE, SIMULATE_OUTPUTS),
     "sweep": (
@@ -123,7 +131,8 @@ FAILING = {
 # "fixed-point-tail" was computed on the parent of the change that reuses a
 # repeated row's formatted cells, so it pins that those bytes did not move.
 # "fixed-point-long-tail" was computed on the parent of the change that
-# writes each run of repeated rows with one join.
+# writes each run of repeated rows with one join. "cascade20-windows" was
+# computed on the parent of the change that sizes every window by entries.
 GOLDEN = {
     "backward50": {
         "stdout": "horizon=10 offender=species_23\n",
@@ -131,6 +140,11 @@ GOLDEN = {
     "cascade40": {
         "t.csv": "d2ceb0380e9dd50f5142416fa0cc6809c81ae35ebd4472d011e4fe9059b923aa",
         "t.csv.summary.json": "dc02aced41e0488fdb90e42c549a560f4ec414befc2a7486eae2fdb751b5dc98",
+        "stdout": "",
+    },
+    "cascade20-windows": {
+        "t.csv": "dfd10123efd27d165af2600756310cee0fe315f963704c07b74ad3720b4e4df1",
+        "t.csv.summary.json": "a47c444cbecab7c5d9121f9d17216f43346c1c51f035fec525f5547b78d56fe2",
         "stdout": "",
     },
     "coexistence": {

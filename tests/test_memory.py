@@ -11,22 +11,24 @@ current code:
   bytes, one complex n x n array);
 - ``check_biorthogonality`` on that draw: 2.09 before, 1.51 now;
 - a full iteration of an n=50 ``evolve`` recording every step, which
-  lets go of each window before asking for the next: 1.39 MiB at 5,000,
+  lets go of each window before asking for the next: 0.49 MiB at 5,000,
   20,000 and 80,000 steps for a run that never reaches a fixed point
-  (one 1 MiB window, one block's buffers and the small masks of its
-  chunked dust floor), and 1.17 MiB for one that does. The bound, 1.45
-  MiB, is the larger figure plus 4% headroom. When the dust floor masked
-  the whole window at once, both read 1.71 MiB; when ``evolve`` kept
-  every recorded row until the run ended, 2.32 MiB at 5,000 steps and
-  31.5 MiB at 80,000;
+  (one window of 16,384 values, one block's buffers and the masks of
+  the window's dust floor), and 0.28 MiB for one that does. The bound,
+  0.54 MiB, is the larger figure plus 10% headroom. With windows of
+  about 1 MiB and a dust floor chunked to 16,384 entries, both read 1.39
+  and 1.17 MiB; with the floor unchunked over those windows, 1.71 MiB;
+  when ``evolve`` kept every recorded row until the run ended, 2.32 MiB
+  at 5,000 steps and 31.5 MiB at 80,000;
 - a CLI ``simulate`` of ``random_competitive(50, 0.05, 0.1, 1)`` recording
-  every step, from loading the scenario to renaming both outputs: 1.44 MiB
-  at 20,000 steps and at 80,000 (1.60 MiB as the first call in a process).
-  It read 1.41 MiB (1.57 MiB) when each CSV line was written as its own
-  string, before the CSV went out in strings of about 64 KiB, and 1.79
-  MiB before the chunked dust floor and the stop at a fixed point.
-  When ``simulate`` wrote the CSV from the whole run's rows, it read 8.66
-  MiB at 20,000 steps and 34.3 MiB at 80,000.
+  every step, from loading the scenario to renaming both outputs: 0.98
+  MiB at 80,000 steps and 1.14 MiB at 20,000 as the first call in a
+  process (0.94 MiB after it). The bound, 1.25 MiB, is the larger figure
+  plus 10% headroom. With 1 MiB windows and the CSV gathered into
+  strings of about 64 KiB, it read 1.44 MiB (1.60 MiB as the first
+  call); 1.79 MiB before the chunked dust floor and the stop at a fixed
+  point. When ``simulate`` wrote the CSV from the whole run's rows, it
+  read 8.66 MiB at 20,000 steps and 34.3 MiB at 80,000.
 """
 
 import json
@@ -106,7 +108,7 @@ def test_evolve_holds_one_window(traced_peak):
             config = SimulationConfig(max_steps=steps, convergence_tol=0.0)
             rows, peak = traced_peak(lambda: rows_handed_over(matrix, start, config))
             assert rows == steps + 1
-            assert peak < 1.45 * MIB
+            assert peak < 0.54 * MIB
 
 
 def test_simulate_peak_is_flat_in_run_length(traced_peak, tmp_path):
@@ -122,4 +124,4 @@ def test_simulate_peak_is_flat_in_run_length(traced_peak, tmp_path):
         scenario.write_text(json.dumps(data), encoding="utf-8")
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0
-        assert peak < 2.5 * MIB
+        assert peak < 1.25 * MIB
