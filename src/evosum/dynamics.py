@@ -15,16 +15,23 @@ interpolated state on the reduced system, so simultaneous crossings
 resolve one at a time (smallest crossing fraction first, ties by lowest
 species id) and the step counter only advances on completed steps.
 
-Both halves of that mechanism are written once. ``_stop_tests`` is the
-stop rule on a stack of proposed states (a crossing is an entry below
-``-ZERO_TOL``, convergence an L1 change below ``convergence_tol``); its
-callers apply the order, a crossing before convergence. ``_eliminate``
-is the elimination step: drop the row and column, fold the row onto the
-diagonals, drop the state entry and the id. ``evolve`` and the scan
-share the stop rule; only ``evolve`` eliminates. At width w the step
-costs one (w-1)x(w-1) allocation filled by four slice copies, an O(w)
-diagonal update through a strided view, and two O(w) concatenations for
-the state and the ids.
+The stop rule decides, for each proposed state, whether it crossed (an
+entry below ``-ZERO_TOL``) and whether it converged (an L1 change below
+``convergence_tol``); its callers apply the order, a crossing before
+convergence. It has one implementation per caller, with the same
+results bit for bit. ``evolve`` tests its (K, w) blocks, at most 256
+states and often fewer than their w species, with ``_stop_tests``: one
+reduction along each state. The scan tests its (K, L, n) blocks, up to
+4096 states of often two species, with ``_scan_stop_tests``, which
+reduces over the species one at a time and takes the L1 row sum only
+for the states that may have converged: a reduction along each of
+thousands of short states would make one inner-loop call per state.
+``_eliminate`` is the elimination step, written once: drop the row and
+column, fold the row onto the diagonals, drop the state entry and the
+id. Only ``evolve`` eliminates. At width w the step costs one
+(w-1)x(w-1) allocation filled by four slice copies, an O(w) diagonal
+update through a strided view, and two O(w) concatenations for the
+state and the ids.
 
 ``evolve`` runs the steps in speculative blocks rather than one Python
 iteration per step. A block of K steps is K matvecs into one buffer,
@@ -90,8 +97,8 @@ whole family as one (S, n, n) array, checks every member with one
 column-sum test over the stack (an ``EvolutionMatrix`` is built only for
 the first member that fails, to raise its message), and advances every
 live system in lockstep, in speculative blocks as ``evolve`` does: K
-stacked matvecs into one buffer, then one ``_stop_tests`` call on all of
-the block's states. Each system stops at its first elimination, at
+stacked matvecs into one buffer, then one ``_scan_stop_tests`` call on
+all of the block's states. Each system stops at its first elimination, at
 convergence or at the step cap, under ``evolve``'s rules in ``evolve``'s
 order: its first stopping step in the block decides, and the systems
 that stopped leave the stack once per block. K starts at 1 and doubles
@@ -261,17 +268,44 @@ def _negatives_removed(entries: np.ndarray, local: int) -> int:
 
 
 def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float):
-    """The stop rule for each state in a stack, as ``(crossed, converged)``.
+    """The stop rule for each state in a (K, w) block of ``evolve``, as ``(crossed, converged)``.
 
-    ``proposed`` and ``before`` have any leading shape and hold one state
-    along the last axis; both results drop that axis: ``evolve`` passes
-    (K, w) blocks and the scan (K, L, n) blocks. Crossed: an entry below
-    ``-ZERO_TOL``. Converged: an L1 change from ``before`` below
-    ``convergence_tol``. The caller puts a crossing first.
+    ``proposed`` and ``before`` hold one state per row; both results have
+    one entry per row. Crossed: an entry below ``-ZERO_TOL``. Converged:
+    an L1 change from ``before`` below ``convergence_tol``. The caller puts
+    a crossing first. Each test is one reduction along each row, which
+    suits ``evolve``'s blocks: they often hold fewer states than species.
     """
     crossed = (proposed < -ZERO_TOL).any(axis=-1)
     change = proposed - before
     converged = np.abs(change, out=change).sum(axis=-1) < convergence_tol
+    return crossed, converged
+
+
+def _scan_stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float):
+    """``_stop_tests`` for the scan's (K, L, n) blocks, reduced over species one at a time.
+
+    The scan stacks many narrow states: on a 400-scale sweep, 4,000 states
+    of 2 species. A reduction along the last axis makes one inner-loop
+    call per state, so both masks are first copied species-major, as
+    (n, K, L), and reduced over the leading axis: an OR over species for
+    the crossing, an AND of ``|change| < convergence_tol`` for the states
+    that may have converged. Only those candidates take the L1 row sum of
+    ``_stop_tests``, whose bits a species-major float sum would not keep.
+    The results are ``_stop_tests``'s, bit for bit: every term of the sum
+    is at least 0 and rounding is monotone, so a state with one term at or
+    above the tolerance has a sum at or above it too. NaN and inf fail
+    both tests either way. ``evolve`` keeps ``_stop_tests``: its blocks
+    hold at most 256 states, often fewer than the species in each, and
+    there one reduction per state makes fewer inner-loop calls than one
+    per species.
+    """
+    crossed = np.logical_or.reduce((proposed < -ZERO_TOL).transpose(2, 0, 1).copy())
+    change = proposed - before
+    np.abs(change, out=change)
+    converged = np.logical_and.reduce((change < convergence_tol).transpose(2, 0, 1).copy())
+    if converged.any():  # only the candidates take the L1 row sum
+        converged[converged] = change[converged].sum(axis=-1) < convergence_tol
     return crossed, converged
 
 
@@ -502,7 +536,7 @@ def _first_elimination_steps(
     rules in ``evolve``'s order: the step cap, then a crossing (the
     system's result is the completed step count), then convergence (None).
     A block of K steps is K stacked matvecs into one ``(K+1, L, n)`` buffer
-    for the L live systems, then one ``_stop_tests`` call on all K * L
+    for the L live systems, then one ``_scan_stop_tests`` call on all K * L
     proposed states. Each system stops at its first stopping step in the
     block, and the systems that stopped leave the stack. K starts at 1 and
     doubles up to ``_MAX_BLOCK``, never past the step cap, and K * L stays
@@ -524,7 +558,7 @@ def _first_elimination_steps(
         columns = states[:, :, :, None]
         for j in range(k):
             np.matmul(entries, columns[j], out=columns[j + 1])
-        crossed, converged = _stop_tests(states[1:], states[:-1], config.convergence_tol)
+        crossed, converged = _scan_stop_tests(states[1:], states[:-1], config.convergence_tol)
         stops = crossed | converged  # (k, L)
         phi = states[k]
         if stops.any():

@@ -1199,25 +1199,26 @@ class TestEliminationTimeScan:
             assert elimination_time_scan(family, phi0, config) == serial_scan(family, phi0, config)
 
     @given(
-        n=st.sampled_from([2, 3, 5, 10, 30]),
+        n=st.sampled_from([2, 3, 5, 8, 9, 10, 30]),
         seed=st.integers(0, 2**16),
         neg_fraction=st.floats(0.0, 1.0),
         scales=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
         max_steps=st.integers(1, 400),
+        convergence_tol=st.sampled_from([0.0, 1e-12, 1e-3]),
         zero_tol=st.sampled_from([1e-12, 1e-6]),
     )
     @settings(max_examples=40, deadline=None)
     def test_n_species_families_match_serial_scan(
-        self, n, seed, neg_fraction, scales, max_steps, zero_tol
+        self, n, seed, neg_fraction, scales, max_steps, convergence_tol, zero_tol
     ):
         family = stacked(shrunk_family(random_competitive(n, 0.5, neg_fraction, seed)), scales)
         phi0 = make_population(np.random.default_rng(seed).random(n) + 0.05)
-        config = SimulationConfig(max_steps=max_steps)
+        config = SimulationConfig(max_steps=max_steps, convergence_tol=convergence_tol)
         with patched_zero_tol(zero_tol):
             assert elimination_time_scan(family, phi0, config) == serial_scan(family, phi0, config)
 
     @given(
-        n=st.sampled_from([2, 3, 10, 30]),
+        n=st.sampled_from([2, 3, 8, 9, 10, 30]),
         seed=st.integers(0, 2**16),
         neg_fraction=st.floats(0.0, 1.0),
         scales=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=60),
@@ -1443,13 +1444,13 @@ class TestScanBlocks:
 
     def test_blocks_stay_within_their_bounds(self, monkeypatch):
         shapes = []
-        real = dynamics._stop_tests
+        real = dynamics._scan_stop_tests
 
         def spied(proposed, before, convergence_tol):
             shapes.append(proposed.shape)
             return real(proposed, before, convergence_tol)
 
-        monkeypatch.setattr(dynamics, "_stop_tests", spied)
+        monkeypatch.setattr(dynamics, "_scan_stop_tests", spied)
         elimination_time_scan(
             stacked(pair_family(0.02, -0.01), bench_grid(1)),
             self.HALF,
@@ -1463,3 +1464,68 @@ class TestScanBlocks:
         # Both bounds are reached: the cell cap at 400 live systems, the block cap later.
         assert (10, 400) in blocks
         assert max(k for k, _ in blocks) == dynamics._MAX_BLOCK
+
+
+class TestScanStopTests:
+    """``dynamics._scan_stop_tests`` against the stop rule written out one state at a time."""
+
+    SPECIAL = np.array([np.nan, np.inf, -np.inf, -2e-12, -1e-12, -0.0])
+
+    @staticmethod
+    def reference(proposed, before, convergence_tol):
+        crossed = np.zeros(proposed.shape[:-1], dtype=bool)
+        converged = np.zeros(proposed.shape[:-1], dtype=bool)
+        for state in np.ndindex(*proposed.shape[:-1]):
+            crossed[state] = bool((proposed[state] < -dynamics.ZERO_TOL).any())
+            change = float(np.abs(proposed[state] - before[state]).sum())
+            converged[state] = change < convergence_tol
+        return crossed, converged
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 7, 8, 9, 30]),
+        k=st.integers(1, 4),
+        live=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        special=st.sampled_from([0.0, 0.02, 0.2]),
+        tol=st.sampled_from([0.0, 1e-12, "a state's row sum"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_state_reference(self, n, k, live, seed, special, tol):
+        # Each state's changes share one scale from 1e-16 to 1, so the
+        # row sums straddle 1e-12; some entries are exact zeros, some are
+        # NaN, +-inf or lie on the -ZERO_TOL boundary.
+        rng = np.random.default_rng(seed)
+        shape = (k, live, n)
+        proposed = rng.uniform(-1e-11, 1.0, shape)
+        scale = 10.0 ** rng.uniform(-16, 0, (k, live, 1))
+        change = rng.normal(size=shape) * scale * (rng.random(shape) < 0.8)
+        before = proposed - change
+        for array in (proposed, before):
+            poisoned = rng.random(shape) < special
+            array[poisoned] = rng.choice(self.SPECIAL, size=int(poisoned.sum()))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails both tests
+            if tol == "a state's row sum":
+                # `<` then sits on the boundary for that state.
+                sums = np.abs(proposed - before).sum(axis=-1)
+                finite = sums[np.isfinite(sums)]
+                tol = float(rng.choice(finite)) if finite.size else 0.0
+            crossed, converged = dynamics._scan_stop_tests(proposed, before, tol)
+            expected = self.reference(proposed, before, tol)
+        assert crossed.shape == converged.shape == (k, live)
+        assert crossed.tobytes() == expected[0].tobytes()
+        assert converged.tobytes() == expected[1].tobytes()
+
+    def test_row_sum_keeps_numpys_bits(self):
+        # One n = 8 state whose numpy row sum, 1 + 3 * 2**-52, is above the
+        # sum taken one species at a time, 1.0: with the tolerance at the row
+        # sum it has not converged, and a species-major sum would say it had.
+        row = np.array([1.0] + [2.0**-53] * 7)
+        proposed = np.tile(row, (3, 5, 1))
+        before = np.zeros_like(proposed)
+        tol = float(row.sum())
+        species_major = np.ascontiguousarray(np.moveaxis(proposed, -1, 0)).sum(axis=0)
+        assert (species_major < tol).all()
+        crossed, converged = dynamics._scan_stop_tests(proposed, before, tol)
+        assert not crossed.any() and not converged.any()
+        _, converged = dynamics._scan_stop_tests(proposed, before, np.nextafter(tol, 2.0))
+        assert converged.all()

@@ -56,6 +56,9 @@ CASCADE20_WINDOWS = entries(
     [1] * 20,
     config={"max_steps": 3000, "convergence_tol": 0},
 )
+# The benchmark's sweep grid: 400 evenly spaced scales over [0.05, 2]. With
+# 400 scales the scan's blocks reach 4,000 stacked states (10 steps each).
+SWEEP_400_SCALES = [repr(scale) for scale in np.linspace(0.05, 2.0, 400).tolist()]
 
 # label -> (scenario or None, argv, output files)
 PASSING = {
@@ -90,6 +93,15 @@ PASSING = {
             "sweep", "--alpha-per-scale", "0.02", "--beta-per-scale", "-0.01",
             "--scales", "0.05", "0.3", "0.7", "1.3", "2.0", "--initial", "2", "3",
             "--out", "sweep.csv",
+        ],
+        ("sweep.csv",),
+    ),
+    "sweep-400": (
+        None,
+        [
+            "sweep", "--alpha-per-scale", "0.02", "--beta-per-scale", "-0.01",
+            "--max-steps", "10000", "--initial", "0.5", "0.5", "--out", "sweep.csv",
+            "--scales", *SWEEP_400_SCALES,
         ],
         ("sweep.csv",),
     ),
@@ -133,6 +145,8 @@ FAILING = {
 # "fixed-point-long-tail" was computed on the parent of the change that
 # writes each run of repeated rows with one join. "cascade20-windows" was
 # computed on the parent of the change that sizes every window by entries.
+# "sweep-400" was computed on the parent of the change that tests the
+# scan's blocks one species at a time.
 GOLDEN = {
     "backward50": {
         "stdout": "horizon=10 offender=species_23\n",
@@ -182,6 +196,10 @@ GOLDEN = {
     },
     "sweep": {
         "sweep.csv": "7951c94b363402dce4be0945beacaf2321d93d39157b0f20efd12c530e991700",
+        "stdout": "",
+    },
+    "sweep-400": {
+        "sweep.csv": "a0d2fa63da35acad2bb9002c9a01359c7d14232907c5ba5383845df70a869324",
         "stdout": "",
     },
     "unstable": {
