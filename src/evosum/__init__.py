@@ -12,9 +12,7 @@ from .core import (
     EIG_TOL,
     ZERO_TOL,
     EvolutionMatrix,
-    MatrixKind,
     PopulationVector,
-    classify_matrix,
     make_population,
     random_competitive,
     random_stochastic,
@@ -32,7 +30,6 @@ from .dynamics import (
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict
 from .spectral import (
-    BiorthogonalityReport,
     SpectralSummary,
     check_biorthogonality,
     eigendecompose,
@@ -54,10 +51,8 @@ __all__ = [
     "EIG_TOL",
     "ZERO_TOL",
     "BackwardReport",
-    "BiorthogonalityReport",
     "EliminationEvent",
     "EvolutionMatrix",
-    "MatrixKind",
     "PopulationVector",
     "Regime",
     "Scenario",
@@ -67,7 +62,6 @@ __all__ = [
     "TwoSpeciesParams",
     "Winner",
     "check_biorthogonality",
-    "classify_matrix",
     "classify_regime",
     "closed_form",
     "crossing_fraction",

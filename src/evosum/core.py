@@ -22,7 +22,6 @@ keep the raw values, with float dust floored to zero.
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 from dataclasses import dataclass
@@ -39,8 +38,8 @@ ZERO_TOL = 1e-12
 EIG_TOL = 1e-9
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
+def _readonly(a) -> np.ndarray:
+    arr = np.array(a, dtype=float)
     arr.flags.writeable = False
     return arr
 
@@ -127,11 +126,6 @@ def _check_matrix(entries: np.ndarray, column_sum: float, what: str) -> None:
         )
 
 
-class MatrixKind(enum.Enum):
-    STOCHASTIC = "Stochastic"
-    COMPETITIVE = "Competitive"
-
-
 @dataclass(frozen=True)
 class PopulationVector:
     """Point on the probability simplex: population fractions per species."""
@@ -215,13 +209,6 @@ def negative_offdiag_count(entries: np.ndarray) -> int:
     """Count off-diagonal entries below ``-ZERO_TOL``."""
     negative = np.asarray(entries, dtype=float) < -ZERO_TOL
     return int(np.count_nonzero(negative)) - int(np.count_nonzero(np.diagonal(negative)))
-
-
-def classify_matrix(matrix: EvolutionMatrix) -> MatrixKind:
-    """Classify as stochastic (all entries in [0, 1]) or competitive."""
-    entries = matrix.entries
-    in_range = np.all(entries >= -ZERO_TOL) and np.all(entries <= 1.0 + ZERO_TOL)
-    return MatrixKind.STOCHASTIC if in_range else MatrixKind.COMPETITIVE
 
 
 def _two_species_family(alpha, beta, scales) -> np.ndarray:

@@ -195,13 +195,11 @@ class BackwardReport:
 
     ``horizon`` counts completed backward steps before any component left
     [0, 1]; ``offender`` is the first species out of range (None if the
-    step budget ran out first). ``endpoint`` is the state after the last
-    valid backward step, handy for forward round-trip checks.
+    step budget ran out first).
     """
 
     horizon: int
     offender: int | None
-    endpoint: np.ndarray
 
 
 def crossing_fraction(phi_before, phi_after) -> tuple[int, float] | None:
@@ -519,12 +517,10 @@ def evolve_backward(matrix: EvolutionMatrix, phi0: PopulationVector, max_steps: 
         candidate = np.linalg.solve(a, state)
         out_of_range = np.flatnonzero((candidate < -ZERO_TOL) | (candidate > 1.0 + ZERO_TOL))
         if out_of_range.size:
-            return BackwardReport(
-                horizon=horizon, offender=int(out_of_range[0]), endpoint=state
-            )
+            return BackwardReport(horizon=horizon, offender=int(out_of_range[0]))
         state = candidate
         horizon += 1
-    return BackwardReport(horizon=horizon, offender=None, endpoint=state)
+    return BackwardReport(horizon=horizon, offender=None)
 
 
 def _first_elimination_steps(

@@ -40,7 +40,8 @@ number of pairs (44,850 for ``eye(300)``), with no per-pair SVD.
 
 ``stationary_by_iteration`` is an independent cross-check: it never looks
 at eigenvalues, only at repeated squaring of the matrix, whose columns all
-converge to the stationary mix for a positive stochastic matrix.
+converge to the stationary mix for a positive stochastic matrix. It
+refuses a competitive matrix, one with an entry outside [0, 1].
 """
 
 from __future__ import annotations
@@ -53,11 +54,9 @@ from .core import (
     EIG_TOL,
     ZERO_TOL,
     EvolutionMatrix,
-    MatrixKind,
     PopulationVector,
     _check_integer,
     _check_tolerance,
-    classify_matrix,
 )
 from .errors import NumericalError, ValidationError
 
@@ -81,12 +80,6 @@ class SpectralSummary:
     leading_degenerate: bool = False
     stationary_mixed_sign: bool = False
     defective: bool = False
-
-
-@dataclass(frozen=True)
-class BiorthogonalityReport:
-    max_violation: float
-    passed: bool
 
 
 def _canonical_phase(vectors: np.ndarray) -> None:
@@ -234,13 +227,16 @@ def stationary_by_iteration(
     serve as an independent oracle for ``eigendecompose``.
 
     Raises ``NumericalError`` when the iteration budget runs out, e.g.
-    for periodic chains such as permutation matrices. ``tol`` must be a
-    finite number of at least 0 and ``max_iter`` an integer of at least 1;
-    anything else raises ``ValidationError``.
+    for periodic chains such as permutation matrices. Every entry must
+    lie in [0, 1] within ``ZERO_TOL`` (the matrix is stochastic, not
+    competitive), ``tol`` must be a finite number of at least 0 and
+    ``max_iter`` an integer of at least 1; anything else raises
+    ``ValidationError``.
     """
     _check_tolerance("tol", tol)
     _check_integer("max_iter", max_iter, 1)
-    if classify_matrix(matrix) is not MatrixKind.STOCHASTIC:
+    entries = matrix.entries
+    if not (np.all(entries >= -ZERO_TOL) and np.all(entries <= 1.0 + ZERO_TOL)):
         raise ValidationError("iterated averaging requires a stochastic matrix")
     power = np.asarray(matrix.entries, dtype=float).copy()
     for _ in range(max_iter):
@@ -254,16 +250,14 @@ def stationary_by_iteration(
     )
 
 
-def check_biorthogonality(summary: SpectralSummary, tol: float) -> BiorthogonalityReport:
+def check_biorthogonality(summary: SpectralSummary) -> float:
     """Largest cross-pairing between left and right vectors of different modes.
 
-    Pairings are first normalized so each left/right pair sums to one; the
-    report passes when every cross term stays below ``tol``, which must be
-    a finite number of at least 0 (else ``ValidationError``). Raises
-    ``NumericalError`` when two eigenvalues coincide within
+    Pairings are first normalized so each left/right pair sums to one, and
+    the largest cross term's modulus is returned (0.0 for one species).
+    Raises ``NumericalError`` when two eigenvalues coincide within
     ``EIG_TOL``, because the pairing is then ambiguous.
     """
-    _check_tolerance("tol", tol)
     n = summary.eigenvalues.size
     p, q = _near_equal_pairs(summary.eigenvalues)
     if p.size:
@@ -274,5 +268,4 @@ def check_biorthogonality(summary: SpectralSummary, tol: float) -> Biorthogonali
         raise NumericalError("a left/right pairing vanished; cannot normalize")
     gram /= diag[:, None]
     np.fill_diagonal(gram, 0.0)
-    violation = float(np.max(np.abs(gram))) if n > 1 else 0.0
-    return BiorthogonalityReport(max_violation=violation, passed=violation < tol)
+    return float(np.max(np.abs(gram))) if n > 1 else 0.0

@@ -174,7 +174,10 @@ def test_criterion_6_backward_horizon():
             )
         )
 
-    forward = report.endpoint.copy()
+    endpoint = phi0.values
+    for _ in range(report.horizon):
+        endpoint = np.linalg.solve(matrix.entries, endpoint)
+    forward = endpoint
     for _ in range(report.horizon):
         forward = matrix.entries @ forward
     checks.append(

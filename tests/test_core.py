@@ -11,17 +11,16 @@ from numpy.testing import assert_allclose
 from evosum import (
     CONSTRUCTION_TOL,
     EvolutionMatrix,
-    MatrixKind,
     PopulationVector,
-    classify_matrix,
     make_population,
     random_competitive,
     random_stochastic,
     scenario_from_dict,
+    stationary_by_iteration,
     two_species_matrix,
 )
 from evosum import core
-from evosum.errors import ValidationError
+from evosum.errors import NumericalError, ValidationError
 
 
 class TestMakePopulation:
@@ -142,19 +141,26 @@ class TestEvolutionMatrix:
 
 
 class TestClassify:
+    """Stochastic (every entry in [0, 1]) or competitive, as ``stationary_by_iteration`` decides it."""
+
+    NOT_STOCHASTIC = "^iterated averaging requires a stochastic matrix$"
+
     def test_stochastic(self):
         matrix = EvolutionMatrix([[0.9, 0.2], [0.1, 0.8]])
-        assert classify_matrix(matrix) is MatrixKind.STOCHASTIC
+        assert_allclose(stationary_by_iteration(matrix).values, [2 / 3, 1 / 3])
         assert core.negative_offdiag_count(matrix.entries) == 0
 
     def test_competitive_counts_negatives(self):
         matrix = EvolutionMatrix([[0.9, -0.05], [0.1, 1.05]])
-        assert classify_matrix(matrix) is MatrixKind.COMPETITIVE
+        with pytest.raises(ValidationError, match=self.NOT_STOCHASTIC):
+            stationary_by_iteration(matrix)
         assert core.negative_offdiag_count(matrix.entries) == 1
 
     def test_identity_is_stochastic(self):
+        # Accepted as stochastic; its columns never agree, so the budget runs out.
         matrix = EvolutionMatrix(np.eye(3))
-        assert classify_matrix(matrix) is MatrixKind.STOCHASTIC
+        with pytest.raises(NumericalError, match="columns did not agree"):
+            stationary_by_iteration(matrix)
         assert core.negative_offdiag_count(matrix.entries) == 0
 
     @given(
@@ -167,9 +173,15 @@ class TestClassify:
         for x in (alpha, beta):
             if min(abs(x), abs(x - 1.0)) < 1e-9:
                 return
-        kind = classify_matrix(two_species_matrix(alpha, beta))
-        expected = MatrixKind.STOCHASTIC if 0 <= alpha <= 1 and 0 <= beta <= 1 else MatrixKind.COMPETITIVE
-        assert kind is expected
+        matrix = two_species_matrix(alpha, beta)
+        if 0 <= alpha <= 1 and 0 <= beta <= 1:
+            try:
+                stationary_by_iteration(matrix)
+            except NumericalError:
+                pass  # stochastic, but its columns never agree (the identity, the swap)
+        else:
+            with pytest.raises(ValidationError, match=self.NOT_STOCHASTIC):
+                stationary_by_iteration(matrix)
 
 
 class TestTwoSpeciesMatrix:
@@ -207,7 +219,7 @@ class TestRandomStochastic:
 
     def test_postconditions(self):
         matrix = random_stochastic(3, 0.1, seed=42)
-        assert classify_matrix(matrix) is MatrixKind.STOCHASTIC
+        assert np.all((matrix.entries >= 0) & (matrix.entries <= 1))
         off = matrix.entries.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off <= 0.1)
@@ -270,7 +282,7 @@ class TestRandomCompetitive:
 
     def test_zero_fraction_is_stochastic(self):
         matrix = random_competitive(2, 0.05, 0.0, seed=5)
-        assert classify_matrix(matrix) is MatrixKind.STOCHASTIC
+        assert np.all((matrix.entries >= 0) & (matrix.entries <= 1))
 
     def test_deterministic_for_seed(self):
         first = random_competitive(4, 0.1, 0.5, seed=7)

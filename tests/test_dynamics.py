@@ -1084,7 +1084,15 @@ class TestEvolveBackward:
         matrix = two_species_matrix(0.1, 0.1)
         start = make_population([0.6, 0.4])
         report = evolve_backward(matrix, start, max_steps=100)
-        forward = report.endpoint.copy()
+        # The horizon's backward states stay in [0, 1]; one more solve leaves it
+        # at the offender.
+        endpoint = start.values
+        for _ in range(report.horizon):
+            endpoint = np.linalg.solve(matrix.entries, endpoint)
+            assert np.all((endpoint >= 0) & (endpoint <= 1))
+        beyond = np.linalg.solve(matrix.entries, endpoint)
+        assert not 0 <= beyond[report.offender] <= 1
+        forward = endpoint
         for _ in range(report.horizon):
             forward = matrix.entries @ forward
         assert np.max(np.abs(forward - start.values)) < 1e-7

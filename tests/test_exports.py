@@ -10,9 +10,15 @@ A load inside a function or comprehension that binds the same name itself,
 such as a loop variable, does not count. There are no exceptions: a name
 that only tests reach is deleted, or moved into the tests, rather than
 exported.
+
+The fields of a public dataclass are held to the same rule: each must be
+read as an attribute (``x.field``) somewhere in ``src/evosum`` or
+``bench/*.py``. The match is by attribute name alone, whatever the type
+of ``x``, so a field counts as read when any attribute of that name is.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import evosum
@@ -97,6 +103,17 @@ def reached_names() -> set[str]:
     return reached
 
 
+def loaded_attributes() -> set[str]:
+    """Names read as ``x.name`` anywhere in ``src/evosum`` or ``bench/*.py``."""
+    paths = [*PACKAGE.glob("*.py"), *ROOT.glob("bench/*.py")]
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_public_name_comes_from_a_package_module():
     assert sorted(set(evosum.__all__) - set(home_modules())) == []
 
@@ -104,6 +121,19 @@ def test_every_public_name_comes_from_a_package_module():
 def test_every_public_name_is_reached():
     reached = reached_names()
     assert sorted(name for name in evosum.__all__ if name not in reached) == []
+
+
+def test_every_public_dataclass_field_is_read():
+    loaded = loaded_attributes()
+    public = (getattr(evosum, name) for name in evosum.__all__)
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in public
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        for field in dataclasses.fields(cls)
+        if field.name not in loaded
+    ]
+    assert sorted(unread) == []
 
 
 def test_local_bindings_and_own_definition_do_not_count():

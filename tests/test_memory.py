@@ -80,7 +80,7 @@ def test_eigendecompose_holds_one_copy_of_the_vectors(traced_peak):
 
 def test_check_biorthogonality_normalizes_in_place(traced_peak):
     summary = eigendecompose(random_stochastic(N, 0.3, 1))
-    _, peak = traced_peak(lambda: check_biorthogonality(summary, tol=1e-8))
+    _, peak = traced_peak(lambda: check_biorthogonality(summary))
     assert peak / COMPLEX_MATRIX < 1.8
 
 

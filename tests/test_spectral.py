@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evosum import (
-    BiorthogonalityReport,
     EvolutionMatrix,
     PopulationVector,
     SpectralSummary,
@@ -92,7 +91,7 @@ def reference_eigendecompose(matrix):
     )
 
 
-def reference_biorthogonality(summary, tol):
+def reference_biorthogonality(summary):
     """Reference: ``check_biorthogonality`` dividing into a second Gram array."""
     p, q = spectral._near_equal_pairs(summary.eigenvalues)
     if p.size:
@@ -101,13 +100,12 @@ def reference_biorthogonality(summary, tol):
     diag = np.diag(gram).copy()
     gram = gram / diag[:, None]
     np.fill_diagonal(gram, 0.0)
-    violation = float(np.max(np.abs(gram))) if summary.eigenvalues.size > 1 else 0.0
-    return BiorthogonalityReport(max_violation=violation, passed=violation < tol)
+    return float(np.max(np.abs(gram))) if summary.eigenvalues.size > 1 else 0.0
 
 
 def biorthogonality_outcome(check, summary):
     try:
-        return check(summary, tol=1e-8)
+        return check(summary)
     except NumericalError as exc:
         return str(exc)
 
@@ -152,10 +150,10 @@ def assert_matches_pairwise(matrix):
     assert summary.leading_degenerate == leading_degenerate
     assert summary.defective == defective
     if message is None:
-        check_biorthogonality(summary, tol=1e-8)
+        check_biorthogonality(summary)
     else:
         with pytest.raises(NumericalError, match="coincide within") as info:
-            check_biorthogonality(summary, tol=1e-8)
+            check_biorthogonality(summary)
         assert str(info.value) == message
     return summary
 
@@ -338,7 +336,7 @@ class TestStationaryByIteration:
             stationary_by_iteration(SWAP, tol=1e-10, max_iter=30)
 
     def test_requires_stochastic(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^iterated averaging requires a stochastic matrix$"):
             stationary_by_iteration(two_species_matrix(0.1, -0.05))
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10, True])
@@ -355,24 +353,15 @@ class TestStationaryByIteration:
 class TestBiorthogonality:
     def test_two_species_exact(self):
         summary = eigendecompose(two_species_matrix(0.1, 0.2))
-        report = check_biorthogonality(summary, tol=1e-12)
-        assert report.passed
-        assert report.max_violation < 1e-12
+        assert check_biorthogonality(summary) < 1e-12
 
     def test_random_stochastic_passes(self):
         summary = eigendecompose(random_stochastic(5, 0.2, seed=3))
-        report = check_biorthogonality(summary, tol=1e-8)
-        assert report.passed
+        assert check_biorthogonality(summary) < 1e-8
 
     def test_degenerate_spectrum_raises(self):
         with pytest.raises(NumericalError, match="eigenvalues 0 and 1 coincide within 1e-09"):
-            check_biorthogonality(eigendecompose(EvolutionMatrix(np.eye(3))), tol=1e-8)
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8, True])
-    def test_bad_tolerance_rejected(self, tol):
-        summary = eigendecompose(two_species_matrix(0.1, 0.2))
-        with pytest.raises(ValidationError, match="tol must be a finite nonnegative number"):
-            check_biorthogonality(summary, tol=tol)
+            check_biorthogonality(eigendecompose(EvolutionMatrix(np.eye(3))))
 
 
 class TestSpectralInvariants:
