@@ -2,13 +2,14 @@
 
 Outputs are deterministic: floats are written with their shortest
 round-tripping repr and JSON keys are sorted, so identical inputs produce
-byte-identical files. Every command writes its files through
-``_atomic_write``, so a run that fails leaves each output as it was.
+byte-identical files. Every command writes its files inside
+``_atomic_files``, so a run that fails leaves each output as it was.
 ``simulate`` writes the trajectory CSV while the engine runs: each window
 of rows that ``evolve`` hands over is formatted into the CSV's temp file
 as it arrives, so the command holds about one window of rows however
-long the run. The summary is built once the windows run out, from the
-events, the last row and the end facts, and written after the CSV.
+long the run. The last window also carries the run's end, its exit
+reason and reduced matrix; the summary is built from the events, the
+last row and that end, and written once the CSV is.
 The trajectory CSV formats a row's populations only when their bits
 differ from the row before, in the same window or the one before, so its
 cost scales with the number of distinct consecutive rows: a run held at
@@ -28,13 +29,15 @@ with `--out` and `--summary` naming the same file), 3 validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import replace
+from typing import TextIO
 
 import numpy as np
 
@@ -60,60 +63,57 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _atomic_write(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
-    """Write each ``(path, chunks)`` to a temp file beside ``path``, then rename them all.
+@contextlib.contextmanager
+def _atomic_files(*paths: str) -> Iterator[tuple[TextIO, ...]]:
+    """One open UTF-8 temp file beside each of ``paths``, renamed onto them all on a clean exit.
 
-    ``outputs`` is read one pair at a time, after the pair before is
-    written, so a later pair may be built from what writing an earlier one
-    computed. Every temp file is written in full before the first rename,
-    so a failure while writing any of them leaves every target as it was;
-    the temp files are removed on any failure. ``mkstemp`` creates its file with mode
-    0600, so before the renames each temp file is given ``0o666 & ~umask``,
-    the mode ``open()`` creates a new file with; a replaced output gets
-    that mode too.
+    Every temp file is written and closed before the first rename, so a
+    failure while writing any of them leaves every target as it was: on
+    any exception every temp file is closed and removed. ``mkstemp``
+    creates its file with mode 0600, so before the renames each temp file
+    is given ``0o666 & ~umask``, the mode ``open()`` creates a new file
+    with; a replaced output gets that mode too.
     """
     umask = os.umask(0)  # the only portable way to read it is to set it
     os.umask(umask)
-    renames = []
+    temps = []
     try:
-        for path, chunks in outputs:
-            directory = os.path.dirname(os.path.abspath(path)) or "."
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
-            renames.append((tmp, path))
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                directory = os.path.dirname(os.path.abspath(path)) or "."
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
+                temps.append(tmp)
+                files.append(stack.enter_context(open(fd, "w", encoding="utf-8")))
+            yield tuple(files)
+        for tmp in temps:
             os.chmod(tmp, 0o666 & ~umask)
-        for tmp, path in renames:
+        for tmp, path in zip(temps, paths):
             os.replace(tmp, path)
     except BaseException:
-        for tmp, _ in renames:
+        for tmp in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         raise
 
 
-def _until_end(run, outcome: dict):
-    """The windows of the ``evolve`` generator ``run``; its end facts go into ``outcome``."""
-    outcome["reason"], outcome["final_matrix"] = yield from run
-
-
-def _trajectory_lines(run, names: tuple[str, ...], outcome: dict) -> Iterator[str]:
-    """The trajectory CSV of ``run``, an ``evolve`` generator, a span of lines at a time.
+def _write_trajectory(run, names: tuple[str, ...], fh: TextIO):
+    """Write the trajectory CSV of ``run``, an ``evolve`` generator, to ``fh``, a span at a time.
 
     The header comes first. Each window is cut into spans where a row's
     bits differ from the row before (in the same window or the one before)
     or an event row starts or ends. A span is one event row or a run of
     rows with the same cells, whose lines are one join, and each span is
-    one string; the file's buffer gathers them into writes. Once the
-    strings run out, ``outcome`` holds what the summary reads: the run's
-    ``events``, its ``last`` row, its exit ``reason`` and its
-    ``final_matrix``.
+    one ``fh.write``; the file's buffer gathers them into writes. Returns
+    what the summary reads: ``(events, terminal_row, end)``, every event of
+    the run, its last row as floats and the last window's ``end``.
     """
-    yield "step,tau," + ",".join(names) + ",event\n"
+    write = fh.write
+    write("step,tau," + ",".join(names) + ",event\n")
     last = cells = None  # the bits of the row before and its formatted cells
     start = 0  # the run's row index of the window's first row
-    outcome["events"] = []
-    for steps, values, events in _until_end(run, outcome):
+    run_events: list = []
+    for steps, values, events, end in run:
         marks = {e.row_index - start: e for e in events}
         bits = values.view(np.int64)
         rows = len(steps)
@@ -135,16 +135,16 @@ def _trajectory_lines(run, names: tuple[str, ...], outcome: dict) -> Iterator[st
                 cells = ",".join(map(repr, values[a].tolist()))
             e = marks.get(a)
             if e is not None:
-                yield f"{step_list[a]},{e.fraction!r},{cells},elim:{names[e.species_id]}\n"
+                write(f"{step_list[a]},{e.fraction!r},{cells},elim:{names[e.species_id]}\n")
             else:
                 suffix = f",0.0,{cells},\n"
-                yield suffix.join(map(str, step_list[a:b])) + suffix
+                write(suffix.join(map(str, step_list[a:b])) + suffix)
         start += rows
-        outcome["events"] += events
-        outcome["last"] = values[-1].tolist()
+        run_events += events
         # Let the engine free this window before it fills the next.
         last = bits[-1].copy()
         del steps, values, bits
+    return run_events, last.view(np.float64).tolist(), end
 
 
 def _spectral_digest(summary: SpectralSummary) -> dict:
@@ -186,13 +186,11 @@ def cmd_simulate(args) -> int:
         scenario = replace(scenario, config=replace(scenario.config, max_steps=args.max_steps))
     run = evolve(scenario.matrix, scenario.initial, scenario.config)
     names = scenario.species_names
-    outcome: dict = {}
-
-    def outputs():
-        yield args.out, _trajectory_lines(run, names, outcome)
-        summary = {
-            "terminal_populations": outcome["last"],
-            "exit_reason": outcome["reason"].value,
+    with _atomic_files(args.out, summary_path) as (csv, summary):
+        events, terminal, (reason, final_matrix) = _write_trajectory(run, names, csv)
+        report = {
+            "terminal_populations": terminal,
+            "exit_reason": reason.value,
             "events": [
                 {
                     "step": e.step_index,
@@ -202,15 +200,13 @@ def cmd_simulate(args) -> int:
                     "neg_offdiag_before": e.neg_offdiag_before,
                     "neg_offdiag_after": e.neg_offdiag_after,
                 }
-                for e in outcome["events"]
+                for e in events
             ],
-            "spectral": _spectral_digest(eigendecompose(outcome["final_matrix"])),
+            "spectral": _spectral_digest(eigendecompose(final_matrix)),
             "two_species": _two_species_report(scenario),
             "seed": scenario.seed,
         }
-        yield summary_path, [_json_text(summary)]
-
-    _atomic_write(outputs())
+        summary.write(_json_text(report))
     return EXIT_OK
 
 
@@ -223,7 +219,8 @@ def cmd_spectrum(args) -> int:
         report["biorthogonality"] = {"max_violation": violation, "passed": violation < 1e-8}
     except NumericalError as exc:
         report["biorthogonality"] = {"error": str(exc)}
-    _atomic_write([(args.out, [_json_text(report)])])
+    with _atomic_files(args.out) as (out,):
+        out.write(_json_text(report))
     return EXIT_OK
 
 
@@ -256,7 +253,8 @@ def cmd_sweep(args) -> int:
             lines.append(f"{_fmt(scale)},,no-elimination")
         else:
             lines.append(f"{_fmt(scale)},{k},ok")
-    _atomic_write([(args.out, ["\n".join(lines) + "\n"])])
+    with _atomic_files(args.out) as (out,):
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

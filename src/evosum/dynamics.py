@@ -73,19 +73,20 @@ so a run holds about one window of rows (16,384 values, 128 KiB) however
 long it runs. A window is two columns, one entry per recorded row: the
 step and the full-length state (reduced states embedded back, with zeros
 in the slots of extinct species), plus the eliminations whose rows fall
-in it. Each elimination is stored once, as an ``EliminationEvent`` that
-names its row, counted from the start of the run. Rows are embedded as
-they are recorded, straight into the window's zero-filled (capacity, n)
+in it and the run's end, which is ``None`` in every window but the last.
+Each elimination is stored once, as an ``EliminationEvent`` that names
+its row, counted from the start of the run. Rows are embedded as they
+are recorded, straight into the window's zero-filled (capacity, n)
 buffer beside its steps buffer, where capacity is ``16_384 // n`` rows
 and at least one. A full window is handed over when the next row does
 not fit, and the rows go on in a fresh buffer; the rows of one block may
 fill several windows in turn. The last window is handed over when the
-run ends, and the generator then returns the exit reason and the reduced
-matrix. The sub-tolerance dust in (-ZERO_TOL, 0) of a window's rows is
-floored to 0.0 once, when it is handed over, by one ``np.copyto`` over
-the whole window (-0.0 is not below 0.0 and keeps its sign). A run
-records the start, every ``record_every``-th step, one row per
-elimination and a last row at the final step. Once eliminated, a
+run ends, and its end is the exit reason and the reduced matrix; the
+generator returns nothing. The sub-tolerance dust in (-ZERO_TOL, 0) of a
+window's rows is floored to 0.0 once, when it is handed over, by one
+``np.copyto`` over the whole window (-0.0 is not below 0.0 and keeps its
+sign). A run records the start, every ``record_every``-th step, one row
+per elimination and a last row at the final step. Once eliminated, a
 species never re-enters: its slot stays zero for the rest of the run.
 The reduced matrix the run ends with is derived from a checked matrix,
 so it is not checked again: rounding in the fold may move a column sum
@@ -113,7 +114,7 @@ block; nothing is recorded.
 from __future__ import annotations
 
 import enum
-from collections.abc import Generator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,17 +317,20 @@ def evolve(
     matrix: EvolutionMatrix,
     populations: PopulationVector,
     config: SimulationConfig = SimulationConfig(),
-) -> Generator[
-    tuple[np.ndarray, np.ndarray, tuple[EliminationEvent, ...]],
-    None,
-    tuple[TerminationReason, EvolutionMatrix],
+) -> Iterator[
+    tuple[
+        np.ndarray,
+        np.ndarray,
+        tuple[EliminationEvent, ...],
+        tuple[TerminationReason, EvolutionMatrix] | None,
+    ]
 ]:
     """Run the evolution engine, handing its recorded rows over in windows.
 
-    A generator: it yields ``(steps, values, events)`` windows in row order
-    and, when the run ends, returns ``(reason, final_matrix)``, which a
-    caller reads as ``reason, final_matrix = yield from evolve(...)`` or
-    from ``StopIteration.value``. Nothing runs, and a bad argument raises
+    A generator: it yields ``(steps, values, events, end)`` windows in row
+    order, so ``for steps, values, events, end in evolve(...)`` reads the
+    whole run. ``end`` is None in every window but the last, whose ``end``
+    is ``(reason, final_matrix)``. Nothing runs, and a bad argument raises
     nothing, until the first window is asked for.
 
     Species ids are ``0..n-1`` for an n x n ``matrix``. Row k of a window
@@ -388,15 +392,15 @@ def evolve(
     rows = 0  # rows written to the window
     start = 0  # the run's row index of the window's first row
 
-    def window():
-        """The rows written so far as a read-only window, their dust floored."""
+    def window(end=None):
+        """The rows written so far as a read-only window, their dust floored, and ``end``."""
         written_steps, written = steps[:rows], values[:rows]
         # Only sub-tolerance float dust is floored; a genuine negative entry
         # would be a bug and must stay visible. -0.0 is not below 0.0 and stays.
         np.copyto(written, 0.0, where=(written < 0.0) & (written > -ZERO_TOL))
         for column in (written_steps, written):
             column.flags.writeable = False
-        return written_steps, written, tuple(events)
+        return written_steps, written, tuple(events), end
 
     def write(recorded_steps: np.ndarray, states: np.ndarray) -> None:
         nonlocal rows
@@ -491,8 +495,7 @@ def evolve(
 
     if steps[rows - 1] != t:  # a row at step t is always the current state
         yield from record(np.array([t]), phi[None, :])
-    yield window()
-    return reason, _derived_matrix(entries)
+    yield window((reason, _derived_matrix(entries)))
 
 
 def evolve_backward(matrix: EvolutionMatrix, phi0: PopulationVector, max_steps: int) -> BackwardReport:
@@ -523,26 +526,48 @@ def evolve_backward(matrix: EvolutionMatrix, phi0: PopulationVector, max_steps: 
     return BackwardReport(horizon=horizon, offender=None)
 
 
-def _first_elimination_steps(
-    entries: np.ndarray, phi0: np.ndarray, config: SimulationConfig
+def elimination_time_scan(
+    family,
+    phi0: PopulationVector,
+    config: SimulationConfig = SimulationConfig(),
 ) -> list[int | None]:
-    """Steps to first elimination of each system in ``entries`` (S, n, n), all from ``phi0``.
+    """Steps to first elimination of each matrix in ``family`` (S, n, n), all from ``phi0``.
 
-    The live systems advance in speculative blocks under ``evolve``'s stop
+    ``family[s]`` is checked as an ``EvolutionMatrix`` would check it, but
+    for the whole stack at once: one column-sum test over all S members.
+    Only when some member fails is ``EvolutionMatrix`` built, for the first
+    failing member, which raises its message (the first non-finite entry,
+    else the column furthest off). A family that is not a stack of square
+    matrices, or whose matrices do not match ``phi0`` in size, raises
+    ``ValidationError`` too.
+
+    All members advance in lockstep from ``phi0`` under ``evolve``'s stop
     rules in ``evolve``'s order: the step cap, then a crossing (the
-    system's result is the completed step count), then convergence (None).
-    A block of K steps is K stacked matvecs into one ``(K+1, L, n)`` buffer
-    for the L live systems, then one ``_scan_stop_tests`` call on all K * L
-    proposed states. Each system stops at its first stopping step in the
-    block, and the systems that stopped leave the stack. K starts at 1 and
-    doubles up to ``_MAX_BLOCK``, never past the step cap, and K * L stays
-    within ``_SCAN_BLOCK_STATES`` (K is 1 when L alone exceeds it).
+    member's result is the number of completed steps), then convergence.
+    The cap and convergence give None rather than failing the whole scan,
+    so the steps equal those of the first event of ``evolve`` on each
+    matrix. A block of K steps is K stacked matvecs into one ``(K+1, L,
+    n)`` buffer for the L members still running, then one
+    ``_scan_stop_tests`` call on all K * L proposed states. Each member
+    stops at its first stopping step in the block, and the members that
+    stopped leave the stack. K doubles from 1 up to 256, never past the
+    step cap, and K * L stays within 4096 (K is 1 when L alone exceeds
+    it). The cost is one stacked matvec per step of the slowest member,
+    including the steps computed past a stop, and one vectorized stop test
+    per block. Nothing is recorded.
     """
+    entries = np.ascontiguousarray(family, dtype=float)
+    if entries.ndim != 3 or entries.shape[1] != entries.shape[2] or entries.shape[1] < 1:
+        raise ValidationError("a matrix family must be a stack of nonempty square matrices")
+    _, ok = _column_sums(entries, 1.0)
+    if not ok.all():
+        EvolutionMatrix(entries[int(ok.argmin())])  # raises the first failing member's message
+    _check_size(entries.shape[1], phi0)
     steps: list[int | None] = [None] * entries.shape[0]
-    if phi0.size == 1:
+    if phi0.n == 1:
         return steps
     live = np.arange(entries.shape[0])
-    phi = np.repeat(phi0[None, :], entries.shape[0], axis=0)
+    phi = np.repeat(phi0.values[None, :], entries.shape[0], axis=0)
     t = 0
     block = 1
     while live.size and t < config.max_steps:
@@ -569,40 +594,3 @@ def _first_elimination_steps(
         t += k
         block = min(2 * block, _MAX_BLOCK)
     return steps
-
-
-def elimination_time_scan(
-    family,
-    phi0: PopulationVector,
-    config: SimulationConfig = SimulationConfig(),
-) -> list[int | None]:
-    """Steps to first elimination of each matrix in ``family`` (S, n, n), all from ``phi0``.
-
-    ``family[s]`` is checked as an ``EvolutionMatrix`` would check it, but
-    for the whole stack at once: one column-sum test over all S members.
-    Only when some member fails is ``EvolutionMatrix`` built, for the first
-    failing member, which raises its message (the first non-finite entry,
-    else the column furthest off). A family that is not a stack of square
-    matrices, or whose matrices do not match ``phi0`` in size, raises
-    ``ValidationError`` too.
-
-    All members advance in lockstep from ``phi0``, in blocks of stacked
-    matvecs tested at once, and each stops at its first elimination (its
-    result is the number of completed steps), at convergence or at
-    ``config.max_steps``; the last two give None rather than failing the
-    whole scan. The stop rules and their order are ``evolve``'s, so the
-    steps equal those of the first event of ``evolve`` on each matrix. A
-    block has K steps for the L members still running: K doubles from 1
-    up to 256, never past the step cap, and K * L stays within 4096. The
-    cost is one stacked matvec per step of the slowest member, including
-    the steps computed past a stop, and one vectorized stop test per
-    block. Nothing is recorded.
-    """
-    family = np.ascontiguousarray(family, dtype=float)
-    if family.ndim != 3 or family.shape[1] != family.shape[2] or family.shape[1] < 1:
-        raise ValidationError("a matrix family must be a stack of nonempty square matrices")
-    _, ok = _column_sums(family, 1.0)
-    if not ok.all():
-        EvolutionMatrix(family[int(ok.argmin())])  # raises the first failing member's message
-    _check_size(family.shape[1], phi0)
-    return _first_elimination_steps(family, np.array(phi0.values), config)

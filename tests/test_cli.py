@@ -25,7 +25,7 @@ from evosum import (
     scenario_from_dict,
     stationary_by_iteration,
 )
-from evosum.cli import _atomic_write, _trajectory_lines, main
+from evosum.cli import _atomic_files, _write_trajectory, main
 from evosum.errors import NumericalError, ScenarioParseError
 from test_dynamics import Trajectory, collect, serial_evolve, serial_scan, windows_of
 from test_golden import FIXED_POINT_TAIL
@@ -116,11 +116,25 @@ def hand_trajectory(values, steps=None, eliminations=()):
     )
 
 
+class Written(list):
+    """A text file stand-in that keeps each string written to it."""
+
+    def write(self, text):
+        self.append(text)
+
+
+def written_csv(run, names) -> Written:
+    """The strings ``_write_trajectory`` writes for ``run``, an ``evolve`` generator."""
+    strings = Written()
+    _write_trajectory(run, names, strings)
+    return strings
+
+
 def cli_csv(trajectory, names):
     """The CLI's CSV of ``trajectory``, which must not depend on how its rows come in windows."""
     rows = len(trajectory.steps)
     csvs = {
-        "".join(_trajectory_lines(windows_of(trajectory, size), names, {})).encode("utf-8")
+        "".join(written_csv(windows_of(trajectory, size), names)).encode("utf-8")
         for size in {1, 2, 3, rows}
     }
     assert len(csvs) == 1
@@ -292,18 +306,20 @@ class TestLoadScenario:
         assert_same_scenario(load_scenario(path), scenario_from_dict(data))
 
     def test_interrupted_write_keeps_every_target(self, tmp_path):
-        # The failure comes after a temp file holds data, so the cleanup has
-        # files to remove.
+        # The failure comes after both temp files hold data, on disk, so the
+        # cleanup has files to remove.
         first, second = tmp_path / "first.txt", tmp_path / "second.txt"
         first.write_bytes(b"first\n")
         second.write_bytes(b"second\n")
-
-        def failing_chunks():
-            yield "partial\n"
-            raise RuntimeError("chunk failed")
-
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            _atomic_write([(str(first), ["replaced\n"]), (str(second), failing_chunks())])
+        with pytest.raises(RuntimeError, match="block failed"):
+            with _atomic_files(str(first), str(second)) as files:
+                for fh in files:
+                    fh.write("replaced\n")
+                    fh.flush()
+                temps = sorted(tmp_path.glob(".evosum-*.tmp"))
+                assert [p.read_bytes() for p in temps] == [b"replaced\n"] * 2
+                raise RuntimeError("block failed")
+        assert all(fh.closed for fh in files)
         assert (first.read_bytes(), second.read_bytes()) == (b"first\n", b"second\n")
         assert list(tmp_path.glob(".evosum-*.tmp")) == []
 
@@ -430,6 +446,22 @@ class TestExitCodes:
         )
         assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 2
         assert "config field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["max_steps", "record_every"])
+    def test_config_count_below_one_is_validation_error(self, tmp_path, capsys, key):
+        # An integer of the right type but below 1 passes the parse and fails
+        # `SimulationConfig`'s check, so it exits 3, not 2.
+        path = write_scenario(
+            tmp_path / "cfg.json",
+            {
+                "matrix": {"two_species": {"alpha": 0.1, "beta": 0.2}},
+                "initial": [1, 1],
+                "config": {key: 0},
+            },
+        )
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr() == ("", f"error: {key} must be at least 1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "scenario",
@@ -581,7 +613,10 @@ class TestExitCodes:
         argv = ["simulate", "--scenario", path, "--out", str(out), "--summary", str(summary)]
         assert main(argv) == 4
         assert capsys.readouterr() == ("", "error: injected failure\n")
-        assert len(written) == 1 and written[0] > 0  # the CSV's temp file held rows
+        # Both temp files exist while the engine runs: the CSV's holds rows,
+        # the summary's is still empty.
+        summary_size, csv_size = sorted(written)
+        assert summary_size == 0 < csv_size
         assert (out.read_bytes(), summary.read_bytes()) == (b"kept csv\n", b"kept summary\n")
         assert list(tmp_path.glob(".evosum-*.tmp")) == []
 
@@ -931,7 +966,7 @@ class TestTrajectoryLines:
         )
         names = tuple(f"s{i}" for i in range(width))
         size = data.draw(st.integers(1, 12))
-        lines = list(_trajectory_lines(windows_of(trajectory, size), names, {}))
+        lines = written_csv(windows_of(trajectory, size), names)
         assert "".join(lines).encode("utf-8") == reference_csv(trajectory, names)
         assert all(line.endswith("\n") for line in lines)
 
@@ -983,20 +1018,16 @@ class TestTrajectoryLines:
 
         def counted(run):
             last = None
-            while True:
-                try:
-                    steps, values, events = next(run)
-                except StopIteration as end:
-                    return end.value
-                rows = [row.tobytes() for row in values]
+            for window in run:
+                rows = [row.tobytes() for row in window[1]]
                 counts["windows"] += 1
-                counts["events"] += len(events)
+                counts["events"] += len(window[2])
                 counts["distinct"] += sum(row != before for before, row in zip([last] + rows, rows))
                 last = rows[-1]
-                yield steps, values, events
+                yield window
 
         names = tuple(f"s{i}" for i in range(n))
-        strings = list(_trajectory_lines(counted(run), names, {}))
+        strings = written_csv(counted(run), names)
         assert "".join(strings).count("\n") == steps + 2
         assert counts["events"] == 0 and counts["distinct"] < steps / 4
         assert len(strings) <= counts["distinct"] + counts["events"] + counts["windows"] + 1

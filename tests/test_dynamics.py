@@ -50,27 +50,26 @@ def collect(run) -> Trajectory:
     """Every window of ``run``, an ``evolve`` generator, joined into one ``Trajectory``.
 
     Checks each window as it is joined: its columns are read-only and of
-    one length, every window but the last has the first one's length, and
-    each of its events names a row inside it.
+    one length, every window but the last has the first one's length, each
+    of its events names a row inside it, and only the last carries the
+    run's end, a ``(TerminationReason, EvolutionMatrix)`` pair.
     """
-    windows = []
-    try:
-        while True:
-            windows.append(next(run))
-    except StopIteration as end:
-        reason, final_matrix = end.value
+    windows = list(run)
     start = 0
-    for steps, values, events in windows:
+    for steps, values, events, end in windows:
         assert len(steps) == len(values) > 0
         assert not steps.flags.writeable and not values.flags.writeable
         assert all(start <= e.row_index < start + len(steps) for e in events)
         start += len(steps)
-    lengths = tuple(len(steps) for steps, _, _ in windows)
+    assert all(end is None for *_, end in windows[:-1])
+    reason, final_matrix = windows[-1][3]
+    assert isinstance(reason, TerminationReason) and isinstance(final_matrix, EvolutionMatrix)
+    lengths = tuple(len(steps) for steps, *_ in windows)
     assert all(length == lengths[0] for length in lengths[:-1])
     return Trajectory(
-        steps=np.concatenate([steps for steps, _, _ in windows]),
-        values=np.concatenate([values for _, values, _ in windows]),
-        events=tuple(e for _, _, events in windows for e in events),
+        steps=np.concatenate([steps for steps, *_ in windows]),
+        values=np.concatenate([values for _, values, *_ in windows]),
+        events=tuple(e for _, _, events, _ in windows for e in events),
         terminated_reason=reason,
         final_matrix=final_matrix,
         window_rows=lengths,
@@ -79,11 +78,12 @@ def collect(run) -> Trajectory:
 
 def windows_of(trajectory: Trajectory, size: int):
     """Hand ``trajectory``'s rows over as ``evolve`` does, in windows of ``size`` rows."""
-    for start in range(0, len(trajectory.steps), size):
-        end = start + size
-        events = tuple(e for e in trajectory.events if start <= e.row_index < end)
-        yield trajectory.steps[start:end], trajectory.values[start:end], events
-    return trajectory.terminated_reason, trajectory.final_matrix
+    rows = len(trajectory.steps)
+    for start in range(0, rows, size):
+        stop = start + size
+        events = tuple(e for e in trajectory.events if start <= e.row_index < stop)
+        end = None if stop < rows else (trajectory.terminated_reason, trajectory.final_matrix)
+        yield trajectory.steps[start:stop], trajectory.values[start:stop], events, end
 
 
 def system_of(matrix: EvolutionMatrix, raw) -> tuple[EvolutionMatrix, PopulationVector]:
@@ -235,7 +235,7 @@ def stepwise_scan(entries, phi0, config=SimulationConfig()):
     """Reference lockstep scan: one stacked matvec and one stop test per step.
 
     The plain per-step loop over ``entries`` (S, n, n) whose results the
-    block-stepped ``dynamics._first_elimination_steps`` must reproduce. It
+    block-stepped ``elimination_time_scan`` must reproduce. It
     keeps its own copy of the stop rule and reads ``ZERO_TOL`` at call time.
     """
     steps = [None] * entries.shape[0]
@@ -537,7 +537,8 @@ class TestEvolve:
             *system_of(two_species_matrix(0.1, -0.05), [0.5, 0.5]),
             SimulationConfig(max_steps=1000, record_every=3),
         ))
-        [(steps, values, events)] = windows
+        [(steps, values, events, (reason, _))] = windows
+        assert reason is TerminationReason.ALL_BUT_ONE_EXTINCT
         rows = len(steps)
         assert values.shape == (rows, 2)
         assert len(events) == 1 and 0 <= events[0].row_index < rows
@@ -1239,11 +1240,11 @@ class TestEliminationTimeScan:
         self, n, seed, neg_fraction, scales, max_steps, convergence_tol, zero_tol
     ):
         entries = stacked(shrunk_family(random_competitive(n, 0.5, neg_fraction, seed)), scales)
-        phi0 = make_population(np.random.default_rng(seed).random(n) + 0.05).values
+        phi0 = make_population(np.random.default_rng(seed).random(n) + 0.05)
         config = SimulationConfig(max_steps=max_steps, convergence_tol=convergence_tol)
         with patched_zero_tol(zero_tol):
-            assert dynamics._first_elimination_steps(entries, phi0, config) == stepwise_scan(
-                entries, phi0, config
+            assert elimination_time_scan(entries, phi0, config) == stepwise_scan(
+                entries, phi0.values, config
             )
 
     def test_makes_no_per_scale_engine_calls(self, monkeypatch):
