@@ -239,32 +239,23 @@ def two_species_matrix(alpha: float, beta: float) -> EvolutionMatrix:
     return EvolutionMatrix(_two_species_family(alpha, beta, 1.0))
 
 
-def _offdiag_magnitudes(n: int, coupling_scale: float, rng: np.random.Generator) -> np.ndarray:
-    # Bounded away from zero so every entry of the result is strictly positive.
-    mag = (0.05 + 0.95 * rng.random((n, n))) * (coupling_scale / (n - 1))
-    np.fill_diagonal(mag, 0.0)
-    return mag
-
-
 def random_stochastic(n: int, coupling_scale: float, seed: int) -> EvolutionMatrix:
     """Random strictly positive stochastic matrix, near identity.
 
     Off-diagonal entries are O(coupling_scale); each diagonal entry absorbs
     whatever its column needs to sum to one. Deterministic for a fixed seed,
     which must be an integer >= 0. ``coupling_scale`` must be a finite real
-    number (not a bool) in (0, 1).
+    number (not a bool) in (0, 1). For n >= 2 it is the draw of
+    :func:`random_competitive` with no negative transfers.
     """
     _check_integer("species count", n, 1)
+    if n >= 2:
+        return random_competitive(n, coupling_scale, 0.0, seed)
     _check_integer("seed", seed, 0)
     _check_finite(coupling_scale=coupling_scale)
     if not 0 < coupling_scale < 1:
         raise ValidationError(f"coupling_scale must lie in (0, 1), got {coupling_scale}")
-    if n == 1:
-        return EvolutionMatrix(np.array([[1.0]]))
-    rng = np.random.default_rng(seed)
-    entries = _offdiag_magnitudes(n, coupling_scale, rng)
-    entries[np.diag_indices(n)] = 1.0 - entries.sum(axis=0)
-    return EvolutionMatrix(entries)
+    return EvolutionMatrix(np.array([[1.0]]))
 
 
 def random_competitive(
@@ -274,7 +265,7 @@ def random_competitive(
 
     Each off-diagonal entry is negated independently with probability
     ``neg_fraction``; diagonals rebalance their columns to sum to one.
-    ``neg_fraction = 0`` degenerates to a stochastic draw. ``seed`` and
+    ``neg_fraction = 0`` gives :func:`random_stochastic`'s draw. ``seed`` and
     ``coupling_scale`` are as for :func:`random_stochastic`, and
     ``neg_fraction`` is a finite real number (not a bool) in [0, 1].
     """
@@ -288,7 +279,9 @@ def random_competitive(
     if not 0 <= neg_fraction <= 1:
         raise ValidationError(f"neg_fraction must lie in [0, 1], got {neg_fraction}")
     rng = np.random.default_rng(seed)
-    entries = _offdiag_magnitudes(n, coupling_scale, rng)
+    # Bounded away from zero so every entry of a stochastic draw is strictly positive.
+    entries = (0.05 + 0.95 * rng.random((n, n))) * (coupling_scale / (n - 1))
+    np.fill_diagonal(entries, 0.0)
     flip = rng.random((n, n)) < neg_fraction
     np.fill_diagonal(flip, False)
     entries[flip] *= -1.0

@@ -18,14 +18,19 @@ species id) and the step counter only advances on completed steps.
 The stop rule decides, for each proposed state, whether it crossed (an
 entry below ``-ZERO_TOL``) and whether it converged (an L1 change below
 ``convergence_tol``); its callers apply the order, a crossing before
-convergence. It has one implementation per caller, with the same
-results bit for bit. ``evolve`` tests its (K, w) blocks, at most 256
-states and often fewer than their w species, with ``_stop_tests``: one
-reduction along each state. The scan tests its (K, L, n) blocks, up to
-4096 states of often two species, with ``_scan_stop_tests``, which
-reduces over the species one at a time and takes the L1 row sum only
-for the states that may have converged: a reduction along each of
-thousands of short states would make one inner-loop call per state.
+convergence. ``_stop_tests`` is its one implementation, for ``evolve``'s
+(K, w) blocks and the scan's (K, L, n) blocks alike. It has two
+reduction orders with the same results bit for bit and picks one from
+the block's shape, since the cost depends on the shape, not the caller.
+A reduction along each state makes one inner-loop call per state, which
+is dear on many short states; a reduction over the species one at a time
+first pays for two species-major copies, which is dear on few or wide
+states. Measured in-process (numpy 2.4.6, one BLAS thread, a 2-vCPU Xeon
+guest), the break-even lies between 64 and 128 states, and between 50
+and 64 species at 256 states or more, so a block of at least 256 states
+of at most 32 species is reduced species-major: the sweep's 4,000 states
+of 2 species, and ``evolve``'s 256-step blocks once a cascade is down to
+32 species.
 ``_eliminate`` is the elimination step, written once: drop the row and
 column, fold the row onto the diagonals, drop the state entry and the
 id. Only ``evolve`` eliminates. At width w the step costs one
@@ -98,8 +103,8 @@ whole family as one (S, n, n) array, checks every member with one
 column-sum test over the stack (an ``EvolutionMatrix`` is built only for
 the first member that fails, to raise its message), and advances every
 live system in lockstep, in speculative blocks as ``evolve`` does: K
-stacked matvecs into one buffer, then one ``_scan_stop_tests`` call on
-all of the block's states. Each system stops at its first elimination, at
+stacked matvecs into one buffer, then one ``_stop_tests`` call on all
+of the block's states. Each system stops at its first elimination, at
 convergence or at the step cap, under ``evolve``'s rules in ``evolve``'s
 order: its first stopping step in the block decides, and the systems
 that stopped leave the stack once per block. K starts at 1 and doubles
@@ -267,42 +272,33 @@ def _negatives_removed(entries: np.ndarray, local: int) -> int:
 
 
 def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float):
-    """The stop rule for each state in a (K, w) block of ``evolve``, as ``(crossed, converged)``.
+    """The stop rule for each state of a (..., w) block, as ``(crossed, converged)``.
 
-    ``proposed`` and ``before`` hold one state per row; both results have
-    one entry per row. Crossed: an entry below ``-ZERO_TOL``. Converged:
-    an L1 change from ``before`` below ``convergence_tol``. The caller puts
-    a crossing first. Each test is one reduction along each row, which
-    suits ``evolve``'s blocks: they often hold fewer states than species.
+    ``proposed`` and ``before`` hold one state along the last axis; both
+    results have one entry per state. Crossed: an entry below
+    ``-ZERO_TOL``. Converged: an L1 change from ``before`` below
+    ``convergence_tol``. The caller puts a crossing first.
+
+    The reduction order is read from the block's shape. A block of fewer
+    than 256 states, or of states wider than 32 species, takes one
+    reduction along each state. Any other block is reduced over its
+    species one at a time: both masks are copied species-major and reduced
+    over the leading axis, an OR for the crossing and an AND of
+    ``|change| < convergence_tol`` for the states that may have converged.
+    Only those candidates take the L1 row sum, whose bits a species-major
+    float sum would not keep. The results are the same bit for bit either
+    way: every term of the sum is at least 0 and rounding is monotone, so a
+    state with one term at or above the tolerance has a sum at or above it
+    too, and NaN and inf fail both tests.
     """
-    crossed = (proposed < -ZERO_TOL).any(axis=-1)
-    change = proposed - before
-    converged = np.abs(change, out=change).sum(axis=-1) < convergence_tol
-    return crossed, converged
-
-
-def _scan_stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float):
-    """``_stop_tests`` for the scan's (K, L, n) blocks, reduced over species one at a time.
-
-    The scan stacks many narrow states: on a 400-scale sweep, 4,000 states
-    of 2 species. A reduction along the last axis makes one inner-loop
-    call per state, so both masks are first copied species-major, as
-    (n, K, L), and reduced over the leading axis: an OR over species for
-    the crossing, an AND of ``|change| < convergence_tol`` for the states
-    that may have converged. Only those candidates take the L1 row sum of
-    ``_stop_tests``, whose bits a species-major float sum would not keep.
-    The results are ``_stop_tests``'s, bit for bit: every term of the sum
-    is at least 0 and rounding is monotone, so a state with one term at or
-    above the tolerance has a sum at or above it too. NaN and inf fail
-    both tests either way. ``evolve`` keeps ``_stop_tests``: its blocks
-    hold at most 256 states, often fewer than the species in each, and
-    there one reduction per state makes fewer inner-loop calls than one
-    per species.
-    """
-    crossed = np.logical_or.reduce((proposed < -ZERO_TOL).transpose(2, 0, 1).copy())
     change = proposed - before
     np.abs(change, out=change)
-    converged = np.logical_and.reduce((change < convergence_tol).transpose(2, 0, 1).copy())
+    width = proposed.shape[-1]
+    if width > 32 or proposed.size < 256 * width:
+        return (proposed < -ZERO_TOL).any(axis=-1), change.sum(axis=-1) < convergence_tol
+    species_major = (-1, *range(proposed.ndim - 1))  # np.moveaxis costs more than a small block's test
+    crossed = np.logical_or.reduce((proposed < -ZERO_TOL).transpose(species_major).copy())
+    converged = np.logical_and.reduce((change < convergence_tol).transpose(species_major).copy())
     if converged.any():  # only the candidates take the L1 row sum
         converged[converged] = change[converged].sum(axis=-1) < convergence_tol
     return crossed, converged
@@ -369,7 +365,10 @@ def evolve(
     call, one slice-copy fold (one copy of the reduced matrix) and
     O(width) bookkeeping. The negative off-diagonal count of each event
     is kept incrementally: ``negative_offdiag_count`` runs once per run,
-    at the first elimination.
+    at the first elimination. The block's test is ``_stop_tests``, which
+    the scan calls too: it reduces 256 steps of at most 32 species one
+    species at a time and any other block along each state, since which
+    order is faster depends on the block's shape.
 
     When the last step of a clean block has the bits of the step before
     it, the run is at an exact fixed point, and every later step would
@@ -547,8 +546,9 @@ def elimination_time_scan(
     The cap and convergence give None rather than failing the whole scan,
     so the steps equal those of the first event of ``evolve`` on each
     matrix. A block of K steps is K stacked matvecs into one ``(K+1, L,
-    n)`` buffer for the L members still running, then one
-    ``_scan_stop_tests`` call on all K * L proposed states. Each member
+    n)`` buffer for the L members still running, then one ``_stop_tests``
+    call on all K * L proposed states, species-major when K * L is at
+    least 256 and n at most 32, as in ``evolve``. Each member
     stops at its first stopping step in the block, and the members that
     stopped leave the stack. K doubles from 1 up to 256, never past the
     step cap, and K * L stays within 4096 (K is 1 when L alone exceeds
@@ -579,7 +579,7 @@ def elimination_time_scan(
         columns = states[:, :, :, None]
         for j in range(k):
             np.matmul(entries, columns[j], out=columns[j + 1])
-        crossed, converged = _scan_stop_tests(states[1:], states[:-1], config.convergence_tol)
+        crossed, converged = _stop_tests(states[1:], states[:-1], config.convergence_tol)
         stops = crossed | converged  # (k, L)
         phi = states[k]
         if stops.any():

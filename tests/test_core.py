@@ -280,9 +280,16 @@ class TestRandomCompetitive:
         assert np.all(off < 0)
         assert_allclose(matrix.entries.sum(axis=0), 1.0, atol=1e-12)
 
-    def test_zero_fraction_is_stochastic(self):
-        matrix = random_competitive(2, 0.05, 0.0, seed=5)
-        assert np.all((matrix.entries >= 0) & (matrix.entries <= 1))
+    @given(
+        n=st.sampled_from([2, 3, 5, 20, 50, 200]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.05, 0.3, 0.5, 0.9]) | st.floats(1e-6, 1 - 1e-6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_zero_fraction_is_stochastic(self, n, seed, scale):
+        matrix = random_competitive(n, scale, 0.0, seed)
+        assert matrix.entries.tobytes() == random_stochastic(n, scale, seed).entries.tobytes()
+        assert np.all((matrix.entries > 0) & (matrix.entries < 1))
 
     def test_deterministic_for_seed(self):
         first = random_competitive(4, 0.1, 0.5, seed=7)

@@ -665,6 +665,19 @@ class TestBlockStepping:
         assert any(a == b for a, b in zip(steps, steps[1:]))
         assert_same_run(trajectory, serial_evolve(*system, config))
 
+    def test_blocks_of_both_reduction_orders(self, monkeypatch):
+        # 33 eliminations narrow the run from 40 species to 7. Its blocks are
+        # reduced along each state while it is wider than 32 species, and
+        # species-major once it runs 256-step blocks at 32 species or fewer.
+        calls = counted_stop_tests(monkeypatch)
+        system = system_of(random_competitive(40, 0.05, 0.5, 1), np.ones(40))
+        config = SimulationConfig(max_steps=3000)
+        trajectory = collect(evolve(*system, config))
+        assert len(trajectory.events) == 33
+        assert any(shape[-1] > 32 for shape in calls)
+        assert any(species_major(shape) for shape in calls)
+        assert_same_run(trajectory, serial_evolve(*system, config))
+
     def test_crossing_fraction_called_once_per_event(self, monkeypatch):
         calls = []
         real = dynamics.crossing_fraction
@@ -802,8 +815,16 @@ def chain(length: int) -> EvolutionMatrix:
     return EvolutionMatrix(entries)
 
 
+def species_major(shape) -> bool:
+    """Whether ``dynamics._stop_tests`` reduces a block of ``shape`` over its species one at a time.
+
+    It does for 256 states or more of at most 32 species.
+    """
+    return shape[-1] <= 32 and int(np.prod(shape[:-1])) >= 256
+
+
 def counted_stop_tests(monkeypatch) -> list:
-    """Patch ``dynamics._stop_tests`` to log each call; one call is one block."""
+    """Patch ``dynamics._stop_tests`` to log the shape of each block it tests."""
     calls = []
     real = dynamics._stop_tests
 
@@ -1208,7 +1229,7 @@ class TestEliminationTimeScan:
             assert elimination_time_scan(family, phi0, config) == serial_scan(family, phi0, config)
 
     @given(
-        n=st.sampled_from([2, 3, 5, 8, 9, 10, 30]),
+        n=st.sampled_from([2, 3, 5, 8, 9, 10, 30, 64]),
         seed=st.integers(0, 2**16),
         neg_fraction=st.floats(0.0, 1.0),
         scales=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
@@ -1452,14 +1473,7 @@ class TestScanBlocks:
         assert states[1].tobytes() == fresh.tobytes()
 
     def test_blocks_stay_within_their_bounds(self, monkeypatch):
-        shapes = []
-        real = dynamics._scan_stop_tests
-
-        def spied(proposed, before, convergence_tol):
-            shapes.append(proposed.shape)
-            return real(proposed, before, convergence_tol)
-
-        monkeypatch.setattr(dynamics, "_scan_stop_tests", spied)
+        shapes = counted_stop_tests(monkeypatch)
         elimination_time_scan(
             stacked(pair_family(0.02, -0.01), bench_grid(1)),
             self.HALF,
@@ -1473,10 +1487,16 @@ class TestScanBlocks:
         # Both bounds are reached: the cell cap at 400 live systems, the block cap later.
         assert (10, 400) in blocks
         assert max(k for k, _ in blocks) == dynamics._MAX_BLOCK
+        # The sweep's blocks are reduced species-major, some blocks of 30 species are not.
+        assert {species_major(shape) for shape in shapes} == {True, False}
 
 
-class TestScanStopTests:
-    """``dynamics._scan_stop_tests`` against the stop rule written out one state at a time."""
+class TestStopTests:
+    """``dynamics._stop_tests`` against the stop rule written out one state at a time.
+
+    The draws reach both reduction orders: ``evolve``'s (K, w) blocks and
+    the scan's (K, L, n) blocks, of 1 to 1,024 states and 1 to 64 species.
+    """
 
     SPECIAL = np.array([np.nan, np.inf, -np.inf, -2e-12, -1e-12, -0.0])
 
@@ -1491,22 +1511,31 @@ class TestScanStopTests:
         return crossed, converged
 
     @given(
-        n=st.sampled_from([1, 2, 3, 7, 8, 9, 30]),
-        k=st.integers(1, 4),
-        live=st.integers(1, 6),
+        n=st.sampled_from([1, 2, 3, 7, 8, 9, 30, 32, 33, 50, 64]),
+        states=st.one_of(
+            st.tuples(st.integers(1, 600)),
+            st.tuples(st.integers(1, 16), st.integers(1, 64)),
+        ),
         seed=st.integers(0, 2**32 - 1),
         special=st.sampled_from([0.0, 0.02, 0.2]),
         tol=st.sampled_from([0.0, 1e-12, "a state's row sum"]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_state_reference(self, n, k, live, seed, special, tol):
+    # Each side of the rule: 256 states of 32 species are reduced species-major,
+    # of 33 species or 255 states along each state.
+    @example(n=32, states=(256,), seed=1, special=0.02, tol="a state's row sum")
+    @example(n=33, states=(256,), seed=2, special=0.02, tol="a state's row sum")
+    @example(n=32, states=(255,), seed=3, special=0.02, tol="a state's row sum")
+    @example(n=2, states=(16, 32), seed=4, special=0.02, tol="a state's row sum")
+    @example(n=64, states=(16, 64), seed=5, special=0.02, tol="a state's row sum")
+    def test_matches_per_state_reference(self, n, states, seed, special, tol):
         # Each state's changes share one scale from 1e-16 to 1, so the
         # row sums straddle 1e-12; some entries are exact zeros, some are
         # NaN, +-inf or lie on the -ZERO_TOL boundary.
         rng = np.random.default_rng(seed)
-        shape = (k, live, n)
+        shape = (*states, n)
         proposed = rng.uniform(-1e-11, 1.0, shape)
-        scale = 10.0 ** rng.uniform(-16, 0, (k, live, 1))
+        scale = 10.0 ** rng.uniform(-16, 0, (*states, 1))
         change = rng.normal(size=shape) * scale * (rng.random(shape) < 0.8)
         before = proposed - change
         for array in (proposed, before):
@@ -1518,23 +1547,27 @@ class TestScanStopTests:
                 sums = np.abs(proposed - before).sum(axis=-1)
                 finite = sums[np.isfinite(sums)]
                 tol = float(rng.choice(finite)) if finite.size else 0.0
-            crossed, converged = dynamics._scan_stop_tests(proposed, before, tol)
+            crossed, converged = dynamics._stop_tests(proposed, before, tol)
             expected = self.reference(proposed, before, tol)
-        assert crossed.shape == converged.shape == (k, live)
+        assert crossed.shape == converged.shape == states
         assert crossed.tobytes() == expected[0].tobytes()
         assert converged.tobytes() == expected[1].tobytes()
 
     def test_row_sum_keeps_numpys_bits(self):
-        # One n = 8 state whose numpy row sum, 1 + 3 * 2**-52, is above the
+        # n = 8 states whose numpy row sum, 1 + 3 * 2**-52, is above the
         # sum taken one species at a time, 1.0: with the tolerance at the row
-        # sum it has not converged, and a species-major sum would say it had.
+        # sum they have not converged, and a species-major sum would say they
+        # had. The (3, 5, 8) block is reduced along each state, the others
+        # species-major.
         row = np.array([1.0] + [2.0**-53] * 7)
-        proposed = np.tile(row, (3, 5, 1))
-        before = np.zeros_like(proposed)
         tol = float(row.sum())
-        species_major = np.ascontiguousarray(np.moveaxis(proposed, -1, 0)).sum(axis=0)
-        assert (species_major < tol).all()
-        crossed, converged = dynamics._scan_stop_tests(proposed, before, tol)
-        assert not crossed.any() and not converged.any()
-        _, converged = dynamics._scan_stop_tests(proposed, before, np.nextafter(tol, 2.0))
-        assert converged.all()
+        for states in [(3, 5), (64, 8), (256,)]:
+            proposed = np.tile(row, (*states, 1))
+            assert species_major(proposed.shape) == (states != (3, 5))
+            before = np.zeros_like(proposed)
+            species_sum = np.ascontiguousarray(np.moveaxis(proposed, -1, 0)).sum(axis=0)
+            assert (species_sum < tol).all()
+            crossed, converged = dynamics._stop_tests(proposed, before, tol)
+            assert not crossed.any() and not converged.any()
+            _, converged = dynamics._stop_tests(proposed, before, np.nextafter(tol, 2.0))
+            assert converged.all()
