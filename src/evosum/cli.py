@@ -1,24 +1,11 @@
 """Command-line interface: simulate, spectrum, classify, backward, sweep.
 
-Outputs are deterministic: floats are written with their shortest
-round-tripping repr and JSON keys are sorted, so identical inputs produce
-byte-identical files. Every command writes its files inside
-``_atomic_files``, so a run that fails leaves each output as it was.
-``simulate`` writes the trajectory CSV while the engine runs: each window
-of rows that ``evolve`` hands over is formatted into the CSV's temp file
-as it arrives, so the command holds about one window of rows however
-long the run. The last window also carries the run's end, its exit
-reason and reduced matrix; the summary is built from the events, the
-last row and that end, and written once the CSV is.
-The trajectory CSV formats a row's populations only when their bits
-differ from the row before, in the same window or the one before, so its
-cost scales with the number of distinct consecutive rows: a run held at
-its fixed point reuses one string for the whole tail. The CSV is built a
-window at a time, not a row at a time: one vectorized comparison per
-window finds the repeated rows, and the lines of each run of repeated
-rows without an event are one join, one string, so a run held at its
-fixed point costs one string per window, not one per row. The file's
-buffer gathers the strings into writes.
+Each ``cmd_*`` function runs one command and returns its exit code, and
+``main`` maps the package's errors onto the other codes. Outputs are
+deterministic: floats are written as their shortest round-tripping repr
+and JSON keys are sorted. Every command writes its files through
+``_atomic_files``; ``simulate`` streams ``evolve``'s windows into the
+trajectory CSV with ``_write_trajectory``, then writes the summary.
 
 Exit codes: 0 success, 2 scenario/usage parse error (including `simulate`
 with `--out` and `--summary` naming the same file), 3 validation error,
@@ -72,7 +59,8 @@ def _atomic_files(*paths: str) -> Iterator[tuple[TextIO, ...]]:
     any exception every temp file is closed and removed. ``mkstemp``
     creates its file with mode 0600, so before the renames each temp file
     is given ``0o666 & ~umask``, the mode ``open()`` creates a new file
-    with; a replaced output gets that mode too.
+    with; a replaced output gets that mode too. An ``OSError`` from
+    creating a temp file or from a rename names the target, not the temp.
     """
     umask = os.umask(0)  # the only portable way to read it is to set it
     os.umask(umask)
@@ -82,14 +70,20 @@ def _atomic_files(*paths: str) -> Iterator[tuple[TextIO, ...]]:
             files = []
             for path in paths:
                 directory = os.path.dirname(os.path.abspath(path)) or "."
-                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
+                try:
+                    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
+                except OSError as exc:
+                    raise OSError(exc.errno, exc.strerror, path) from exc
                 temps.append(tmp)
                 files.append(stack.enter_context(open(fd, "w", encoding="utf-8")))
             yield tuple(files)
         for tmp in temps:
             os.chmod(tmp, 0o666 & ~umask)
         for tmp, path in zip(temps, paths):
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         for tmp in temps:
             if os.path.exists(tmp):
@@ -100,13 +94,15 @@ def _atomic_files(*paths: str) -> Iterator[tuple[TextIO, ...]]:
 def _write_trajectory(run, names: tuple[str, ...], fh: TextIO):
     """Write the trajectory CSV of ``run``, an ``evolve`` generator, to ``fh``, a span at a time.
 
-    The header comes first. Each window is cut into spans where a row's
-    bits differ from the row before (in the same window or the one before)
-    or an event row starts or ends. A span is one event row or a run of
-    rows with the same cells, whose lines are one join, and each span is
-    one ``fh.write``; the file's buffer gathers them into writes. Returns
-    what the summary reads: ``(events, terminal_row, end)``, every event of
-    the run, its last row as floats and the last window's ``end``.
+    Population cells are formatted only for a row whose bits differ from
+    the row before, in the same window or the one before, so the cost
+    follows the number of distinct consecutive rows: a run held at its
+    fixed point formats its tail once. Each window is cut into spans at
+    those rows and at each event row; a span, one event row or a run of
+    rows with the same cells, is one join and one ``fh.write``, which the
+    file's buffer gathers. Returns what the summary reads: ``(events,
+    terminal_row, end)``, every event of the run, its last row as floats
+    and the last window's ``end``.
     """
     write = fh.write
     write("step,tau," + ",".join(names) + ",event\n")

@@ -10,14 +10,8 @@ Conventions used throughout the package:
 * A generator ``C = M - I`` has zero column sums: whatever one species
   gains per step, others lose.
 
-Conservation is checked at construction with a hard tolerance of
-``CONSTRUCTION_TOL``; matrices carry only their entries (time is the step
-count). Two more fixed tolerances are the model's numerical policy,
-read at call time: ``ZERO_TOL`` (1e-12) is what counts as zero, so a
-population below ``-ZERO_TOL`` has crossed and one in ``(-ZERO_TOL, 0)``
-is float dust, and ``EIG_TOL`` (1e-9) is what counts as equal
-eigenvalues. ``evolve`` re-projects no state onto the simplex: its rows
-keep the raw values, with float dust floored to zero.
+Matrices carry only their entries: time is the step count. The three
+tolerances below are fixed constants, read at call time, not settings.
 """
 
 from __future__ import annotations
@@ -32,7 +26,8 @@ from .errors import ValidationError
 
 #: Hard tolerance applied to conservation checks at construction time.
 CONSTRUCTION_TOL = 1e-12
-#: What counts as zero: a population below ``-ZERO_TOL`` has crossed.
+#: What counts as zero: a population below ``-ZERO_TOL`` has crossed, and one
+#: between ``-ZERO_TOL`` and 0 is float dust.
 ZERO_TOL = 1e-12
 #: Eigenvalues ``w[p]`` and ``w[q]`` coincide when ``|w[p] - w[q]| <= EIG_TOL``.
 EIG_TOL = 1e-9

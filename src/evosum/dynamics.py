@@ -1,119 +1,26 @@
-"""Forward evolution with species elimination, plus backward runs.
+"""The step engine: forward runs with species elimination, the first-elimination scan, backward runs.
 
-The engine iterates ``phi <- M @ phi``. Negative transfers can drive a
-population below zero, which is unphysical; the step is then stopped at
-the exact sub-step crossing instant (the update is linear in phi, so the
-crossing time is the plain linear interpolation fraction), the extinct
-species' row and column are removed, and evolution continues in the
-reduced space. Removing row i would leave each surviving column j short
-by its entry into i, leaking conserved mass, so that entry is folded back
-onto the donor's diagonal: resource that would have flowed to the extinct
-species stays put.
+A forward run iterates ``phi <- M @ phi``. A step that drives a
+population below ``-ZERO_TOL`` is cut at the sub-step instant of the
+crossing, the extinct species is folded out of the matrix, and the run
+goes on in the reduced space. Each mechanism is explained where it lives:
 
-After an elimination the interrupted step is re-evaluated from the
-interpolated state on the reduced system, so simultaneous crossings
-resolve one at a time (smallest crossing fraction first, ties by lowest
-species id) and the step counter only advances on completed steps.
+* ``evolve``: the forward run, its block schedule, its stop at an exact
+  fixed point, and the windows in which it hands over its rows;
+* ``_stop_tests``: the stop rule for a block of proposed states, shared
+  by ``evolve`` and the scan;
+* ``crossing_fraction``: where in a step the first population hits zero;
+* ``_eliminate``: the fold of one species out of the matrix and the state;
+* ``elimination_time_scan``: every member of a family run to its first
+  elimination, in lockstep;
+* ``evolve_backward``: how many inverse steps stay inside [0, 1].
 
-The stop rule decides, for each proposed state, whether it crossed (an
-entry below ``-ZERO_TOL``) and whether it converged (an L1 change below
-``convergence_tol``); its callers apply the order, a crossing before
-convergence. ``_stop_tests`` is its one implementation, for ``evolve``'s
-(K, w) blocks and the scan's (K, L, n) blocks alike. It has two
-reduction orders with the same results bit for bit and picks one from
-the block's shape, since the cost depends on the shape, not the caller.
-A reduction along each state makes one inner-loop call per state, which
-is dear on many short states; a reduction over the species one at a time
-first pays for two species-major copies, which is dear on few or wide
-states. Measured in-process (numpy 2.4.6, one BLAS thread, a 2-vCPU Xeon
-guest), the break-even lies between 64 and 128 states, and between 50
-and 64 species at 256 states or more, so a block of at least 256 states
-of at most 32 species is reduced species-major: the sweep's 4,000 states
-of 2 species, and ``evolve``'s 256-step blocks once a cascade is down to
-32 species.
-``_eliminate`` is the elimination step, written once: drop the row and
-column, fold the row onto the diagonals, drop the state entry and the
-id. Only ``evolve`` eliminates. At width w the step costs one
-(w-1)x(w-1) allocation filled by four slice copies, an O(w) diagonal
-update through a strided view, and two O(w) concatenations for the
-state and the ids.
-
-``evolve`` runs the steps in speculative blocks rather than one Python
-iteration per step. A block of K steps is K matvecs into one buffer,
-then one vectorized test of all K proposed states for a crossing and for
-convergence. Steps before the first stopping step are accepted as they
-stand; the stopping step is handled under the per-step rules (a crossing
-wins over convergence), and the steps computed past it are discarded. K
-starts at 1 and doubles after each clean block, up to 256. After an
-elimination found at block index ``stop`` (the block ran ``stop`` clean
-steps first), the next block has ``stop + 1`` steps, capped at 256; an
-elimination in the same step as the one before has ``stop = 0``, so the
-re-evaluated step runs alone. Every accepted state is the same matvec
-result the per-step loop would compute, so the outputs are identical bit
-for bit. Up to a fixed point, the cost is one matvec call per step,
-including the discarded ones, and a fixed handful of vectorized tests
-per block. Per elimination it is one ``crossing_fraction`` call, the
-interpolation, the fold, and the count of negative transfers in the
-removed row and column: ``negative_offdiag_count`` runs once per run, at
-the first elimination, and each fold then subtracts those entries, since
-every other off-diagonal entry is kept.
-
-A run can reach an exact fixed point: a step whose result has the bits
-of its input. After each clean block ``evolve`` compares the bytes of
-its last state with those of the state before it, an O(width) test.
-A matvec's result depends only on the bits of its input (the block
-stepping already relies on this), so on a match every later state is
-that state too. It has no entry below ``-ZERO_TOL``, since it was
-accepted, so nothing can cross again. ``evolve`` then stops stepping: it
-records the remaining ``record_every``-th steps and the last row at the
-step cap straight from that state, at most one window of rows at a
-time, and ends with ``MaxSteps``. From the fixed point on, the
-cost is O(recorded rows), with no matvec and no stop test. The L1 change
-of such a step is exactly 0, so with a ``convergence_tol`` above 0 the
-run has already stopped there as ``Converged``; only a run with
-``convergence_tol`` 0, which runs to its step cap, reaches this path.
-
-``evolve`` is a generator that hands its recorded rows over in windows,
-so a run holds about one window of rows (16,384 values, 128 KiB) however
-long it runs. A window is two columns, one entry per recorded row: the
-step and the full-length state (reduced states embedded back, with zeros
-in the slots of extinct species), plus the eliminations whose rows fall
-in it and the run's end, which is ``None`` in every window but the last.
-Each elimination is stored once, as an ``EliminationEvent`` that names
-its row, counted from the start of the run. Rows are embedded as they
-are recorded, straight into the window's zero-filled (capacity, n)
-buffer beside its steps buffer, where capacity is ``16_384 // n`` rows
-and at least one. A full window is handed over when the next row does
-not fit, and the rows go on in a fresh buffer; the rows of one block may
-fill several windows in turn. The last window is handed over when the
-run ends, and its end is the exit reason and the reduced matrix; the
-generator returns nothing. The sub-tolerance dust in (-ZERO_TOL, 0) of a
-window's rows is floored to 0.0 once, when it is handed over, by one
-``np.copyto`` over the whole window (-0.0 is not below 0.0 and keeps its
-sign). A run records the start, every ``record_every``-th step, one row
-per elimination and a last row at the final step. Once eliminated, a
-species never re-enters: its slot stays zero for the rest of the run.
-The reduced matrix the run ends with is derived from a checked matrix,
-so it is not checked again: rounding in the fold may move a column sum
-past the input tolerance.
-
-``elimination_time_scan`` needs only the step of each system's first
-elimination, so it does not run ``evolve`` per matrix. It takes the
-whole family as one (S, n, n) array, checks every member with one
-column-sum test over the stack (an ``EvolutionMatrix`` is built only for
-the first member that fails, to raise its message), and advances every
-live system in lockstep, in speculative blocks as ``evolve`` does: K
-stacked matvecs into one buffer, then one ``_stop_tests`` call on all
-of the block's states. Each system stops at its first elimination, at
-convergence or at the step cap, under ``evolve``'s rules in ``evolve``'s
-order: its first stopping step in the block decides, and the systems
-that stopped leave the stack once per block. K starts at 1 and doubles
-up to 256, never past the step cap, with at most 4096 stacked states (K
-times the live systems) per block. Every state is the stacked matvec the
-per-step loop would compute, so the steps are identical. The cost is one
-stacked matvec per step of the slowest live system, including the steps
-computed past a stop, plus a fixed handful of vectorized tests per
-block; nothing is recorded.
+Three invariants hold across them. Every accepted state is the matvec
+the per-step loop would compute, and a matvec's bits depend only on its
+input, so speculative blocks, the fixed-point stop and the lockstep scan
+keep the per-step loop's outputs bit for bit. Within a step, a crossing
+wins over convergence. An eliminated species never re-enters: its slot
+is zero in every later row.
 """
 
 from __future__ import annotations
@@ -146,10 +53,8 @@ class SimulationConfig:
     ``max_steps`` and ``record_every`` must be Python or NumPy integers
     (not bools) of at least 1, and ``convergence_tol`` a finite real
     number (not a bool) of at least 0; anything else raises
-    ``ValidationError``. ``max_steps`` is also at most ``2**63 - 2``:
-    recorded steps are int64, and ``evolve`` takes ranges of steps up to
-    ``max_steps + 1``. ``record_every`` has no upper bound, since a row is
-    recorded only at a step up to ``max_steps``.
+    ``ValidationError``. ``max_steps`` is at most ``2**63 - 2``, so that
+    the steps up to one past it fit in an int64.
     """
 
     max_steps: int = 10_000
@@ -168,11 +73,9 @@ class SimulationConfig:
 class EliminationEvent:
     """A species hit zero during step ``step_index`` at sub-step ``fraction``.
 
-    ``row_index`` is the row recorded at the elimination, counted from the
-    start of the run over all of ``evolve``'s windows; the event comes in
-    the window that holds that row. In the run's rows, ``steps[row_index]``
-    is ``step_index`` and ``values[row_index]`` is the interpolated state,
-    with ``species_id`` at exactly 0.0.
+    ``row_index`` is the run's row recorded at the elimination, counted
+    from its start: ``steps[row_index]`` is ``step_index`` and
+    ``values[row_index]`` the interpolated state, ``species_id`` at 0.0.
     """
 
     step_index: int
@@ -241,11 +144,12 @@ def _drop(values: np.ndarray, local: int) -> np.ndarray:
 
 
 def _eliminate(entries: np.ndarray, phi: np.ndarray, alive: np.ndarray, local: int):
-    """Drop species ``local`` from the matrix, state and ids, folding its row onto the diagonals.
+    """Drop species ``local`` from the matrix, state and ids; returns the new three.
 
-    Returns new ``(entries, phi, alive)``. The reduced matrix is one
-    allocation filled by four slice copies; the fold adds the removed row,
-    less its diagonal entry, onto the diagonal through a strided view.
+    Row ``local`` is folded onto the diagonal: dropping it alone would
+    leave each surviving column short by its entry into the extinct
+    species and leak conserved mass, so what would have flowed there stays
+    with its donor.
     """
     w = phi.size
     reduced = np.empty((w - 1, w - 1))
@@ -262,9 +166,8 @@ def _eliminate(entries: np.ndarray, phi: np.ndarray, alive: np.ndarray, local: i
 def _negatives_removed(entries: np.ndarray, local: int) -> int:
     """Off-diagonal entries below ``-ZERO_TOL`` in row or column ``local``.
 
-    ``_eliminate`` keeps every other off-diagonal entry as it is and only
-    changes diagonals, so the reduced matrix has exactly this many fewer.
-    The row and column share only the diagonal entry, counted in neither.
+    ``_eliminate`` changes only diagonals among the entries it keeps, so
+    the reduced matrix has exactly this many fewer.
     """
     row = entries[local] < -ZERO_TOL
     column = entries[:, local] < -ZERO_TOL
@@ -274,22 +177,18 @@ def _negatives_removed(entries: np.ndarray, local: int) -> int:
 def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float):
     """The stop rule for each state of a (..., w) block, as ``(crossed, converged)``.
 
-    ``proposed`` and ``before`` hold one state along the last axis; both
-    results have one entry per state. Crossed: an entry below
-    ``-ZERO_TOL``. Converged: an L1 change from ``before`` below
-    ``convergence_tol``. The caller puts a crossing first.
+    Crossed: an entry below ``-ZERO_TOL``. Converged: an L1 change from
+    the state in ``before`` below ``convergence_tol``. The caller puts a
+    crossing first.
 
-    The reduction order is read from the block's shape. A block of fewer
-    than 256 states, or of states wider than 32 species, takes one
-    reduction along each state. Any other block is reduced over its
-    species one at a time: both masks are copied species-major and reduced
-    over the leading axis, an OR for the crossing and an AND of
-    ``|change| < convergence_tol`` for the states that may have converged.
-    Only those candidates take the L1 row sum, whose bits a species-major
-    float sum would not keep. The results are the same bit for bit either
-    way: every term of the sum is at least 0 and rounding is monotone, so a
-    state with one term at or above the tolerance has a sum at or above it
-    too, and NaN and inf fail both tests.
+    The reduction order follows the block's shape, which sets its cost: a
+    block of at least 256 states of at most 32 species is reduced over its
+    species one at a time, on species-major copies of both masks, and only
+    the states whose every change is below the tolerance take the L1 row
+    sum; any other block is reduced along each state. The two orders decide
+    alike bit for bit: every term of the sum is at least 0 and rounding is
+    monotone, so one term at or above the tolerance puts the sum there too,
+    and NaN and inf fail both tests.
     """
     change = proposed - before
     np.abs(change, out=change)
@@ -323,60 +222,48 @@ def evolve(
 ]:
     """Run the evolution engine, handing its recorded rows over in windows.
 
-    A generator: it yields ``(steps, values, events, end)`` windows in row
-    order, so ``for steps, values, events, end in evolve(...)`` reads the
-    whole run. ``end`` is None in every window but the last, whose ``end``
-    is ``(reason, final_matrix)``. Nothing runs, and a bad argument raises
-    nothing, until the first window is asked for.
+    Species ids are ``0..n-1`` for an n x n ``matrix``; a ``populations``
+    of another length raises ``ValidationError``. The run stops at the
+    first step whose L1 change is below ``config.convergence_tol``, when
+    one species remains, or after ``config.max_steps`` steps.
 
-    Species ids are ``0..n-1`` for an n x n ``matrix``. Row k of a window
-    is the full-length state ``values[k]`` (n wide; extinct slots hold
-    zero) after ``steps[k]`` completed steps. A run records the start,
-    every ``config.record_every``-th step, one row per elimination and a
-    last row at the final step. ``events`` are the eliminations whose rows
-    fall in the window, in row order; each names its row by
-    ``row_index``, counted from the start of the run. Each window is
-    fresh and read-only, and every window but the last is full: it holds
-    ``max(_WINDOW_ENTRIES // n, 1)`` rows, about 16,384 values, so the
-    rows one block records may spill over several windows. The dust in
-    (-ZERO_TOL, 0) of a window's rows is floored to 0.0, in one pass over
-    the window, when it is handed over. A caller that lets go of each
-    window before asking for the next holds one window at a time.
-    ``final_matrix`` is the reduced matrix the run ended with; its rows
-    and columns are the survivors, the ids that no event names, in
-    increasing order. A ``populations`` of another length than n raises
-    ``ValidationError``.
+    Windows: a generator, which runs nothing, and raises nothing for a bad
+    argument, until the first window is asked for. It yields ``(steps,
+    values, events, end)`` in row order. Row k is the state ``values[k]``
+    after ``steps[k]`` completed steps, n wide, zero in the slots of
+    extinct species, its dust in (-ZERO_TOL, 0) floored to 0.0 (-0.0 keeps
+    its sign). A run records the start, every ``config.record_every``-th
+    step, one row per elimination and a last row at the final step.
+    ``events`` are the eliminations whose rows fall in the window. ``end``
+    is None in every window but the last, where it is ``(reason,
+    final_matrix)``, the reduced matrix over the survivors in increasing id
+    order; it is derived from the checked input and not checked again.
+    Every window but the last is full, at ``max(_WINDOW_ENTRIES // n, 1)``
+    rows, and each is fresh and read-only, so a caller that lets go of
+    each window before asking for the next holds one at a time.
 
-    Stops when the L1 step-to-step change drops below
-    ``config.convergence_tol``, when a single species remains, or after
-    ``config.max_steps`` completed steps, whichever comes first.
+    Blocks: from the current state, K matvecs into one buffer, all decided
+    by one ``_stop_tests`` call. The steps before the first stopping step
+    are accepted, that step is handled as the per-step loop would handle
+    it, and the steps past it are discarded. K starts at 1 and doubles
+    after each block with no stop, up to 256 and never past the step cap.
+    After an elimination at block index ``stop``, the block ran ``stop``
+    clean steps, so the next one has ``min(stop + 1, 256)``: a step that
+    crosses again right after an elimination runs alone.
 
-    Steps run in speculative blocks: K matvecs into a ``(K+1, width)``
-    buffer, then one vectorized test of every step in the block for a
-    crossing and for convergence. The steps before the first stopping
-    step are accepted; at that step the crossing wins over convergence,
-    exactly as if the steps ran one by one, and the steps computed past it
-    are discarded. K doubles after each block without a stop, up to 256,
-    never past the step cap. After an elimination at block index ``stop``
-    the next block has ``min(stop + 1, 256)`` steps, so a step that is
-    re-evaluated after an elimination in the same step runs alone.
-    Up to a fixed point, the cost is one matvec call per step, including
-    the discarded ones, and per elimination one ``crossing_fraction``
-    call, one slice-copy fold (one copy of the reduced matrix) and
-    O(width) bookkeeping. The negative off-diagonal count of each event
-    is kept incrementally: ``negative_offdiag_count`` runs once per run,
-    at the first elimination. The block's test is ``_stop_tests``, which
-    the scan calls too: it reduces 256 steps of at most 32 species one
-    species at a time and any other block along each state, since which
-    order is faster depends on the block's shape.
+    Eliminations: the state is interpolated to the ``crossing_fraction``
+    instant, the species set to 0.0 and folded out by ``_eliminate``, and
+    the interrupted step runs again on the reduced system. So crossings in
+    one step resolve one at a time, and the step count advances only on
+    completed steps. The negative off-diagonal count is taken in full at
+    the first elimination and then reduced by ``_negatives_removed``.
 
-    When the last step of a clean block has the bits of the step before
-    it, the run is at an exact fixed point, and every later step would
-    have those bits too. The run then stops stepping: the remaining rows
-    are recorded from that state and the run ends at ``config.max_steps``
-    with ``MaxSteps``, as the steps would have. From there the cost is
-    O(recorded rows). Only a run with ``convergence_tol`` 0 gets there;
-    with a positive tolerance the step with zero change converges.
+    Fixed point: when the last state of a clean block has the bits of the
+    state before it, every later state would too. The run then stops
+    stepping, records its remaining rows from that state and ends at
+    ``config.max_steps`` with ``MaxSteps``. Only a run with
+    ``convergence_tol`` 0 gets there: with a positive one, a step with no
+    change converges.
     """
     n = matrix.n
     _check_size(n, populations)
@@ -456,9 +343,7 @@ def evolve(
         phi = states[accepted]
         if not stops[stop]:
             if phi.tobytes() == states[accepted - 1].tobytes():
-                # A step reproduced its input bit for bit, so every later step
-                # would too: record the rest of the run from phi, at most a
-                # window of rows per call, and stop at the cap.
+                # The fixed point: record the rest of the run from phi, a window at a time.
                 first = t + every - t % every
                 while first <= config.max_steps:
                     end = min(first + capacity * every, config.max_steps + 1)
@@ -488,8 +373,7 @@ def evolve(
         yield from record(np.array([t]), phi[None, :])
         events.append(event)  # after the hand-over: the event row may open a window
         entries, phi, alive = _eliminate(entries, phi, alive, local)
-        # Re-evaluate the interrupted step on the reduced system. The block
-        # that stopped ran `stop` clean steps first, so the next one may too.
+        # Re-evaluate the interrupted step on the reduced system.
         block = min(stop + 1, _MAX_BLOCK)
 
     if steps[rows - 1] != t:  # a row at step t is always the current state
@@ -532,29 +416,17 @@ def elimination_time_scan(
 ) -> list[int | None]:
     """Steps to first elimination of each matrix in ``family`` (S, n, n), all from ``phi0``.
 
-    ``family[s]`` is checked as an ``EvolutionMatrix`` would check it, but
-    for the whole stack at once: one column-sum test over all S members.
-    Only when some member fails is ``EvolutionMatrix`` built, for the first
-    failing member, which raises its message (the first non-finite entry,
-    else the column furthest off). A family that is not a stack of square
-    matrices, or whose matrices do not match ``phi0`` in size, raises
-    ``ValidationError`` too.
-
-    All members advance in lockstep from ``phi0`` under ``evolve``'s stop
-    rules in ``evolve``'s order: the step cap, then a crossing (the
-    member's result is the number of completed steps), then convergence.
-    The cap and convergence give None rather than failing the whole scan,
-    so the steps equal those of the first event of ``evolve`` on each
-    matrix. A block of K steps is K stacked matvecs into one ``(K+1, L,
-    n)`` buffer for the L members still running, then one ``_stop_tests``
-    call on all K * L proposed states, species-major when K * L is at
-    least 256 and n at most 32, as in ``evolve``. Each member
-    stops at its first stopping step in the block, and the members that
-    stopped leave the stack. K doubles from 1 up to 256, never past the
-    step cap, and K * L stays within 4096 (K is 1 when L alone exceeds
-    it). The cost is one stacked matvec per step of the slowest member,
-    including the steps computed past a stop, and one vectorized stop test
-    per block. Nothing is recorded.
+    The stack is checked with one column-sum test; ``EvolutionMatrix`` is
+    built only for the first failing member, to raise its message. A family
+    that is not a stack of square matrices, or whose matrices do not match
+    ``phi0`` in size, raises ``ValidationError``. A member's result is the
+    number of steps it completed before its first crossing; convergence or
+    the step cap gives None. So the steps are those of each member's first
+    event under ``evolve``, whose blocks the scan runs with three
+    differences: the L members still running advance in lockstep, as K
+    stacked matvecs into one (K+1, L, n) buffer; K doubles after every
+    block and K * L stays within 4,096 states (K is 1 when L alone exceeds
+    it); and the members that stopped leave the stack once per block.
     """
     entries = np.ascontiguousarray(family, dtype=float)
     if entries.ndim != 3 or entries.shape[1] != entries.shape[2] or entries.shape[1] < 1:

@@ -18,8 +18,9 @@ Top-level keys:
 * ``config`` (optional): ``max_steps``, ``convergence_tol``, ``record_every``.
 * ``seed`` (optional): recorded for provenance and output determinism.
 
-The file must be UTF-8 JSON; bytes that are not UTF-8, or arrays and
-objects nested too deeply for the parser, are a parse error.
+The file must be UTF-8 JSON; bytes that are not UTF-8, arrays and
+objects nested too deeply for the parser, and an integer literal longer
+than Python reads (4,300 digits by default) are a parse error.
 
 Fields that become floats take JSON numbers only: a boolean, or an
 integer larger in magnitude than the largest float, is a parse error.
@@ -227,6 +228,10 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # not a JSONDecodeError: an integer past the int-from-string limit
+        raise ScenarioParseError(
+            f"{path}: invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from exc
     except RecursionError as exc:
         raise ScenarioParseError(f"{path}: invalid JSON: nested too deeply") from exc

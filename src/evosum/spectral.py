@@ -7,41 +7,12 @@ is the stationary population mix. The second-largest eigenvalue modulus
 sets the convergence rate toward that mix, or the divergence rate away
 from it when transfers are negative and the modulus exceeds one.
 
-Ordering convention: the eigenvalue pinned at 1 comes first regardless of
-modulus, so ``eigenvalues[1]`` is always "the other" mode even in unstable
-competitive systems where its modulus is larger than one. The remaining
-eigenvalues are sorted by descending modulus, ties broken by descending
-real part and then ascending imaginary part, for deterministic output.
-
-Normalization convention: the leading right vector is scaled to sum one,
-the leading left vector is stored as the exact all-ones vector, and each
-non-leading right vector is scaled so its largest-magnitude component is
-exactly 1 (this also fixes the phase of complex vectors). Non-leading
-left vectors are taken from the inverse of the right-vector matrix, which
-makes each left/right pairing sum to one by construction.
-
-Memory: ``eigendecompose`` keeps one live n x n complex copy of the
-eigenvectors. ``right`` is built as one reordered copy of ``eig``'s
-vectors, which are dropped before ``inv``; the normalization runs in
-place on its rows, and ``left`` is ``inv``'s result itself. The peak is
-about two complex n x n arrays (``right`` and ``left``) besides LAPACK's
-own workspace. ``check_biorthogonality`` normalizes its Gram matrix in
-place.
-
-Degeneracy rule: eigenvalues ``p < q`` coincide when
-``|w[p] - w[q]| <= EIG_TOL``. The spectrum is flagged ``defective`` when
-some coinciding pair has unit eigenvectors ``u, v`` with
-``1 - |<u, v>| < 1e-12`` (the smaller singular value of ``[u v]`` is then
-below 1e-6), and ``check_biorthogonality`` refuses the first coinciding
-pair in row-major order. The pairs are found by one sort by real part
-and windowed ``searchsorted``, and decided by one Gram product over the
-eigenvectors that occur in a pair, so the cost is O(n log n) plus the
-number of pairs (44,850 for ``eye(300)``), with no per-pair SVD.
-
-``stationary_by_iteration`` is an independent cross-check: it never looks
-at eigenvalues, only at repeated squaring of the matrix, whose columns all
-converge to the stationary mix for a positive stochastic matrix. It
-refuses a competitive matrix, one with an entry outside [0, 1].
+``eigendecompose`` orders and normalizes the eigenpairs and sets the
+flags, ``_near_equal_pairs`` decides which eigenvalues coincide and
+``_is_defective`` which coinciding pairs have parallel vectors.
+``check_biorthogonality`` measures the pairing of left and right vectors,
+and ``stationary_by_iteration`` is an oracle that never looks at
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -133,8 +104,16 @@ def _is_defective(vectors: np.ndarray, p: np.ndarray, q: np.ndarray) -> bool:
 def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     """Eigenvalues and biorthogonal eigenvector pairs of an evolution matrix.
 
-    Never raises on degenerate or defective input; those conditions are
-    reported through the summary flags so callers can decide what is usable.
+    The eigenvalue nearest 1 comes first whatever its modulus, so
+    ``eigenvalues[1]`` is the other mode even when its modulus exceeds one;
+    the rest follow by descending modulus, then descending real part, then
+    ascending imaginary part. The leading right vector is scaled to sum to
+    one and the leading left vector is exactly all ones. Every other right
+    vector is scaled so that its largest-magnitude component is exactly 1
+    (which fixes a complex vector's phase), and the left vectors are the
+    rows of ``inv(right.T)``, so each pair pairs to one. One complex n x n
+    copy of the vectors is held besides ``left``. Never raises on
+    degenerate or defective input: the summary's flags report it.
     """
     a = np.asarray(matrix.entries, dtype=float)
     n = matrix.n

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evosum
@@ -32,6 +34,8 @@ from test_golden import FIXED_POINT_TAIL
 
 # A JSON integer with 401 digits: valid JSON, far beyond the largest float.
 HUGE = 10**400
+# A JSON integer literal one digit past Python's default int-from-string limit of 4,300.
+PAST_DIGIT_LIMIT = "1" * 4301
 # st.text()'s default alphabet less the characters a species name may not hold.
 NAME_CHARACTERS = st.characters(codec="utf-8", exclude_characters=',"\r\n')
 # Names of the trajectory CSV's own columns, which a species may not take.
@@ -80,6 +84,147 @@ def scenario_dicts(draw):
         if draw(st.booleans()):
             data[key] = draw(values)
     return data
+
+
+def json_slots(value):
+    """Every ``(container, key)`` of the objects and arrays in ``value``, outermost first."""
+    keys = value.keys() if isinstance(value, dict) else range(len(value))
+    for key in list(keys):
+        yield value, key
+        if isinstance(value[key], (dict, list)):
+            yield from json_slots(value[key])
+
+
+# The text that stands in for one value of a scenario, by kind of mutation.
+MUTATED_VALUES = {
+    "type": st.sampled_from(
+        ['"text"', "[1, 2]", "[]", '{"a": 1}', "{}", "true", "null", "0.5", "3"]
+    ),
+    "literal": st.sampled_from(
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "1e400",
+            "1" + "0" * 400,
+            "-" + "9" * 400 + ".5",
+            "0." + "0" * 1000 + "1",
+            PAST_DIGIT_LIMIT[1:],  # at the limit
+            PAST_DIGIT_LIMIT,
+            "-" + PAST_DIGIT_LIMIT,
+        ]
+    ),
+    "nesting": st.sampled_from([20, 5000]).map(lambda depth: "[" * depth + "]" * depth),
+}
+
+
+@st.composite
+def scenario_files(draw):
+    """The bytes of a scenario file: a valid one, or one with a mutation toward bad input."""
+    data = draw(scenario_dicts())
+    mutation = draw(st.sampled_from(["none", "not-utf-8", "empty", "array", *MUTATED_VALUES]))
+    if mutation == "empty":
+        return b""
+    if mutation == "array":
+        return json.dumps([data]).encode()
+    text = json.dumps(data).encode()
+    if mutation == "not-utf-8":
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        bad = draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3(", b"\xed\xa0\x80"]))
+        return text[:at] + bad + text[at:]
+    if mutation == "none":
+        return text
+    container, key = draw(st.sampled_from(list(json_slots(data))))
+    container[key] = "@mutated@"
+    return json.dumps(data).replace('"@mutated@"', draw(MUTATED_VALUES[mutation])).encode()
+
+
+# Paths in a fuzz case, relative to its directory, which holds the scenario
+# `s.json`, the file `kept.out` and the empty directory `adir`; `nodir` is missing.
+FUZZ_PATHS = ("s.json", "new.out", "kept.out", "nodir/x.out", "adir")
+FUZZ_NUMBERS = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -0.0]),
+).map(repr)
+
+
+@st.composite
+def fuzz_cases(draw):
+    """``(command, scenario file bytes or None, argv after the command)`` for every command."""
+    command = draw(st.sampled_from(["simulate", "spectrum", "backward", "sweep", "classify"]))
+    out = draw(st.sampled_from(["new.out", "new.out", "kept.out", "kept.out", "nodir/x.out", "adir"]))
+    if command in ("classify", "sweep"):
+        coupling = st.floats(-0.5, 0.5).map(repr)
+        if command == "classify":
+            numbers = [draw(coupling), draw(coupling), repr(draw(st.floats(0.0, 1.0)))]
+        else:
+            species = draw(st.sampled_from([2, 2, 2, 1, 3]))
+            shares = st.lists(st.floats(0.01, 2.0).map(repr), min_size=species, max_size=species)
+            scales = st.lists(st.floats(0.0, 10.0).map(repr), min_size=1, max_size=4)
+            numbers = [draw(coupling), draw(coupling), *draw(scales), *draw(shares)]
+        at = draw(st.one_of(st.none(), st.integers(0, len(numbers) - 1)))
+        if at is not None:  # half the time, one argument is any number at all
+            numbers[at] = draw(FUZZ_NUMBERS)
+        if command == "classify":
+            return command, None, numbers
+        scales, shares = numbers[2 : -species], numbers[-species:]
+        argv = ["--alpha-per-scale", numbers[0], "--beta-per-scale", numbers[1]]
+        argv += ["--scales", *scales, "--initial", *shares, "--out", out]
+        return command, None, [*argv, "--max-steps", str(draw(st.integers(-1, 300)))]
+    argv = ["--scenario", draw(st.sampled_from(["s.json"] * 8 + ["nodir/x.out", "adir"]))]
+    if command == "backward":
+        argv += ["--max-steps", str(draw(st.integers(-1, 100)))]
+    else:
+        argv += ["--out", draw(st.sampled_from([out, "s.json"]))]  # "s.json": the same file twice
+    if command == "simulate":
+        argv += ["--max-steps", str(draw(st.integers(-1, 200)))]
+        summary = draw(st.sampled_from([None, *FUZZ_PATHS]))
+        if summary is not None:
+            argv += ["--summary", summary]
+    return command, draw(scenario_files()), argv
+
+
+def file_tree(directory: Path) -> dict:
+    """Every path under ``directory``, with its bytes, or None for a directory."""
+    return {
+        str(p.relative_to(directory)): None if p.is_dir() else p.read_bytes()
+        for p in directory.rglob("*")
+    }
+
+
+def assert_outputs_parse(command: str, argv: list, stdout: str) -> None:
+    """The outputs of a command that exited 0 read back as their format says."""
+    option = dict(zip(argv, argv[1:]))
+    if command in ("classify", "backward"):
+        assert stdout.count("\n") == 1
+        if command == "backward":
+            assert stdout.startswith("horizon=") and " offender=" in stdout
+        return
+    assert stdout == ""
+    text = Path(option["--out"]).read_text(encoding="utf-8")
+    if command == "spectrum":
+        assert "eigenvalues" in json.loads(text)
+        return
+    # Records end in "\n" alone: str.splitlines() would also split a species
+    # name at a character such as "\x1e", which a name may hold.
+    assert text.endswith("\n")
+    header, *lines = text[:-1].split("\n")
+    width = header.count(",")
+    assert all(line.count(",") == width for line in lines)
+    if command == "sweep":
+        assert header == "scale,steps,status"
+        for line in lines:
+            scale, steps, status = line.split(",")
+            float(scale)
+            assert (status, steps) == ("no-elimination", "") or (status == "ok" and int(steps) >= 0)
+        return
+    assert header.startswith("step,tau,") and header.endswith(",event") and lines
+    for line in lines:
+        cells = line.split(",")
+        int(cells[0])
+        [float(cell) for cell in cells[1:-1]]
+    summary = option.get("--summary", option["--out"] + ".summary.json")
+    assert json.loads(Path(summary).read_text(encoding="utf-8"))["exit_reason"]
 
 
 def reference_csv(trajectory, names):
@@ -559,10 +704,107 @@ class TestExitCodes:
         assert main(["backward", "--scenario", path]) == 4
         assert "singular" in capsys.readouterr().err
 
-    def test_unwritable_output_is_io_error_with_no_partial_file(self, case_a, capsys):
-        assert main(["simulate", "--scenario", case_a, "--out", "/nonexistent-dir/x.csv"]) == 5
-        capsys.readouterr()
-        assert not os.path.exists("/nonexistent-dir/x.csv")
+    def test_unwritable_output_is_io_error_with_no_partial_file(self, case_a, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.csv"
+        assert main(["simulate", "--scenario", case_a, "--out", str(out)]) == 5
+        # The message names the path given, not the temp file that was to go beside it.
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_output_naming_a_directory_is_io_error_naming_it(
+        self, case_a, tmp_path, capsys, command
+    ):
+        out = tmp_path / "adir"
+        out.mkdir()
+        if command == "spectrum":
+            argv = ["spectrum", "--scenario", case_a]
+        else:
+            argv = ["sweep", "--alpha-per-scale", "0.1", "--beta-per-scale", "-0.05", "--scales", "1"]
+        assert main([*argv, "--out", str(out)]) == 5
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{out}'\n")
+        assert file_tree(tmp_path) == {"a.json": Path(case_a).read_bytes(), "adir": None}
+
+    @pytest.mark.parametrize("command", ["simulate", "spectrum", "backward"])
+    @pytest.mark.parametrize(
+        "member",
+        ['"seed": ' + "1" * 5000, '"config": {"max_steps": ' + "1" * 4401 + "}"],
+        ids=["seed", "max_steps"],
+    )
+    def test_integer_past_digit_limit_is_parse_error(self, tmp_path, capsys, command, member):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer literal past Python's int-from-string digit limit.
+        path = tmp_path / "long.json"
+        pair = '"matrix": {"two_species": {"alpha": 0.1, "beta": 0.1}}, "initial": [0.6, 0.4]'
+        path.write_text("{" + pair + ", " + member + "}", encoding="utf-8")
+        argv = [command, "--scenario", str(path)]
+        if command != "backward":
+            argv += ["--out", str(tmp_path / "o.out")]
+        assert main(argv) == 2
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr() == (
+            "",
+            f"error: {path}: invalid JSON: an integer has more than {limit} digits\n",
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.json"]
+
+    @given(case=fuzz_cases())
+    @example(
+        case=(
+            "backward",
+            b'{"matrix": {"entries": [[1]]}, "initial": [1], "seed": ' + PAST_DIGIT_LIMIT.encode() + b"}",
+            ["--scenario", "s.json"],
+        )
+    )
+    @example(
+        case=(
+            "spectrum",
+            b'{"matrix": {"entries": [[1]]}, "initial": [1]}',
+            ["--scenario", "s.json", "--out", "adir"],
+        )
+    )
+    @example(
+        case=(
+            "sweep",
+            None,
+            ["--alpha-per-scale", "0.1", "--beta-per-scale", "-0.05", "--scales", "1", "--out", "adir"],
+        )
+    )
+    @example(
+        case=(
+            "simulate",
+            b'{"matrix": {"two_species": {"alpha": 0.1, "beta": 0.1}}, "initial": [1, 1], '
+            b'"species_names": ["0", "\\u001e"]}',
+            ["--scenario", "s.json", "--out", "new.out", "--max-steps", "1"],
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_input_ends_in_a_documented_exit(self, tmp_path_factory, case):
+        # Exit 0 with outputs that parse, or a documented code with one
+        # `error:` line and every file in the case's directory as it was.
+        command, scenario, argv = case
+        directory = tmp_path_factory.mktemp("fuzz")
+        (directory / "adir").mkdir()
+        (directory / "kept.out").write_bytes(b"kept\n")
+        if scenario is not None:
+            (directory / "s.json").write_bytes(scenario)
+        before = file_tree(directory)
+        argv = [str(directory / a) if a in FUZZ_PATHS else a for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, *argv])
+        after = file_tree(directory)
+        assert not [name for name in after if ".evosum-" in name]
+        if code == 0:
+            assert stderr.getvalue() == ""
+            assert_outputs_parse(command, argv, stdout.getvalue())
+            return
+        assert code in {2, 3, 4, 5}
+        assert stdout.getvalue() == ""
+        message = stderr.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1 and message.endswith("\n")
+        assert "Traceback" not in message and ".evosum-" not in message
+        assert after == before
 
     def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
         path, out = tmp_path / "latin1.json", tmp_path / "o.csv"
