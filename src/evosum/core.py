@@ -142,9 +142,6 @@ class PopulationVector:
     def n(self) -> int:
         return self.values.size
 
-    def __len__(self) -> int:
-        return self.values.size
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.values, dtype=dtype)
 

@@ -10,9 +10,10 @@ from it when transfers are negative and the modulus exceeds one.
 ``eigendecompose`` orders and normalizes the eigenpairs and sets the
 flags, ``_near_equal_pairs`` decides which eigenvalues coincide and
 ``_is_defective`` which coinciding pairs have parallel vectors.
-``check_biorthogonality`` measures the pairing of left and right vectors,
-and ``stationary_by_iteration`` is an oracle that never looks at
-eigenvalues.
+The left vectors are ``inv(right.T)``, or None when the right vectors are
+linearly dependent. ``check_biorthogonality`` measures the pairing of left
+and right vectors, and ``stationary_by_iteration`` is an oracle that never
+looks at eigenvalues.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class SpectralSummary:
     """Full eigenstructure of an evolution matrix.
 
     ``eigenvalues[p]``, ``right_vectors[p]`` and ``left_vectors[p]`` belong
-    together. ``stationary`` is None when it cannot be resolved; the flags
+    together. ``left_vectors`` is None when the right vectors are linearly
+    dependent. ``stationary`` is None when it cannot be resolved; the flags
     say why: a degenerate leading eigenvalue (multiplicity of 1 above one),
     mixed signs in the leading right vector (possible with negative
     transfers), or a defective eigenvector basis.
@@ -45,7 +47,7 @@ class SpectralSummary:
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
+    left_vectors: np.ndarray | None
     stationary: PopulationVector | None
     lambda2_modulus: float
     leading_degenerate: bool = False
@@ -110,14 +112,15 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     ascending imaginary part. The leading right vector is scaled to sum to
     one and the leading left vector is exactly all ones. Every other right
     vector is scaled so that its largest-magnitude component is exactly 1
-    (which fixes a complex vector's phase), and the left vectors are the
-    rows of ``inv(right.T)``, so each pair pairs to one. One complex n x n
-    copy of the vectors is held besides ``left``. Never raises on
-    degenerate or defective input: the summary's flags report it.
+    (which fixes a complex vector's phase), and the left vectors are
+    always the rows of ``inv(right.T)``, so each pair pairs to one; they
+    are None when ``inv`` finds the right vectors singular or returns a
+    non-finite entry. One complex n x n copy of the vectors is held
+    besides ``left``. Never raises on degenerate or defective input: the
+    summary's flags report it.
     """
-    a = np.asarray(matrix.entries, dtype=float)
     n = matrix.n
-    w, v = np.linalg.eig(a)
+    w, v = np.linalg.eig(np.asarray(matrix.entries, dtype=float))
 
     lead = int(np.argmin(np.abs(w - 1.0)))
     rest = sorted(
@@ -158,32 +161,19 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
 
     try:
         left = np.linalg.inv(right.T)  # rows pair with right vectors: left @ right.T = I
-        if not np.all(np.isfinite(left)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        # Defective basis: fall back to left eigenvectors of the transpose,
-        # matched greedily by eigenvalue. Pairings may not be normalizable.
-        wl, vl = np.linalg.eig(a.T)
-        diff = wl[None, :] - w[:, None]
-        dist = np.hypot(diff.real, diff.imag)
-        matched = []
-        for p in range(n):
-            q = int(np.argmin(dist[p]))  # first of the nearest unused, as ids ascend
-            dist[:, q] = np.inf
-            matched.append(q)
-        left = vl.T[matched].astype(complex, copy=False)
-        _canonical_phase(left)
-        for p in range(n):
-            pairing = complex(left[p] @ right[p])
-            if abs(pairing) > EIG_TOL:
-                left[p] /= pairing
-    if sum_normalized:
-        left[0] = np.ones(n)  # exact: pairs to 1 with the sum-one leading vector
+    except np.linalg.LinAlgError:  # exactly singular
+        left = None
+    if left is not None and np.all(np.isfinite(left)):
+        if sum_normalized:
+            left[0] = np.ones(n)  # exact: pairs to 1 with the sum-one leading vector
+        left.flags.writeable = False
+    else:
+        left = None
 
     lambda2_modulus = float(abs(w[1])) if n >= 2 else 0.0
 
-    for array in (w, right, left):
-        array.flags.writeable = False
+    w.flags.writeable = False
+    right.flags.writeable = False
     return SpectralSummary(
         eigenvalues=w,
         right_vectors=right,
@@ -235,12 +225,15 @@ def check_biorthogonality(summary: SpectralSummary) -> float:
     Pairings are first normalized so each left/right pair sums to one, and
     the largest cross term's modulus is returned (0.0 for one species).
     Raises ``NumericalError`` when two eigenvalues coincide within
-    ``EIG_TOL``, because the pairing is then ambiguous.
+    ``EIG_TOL``, because the pairing is then ambiguous, and after that test
+    when the summary has no left vectors.
     """
     n = summary.eigenvalues.size
     p, q = _near_equal_pairs(summary.eigenvalues)
     if p.size:
         raise NumericalError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
+    if summary.left_vectors is None:
+        raise NumericalError("the right eigenvectors are linearly dependent")
     gram = summary.left_vectors @ summary.right_vectors.T
     diag = np.diag(gram).copy()
     if np.any(np.abs(diag) < 1e-300):

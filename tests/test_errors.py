@@ -4,10 +4,8 @@
 one per CLI exit code (2, 3, 4), and every ``raise`` in ``src/evosum``
 names one of the three, ``OSError`` or one of its builtin subclasses
 (exit 5), or re-raises. A bare ``ValueError`` or a new leaf class would
-end in a traceback and exit 1, or add a name nothing catches. The one
-exception is an error that its own function catches: the
-``np.linalg.LinAlgError`` that ``eigendecompose`` raises to reach its
-fallback.
+end in a traceback and exit 1, or add a name nothing catches. No
+function raises an error that it catches itself.
 
 The CLI's ``main`` is the one place that turns an error into a stderr
 line and an exit code, so no ``cmd_*`` command writes to ``sys.stderr``.
@@ -74,8 +72,7 @@ def test_every_raise_names_an_exit_code_class():
             found = f"{path.name}:{node.lineno}: {name}"
             (self_caught if name in caught else stray).append(found)
     assert stray == []
-    assert [entry.split(": ")[1] for entry in self_caught] == ["np.linalg.LinAlgError"]
-    assert self_caught[0].startswith("spectral.py:")
+    assert self_caught == []
 
 
 def test_no_command_writes_to_stderr():

@@ -109,6 +109,8 @@ PASSING = {
         entries(random_stochastic(20, 0.3, 5).entries, [1] * 20), SPECTRUM, ("s.json",),
     ),
     "spectrum-identity": (entries(np.eye(3), [1, 1, 1]), SPECTRUM, ("s.json",)),
+    # [[-1.5, -2.5], [2.5, 3.5]]: a Jordan block whose right eigenvectors are parallel.
+    "spectrum-singular-basis": (two_species(2.5, -2.5, [0.5, 0.5]), SPECTRUM, ("s.json",)),
     "backward50": (
         entries(random_stochastic(50, 0.3, 1).entries, [1] * 50),
         ["backward", "--scenario", "in.json", "--max-steps", "100"],
@@ -146,7 +148,9 @@ FAILING = {
 # writes each run of repeated rows with one join. "cascade20-windows" was
 # computed on the parent of the change that sizes every window by entries.
 # "sweep-400" was computed on the parent of the change that tests the
-# scan's blocks one species at a time.
+# scan's blocks one species at a time. "spectrum-singular-basis" was
+# computed on the parent of the change that leaves the left vectors unset
+# when the right vectors are linearly dependent.
 GOLDEN = {
     "backward50": {
         "stdout": "horizon=10 offender=species_23\n",
@@ -188,6 +192,10 @@ GOLDEN = {
     },
     "spectrum-identity": {
         "s.json": "a921d2be461ad55e27d71ce9f6457aba4ee730641fb7841e8b00eef045fe4282",
+        "stdout": "",
+    },
+    "spectrum-singular-basis": {
+        "s.json": "23a902485c5e4e8321acdfc1b6861b196db8de358c63769629bdc9f0fc5da2b4",
         "stdout": "",
     },
     "spectrum-stochastic": {

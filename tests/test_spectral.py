@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from evosum import (
     two_species_matrix,
 )
 from evosum import spectral
+from evosum.cli import main
 from evosum.errors import NumericalError, ValidationError
 
 SWAP = EvolutionMatrix([[0.0, 1.0], [1.0, 0.0]])
@@ -75,7 +78,7 @@ def reference_eigendecompose(matrix):
             mixed_sign = True
     left = np.empty((n, n), dtype=complex)
     inv = np.linalg.inv(right.T)
-    assert np.all(np.isfinite(inv))  # the fallback is compared in its own test
+    assert np.all(np.isfinite(inv))  # a dependent basis is tested in TestDependentRightVectors
     left[:] = inv
     if sum_normalized:
         left[0] = np.ones(n)
@@ -299,27 +302,41 @@ class TestDegeneratePairs:
         assert summary.leading_degenerate and not summary.defective
         assert len(calls) == 0
 
-    def test_left_vector_fallback_matches_greedy_reference(self, monkeypatch):
-        # Forces the path taken when the right-vector matrix cannot be inverted.
-        # Both blocks have eigenvalue 1, so two candidates are about equally near.
-        matrix = block_diagonal([random_stochastic(3, 0.2, seed=5).entries, cyclic(4)])
 
-        def singular(_):
-            raise np.linalg.LinAlgError
+class TestDependentRightVectors:
+    """``left_vectors`` is ``inv(right.T)``, or None when that inverse does not exist."""
 
-        monkeypatch.setattr(np.linalg, "inv", singular)
+    def test_singular_jordan_pair(self):
+        # [[-1.5, -2.5], [2.5, 3.5]]: eig returns two exactly parallel right vectors.
+        summary = eigendecompose(two_species_matrix(2.5, -2.5))
+        assert summary.left_vectors is None
+        assert summary.defective and summary.leading_degenerate
+        with pytest.raises(NumericalError, match="^eigenvalues 0 and 1 coincide within 1e-09$"):
+            check_biorthogonality(summary)
+
+    @pytest.mark.parametrize("failure", ["raises", "non-finite"])
+    def test_failed_inverse_with_distinct_eigenvalues(self, failure, monkeypatch, tmp_path):
+        inv = np.linalg.inv
+
+        def failing(a):
+            if failure == "raises":
+                raise np.linalg.LinAlgError
+            result = inv(a)
+            result[-1, -1] = np.inf
+            return result
+
+        monkeypatch.setattr(np.linalg, "inv", failing)
+        matrix = random_stochastic(5, 0.3, 1)
         summary = eigendecompose(matrix)
-        wl, vl = np.linalg.eig(matrix.entries.T)
-        unused = list(range(matrix.n))
-        for p in range(matrix.n):
-            q = min(unused, key=lambda q: abs(wl[q] - summary.eigenvalues[p]))
-            unused.remove(q)
-            u = vl[:, q] / vl[np.argmax(np.abs(vl[:, q])), q]
-            pairing = complex(u @ summary.right_vectors[p])
-            u = u / pairing if abs(pairing) > EIG_TOL else u
-            if p == 0:
-                u = np.ones(matrix.n)  # the leading left vector is stored exactly
-            assert_allclose(summary.left_vectors[p], u, rtol=0, atol=0)
+        assert summary.left_vectors is None
+        assert spectral._near_equal_pairs(summary.eigenvalues)[0].size == 0
+        with pytest.raises(NumericalError, match="^the right eigenvectors are linearly dependent$"):
+            check_biorthogonality(summary)
+        scenario, out = tmp_path / "in.json", tmp_path / "s.json"
+        scenario.write_text(json.dumps({"matrix": {"entries": matrix.entries.tolist()}, "initial": [1] * 5}))
+        assert main(["spectrum", "--scenario", str(scenario), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["biorthogonality"] == {"error": "the right eigenvectors are linearly dependent"}
 
 
 class TestStationaryByIteration:
