@@ -97,17 +97,15 @@ def _column_sums(entries: np.ndarray, column_sum: float) -> tuple[np.ndarray, np
 
 
 def _check_matrix(entries: np.ndarray, column_sum: float, what: str) -> None:
-    """Checks shared by every per-step matrix: square, finite, column sums.
+    """Checks shared by every per-step matrix, in order: square, finite, column sums.
 
-    A valid matrix passes on one column-sum test (``_column_sums``). Any
-    other matrix goes through the full sequence on the same sums, which
-    names the first non-finite entry, else the column furthest off.
+    A non-finite entry is named by its first position; else the column
+    whose ``_column_sums`` sum is furthest off is named when it is outside
+    ``CONSTRUCTION_TOL``.
     """
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
         raise ValidationError(f"{what} must be a nonempty square matrix")
-    sums, ok = _column_sums(entries, column_sum)
-    if ok:
-        return
+    sums, _ = _column_sums(entries, column_sum)
     finite = np.isfinite(entries)
     if not finite.all():
         i, j = np.argwhere(~finite)[0].tolist()

@@ -163,17 +163,6 @@ def _eliminate(entries: np.ndarray, phi: np.ndarray, alive: np.ndarray, local: i
     return reduced, _drop(phi, local), _drop(alive, local)
 
 
-def _negatives_removed(entries: np.ndarray, local: int) -> int:
-    """Off-diagonal entries below ``-ZERO_TOL`` in row or column ``local``.
-
-    ``_eliminate`` changes only diagonals among the entries it keeps, so
-    the reduced matrix has exactly this many fewer.
-    """
-    row = entries[local] < -ZERO_TOL
-    column = entries[:, local] < -ZERO_TOL
-    return int(np.count_nonzero(row)) + int(np.count_nonzero(column)) - 2 * int(row[local])
-
-
 def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float):
     """The stop rule for each state of a (..., w) block, as ``(crossed, converged)``.
 
@@ -255,8 +244,9 @@ def evolve(
     instant, the species set to 0.0 and folded out by ``_eliminate``, and
     the interrupted step runs again on the reduced system. So crossings in
     one step resolve one at a time, and the step count advances only on
-    completed steps. The negative off-diagonal count is taken in full at
-    the first elimination and then reduced by ``_negatives_removed``.
+    completed steps. Each event's negative off-diagonal counts are those
+    of the matrix before and after its fold, each counted in full by
+    ``negative_offdiag_count``.
 
     Fixed point: when the last state of a clean block has the bits of the
     state before it, every later state would too. The run then stops
@@ -311,7 +301,7 @@ def evolve(
         write(recorded_steps, states)
 
     yield from record(np.zeros(1, dtype=int), phi[None, :])
-    neg_after = None  # negative off-diagonal count, counted in full at the first fold only
+    neg_after = negative_offdiag_count(entries)  # of the current matrix
     t = 0
     block = 1
     while True:
@@ -365,14 +355,12 @@ def evolve(
         after *= tau
         phi += after
         phi[local] = 0.0
-        if neg_after is None:
-            neg_after = negative_offdiag_count(entries)
-        neg_before, species = neg_after, int(alive[local])
-        neg_after = neg_before - _negatives_removed(entries, local)
-        event = EliminationEvent(t, tau, species, neg_before, neg_after, start + rows)
+        row, species = start + rows, int(alive[local])
         yield from record(np.array([t]), phi[None, :])
-        events.append(event)  # after the hand-over: the event row may open a window
         entries, phi, alive = _eliminate(entries, phi, alive, local)
+        neg_before, neg_after = neg_after, negative_offdiag_count(entries)
+        # After the hand-over: the event row may open a window.
+        events.append(EliminationEvent(t, tau, species, neg_before, neg_after, row))
         # Re-evaluate the interrupted step on the reduced system.
         block = min(stop + 1, _MAX_BLOCK)
 

@@ -64,26 +64,18 @@ def _canonical_phase(vectors: np.ndarray) -> None:
 def _near_equal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays ``p < q`` of every pair with ``|w[p] - w[q]| <= EIG_TOL``, row-major.
 
-    Candidates are the pairs whose real parts fall in one window of the
-    eigenvalues sorted by real part, so the cost is a sort plus the number
-    of candidates, not n^2. The window is ``2 * EIG_TOL`` wide so that
-    rounding in the window bounds never drops a pair the exact test keeps.
+    Candidates are the pairs whose real parts are within ``EIG_TOL``. That
+    loses no pair: ``|Re d|`` is at most ``|d|``, and a candidate's real
+    difference has the bits of the exact test's. ``np.nonzero`` returns the
+    candidates in row-major order, so the pairs come sorted by ``p`` and
+    then ``q``.
     """
-    order = np.argsort(w.real, kind="stable")
-    real = w.real[order]
-    ends = np.searchsorted(real, real + 2 * EIG_TOL, side="right")
-    counts = ends - np.arange(1, w.size + 1)  # later sorted positions inside the window
-    first = np.repeat(np.arange(w.size), counts)
-    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    a, b = order[first], order[second]
-    p, q = np.minimum(a, b), np.maximum(a, b)
+    p, q = np.nonzero(np.triu(np.abs(w.real[:, None] - w.real) <= EIG_TOL, 1))
     d = w[p] - w[q]
     # np.hypot equals abs() of a complex scalar bit for bit; np.abs of a
     # complex array can differ from it in the last place.
     keep = np.hypot(d.real, d.imag) <= EIG_TOL
-    p, q = p[keep], q[keep]
-    rank = np.lexsort((q, p))
-    return p[rank], q[rank]
+    return p[keep], q[keep]
 
 
 def _is_defective(vectors: np.ndarray, p: np.ndarray, q: np.ndarray) -> bool:
@@ -228,7 +220,6 @@ def check_biorthogonality(summary: SpectralSummary) -> float:
     ``EIG_TOL``, because the pairing is then ambiguous, and after that test
     when the summary has no left vectors.
     """
-    n = summary.eigenvalues.size
     p, q = _near_equal_pairs(summary.eigenvalues)
     if p.size:
         raise NumericalError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
@@ -240,4 +231,4 @@ def check_biorthogonality(summary: SpectralSummary) -> float:
         raise NumericalError("a left/right pairing vanished; cannot normalize")
     gram /= diag[:, None]
     np.fill_diagonal(gram, 0.0)
-    return float(np.max(np.abs(gram))) if n > 1 else 0.0
+    return float(np.max(np.abs(gram)))

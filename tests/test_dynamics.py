@@ -388,8 +388,8 @@ class TestEliminateSpecies:
     def test_negative_count_follows_the_fold(self, entries, local, after):
         entries = EvolutionMatrix(entries).entries
         assert core.negative_offdiag_count(reference_fold(np.array(entries), local)) == after
-        before = core.negative_offdiag_count(entries)
-        assert before - dynamics._negatives_removed(entries, local) == after
+        reduced, _, _ = dynamics._eliminate(entries, np.full(3, 0.5), np.arange(3), local)
+        assert core.negative_offdiag_count(reduced) == after
 
     def test_fold_never_adds_negative_offdiagonals(self):
         rng = np.random.default_rng(99)
@@ -1046,7 +1046,7 @@ class TestCompetitiveCascade:
             assert np.max(np.abs(terminal - stationary.values)) < 1e-6
         assert eliminating_runs >= 10
 
-    def test_negative_offdiag_counted_once_per_run(self, monkeypatch):
+    def test_negative_offdiag_counted_once_per_fold(self, monkeypatch):
         real = dynamics.negative_offdiag_count
         calls = []
 
@@ -1060,8 +1060,8 @@ class TestCompetitiveCascade:
         trajectory = collect(evolve(*system, SimulationConfig(max_steps=6000)))
         events = trajectory.events
         assert len(events) >= 5
-        # the initial matrix once; each fold updates the count from the removed row and column
-        assert calls == [30]
+        # the input matrix, then each reduced matrix once, right after its fold
+        assert calls == list(range(30, 29 - len(events), -1))
         assert events[0].neg_offdiag_before == real(matrix.entries)
         for previous, event in zip(events, events[1:]):
             assert event.neg_offdiag_before == previous.neg_offdiag_after
@@ -1069,7 +1069,7 @@ class TestCompetitiveCascade:
 
         calls.clear()
         collect(evolve(*system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), SimulationConfig()))
-        assert calls == []
+        assert calls == [2]
 
     def test_eliminations_strictly_reduce_dimension(self):
         trajectory = collect(evolve(

@@ -15,6 +15,12 @@ The fields of a public dataclass are held to the same rule: each must be
 read as an attribute (``x.field``) somewhere in ``src/evosum`` or
 ``bench/*.py``. The match is by attribute name alone, whatever the type
 of ``x``, so a field counts as read when any attribute of that name is.
+
+A module-level private function, class or constant (a leading ``_``, not
+a dunder) must be used by the package itself: loaded as a name outside
+its own definition, read as an attribute, or imported by another module
+of ``src/evosum``. Tests and the benchmark do not count, so a helper the
+program stopped calling is deleted with its last call.
 """
 
 import ast
@@ -114,6 +120,38 @@ def loaded_attributes() -> set[str]:
     }
 
 
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level private functions, classes and constants that ``tree`` defines."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def unused_private_names() -> list[str]:
+    """``module.name`` of each private definition that no ``src/evosum`` module uses."""
+    sources = {path.stem: parse(path) for path in PACKAGE.glob("*.py")}
+    imports = {stem: evosum_imports(tree) for stem, tree in sources.items()}
+    attributes = {
+        node.attr
+        for tree in sources.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unused = []
+    for stem, tree in sources.items():
+        for name in sorted(private_definitions(tree)):
+            imported = any(name in names for other, names in imports.items() if other != stem)
+            loaded = any(loads(source, name) for source in sources.values())
+            if not (imported or loaded or name in attributes):
+                unused.append(f"{stem}.{name}")
+    return unused
+
+
 def test_every_public_name_comes_from_a_package_module():
     assert sorted(set(evosum.__all__) - set(home_modules())) == []
 
@@ -149,3 +187,21 @@ def test_local_bindings_and_own_definition_do_not_count():
         "    return step(n)\n"
     )
     assert loads(tree, "step") == [9]
+
+
+def test_every_private_name_is_used_by_the_package():
+    assert unused_private_names() == []
+
+
+def test_private_definitions_are_module_level_and_not_dunders():
+    tree = ast.parse(
+        "__all__ = []\n"
+        "_LIMIT: int = 3\n"
+        "class _Kind:\n"
+        "    _inner = 1\n"
+        "def _helper():\n"
+        "    _local = 1\n"
+        "def public():\n"
+        "    pass\n"
+    )
+    assert private_definitions(tree) == {"_LIMIT", "_Kind", "_helper"}

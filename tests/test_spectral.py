@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -217,6 +217,7 @@ class TestEigendecompose:
         summary = eigendecompose(EvolutionMatrix([[1.0]]))
         assert_allclose(summary.stationary.values, [1.0])
         assert summary.lambda2_modulus == 0.0
+        assert check_biorthogonality(summary) == 0.0
 
 
 class TestDegeneratePairs:
@@ -287,6 +288,36 @@ class TestDegeneratePairs:
                 block = np.eye(size)
             blocks += [block] * copies
         assert_matches_pairwise(block_diagonal(blocks))
+
+    @given(
+        st.sampled_from([0.0, 1.0, -0.25]),
+        st.lists(
+            st.tuples(st.integers(-10, 10), st.integers(-10, 10)), min_size=1, max_size=12
+        ),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example(1.0, [(0, 0)], False, False)  # one eigenvalue
+    @example(1.0, [(0, 0)] * 6, False, True)  # all equal
+    @example(0.0, [(5, 0), (0, 0), (3, 4), (3, -4), (-5, 0)], True, False)
+    @settings(max_examples=300, deadline=None)
+    def test_pair_search_at_the_tolerance_edge(self, base, offsets, conjugates, real):
+        # Offsets are multiples of EIG_TOL / 5, so many differences land on
+        # EIG_TOL or within an ulp of it (5, or 3 and 4 as a right triangle).
+        w = np.array([complex(base + a * EIG_TOL / 5, b * EIG_TOL / 5) for a, b in offsets])
+        if conjugates:
+            w = np.concatenate([w, w.conj()])
+        if real:
+            w = w.real.copy()
+        values = [complex(x) for x in w]
+        expected = [
+            (p, q)
+            for p in range(len(values))
+            for q in range(p + 1, len(values))
+            if abs(values[p] - values[q]) <= EIG_TOL
+        ]
+        p, q = spectral._near_equal_pairs(w)
+        assert list(zip(p.tolist(), q.tolist())) == expected
 
     def test_identity_needs_no_svd(self, monkeypatch):
         # Deterministic cost guard: the pair loop ran 44,850 SVDs on eye(300).
