@@ -29,7 +29,8 @@ CONSTRUCTION_TOL = 1e-12
 #: What counts as zero: a population below ``-ZERO_TOL`` has crossed, and one
 #: between ``-ZERO_TOL`` and 0 is float dust.
 ZERO_TOL = 1e-12
-#: Eigenvalues ``w[p]`` and ``w[q]`` coincide when ``|w[p] - w[q]| <= EIG_TOL``.
+#: Eigenvalues ``w[p]`` and ``w[q]`` of a matrix ``M`` coincide when
+#: ``|w[p] - w[q]| <= EIG_TOL * max(1, ‖M‖₁)``: relative to the matrix's scale.
 EIG_TOL = 1e-9
 
 

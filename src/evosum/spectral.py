@@ -42,7 +42,8 @@ class SpectralSummary:
     dependent. ``stationary`` is None when it cannot be resolved; the flags
     say why: a degenerate leading eigenvalue (multiplicity of 1 above one),
     mixed signs in the leading right vector (possible with negative
-    transfers), or a defective eigenvector basis.
+    transfers), or a defective eigenvector basis. ``eig_tol`` is the bound
+    ``EIG_TOL * max(1, ‖M‖₁)`` within which two eigenvalues coincide.
     """
 
     eigenvalues: np.ndarray
@@ -50,6 +51,7 @@ class SpectralSummary:
     left_vectors: np.ndarray | None
     stationary: PopulationVector | None
     lambda2_modulus: float
+    eig_tol: float
     leading_degenerate: bool = False
     stationary_mixed_sign: bool = False
     defective: bool = False
@@ -61,20 +63,20 @@ def _canonical_phase(vectors: np.ndarray) -> None:
     vectors /= pivots[:, None]
 
 
-def _near_equal_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays ``p < q`` of every pair with ``|w[p] - w[q]| <= EIG_TOL``, row-major.
+def _near_equal_pairs(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``p < q`` of every pair with ``|w[p] - w[q]| <= tol``, row-major.
 
-    Candidates are the pairs whose real parts are within ``EIG_TOL``. That
+    Candidates are the pairs whose real parts are within ``tol``. That
     loses no pair: ``|Re d|`` is at most ``|d|``, and a candidate's real
     difference has the bits of the exact test's. ``np.nonzero`` returns the
     candidates in row-major order, so the pairs come sorted by ``p`` and
     then ``q``.
     """
-    p, q = np.nonzero(np.triu(np.abs(w.real[:, None] - w.real) <= EIG_TOL, 1))
+    p, q = np.nonzero(np.triu(np.abs(w.real[:, None] - w.real) <= tol, 1))
     d = w[p] - w[q]
     # np.hypot equals abs() of a complex scalar bit for bit; np.abs of a
     # complex array can differ from it in the last place.
-    keep = np.hypot(d.real, d.imag) <= EIG_TOL
+    keep = np.hypot(d.real, d.imag) <= tol
     return p[keep], q[keep]
 
 
@@ -110,9 +112,17 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     non-finite entry. One complex n x n copy of the vectors is held
     besides ``left``. Never raises on degenerate or defective input: the
     summary's flags report it.
+
+    ``eig`` computes an eigenvalue to within about machine epsilon times
+    ``‖M‖``, so two eigenvalues coincide, and one is real, within
+    ``EIG_TOL * max(1, ‖M‖₁)`` (1-norm: the largest column sum of
+    magnitudes). The other tests compare entries of vectors scaled to a
+    largest component of 1, so they keep ``EIG_TOL`` itself.
     """
     n = matrix.n
-    w, v = np.linalg.eig(np.asarray(matrix.entries, dtype=float))
+    a = np.asarray(matrix.entries, dtype=float)
+    tol = EIG_TOL * max(1.0, float(np.linalg.norm(a, 1)))
+    w, v = np.linalg.eig(a)
 
     lead = int(np.argmin(np.abs(w - 1.0)))
     rest = sorted(
@@ -124,15 +134,14 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     right = v.T[order].astype(complex, copy=False)  # right[p] is eigenvector p
     del v  # one live n x n copy of the vectors from here on
     _canonical_phase(right)
-    # A real eigenvalue whose vector is real up to EIG_TOL gets an exactly real vector.
-    realify = np.abs(w.imag) <= EIG_TOL
-    realify &= np.abs(right.imag).max(axis=1) <= EIG_TOL * np.maximum(
-        1.0, np.abs(right.real).max(axis=1)
-    )
+    # An eigenvalue real within tol whose vector is real within EIG_TOL gets an
+    # exactly real vector.
+    realify = np.abs(w.imag) <= tol
+    realify &= np.abs(right.imag).max(axis=1) <= EIG_TOL
     right.imag[realify] = 0.0
 
-    leading_degenerate = int(np.count_nonzero(np.abs(w - 1.0) <= EIG_TOL)) > 1
-    defective = _is_defective(right, *_near_equal_pairs(w))
+    leading_degenerate = int(np.count_nonzero(np.abs(w - 1.0) <= tol)) > 1
+    defective = _is_defective(right, *_near_equal_pairs(w, tol))
 
     # Leading vector: prefer the sum-one scaling that makes it a population.
     lead_sum = complex(right[0].sum())
@@ -172,6 +181,7 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
         left_vectors=left,
         stationary=stationary,
         lambda2_modulus=lambda2_modulus,
+        eig_tol=tol,
         leading_degenerate=leading_degenerate,
         stationary_mixed_sign=mixed_sign,
         defective=defective,
@@ -217,10 +227,11 @@ def check_biorthogonality(summary: SpectralSummary) -> float:
     Pairings are first normalized so each left/right pair sums to one, and
     the largest cross term's modulus is returned (0.0 for one species).
     Raises ``NumericalError`` when two eigenvalues coincide within
-    ``EIG_TOL``, because the pairing is then ambiguous, and after that test
-    when the summary has no left vectors.
+    ``summary.eig_tol``, because the pairing is then ambiguous, and after
+    that test when the summary has no left vectors. The message names
+    ``EIG_TOL``, the bound before its scaling by ``‖M‖₁``.
     """
-    p, q = _near_equal_pairs(summary.eigenvalues)
+    p, q = _near_equal_pairs(summary.eigenvalues, summary.eig_tol)
     if p.size:
         raise NumericalError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
     if summary.left_vectors is None:
