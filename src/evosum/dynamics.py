@@ -85,12 +85,6 @@ class EliminationEvent:
     neg_offdiag_after: int
     row_index: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValidationError(f"crossing fraction {self.fraction} outside [0, 1]")
-        if self.neg_offdiag_after > self.neg_offdiag_before:
-            raise ValidationError("dimensional reduction cannot add negative transfers")
-
 
 class TerminationReason(enum.Enum):
     MAX_STEPS = "MaxSteps"

@@ -11,9 +11,12 @@ from it when transfers are negative and the modulus exceeds one.
 flags, ``_near_equal_pairs`` decides which eigenvalues coincide and
 ``_is_defective`` which coinciding pairs have parallel vectors.
 The left vectors are ``inv(right.T)``, or None when the right vectors are
-linearly dependent. ``check_biorthogonality`` measures the pairing of left
-and right vectors, and ``stationary_by_iteration`` is an oracle that never
-looks at eigenvalues.
+linearly dependent. ``check_biorthogonality`` reports the condition number
+κ₁ of the stored right vectors: the leading one scaled to sum 1, the others
+to a largest component of exactly 1. The left vectors are their inverse with
+row 0 set to ones, so ``left @ right.T = I`` holds to about κ₁ times
+machine epsilon by construction; the number is reported, not judged. ``stationary_by_iteration``
+is an oracle that never looks at eigenvalues.
 """
 
 from __future__ import annotations
@@ -222,10 +225,15 @@ def stationary_by_iteration(
 
 
 def check_biorthogonality(summary: SpectralSummary) -> float:
-    """Largest cross-pairing between left and right vectors of different modes.
+    """Condition number κ₁ = ‖R‖₁·‖R⁻¹‖₁ of the stored right eigenvector basis.
 
-    Pairings are first normalized so each left/right pair sums to one, and
-    the largest cross term's modulus is returned (0.0 for one species).
+    R has ``right_vectors[p]`` as column p: the leading vector scaled to sum
+    to 1 and every other one to a largest component of exactly 1. Its
+    inverse is ``left_vectors``, whose row 0 is set to ones, so ``left @
+    right.T = I`` holds to about κ₁·ε (ε the machine epsilon) by
+    construction, and κ₁ bounds how far rounding in a mode expansion can be
+    amplified. The number is reported, not judged: there is no pass/fail
+    cut. It is 1.0 for one species.
     Raises ``NumericalError`` when two eigenvalues coincide within
     ``summary.eig_tol``, because the pairing is then ambiguous, and after
     that test when the summary has no left vectors. The message names
@@ -236,10 +244,4 @@ def check_biorthogonality(summary: SpectralSummary) -> float:
         raise NumericalError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
     if summary.left_vectors is None:
         raise NumericalError("the right eigenvectors are linearly dependent")
-    gram = summary.left_vectors @ summary.right_vectors.T
-    diag = np.diag(gram).copy()
-    if np.any(np.abs(diag) < 1e-300):
-        raise NumericalError("a left/right pairing vanished; cannot normalize")
-    gram /= diag[:, None]
-    np.fill_diagonal(gram, 0.0)
-    return float(np.max(np.abs(gram)))
+    return float(np.linalg.norm(summary.right_vectors.T, 1) * np.linalg.norm(summary.left_vectors, 1))

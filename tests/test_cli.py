@@ -30,7 +30,7 @@ from evosum import (
 from evosum.cli import _atomic_files, _write_trajectory, main
 from evosum.errors import NumericalError, ScenarioParseError
 from test_dynamics import Trajectory, collect, serial_evolve, serial_scan, windows_of
-from test_golden import FIXED_POINT_TAIL
+from test_golden import FIXED_POINT_TAIL, module_env
 
 # A JSON integer with 401 digits: valid JSON, far beyond the largest float.
 HUGE = 10**400
@@ -482,12 +482,10 @@ class TestExitCodes:
     def test_module_entry_point_sets_process_exit_code(self, tmp_path, argv, code, output):
         # Only `python -m evosum.cli` runs `sys.exit(main())`, which turns the
         # returned code into the process exit status.
-        package_root = str(Path(evosum.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "evosum.cli", *argv],
             cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": path},
+            env=module_env(),
             capture_output=True,
             text=True,
             timeout=120,
@@ -1284,7 +1282,7 @@ class TestSpectrum:
         assert report["eigenvalues"] == [[1.0, 0.0], [0.7, 0.0]]
         np.testing.assert_allclose(report["stationary"], [2 / 3, 1 / 3], atol=1e-12)
         assert report["lambda2_modulus"] == 0.7
-        assert report["biorthogonality"]["passed"]
+        assert report["biorthogonality"] == {"basis_condition": pytest.approx(10 / 3, rel=1e-14)}
 
     def test_identity_degeneracy_flagged(self, tmp_path):
         path = write_scenario(

@@ -236,6 +236,8 @@ class TestRandomStochastic:
             random_stochastic(3, 1.5, seed=0)
         with pytest.raises(ValidationError, match=r"coupling_scale must lie in \(0, 1\), got 0.0"):
             random_stochastic(3, 0.0, seed=0)
+        with pytest.raises(ValidationError, match=r"coupling_scale must lie in \(0, 1\), got 2.0"):
+            random_stochastic(1, 2.0, seed=1)
 
     @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)])
     def test_non_integer_size_rejected(self, n):

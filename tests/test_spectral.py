@@ -97,16 +97,16 @@ def reference_eigendecompose(matrix):
     )
 
 
-def reference_biorthogonality(summary):
-    """Reference: ``check_biorthogonality`` dividing into a second Gram array."""
+def reference_basis_condition(summary):
+    """Reference: ``check_biorthogonality``'s refusal, else ``np.linalg.cond`` of the stored basis.
+
+    ``cond`` inverts the right vectors afresh instead of reading
+    ``left_vectors``, whose row 0 is set to exact ones.
+    """
     p, q = spectral._near_equal_pairs(summary.eigenvalues, summary.eig_tol)
     if p.size:
         raise NumericalError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
-    gram = summary.left_vectors @ summary.right_vectors.T
-    diag = np.diag(gram).copy()
-    gram = gram / diag[:, None]
-    np.fill_diagonal(gram, 0.0)
-    return float(np.max(np.abs(gram))) if summary.eigenvalues.size > 1 else 0.0
+    return float(np.linalg.cond(summary.right_vectors.T, 1))
 
 
 def biorthogonality_outcome(check, summary):
@@ -221,7 +221,7 @@ class TestEigendecompose:
         summary = eigendecompose(EvolutionMatrix([[1.0]]))
         assert_allclose(summary.stationary.values, [1.0])
         assert summary.lambda2_modulus == 0.0
-        assert check_biorthogonality(summary) == 0.0
+        assert check_biorthogonality(summary) == 1.0
 
 
 class TestDegeneratePairs:
@@ -449,13 +449,28 @@ class TestStationaryByIteration:
 
 
 class TestBiorthogonality:
-    def test_two_species_exact(self):
-        summary = eigendecompose(two_species_matrix(0.1, 0.2))
-        assert check_biorthogonality(summary) < 1e-12
+    """``check_biorthogonality`` returns κ₁ of the stored right vectors."""
 
-    def test_random_stochastic_passes(self):
+    def test_two_species_exact(self):
+        # Columns (2/3, 1/3) and (1, -1): ‖R‖₁ = 2; R⁻¹ has rows (1, 1) and
+        # (1/3, -2/3), so ‖R⁻¹‖₁ = 5/3.
+        summary = eigendecompose(two_species_matrix(0.1, 0.2))
+        assert check_biorthogonality(summary) == pytest.approx(10 / 3, rel=1e-14)
+
+    def test_random_stochastic_is_well_conditioned(self):
         summary = eigendecompose(random_stochastic(5, 0.2, seed=3))
-        assert check_biorthogonality(summary) < 1e-8
+        assert 1.0 <= check_biorthogonality(summary) < 1e2
+
+    def test_ill_conditioned_draw(self):
+        # Its mode expansion is off by 9.4e-6, yet no two eigenvalues coincide.
+        summary = eigendecompose(random_competitive(3, 0.5, 0.5, 539))
+        assert check_biorthogonality(summary) == pytest.approx(3.1e6, rel=0.01)
+
+    @pytest.mark.parametrize("a", [0.1, 0.2, 0.3])
+    def test_split_jordan_pair(self, a):
+        # eig splits the double eigenvalue 1 wider than the bound, so no
+        # refusal; the basis is singular to within rounding.
+        assert check_biorthogonality(eigendecompose(two_species_matrix(a, -a))) > 1e14
 
     def test_degenerate_spectrum_raises(self):
         with pytest.raises(NumericalError, match="eigenvalues 0 and 1 coincide within 1e-09"):
@@ -544,9 +559,12 @@ class TestOneCopyEquivalence:
             assert_same_bytes(actual.stationary.values, expected.stationary.values)
         for name in ("lambda2_modulus", "leading_degenerate", "stationary_mixed_sign", "defective"):
             assert getattr(actual, name) == getattr(expected, name), name
-        assert biorthogonality_outcome(check_biorthogonality, actual) == biorthogonality_outcome(
-            reference_biorthogonality, expected
-        )
+        outcome = biorthogonality_outcome(check_biorthogonality, actual)
+        reference = biorthogonality_outcome(reference_basis_condition, expected)
+        if isinstance(reference, str):
+            assert outcome == reference
+        else:
+            assert outcome == pytest.approx(reference, rel=1e-9)
 
     def test_arrays_are_read_only(self):
         summary = eigendecompose(random_competitive(10, 0.4, 0.5, 1))
