@@ -8,14 +8,14 @@ sets the convergence rate toward that mix, or the divergence rate away
 from it when transfers are negative and the modulus exceeds one.
 
 ``eigendecompose`` orders and normalizes the eigenpairs and sets the
-flags, ``_near_equal_pairs`` decides which eigenvalues coincide and
-``_is_defective`` which coinciding pairs have parallel vectors.
+flags, and ``_near_equal_pairs`` decides which eigenvalues coincide.
 The left vectors are ``inv(right.T)``, or None when the right vectors are
-linearly dependent. ``check_biorthogonality`` reports the condition number
-κ₁ of the stored right vectors: the leading one scaled to sum 1, the others
-to a largest component of exactly 1. The left vectors are their inverse with
-row 0 set to ones, so ``left @ right.T = I`` holds to about κ₁ times
-machine epsilon by construction; the number is reported, not judged. ``stationary_by_iteration``
+linearly dependent. ``_basis_condition`` gives the condition number κ₁ =
+‖R‖₁·‖R⁻¹‖₁ of the stored right vectors R (as columns: the leading one
+scaled to sum 1, the others to a largest component of exactly 1). The left
+vectors are R⁻¹ with row 0 set to ones, so ``left @ right.T = I`` holds to
+about κ₁ times machine epsilon by construction. ``defective`` is κ₁ above
+a cut, and ``check_biorthogonality`` reports κ₁. ``stationary_by_iteration``
 is an oracle that never looks at eigenvalues.
 """
 
@@ -45,7 +45,8 @@ class SpectralSummary:
     dependent. ``stationary`` is None when it cannot be resolved; the flags
     say why: a degenerate leading eigenvalue (multiplicity of 1 above one),
     mixed signs in the leading right vector (possible with negative
-    transfers), or a defective eigenvector basis. ``eig_tol`` is the bound
+    transfers), or a defective eigenvector basis (see ``eigendecompose``),
+    whose leading vector can be complex. ``eig_tol`` is the bound
     ``EIG_TOL * max(1, ‖M‖₁)`` within which two eigenvalues coincide.
     """
 
@@ -83,21 +84,15 @@ def _near_equal_pairs(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     return p[keep], q[keep]
 
 
-def _is_defective(vectors: np.ndarray, p: np.ndarray, q: np.ndarray) -> bool:
-    """True when some near-equal pair ``(p, q)`` has (nearly) parallel eigenvectors.
+# κ₁ of the right vectors above which the basis is defective; see eigendecompose.
+_DEFECTIVE_CONDITION = 1e11
 
-    That means the geometric multiplicity is deficient. For unit ``u, v``
-    the smaller singular value of ``[u v]`` is ``sqrt(1 - |<u, v>|)``, so
-    ``sigma_min < 1e-6`` is decided as ``1 - |<u, v>| < 1e-12`` from one
-    Gram product over the vectors that occur in a pair.
-    """
-    if p.size == 0:
-        return False
-    used, pos = np.unique(np.concatenate([p, q]), return_inverse=True)
-    units = vectors[used] / np.linalg.norm(vectors[used], axis=1)[:, None]
-    gram = units.conj() @ units.T
-    overlap = np.abs(gram[pos[: p.size], pos[p.size :]])
-    return bool(np.any(1.0 - overlap < 1e-12))
+
+def _basis_condition(right: np.ndarray, left: np.ndarray | None) -> float:
+    """κ₁ of the right vectors ``right`` (rows), read from their inverse ``left``; inf when None."""
+    if left is None:
+        return np.inf
+    return float(np.linalg.norm(right.T, 1) * np.linalg.norm(left, 1))
 
 
 def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
@@ -115,6 +110,15 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     non-finite entry. One complex n x n copy of the vectors is held
     besides ``left``. Never raises on degenerate or defective input: the
     summary's flags report it.
+
+    ``defective`` is κ₁ above ``_DEFECTIVE_CONDITION`` = 1e11 (inf without
+    left vectors). No eigenvalue-equality test decides it (Golub and
+    Wilkinson, SIAM Review 18, 1976): ``eig`` splits the Jordan block
+    ``two_species_matrix(0.2, -0.2)``'s double 1 into ``1 ± 9.4e-9i``,
+    wider than its ``eig_tol`` of 1.4e-9. The cut is the geometric midpoint
+    of the measured gap: random draws reach at most 8.6e6, and the split
+    pairs ``two_species_matrix(a, -a)``, a in {0.1, 0.2, 0.3, -0.1}, read
+    4.5e14 to 1.35e15. At 1e11, ``left @ right.T = I`` holds to about 1e-5.
 
     ``eig`` computes an eigenvalue to within about machine epsilon times
     ``‖M‖``, so two eigenvalues coincide, and one is real, within
@@ -144,7 +148,6 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     right.imag[realify] = 0.0
 
     leading_degenerate = int(np.count_nonzero(np.abs(w - 1.0) <= tol)) > 1
-    defective = _is_defective(right, *_near_equal_pairs(w, tol))
 
     # Leading vector: prefer the sum-one scaling that makes it a population.
     lead_sum = complex(right[0].sum())
@@ -156,7 +159,7 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     mixed_sign = False
     if not sum_normalized:
         mixed_sign = True  # a zero-sum leading vector necessarily changes sign
-    elif not leading_degenerate:
+    elif not leading_degenerate and not right[0].imag.any():
         candidate = right[0].real
         if np.min(candidate) >= -ZERO_TOL:
             stationary = PopulationVector(np.maximum(candidate, 0.0))
@@ -173,6 +176,7 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
         left.flags.writeable = False
     else:
         left = None
+    defective = _basis_condition(right, left) > _DEFECTIVE_CONDITION
 
     lambda2_modulus = float(abs(w[1])) if n >= 2 else 0.0
 
@@ -225,23 +229,18 @@ def stationary_by_iteration(
 
 
 def check_biorthogonality(summary: SpectralSummary) -> float:
-    """Condition number κ₁ = ‖R‖₁·‖R⁻¹‖₁ of the stored right eigenvector basis.
+    """Condition number κ₁ of the stored right eigenvector basis (see the module docstring).
 
-    R has ``right_vectors[p]`` as column p: the leading vector scaled to sum
-    to 1 and every other one to a largest component of exactly 1. Its
-    inverse is ``left_vectors``, whose row 0 is set to ones, so ``left @
-    right.T = I`` holds to about κ₁·ε (ε the machine epsilon) by
-    construction, and κ₁ bounds how far rounding in a mode expansion can be
-    amplified. The number is reported, not judged: there is no pass/fail
-    cut. It is 1.0 for one species.
-    Raises ``NumericalError`` when two eigenvalues coincide within
-    ``summary.eig_tol``, because the pairing is then ambiguous, and after
-    that test when the summary has no left vectors. The message names
-    ``EIG_TOL``, the bound before its scaling by ``‖M‖₁``.
+    κ₁ bounds how far rounding in a mode expansion can be amplified, and
+    ``summary.defective`` is κ₁ above the cut ``eigendecompose`` states. It
+    is 1.0 for one species. Raises ``NumericalError`` when two eigenvalues
+    coincide within ``summary.eig_tol``, because the pairing is then
+    ambiguous, and after that test when the summary has no left vectors.
+    The message names ``EIG_TOL``, the bound before its scaling by ``‖M‖₁``.
     """
     p, q = _near_equal_pairs(summary.eigenvalues, summary.eig_tol)
     if p.size:
         raise NumericalError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
     if summary.left_vectors is None:
         raise NumericalError("the right eigenvectors are linearly dependent")
-    return float(np.linalg.norm(summary.right_vectors.T, 1) * np.linalg.norm(summary.left_vectors, 1))
+    return _basis_condition(summary.right_vectors, summary.left_vectors)

@@ -116,6 +116,8 @@ PASSING = {
     "spectrum-pair": (two_species(0.1, 0.1, [0.6, 0.4]), SPECTRUM, ("s.json",)),
     # [[-1.5, -2.5], [2.5, 3.5]]: a Jordan block whose right eigenvectors are parallel.
     "spectrum-singular-basis": (two_species(2.5, -2.5, [0.5, 0.5]), SPECTRUM, ("s.json",)),
+    # A Jordan block that eig splits into 1 +- 9.4e-9i: a basis singular to within rounding.
+    "spectrum-split-jordan": (two_species(0.2, -0.2, [0.5, 0.5]), SPECTRUM, ("s.json",)),
     "backward50": (
         entries(random_stochastic(50, 0.3, 1).entries, [1] * 50),
         ["backward", "--scenario", "in.json", "--max-steps", "100"],
@@ -162,6 +164,9 @@ FAILING = {
 # were re-pinned on the change that reports the eigenvector basis's
 # condition number as `basis_condition` in place of `max_violation` and
 # `passed`; that block is the only difference from their earlier bytes.
+# "spectrum-split-jordan" was computed on the change that decides
+# `defective` from that condition number; its parent wrote `defective:
+# false` and a stationary mix of [0.3, 0.7] there.
 GOLDEN = {
     "backward50": {
         "stdout": "horizon=10 offender=species_23\n",
@@ -211,6 +216,10 @@ GOLDEN = {
     },
     "spectrum-singular-basis": {
         "s.json": "23a902485c5e4e8321acdfc1b6861b196db8de358c63769629bdc9f0fc5da2b4",
+        "stdout": "",
+    },
+    "spectrum-split-jordan": {
+        "s.json": "16e398a00ad0c7f9fb4de1cff2c3feee119f6fa7b1dcbe10c9d3ec77b731e5a1",
         "stdout": "",
     },
     "spectrum-stochastic": {

@@ -24,6 +24,12 @@ from evosum.errors import NumericalError, ValidationError
 SWAP = EvolutionMatrix([[0.0, 1.0], [1.0, 0.0]])
 EIG_TOL = 1e-9
 ZERO_TOL = 1e-12
+DEFECTIVE_CONDITION = 1e11
+
+
+def reference_defective(right):
+    """Reference: ``defective`` as κ₁ of the stored right vectors, inverted afresh, above the cut."""
+    return bool(np.linalg.cond(right.T, 1) > DEFECTIVE_CONDITION)
 
 
 def reference_right_vectors(w, v, tol):
@@ -58,21 +64,21 @@ def reference_eigendecompose(matrix):
     """Reference: ``eigendecompose`` as it was before its one-copy rewrite.
 
     Right vectors from ``reference_right_vectors``, left vectors copied out
-    of ``inv`` into their own array. The degeneracy helpers are shared.
+    of ``inv`` into their own array, ``defective`` from
+    ``reference_defective``.
     """
     a = np.asarray(matrix.entries, dtype=float)
     n = matrix.n
     tol = EIG_TOL * max(1.0, np.abs(a).sum(axis=0).max())
     w, right = reference_right_vectors(*np.linalg.eig(a), tol)
     leading_degenerate = int(np.count_nonzero(np.abs(w - 1.0) <= tol)) > 1
-    defective = spectral._is_defective(right, *spectral._near_equal_pairs(w, tol))
     lead_sum = complex(right[0].sum())
     sum_normalized = abs(lead_sum) > EIG_TOL
     if sum_normalized:
         right[0] = right[0] / lead_sum
     stationary = None
     mixed_sign = not sum_normalized
-    if sum_normalized and not leading_degenerate:
+    if sum_normalized and not leading_degenerate and np.all(right[0].imag == 0):
         candidate = right[0].real
         if np.min(candidate) >= -ZERO_TOL:
             stationary = PopulationVector(np.maximum(candidate, 0.0))
@@ -93,7 +99,7 @@ def reference_eigendecompose(matrix):
         eig_tol=tol,
         leading_degenerate=leading_degenerate,
         stationary_mixed_sign=mixed_sign,
-        defective=defective,
+        defective=reference_defective(right),
     )
 
 
@@ -122,33 +128,22 @@ def assert_same_bytes(actual, expected):
 
 
 def pairwise_flags(summary):
-    """Reference: the per-pair loops ``eigendecompose`` and
-    ``check_biorthogonality`` ran before the vectorized pair search.
+    """Reference: the per-pair loop ``check_biorthogonality`` ran before the
+    vectorized pair search, and ``reference_defective``.
 
     Returns ``(leading_degenerate, defective, degenerate_message)``, where
     the message is None when no two eigenvalues coincide within
     ``summary.eig_tol``.
     """
-    w, vectors, eig_tol = summary.eigenvalues, summary.right_vectors, summary.eig_tol
+    w, eig_tol = summary.eigenvalues, summary.eig_tol
     n = w.size
     leading_degenerate = sum(abs(w[p] - 1.0) <= eig_tol for p in range(n)) > 1
-    defective = False
     message = None
     for p in range(n):
         for q in range(p + 1, n):
-            if abs(w[p] - w[q]) <= eig_tol:
-                if message is None:
-                    message = f"eigenvalues {p} and {q} coincide within {EIG_TOL}"
-                pair = np.stack(
-                    [
-                        vectors[p] / np.linalg.norm(vectors[p]),
-                        vectors[q] / np.linalg.norm(vectors[q]),
-                    ],
-                    axis=1,
-                )
-                if np.linalg.svd(pair, compute_uv=False)[-1] < 1e-6:
-                    defective = True
-    return leading_degenerate, defective, message
+            if abs(w[p] - w[q]) <= eig_tol and message is None:
+                message = f"eigenvalues {p} and {q} coincide within {EIG_TOL}"
+    return leading_degenerate, reference_defective(summary.right_vectors), message
 
 
 def assert_matches_pairwise(matrix):
@@ -244,17 +239,18 @@ class TestDegeneratePairs:
 
     def test_near_defective_pairs_straddle_the_threshold(self):
         # Eigenvalues 1 and about 1 + delta (delta below eig_tol) whose right
-        # vectors (1+t, t-1) and (1, -1) are about t apart, so sigma_min of
-        # the unit pair is about t / sqrt(2), on both sides of 1e-6.
+        # vectors (1+t, t-1) and (1, -1) are about t apart, so κ₁ of the
+        # basis falls as t grows: from 2.4e12 to 5.0e9, across the 1e11 cut
+        # between t = 1.7e-6 and 2.7e-6.
         delta = 5e-10
-        flags = set()
+        flags = []
         for t in np.geomspace(3e-7, 1e-5, 9):
             c = delta / (2 * t)
             matrix = EvolutionMatrix(
                 [[1 - c * (1 - t), -c * (1 + t)], [c * (1 - t), 1 + c * (1 + t)]]
             )
-            flags.add(assert_matches_pairwise(matrix).defective)
-        assert flags == {True, False}
+            flags.append(assert_matches_pairwise(matrix).defective)
+        assert flags == [True] * 5 + [False] * 4
 
     @pytest.mark.parametrize("n, copies", [(5, 1), (6, 1), (3, 2), (4, 3), (7, 2)])
     def test_cyclic_permutations(self, n, copies):
@@ -375,11 +371,10 @@ class TestScaleRelativeTolerance:
     @pytest.mark.xfail(
         strict=True,
         reason="known defect (ROADMAP item 5): eig splits this Jordan block's double "
-        "eigenvalue 1 into 1 +- 9.4e-9i, wider than its bound of 1.4e-9",
+        "eigenvalue 1 into 1 +- 9.4e-9i, wider than eig_tol (1.4e-9), so no pair coincides",
     )
-    def test_split_jordan_pair_reads_as_defective(self):
+    def test_split_jordan_pair_is_refused(self):
         summary = eigendecompose(two_species_matrix(0.2, -0.2))
-        assert summary.defective
         with pytest.raises(NumericalError, match="^eigenvalues 0 and 1 coincide within 1e-09$"):
             check_biorthogonality(summary)
 
@@ -466,11 +461,15 @@ class TestBiorthogonality:
         summary = eigendecompose(random_competitive(3, 0.5, 0.5, 539))
         assert check_biorthogonality(summary) == pytest.approx(3.1e6, rel=0.01)
 
-    @pytest.mark.parametrize("a", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("a", [0.1, 0.2, 0.3, -0.1])
     def test_split_jordan_pair(self, a):
-        # eig splits the double eigenvalue 1 wider than the bound, so no
-        # refusal; the basis is singular to within rounding.
-        assert check_biorthogonality(eigendecompose(two_species_matrix(a, -a))) > 1e14
+        # eig splits the double eigenvalue 1 wider than eig_tol, so no
+        # refusal; the basis is singular to within rounding, so defective,
+        # and its leading vector is no population (at a = 0.2 it is complex).
+        summary = eigendecompose(two_species_matrix(a, -a))
+        assert summary.defective
+        assert summary.stationary is None
+        assert check_biorthogonality(summary) > DEFECTIVE_CONDITION
 
     def test_degenerate_spectrum_raises(self):
         with pytest.raises(NumericalError, match="eigenvalues 0 and 1 coincide within 1e-09"):
