@@ -8,15 +8,14 @@ sets the convergence rate toward that mix, or the divergence rate away
 from it when transfers are negative and the modulus exceeds one.
 
 ``eigendecompose`` orders and normalizes the eigenpairs and sets the
-flags, and ``_near_equal_pairs`` decides which eigenvalues coincide.
-The left vectors are ``inv(right.T)``, or None when the right vectors are
-linearly dependent. ``_basis_condition`` gives the condition number κ₁ =
-‖R‖₁·‖R⁻¹‖₁ of the stored right vectors R (as columns: the leading one
-scaled to sum 1, the others to a largest component of exactly 1). The left
-vectors are R⁻¹ with row 0 set to ones, so ``left @ right.T = I`` holds to
-about κ₁ times machine epsilon by construction. ``defective`` is κ₁ above
-a cut, and ``check_biorthogonality`` reports κ₁. ``stationary_by_iteration``
-is an oracle that never looks at eigenvalues.
+flags. ``_basis_condition`` gives the condition number κ₁ = ‖R‖₁·‖R⁻¹‖₁
+of the stored right vectors R (as columns: the leading one scaled to sum
+1, the others to a largest component of exactly 1). The left vectors are
+R⁻¹ as ``inv`` returns it, or None when the right vectors are linearly
+dependent, so ``left @ right.T = I`` holds to about κ₁ times machine
+epsilon by construction, whatever the eigenvalues. ``defective`` is κ₁
+above a cut, and ``check_biorthogonality`` reports κ₁.
+``stationary_by_iteration`` is an oracle that never looks at eigenvalues.
 """
 
 from __future__ import annotations
@@ -41,13 +40,14 @@ class SpectralSummary:
     """Full eigenstructure of an evolution matrix.
 
     ``eigenvalues[p]``, ``right_vectors[p]`` and ``left_vectors[p]`` belong
-    together. ``left_vectors`` is None when the right vectors are linearly
-    dependent. ``stationary`` is None when it cannot be resolved; the flags
-    say why: a degenerate leading eigenvalue (multiplicity of 1 above one),
-    mixed signs in the leading right vector (possible with negative
-    transfers), or a defective eigenvector basis (see ``eigendecompose``),
-    whose leading vector can be complex. ``eig_tol`` is the bound
-    ``EIG_TOL * max(1, ‖M‖₁)`` within which two eigenvalues coincide.
+    together: ``left_vectors`` is ``inv(right_vectors.T)``, so row p pairs
+    with right vector p even where eigenvalues coincide. It is None when
+    the right vectors are linearly dependent. ``stationary`` is None when
+    it cannot be resolved; the flags say why: a degenerate leading
+    eigenvalue (multiplicity of 1 above one), mixed signs in the leading
+    right vector (possible with negative transfers), or a defective
+    eigenvector basis (see ``eigendecompose``), whose leading vector can be
+    complex.
     """
 
     eigenvalues: np.ndarray
@@ -55,7 +55,6 @@ class SpectralSummary:
     left_vectors: np.ndarray | None
     stationary: PopulationVector | None
     lambda2_modulus: float
-    eig_tol: float
     leading_degenerate: bool = False
     stationary_mixed_sign: bool = False
     defective: bool = False
@@ -65,23 +64,6 @@ def _canonical_phase(vectors: np.ndarray) -> None:
     """Scale each row in place so its largest-magnitude component is exactly 1 (real, positive)."""
     pivots = vectors[np.arange(len(vectors)), np.abs(vectors).argmax(axis=1)]
     vectors /= pivots[:, None]
-
-
-def _near_equal_pairs(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays ``p < q`` of every pair with ``|w[p] - w[q]| <= tol``, row-major.
-
-    Candidates are the pairs whose real parts are within ``tol``. That
-    loses no pair: ``|Re d|`` is at most ``|d|``, and a candidate's real
-    difference has the bits of the exact test's. ``np.nonzero`` returns the
-    candidates in row-major order, so the pairs come sorted by ``p`` and
-    then ``q``.
-    """
-    p, q = np.nonzero(np.triu(np.abs(w.real[:, None] - w.real) <= tol, 1))
-    d = w[p] - w[q]
-    # np.hypot equals abs() of a complex scalar bit for bit; np.abs of a
-    # complex array can differ from it in the last place.
-    keep = np.hypot(d.real, d.imag) <= tol
-    return p[keep], q[keep]
 
 
 # κ₁ of the right vectors above which the basis is defective; see eigendecompose.
@@ -102,23 +84,26 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     ``eigenvalues[1]`` is the other mode even when its modulus exceeds one;
     the rest follow by descending modulus, then descending real part, then
     ascending imaginary part. The leading right vector is scaled to sum to
-    one and the leading left vector is exactly all ones. Every other right
-    vector is scaled so that its largest-magnitude component is exactly 1
-    (which fixes a complex vector's phase), and the left vectors are
-    always the rows of ``inv(right.T)``, so each pair pairs to one; they
-    are None when ``inv`` finds the right vectors singular or returns a
-    non-finite entry. One complex n x n copy of the vectors is held
-    besides ``left``. Never raises on degenerate or defective input: the
-    summary's flags report it.
+    one, and every other right vector so that its largest-magnitude
+    component is exactly 1 (which fixes a complex vector's phase). The left
+    vectors are the rows of ``inv(right.T)`` exactly as ``inv`` returns
+    them, so each pair pairs to one; they are None when ``inv`` finds the
+    right vectors singular or returns a non-finite entry. When eigenvalue 1
+    is simple, the leading left vector is the all-ones row to within
+    rounding; when it repeats, it is the dual of the leading right vector
+    instead. One complex n x n copy of the vectors is held besides
+    ``left``. Never raises on degenerate or defective input: the summary's
+    flags report it.
 
     ``defective`` is κ₁ above ``_DEFECTIVE_CONDITION`` = 1e11 (inf without
     left vectors). No eigenvalue-equality test decides it (Golub and
     Wilkinson, SIAM Review 18, 1976): ``eig`` splits the Jordan block
     ``two_species_matrix(0.2, -0.2)``'s double 1 into ``1 ± 9.4e-9i``,
-    wider than its ``eig_tol`` of 1.4e-9. The cut is the geometric midpoint
-    of the measured gap: random draws reach at most 8.6e6, and the split
-    pairs ``two_species_matrix(a, -a)``, a in {0.1, 0.2, 0.3, -0.1}, read
-    4.5e14 to 1.35e15. At 1e11, ``left @ right.T = I`` holds to about 1e-5.
+    wider than its equality bound (below) of 1.4e-9. The cut is the
+    geometric midpoint of the measured gap: random draws reach at most
+    8.6e6, and the split pairs ``two_species_matrix(a, -a)``, a in {0.1,
+    0.2, 0.3, -0.1}, read 4.5e14 to 1.35e15. At 1e11, ``left @ right.T =
+    I`` holds to about 1e-5.
 
     ``eig`` computes an eigenvalue to within about machine epsilon times
     ``‖M‖``, so two eigenvalues coincide, and one is real, within
@@ -171,8 +156,6 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     except np.linalg.LinAlgError:  # exactly singular
         left = None
     if left is not None and np.all(np.isfinite(left)):
-        if sum_normalized:
-            left[0] = np.ones(n)  # exact: pairs to 1 with the sum-one leading vector
         left.flags.writeable = False
     else:
         left = None
@@ -188,7 +171,6 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
         left_vectors=left,
         stationary=stationary,
         lambda2_modulus=lambda2_modulus,
-        eig_tol=tol,
         leading_degenerate=leading_degenerate,
         stationary_mixed_sign=mixed_sign,
         defective=defective,
@@ -233,14 +215,10 @@ def check_biorthogonality(summary: SpectralSummary) -> float:
 
     κ₁ bounds how far rounding in a mode expansion can be amplified, and
     ``summary.defective`` is κ₁ above the cut ``eigendecompose`` states. It
-    is 1.0 for one species. Raises ``NumericalError`` when two eigenvalues
-    coincide within ``summary.eig_tol``, because the pairing is then
-    ambiguous, and after that test when the summary has no left vectors.
-    The message names ``EIG_TOL``, the bound before its scaling by ``‖M‖₁``.
+    is 1.0 for one species. Coinciding eigenvalues need no refusal: row p
+    of ``left_vectors`` pairs with right vector p by construction. Raises
+    ``NumericalError`` only when the summary has no left vectors.
     """
-    p, q = _near_equal_pairs(summary.eigenvalues, summary.eig_tol)
-    if p.size:
-        raise NumericalError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
     if summary.left_vectors is None:
         raise NumericalError("the right eigenvectors are linearly dependent")
     return _basis_condition(summary.right_vectors, summary.left_vectors)

@@ -1294,9 +1294,9 @@ class TestSpectrum:
         report = json.loads(out.read_text())
         assert report["leading_degenerate"]
         assert report["stationary"] is None
-        assert "error" in report["biorthogonality"]
+        assert report["biorthogonality"] == {"basis_condition": 1.0}
 
-    def test_identity_names_first_coinciding_pair(self, tmp_path):
+    def test_identity_reports_a_perfectly_conditioned_basis(self, tmp_path):
         path = write_scenario(
             tmp_path / "id3.json",
             {"matrix": {"entries": np.eye(3).tolist()}, "initial": [1, 1, 1]},
@@ -1304,7 +1304,7 @@ class TestSpectrum:
         out = tmp_path / "spec.json"
         assert main(["spectrum", "--scenario", path, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["biorthogonality"] == {"error": "eigenvalues 0 and 1 coincide within 1e-09"}
+        assert report["biorthogonality"] == {"basis_condition": 1.0}
         assert report["defective"] is False
 
     def test_random_stochastic_matches_iteration_oracle(self, tmp_path):

@@ -166,7 +166,14 @@ FAILING = {
 # `passed`; that block is the only difference from their earlier bytes.
 # "spectrum-split-jordan" was computed on the change that decides
 # `defective` from that condition number; its parent wrote `defective:
-# false` and a stationary mix of [0.3, 0.7] there.
+# false` and a stationary mix of [0.3, 0.7] there. "spectrum-identity",
+# "spectrum-singular-basis", "spectrum-split-jordan" and
+# "spectrum-stochastic" were re-pinned on the change that keeps the left
+# vectors exactly as `inv` returns them and drops the coinciding-eigenvalue
+# refusal; the `biorthogonality` block is the only difference from their
+# earlier bytes. The identity now reports a condition number of 1.0, the
+# singular basis the "linearly dependent" refusal, and the other two move
+# in the condition number's last digits.
 GOLDEN = {
     "backward50": {
         "stdout": "horizon=10 offender=species_23\n",
@@ -207,7 +214,7 @@ GOLDEN = {
         "stdout": "",
     },
     "spectrum-identity": {
-        "s.json": "a921d2be461ad55e27d71ce9f6457aba4ee730641fb7841e8b00eef045fe4282",
+        "s.json": "ad1d065c82ae7d97ca8fb37521a7089485cfbee678d59be1c7707651e0b81592",
         "stdout": "",
     },
     "spectrum-pair": {
@@ -215,15 +222,15 @@ GOLDEN = {
         "stdout": "",
     },
     "spectrum-singular-basis": {
-        "s.json": "23a902485c5e4e8321acdfc1b6861b196db8de358c63769629bdc9f0fc5da2b4",
+        "s.json": "7dcbf05cf6b2cc303c893a4c3ebf4087568d220b8bcc0c049d88e0f57c23794d",
         "stdout": "",
     },
     "spectrum-split-jordan": {
-        "s.json": "16e398a00ad0c7f9fb4de1cff2c3feee119f6fa7b1dcbe10c9d3ec77b731e5a1",
+        "s.json": "36f0eb9768f24f39c733dc46cab9a88d6dfc81fbe0073912709fb85dadf1385b",
         "stdout": "",
     },
     "spectrum-stochastic": {
-        "s.json": "86afe835577552bcfae950f0eaaff3618d6b43e14ae25ea28a51212999831af6",
+        "s.json": "e19aee210ef3f18a9c47ad5ef1e94a04e2c30c7e06399e5edbd867a09635b48e",
         "stdout": "",
     },
     "sweep": {

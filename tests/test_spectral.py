@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,7 +17,6 @@ from evosum import (
     stationary_by_iteration,
     two_species_matrix,
 )
-from evosum import spectral
 from evosum.cli import main
 from evosum.errors import NumericalError, ValidationError
 
@@ -88,15 +87,12 @@ def reference_eigendecompose(matrix):
     inv = np.linalg.inv(right.T)
     assert np.all(np.isfinite(inv))  # a dependent basis is tested in TestDependentRightVectors
     left[:] = inv
-    if sum_normalized:
-        left[0] = np.ones(n)
     return SpectralSummary(
         eigenvalues=w,
         right_vectors=right,
         left_vectors=left,
         stationary=stationary,
         lambda2_modulus=float(abs(w[1])) if n >= 2 else 0.0,
-        eig_tol=tol,
         leading_degenerate=leading_degenerate,
         stationary_mixed_sign=mixed_sign,
         defective=reference_defective(right),
@@ -104,14 +100,11 @@ def reference_eigendecompose(matrix):
 
 
 def reference_basis_condition(summary):
-    """Reference: ``check_biorthogonality``'s refusal, else ``np.linalg.cond`` of the stored basis.
-
-    ``cond`` inverts the right vectors afresh instead of reading
-    ``left_vectors``, whose row 0 is set to exact ones.
+    """Reference: ``check_biorthogonality``'s refusal without left vectors, else
+    ``np.linalg.cond`` of the stored basis, which inverts the right vectors afresh.
     """
-    p, q = spectral._near_equal_pairs(summary.eigenvalues, summary.eig_tol)
-    if p.size:
-        raise NumericalError(f"eigenvalues {p[0]} and {q[0]} coincide within {EIG_TOL}")
+    if summary.left_vectors is None:
+        raise NumericalError("the right eigenvectors are linearly dependent")
     return float(np.linalg.cond(summary.right_vectors.T, 1))
 
 
@@ -127,36 +120,34 @@ def assert_same_bytes(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
-def pairwise_flags(summary):
-    """Reference: the per-pair loop ``check_biorthogonality`` ran before the
-    vectorized pair search, and ``reference_defective``.
-
-    Returns ``(leading_degenerate, defective, degenerate_message)``, where
-    the message is None when no two eigenvalues coincide within
-    ``summary.eig_tol``.
+def pairwise_flags(matrix, summary):
+    """Reference: ``(leading_degenerate, defective)`` from a per-eigenvalue loop and
+    ``reference_defective``, the tolerance computed from the matrix as
+    ``reference_eigendecompose`` does.
     """
-    w, eig_tol = summary.eigenvalues, summary.eig_tol
-    n = w.size
-    leading_degenerate = sum(abs(w[p] - 1.0) <= eig_tol for p in range(n)) > 1
-    message = None
-    for p in range(n):
-        for q in range(p + 1, n):
-            if abs(w[p] - w[q]) <= eig_tol and message is None:
-                message = f"eigenvalues {p} and {q} coincide within {EIG_TOL}"
-    return leading_degenerate, reference_defective(summary.right_vectors), message
+    tol = EIG_TOL * max(1.0, np.abs(matrix.entries).sum(axis=0).max())
+    w = summary.eigenvalues
+    leading_degenerate = sum(abs(w[p] - 1.0) <= tol for p in range(w.size)) > 1
+    return leading_degenerate, reference_defective(summary.right_vectors)
+
+
+def assert_left_vectors_pair(summary):
+    """``check_biorthogonality`` is κ₁ of the stored basis bit for bit, or refuses
+    exactly when there are no left vectors; and ``left @ right.T`` is within
+    κ₁·n·ε of ``I``, whatever the eigenvalues.
+    """
+    kappa = biorthogonality_outcome(check_biorthogonality, summary)
+    assert kappa == biorthogonality_outcome(reference_basis_condition, summary)
+    if summary.left_vectors is not None:
+        n = summary.eigenvalues.size
+        gram = summary.left_vectors @ summary.right_vectors.T
+        assert np.max(np.abs(gram - np.eye(n))) <= kappa * n * np.finfo(float).eps
 
 
 def assert_matches_pairwise(matrix):
     summary = eigendecompose(matrix)
-    leading_degenerate, defective, message = pairwise_flags(summary)
-    assert summary.leading_degenerate == leading_degenerate
-    assert summary.defective == defective
-    if message is None:
-        check_biorthogonality(summary)
-    else:
-        with pytest.raises(NumericalError, match="coincide within") as info:
-            check_biorthogonality(summary)
-        assert str(info.value) == message
+    assert (summary.leading_degenerate, summary.defective) == pairwise_flags(matrix, summary)
+    assert_left_vectors_pair(summary)
     return summary
 
 
@@ -185,8 +176,11 @@ class TestEigendecompose:
         assert_allclose(mode / mode[0], [1.0, -1.0], atol=1e-12)
 
     def test_leading_left_vector_is_all_ones(self):
+        # The left vectors invert the right ones; eigenvalue 1 is simple, so
+        # the leading left vector is the ones row to within rounding.
         summary = eigendecompose(two_species_matrix(0.1, 0.2))
-        assert_allclose(summary.left_vectors[0], np.ones(2), atol=0)
+        assert_allclose(summary.left_vectors @ summary.right_vectors.T, np.eye(2), rtol=0, atol=1e-15)
+        assert_allclose(summary.left_vectors[0], np.ones(2), rtol=0, atol=1e-15)
 
     def test_identity_flagged_degenerate(self):
         summary = eigendecompose(EvolutionMatrix(np.eye(3)))
@@ -220,7 +214,8 @@ class TestEigendecompose:
 
 
 class TestDegeneratePairs:
-    """The vectorized pair search agrees with the per-pair reference loops."""
+    """On degenerate spectra the flags agree with the reference loop, and the
+    left vectors pair with the right ones."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 60])
     def test_identity(self, n):
@@ -238,7 +233,7 @@ class TestDegeneratePairs:
         assert_matches_pairwise(two_species_matrix(alpha, -alpha))
 
     def test_near_defective_pairs_straddle_the_threshold(self):
-        # Eigenvalues 1 and about 1 + delta (delta below eig_tol) whose right
+        # Eigenvalues 1 and about 1 + delta (delta below EIG_TOL) whose right
         # vectors (1+t, t-1) and (1, -1) are about t apart, so κ₁ of the
         # basis falls as t grows: from 2.4e12 to 5.0e9, across the 1e11 cut
         # between t = 1.7e-6 and 2.7e-6.
@@ -289,36 +284,6 @@ class TestDegeneratePairs:
             blocks += [block] * copies
         assert_matches_pairwise(block_diagonal(blocks))
 
-    @given(
-        st.sampled_from([0.0, 1.0, -0.25]),
-        st.lists(
-            st.tuples(st.integers(-10, 10), st.integers(-10, 10)), min_size=1, max_size=12
-        ),
-        st.booleans(),
-        st.booleans(),
-    )
-    @example(1.0, [(0, 0)], False, False)  # one eigenvalue
-    @example(1.0, [(0, 0)] * 6, False, True)  # all equal
-    @example(0.0, [(5, 0), (0, 0), (3, 4), (3, -4), (-5, 0)], True, False)
-    @settings(max_examples=300, deadline=None)
-    def test_pair_search_at_the_tolerance_edge(self, base, offsets, conjugates, real):
-        # Offsets are multiples of EIG_TOL / 5, so many differences land on
-        # EIG_TOL or within an ulp of it (5, or 3 and 4 as a right triangle).
-        w = np.array([complex(base + a * EIG_TOL / 5, b * EIG_TOL / 5) for a, b in offsets])
-        if conjugates:
-            w = np.concatenate([w, w.conj()])
-        if real:
-            w = w.real.copy()
-        values = [complex(x) for x in w]
-        expected = [
-            (p, q)
-            for p in range(len(values))
-            for q in range(p + 1, len(values))
-            if abs(values[p] - values[q]) <= EIG_TOL
-        ]
-        p, q = spectral._near_equal_pairs(w, EIG_TOL)
-        assert list(zip(p.tolist(), q.tolist())) == expected
-
     def test_identity_needs_no_svd(self, monkeypatch):
         # Deterministic cost guard: the pair loop ran 44,850 SVDs on eye(300).
         calls = []
@@ -353,6 +318,7 @@ class TestScaleRelativeTolerance:
         summary = eigendecompose(matrix)
         assert summary.leading_degenerate
         assert summary.stationary is None
+        assert_left_vectors_pair(summary)
 
     @given(st.sampled_from(SCALES), SHARES, SHARES, SHARES, SHARES)
     @settings(max_examples=150, deadline=None)
@@ -368,16 +334,6 @@ class TestScaleRelativeTolerance:
         assert eps >= 1e-6 * np.linalg.norm(entries, 1)
         assert not eigendecompose(EvolutionMatrix(entries)).leading_degenerate
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect (ROADMAP item 5): eig splits this Jordan block's double "
-        "eigenvalue 1 into 1 +- 9.4e-9i, wider than eig_tol (1.4e-9), so no pair coincides",
-    )
-    def test_split_jordan_pair_is_refused(self):
-        summary = eigendecompose(two_species_matrix(0.2, -0.2))
-        with pytest.raises(NumericalError, match="^eigenvalues 0 and 1 coincide within 1e-09$"):
-            check_biorthogonality(summary)
-
 
 class TestDependentRightVectors:
     """``left_vectors`` is ``inv(right.T)``, or None when that inverse does not exist."""
@@ -387,7 +343,7 @@ class TestDependentRightVectors:
         summary = eigendecompose(two_species_matrix(2.5, -2.5))
         assert summary.left_vectors is None
         assert summary.defective and summary.leading_degenerate
-        with pytest.raises(NumericalError, match="^eigenvalues 0 and 1 coincide within 1e-09$"):
+        with pytest.raises(NumericalError, match="^the right eigenvectors are linearly dependent$"):
             check_biorthogonality(summary)
 
     @pytest.mark.parametrize("failure", ["raises", "non-finite"])
@@ -405,7 +361,6 @@ class TestDependentRightVectors:
         matrix = random_stochastic(5, 0.3, 1)
         summary = eigendecompose(matrix)
         assert summary.left_vectors is None
-        assert spectral._near_equal_pairs(summary.eigenvalues, summary.eig_tol)[0].size == 0
         with pytest.raises(NumericalError, match="^the right eigenvectors are linearly dependent$"):
             check_biorthogonality(summary)
         scenario, out = tmp_path / "in.json", tmp_path / "s.json"
@@ -463,17 +418,19 @@ class TestBiorthogonality:
 
     @pytest.mark.parametrize("a", [0.1, 0.2, 0.3, -0.1])
     def test_split_jordan_pair(self, a):
-        # eig splits the double eigenvalue 1 wider than eig_tol, so no
-        # refusal; the basis is singular to within rounding, so defective,
-        # and its leading vector is no population (at a = 0.2 it is complex).
+        # eig splits the double eigenvalue 1 into two; the basis is singular
+        # to within rounding, so defective, and its leading vector is no
+        # population (at a = 0.2 it is complex).
         summary = eigendecompose(two_species_matrix(a, -a))
         assert summary.defective
         assert summary.stationary is None
         assert check_biorthogonality(summary) > DEFECTIVE_CONDITION
 
-    def test_degenerate_spectrum_raises(self):
-        with pytest.raises(NumericalError, match="eigenvalues 0 and 1 coincide within 1e-09"):
-            check_biorthogonality(eigendecompose(EvolutionMatrix(np.eye(3))))
+    def test_identity_pairs_exactly(self):
+        # Eigenvalue 1 three times: the left vectors still invert the right ones.
+        summary = eigendecompose(EvolutionMatrix(np.eye(3)))
+        assert np.array_equal(summary.left_vectors @ summary.right_vectors.T, np.eye(3))
+        assert check_biorthogonality(summary) == 1.0
 
 
 class TestSpectralInvariants:
@@ -559,11 +516,7 @@ class TestOneCopyEquivalence:
         for name in ("lambda2_modulus", "leading_degenerate", "stationary_mixed_sign", "defective"):
             assert getattr(actual, name) == getattr(expected, name), name
         outcome = biorthogonality_outcome(check_biorthogonality, actual)
-        reference = biorthogonality_outcome(reference_basis_condition, expected)
-        if isinstance(reference, str):
-            assert outcome == reference
-        else:
-            assert outcome == pytest.approx(reference, rel=1e-9)
+        assert outcome == biorthogonality_outcome(reference_basis_condition, expected)
 
     def test_arrays_are_read_only(self):
         summary = eigendecompose(random_competitive(10, 0.4, 0.5, 1))
