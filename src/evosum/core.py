@@ -34,8 +34,12 @@ ZERO_TOL = 1e-12
 EIG_TOL = 1e-9
 
 
-def _readonly(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
+def _readonly(a, noun: str) -> np.ndarray:
+    """A new read-only C-ordered float copy of ``a``; complex entries are refused, not truncated."""
+    arr = np.array(a, order="C")  # the one copy of a float input; astype keeps it
+    if np.iscomplexobj(arr):
+        raise ValidationError(f"{noun} entries must be real, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     arr.flags.writeable = False
     return arr
 
@@ -82,42 +86,32 @@ def _check_vector(values: np.ndarray, noun: str) -> None:
         raise ValidationError(f"{noun} entry {bad} is negative ({float(values[bad])})")
 
 
-def _column_sums(entries: np.ndarray, column_sum: float) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums of each matrix in ``entries`` (..., n, n), and whether all are in tolerance.
+def _check_matrix(entries: np.ndarray, column_sum: float, what: str) -> None:
+    """Finite entries and column sums of one matrix or of a stack (..., n, n), summed once.
 
-    Returns ``(sums, ok)``: ``sums`` has shape (..., n) and ``ok`` shape
-    (...), True where every column is within ``CONSTRUCTION_TOL`` of
-    ``column_sum``. A non-finite entry makes its column sum inf or NaN,
-    and NaN fails ``<=``, so ``ok`` also means every entry is finite. The
-    sums run with overflow and invalid-value warnings off: an overflowing
-    sum is reported as inf by the caller, not as a warning.
+    A non-finite entry makes its column sum inf or NaN, which fails the
+    ``CONSTRUCTION_TOL`` test. So only a failing stack is looked at again:
+    its first failing matrix is named by its first non-finite entry, else
+    by its column furthest off. An overflowing column sums to inf, with no
+    warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sums = entries.sum(axis=-2)
-    return sums, (np.abs(sums - column_sum) <= CONSTRUCTION_TOL).all(axis=-1)
-
-
-def _check_matrix(entries: np.ndarray, column_sum: float, what: str) -> None:
-    """Checks shared by every per-step matrix, in order: square, finite, column sums.
-
-    A non-finite entry is named by its first position; else the column
-    whose ``_column_sums`` sum is furthest off is named when it is outside
-    ``CONSTRUCTION_TOL``.
-    """
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
-        raise ValidationError(f"{what} must be a nonempty square matrix")
-    sums, _ = _column_sums(entries, column_sum)
+        dev = np.abs(sums - column_sum)
+        ok = dev <= CONSTRUCTION_TOL
+    if ok.all():
+        return
+    first = np.unravel_index(int(np.argmin(ok.all(axis=-1))), ok.shape[:-1])
+    entries, sums, dev = entries[first], sums[first], dev[first]
     finite = np.isfinite(entries)
     if not finite.all():
         i, j = np.argwhere(~finite)[0].tolist()
         raise ValidationError(f"{what} entry ({i}, {j}) is not finite ({float(entries[i, j])})")
-    dev = np.abs(sums - column_sum)
-    if np.any(dev > CONSTRUCTION_TOL):
-        j = int(np.argmax(dev))
-        raise ValidationError(
-            f"column {j} of {what} sums to {float(sums[j])!r}, "
-            f"expected {column_sum} within {CONSTRUCTION_TOL}"
-        )
+    j = int(np.argmax(dev))
+    raise ValidationError(
+        f"column {j} of {what} sums to {float(sums[j])!r}, "
+        f"expected {column_sum} within {CONSTRUCTION_TOL}"
+    )
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,7 @@ class PopulationVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = _readonly(self.values)
+        values = _readonly(self.values, "population")
         object.__setattr__(self, "values", values)
         _check_vector(values, "population")
         with np.errstate(over="ignore"):  # an overflowing total is reported below
@@ -156,8 +150,10 @@ class EvolutionMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = _readonly(self.entries)
+        entries = _readonly(self.entries, "evolution matrix")
         object.__setattr__(self, "entries", entries)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
+            raise ValidationError("evolution matrix must be a nonempty square matrix")
         _check_matrix(entries, 1.0, "evolution matrix")
 
     @property
@@ -185,7 +181,7 @@ def make_population(raw) -> PopulationVector:
     The entries must be finite and nonnegative, with a positive total that
     is itself finite: finite entries near the largest float can sum to inf.
     """
-    values = np.asarray(raw, dtype=float)
+    values = _readonly(raw, "abundance")
     _check_vector(values, "abundance")
     with np.errstate(over="ignore"):  # an overflowing total is reported below
         total = float(values.sum())

@@ -36,9 +36,10 @@ from .core import (
     EvolutionMatrix,
     PopulationVector,
     _check_integer,
+    _check_matrix,
     _check_tolerance,
-    _column_sums,
     _derived_matrix,
+    _readonly,
     negative_offdiag_count,
 )
 from .errors import NumericalError, ValidationError
@@ -398,24 +399,23 @@ def elimination_time_scan(
 ) -> list[int | None]:
     """Steps to first elimination of each matrix in ``family`` (S, n, n), all from ``phi0``.
 
-    The stack is checked with one column-sum test; ``EvolutionMatrix`` is
-    built only for the first failing member, to raise its message. A family
-    that is not a stack of square matrices, or whose matrices do not match
-    ``phi0`` in size, raises ``ValidationError``. A member's result is the
-    number of steps it completed before its first crossing; convergence or
-    the step cap gives None. So the steps are those of each member's first
-    event under ``evolve``, whose blocks the scan runs with three
-    differences: the L members still running advance in lockstep, as K
-    stacked matvecs into one (K+1, L, n) buffer; K doubles after every
-    block and K * L stays within 4,096 states (K is 1 when L alone exceeds
-    it); and the members that stopped leave the stack once per block.
+    The whole stack goes through ``EvolutionMatrix``'s check at once, and no
+    ``EvolutionMatrix`` is built: a failing family raises the message of its
+    first failing member. A family that is not a stack of square matrices,
+    or whose matrices do not match ``phi0`` in size, raises
+    ``ValidationError``. A member's result is the number of steps it
+    completed before its first crossing; convergence or the step cap gives
+    None. So the steps are those of each member's first event under
+    ``evolve``, whose blocks the scan runs with three differences: the L
+    members still running advance in lockstep, as K stacked matvecs into
+    one (K+1, L, n) buffer; K doubles after every block and K * L stays
+    within 4,096 states (K is 1 when L alone exceeds it); and the members
+    that stopped leave the stack once per block.
     """
-    entries = np.ascontiguousarray(family, dtype=float)
+    entries = _readonly(family, "matrix family")
     if entries.ndim != 3 or entries.shape[1] != entries.shape[2] or entries.shape[1] < 1:
         raise ValidationError("a matrix family must be a stack of nonempty square matrices")
-    _, ok = _column_sums(entries, 1.0)
-    if not ok.all():
-        EvolutionMatrix(entries[int(ok.argmin())])  # raises the first failing member's message
+    _check_matrix(entries, 1.0, "evolution matrix")
     _check_size(entries.shape[1], phi0)
     steps: list[int | None] = [None] * entries.shape[0]
     if phi0.n == 1:

@@ -12,6 +12,9 @@ from evosum import (
     CONSTRUCTION_TOL,
     EvolutionMatrix,
     PopulationVector,
+    SimulationConfig,
+    elimination_time_scan,
+    evolve,
     make_population,
     random_competitive,
     random_stochastic,
@@ -118,8 +121,20 @@ class TestEvolutionMatrix:
             EvolutionMatrix([[1.0, 0.1], [0.0, 0.8]])
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValidationError, match="evolution matrix must be a nonempty square matrix"):
-            EvolutionMatrix(np.ones((2, 3)) / 2)
+        # The (2, 2, 2) stack passes the column-sum check, which takes stacks.
+        for entries in [np.ones((2, 3)) / 2, np.full((2, 2, 2), 0.5), np.ones(2), np.zeros((0, 0))]:
+            with pytest.raises(ValidationError, match="evolution matrix must be a nonempty square matrix"):
+                EvolutionMatrix(entries)
+
+    def test_layout_does_not_change_the_run(self):
+        # A matvec's bits follow the matrix's memory layout, so entries are stored C-ordered.
+        entries = random_competitive(30, 0.3, 0.5, 0).entries
+        phi = make_population(np.linspace(1, 2, 30))
+        (c_run,), (f_run,) = (
+            list(evolve(EvolutionMatrix(layout), phi, SimulationConfig(max_steps=300)))
+            for layout in (entries, np.asfortranarray(entries))
+        )
+        assert np.array_equal(c_run[1], f_run[1]) and c_run[2] == f_run[2]
 
     def test_carries_only_entries(self):
         # Time is the step count: no step size is stored, checked or accepted.
@@ -381,11 +396,32 @@ class TestNonFinite:
             make_population(self._poison(np.ones(n), index, bad))
 
 
-def reference_check_matrix(entries, column_sum, what):
-    """The construction check as a fixed sequence: finite entries, then column sums.
+@pytest.mark.parametrize(
+    "build, noun, entries",
+    [
+        (EvolutionMatrix, "evolution matrix", [[1 + 1j, 0], [0, 1]]),
+        (PopulationVector, "population", [0.5 + 1j, 0.5]),
+        (make_population, "abundance", [1 + 1j, 1]),
+        (
+            lambda family: elimination_time_scan(family, make_population([1, 1])),
+            "matrix family",
+            [[[1 + 1j, 0], [0, 1]]],
+        ),
+    ],
+    ids=["matrix", "population", "abundances", "family"],
+)
+def test_complex_entries_refused(build, noun, entries):
+    # Each real part is valid: a float conversion would keep it and drop the rest.
+    with pytest.raises(ValidationError, match=f"^{noun} entries must be real, got dtype complex128$"):
+        build(np.array(entries))
 
-    ``core._check_matrix`` returns early on one column-sum test; it must
-    accept the same matrices and raise the same messages and warnings.
+
+def reference_check_matrix(entries, column_sum, what):
+    """The construction check of one matrix as a fixed sequence: finite entries, then column sums.
+
+    ``core._check_matrix`` tests finiteness through the column sums and
+    takes stacks; on one matrix it must accept the same matrices and raise
+    the same messages and warnings.
     """
     finite = np.isfinite(entries)
     if not finite.all():
@@ -415,10 +451,10 @@ def check_outcome(check, entries, column_sum, what):
 
 
 @st.composite
-def checked_matrices(draw):
+def checked_matrices(draw, n=None, column_sum=None):
     """A square matrix with column sums 1 or 0, then poisoned, inflated or nudged."""
-    n = draw(st.integers(1, 5))
-    column_sum = draw(st.sampled_from([1.0, 0.0]))
+    n = draw(st.integers(1, 5)) if n is None else n
+    column_sum = draw(st.sampled_from([1.0, 0.0])) if column_sum is None else column_sum
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     entries = rng.uniform(-0.5, 0.5, size=(n, n))
     entries[np.diag_indices(n)] += column_sum - entries.sum(axis=0)
@@ -448,6 +484,15 @@ class TestOneSumCheck:
         what = "evolution matrix" if column_sum == 1.0 else "generator"
         expected = check_outcome(reference_check_matrix, entries, column_sum, what)
         assert check_outcome(core._check_matrix, entries, column_sum, what) == expected
+
+    @given(st.integers(1, 5), st.sampled_from([1.0, 0.0]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_stack_reports_its_first_failing_member(self, n, column_sum, data):
+        members = data.draw(st.lists(checked_matrices(n, column_sum), min_size=1, max_size=4))
+        stack = np.stack([entries for entries, _ in members])
+        outcomes = [check_outcome(reference_check_matrix, m, column_sum, "generator") for m in stack]
+        expected = next((o for o in outcomes if o[0] is not None), (None, []))
+        assert check_outcome(core._check_matrix, stack, column_sum, "generator") == expected
 
     @pytest.mark.parametrize(
         "entries, error, warned",

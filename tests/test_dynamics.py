@@ -1286,13 +1286,16 @@ class TestEliminationTimeScan:
         assert elimination_time_scan(family, make_population([0.5, 0.5])) == [80, 40]
         assert calls == {"evolve": 0, "crossing_fraction": 0}
 
-    def test_valid_family_builds_no_matrix(self, monkeypatch):
+    def test_family_builds_no_matrix(self, monkeypatch):
         def refused(entries):
-            raise AssertionError("a valid family is checked as one stack")
+            raise AssertionError("a family is checked as one stack, passing or failing")
 
         monkeypatch.setattr(dynamics, "EvolutionMatrix", refused)
         family = stacked(lambda c: two_species_matrix(c, -c / 2), [0.01, 0.02])
         assert elimination_time_scan(family, make_population([0.5, 0.5])) == [80, 40]
+        family[1, 0, 1] = np.nan
+        with pytest.raises(ValidationError, match=r"^evolution matrix entry \(0, 1\) is not finite \(nan\)$"):
+            elimination_time_scan(family, make_population([0.5, 0.5]))
 
     def test_population_size_mismatch_names_both_sizes(self):
         with pytest.raises(ValidationError, match="is 2x2 but the population has 3 entries"):
