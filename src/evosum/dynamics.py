@@ -109,33 +109,45 @@ class BackwardReport:
 def crossing_fraction(phi_before, phi_after) -> tuple[int, float] | None:
     """First zero crossing within a step, as (local index, fraction).
 
-    Among entries driven below ``-ZERO_TOL``, returns the one whose linear
-    interpolation hits zero earliest; ties go to the lowest index. Returns
-    None when no entry went negative.
+    ``phi_before`` and ``phi_after`` must be two 1-D arrays of one length;
+    anything else raises ``ValidationError``. Among entries driven below
+    ``-ZERO_TOL``, returns the one whose linear interpolation hits zero
+    earliest; ties go to the lowest index. Returns None when no entry went
+    negative.
+
+    Entry i's fraction is ``before[i] / (before[i] - after[i])`` in numpy
+    float64. It is clamped into [0, 1], which guards entries already at
+    dust zero, as ``np.clip`` clamps: NaN and -0.0 stay as they are. The
+    earliest is taken as ``np.argmin`` takes it: the first minimum, or
+    the first NaN. A step usually drives one or two entries negative, so
+    they are taken one at a time, which costs less than array operations
+    over them and keeps their arithmetic.
     """
     before = np.asarray(phi_before, dtype=float)
     after = np.asarray(phi_after, dtype=float)
-    negative = np.flatnonzero(after < -ZERO_TOL)
-    if negative.size == 0:
-        return None
-    start = before[negative]
-    taus = start / (start - after[negative])
-    # Clamp to [0, 1], which guards entries already at (dust) zero, as
-    # np.clip does: NaN and -0.0 stay as they are.
-    taus[taus < 0.0] = 0.0
-    taus[taus > 1.0] = 1.0
-    k = int(np.argmin(taus))  # argmin takes the first minimum: lowest id wins ties
-    return int(negative[k]), float(taus[k])
+    if before.ndim != 1 or before.shape != after.shape:
+        raise ValidationError(
+            "a crossing needs two 1-D states of one length, "
+            f"got shapes {before.shape} and {after.shape}"
+        )
+    index = fraction = None
+    for i in (after < -ZERO_TOL).nonzero()[0].tolist():
+        start = before[i]
+        tau = start / (start - after[i])
+        if tau < 0.0:
+            tau = 0.0
+        elif tau > 1.0:
+            tau = 1.0
+        # A later entry wins only if smaller, or NaN where the earlier is not.
+        if index is None or tau < fraction or (tau != tau and fraction == fraction):
+            index, fraction = i, tau
+    return None if index is None else (index, float(fraction))
 
 
 def _check_size(n: int, populations: PopulationVector) -> None:
     """Refuse a population whose length is not the matrix size ``n``."""
     if populations.n != n:
         raise ValidationError(f"matrix is {n}x{n} but the population has {populations.n} entries")
-
-
-def _drop(values: np.ndarray, local: int) -> np.ndarray:
-    return np.concatenate((values[:local], values[local + 1 :]))
 
 
 def _eliminate(entries: np.ndarray, phi: np.ndarray, alive: np.ndarray, local: int):
@@ -155,7 +167,8 @@ def _eliminate(entries: np.ndarray, phi: np.ndarray, alive: np.ndarray, local: i
     diagonal = reduced.reshape(-1)[::w]  # (k, k) of a (w-1)-wide matrix is flat index k*w
     diagonal[:local] += entries[local, :local]
     diagonal[local:] += entries[local, local + 1 :]
-    return reduced, _drop(phi, local), _drop(alive, local)
+    keep = np.arange(w) != local
+    return reduced, phi[keep], alive[keep]
 
 
 def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float):
@@ -178,12 +191,13 @@ def _stop_tests(proposed: np.ndarray, before: np.ndarray, convergence_tol: float
     np.abs(change, out=change)
     width = proposed.shape[-1]
     if width > 32 or proposed.size < 256 * width:
-        return (proposed < -ZERO_TOL).any(axis=-1), change.sum(axis=-1) < convergence_tol
+        crossed = np.logical_or.reduce(proposed < -ZERO_TOL, axis=-1)
+        return crossed, np.add.reduce(change, axis=-1) < convergence_tol
     species_major = (-1, *range(proposed.ndim - 1))  # np.moveaxis costs more than a small block's test
     crossed = np.logical_or.reduce((proposed < -ZERO_TOL).transpose(species_major).copy())
     converged = np.logical_and.reduce((change < convergence_tol).transpose(species_major).copy())
     if converged.any():  # only the candidates take the L1 row sum
-        converged[converged] = change[converged].sum(axis=-1) < convergence_tol
+        converged[converged] = np.add.reduce(change[converged], axis=-1) < convergence_tol
     return crossed, converged
 
 
@@ -240,8 +254,11 @@ def evolve(
     the interrupted step runs again on the reduced system. So crossings in
     one step resolve one at a time, and the step count advances only on
     completed steps. Each event's negative off-diagonal counts are those
-    of the matrix before and after its fold, each counted in full by
-    ``negative_offdiag_count``.
+    of the matrix before and after its fold. ``negative_offdiag_count``
+    counts the input matrix once, and each fold subtracts the negatives
+    of the removed row and column off the diagonal: the fold adds the
+    extinct species' row onto the diagonal and leaves every other
+    off-diagonal entry as it was.
 
     Fixed point: when the last state of a clean block has the bits of the
     state before it, every later state would too. The run then stops
@@ -280,18 +297,22 @@ def evolve(
         steps[rows:end] = recorded_steps
         rows = end
 
+    def hand_over():
+        """Hand the full window over and open the next."""
+        nonlocal values, steps, events, rows, start
+        yield window()
+        # Drop the full window before the next exists, so that a caller
+        # that has let go of it holds one window at a time.
+        del values, steps
+        start, rows, events = start + rows, 0, []
+        values, steps = np.zeros((capacity, n)), np.empty(capacity, dtype=int)
+
     def record(recorded_steps: np.ndarray, states: np.ndarray):
         """Append rows, handing each window over full as they spill past it."""
-        nonlocal values, steps, events, rows, start
         while len(recorded_steps) > capacity - rows:
             room = capacity - rows
             write(recorded_steps[:room], states[:room])
-            yield window()
-            # Drop the full window before the next exists, so that a caller
-            # that has let go of it holds one window at a time.
-            del values, steps
-            start, rows, events = start + rows, 0, []
-            values, steps = np.zeros((capacity, n)), np.empty(capacity, dtype=int)
+            yield from hand_over()
             recorded_steps, states = recorded_steps[room:], states[room:]
         write(recorded_steps, states)
 
@@ -350,12 +371,21 @@ def evolve(
         after *= tau
         phi += after
         phi[local] = 0.0
-        row, species = start + rows, int(alive[local])
-        yield from record(np.array([t]), phi[None, :])
+        if rows == capacity:  # the event row opens a window
+            yield from hand_over()
+        row = start + rows
+        values[rows, alive] = phi
+        steps[rows] = t
+        rows += 1
+        # Of the off-diagonal entries, the fold only removes row and column
+        # `local`, so it loses their negatives off the diagonal.
+        lost = np.count_nonzero(entries[local] < -ZERO_TOL)
+        lost += np.count_nonzero(entries[:, local] < -ZERO_TOL)
+        if entries[local, local] < -ZERO_TOL:
+            lost -= 2  # the diagonal entry, counted in both
+        neg_before, neg_after = neg_after, neg_after - int(lost)
+        events.append(EliminationEvent(t, tau, int(alive[local]), neg_before, neg_after, row))
         entries, phi, alive = _eliminate(entries, phi, alive, local)
-        neg_before, neg_after = neg_after, negative_offdiag_count(entries)
-        # After the hand-over: the event row may open a window.
-        events.append(EliminationEvent(t, tau, species, neg_before, neg_after, row))
         # Re-evaluate the interrupted step on the reduced system.
         block = min(stop + 1, _MAX_BLOCK)
 

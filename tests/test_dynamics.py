@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 from dataclasses import dataclass
 from unittest import mock
 
@@ -136,6 +137,42 @@ def reference_fold(entries, index):
     reduced = np.delete(np.delete(entries, index, axis=0), index, axis=1)
     reduced[np.diag_indices_from(reduced)] += removed_row
     return reduced
+
+
+def reference_crossing_fraction(phi_before, phi_after):
+    """``crossing_fraction`` as array operations over every negative entry at once."""
+    before = np.asarray(phi_before, dtype=float)
+    after = np.asarray(phi_after, dtype=float)
+    negative = np.flatnonzero(after < -dynamics.ZERO_TOL)
+    if negative.size == 0:
+        return None
+    start = before[negative]
+    taus = start / (start - after[negative])
+    taus[taus < 0.0] = 0.0
+    taus[taus > 1.0] = 1.0
+    k = int(np.argmin(taus))
+    return int(negative[k]), float(taus[k])
+
+
+def crossing_outcome(function, before, after, action):
+    """What ``function(before, after)`` gives under the warnings filter ``action``.
+
+    Under "error", the result or the category of the warning raised. Under
+    "always", the result and the set of warnings given, "scalar " taken out
+    of each message: numpy says "divide by zero encountered in scalar
+    divide" where an array operation says "... in divide".
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        try:
+            result = function(before, after)
+        except RuntimeWarning:
+            return "raised RuntimeWarning"
+    if result is not None:
+        index, tau = result
+        assert type(index) is int and type(tau) is float
+        result = index, np.float64(tau).tobytes()  # the sign of zero and NaN's bits count
+    return result, {(w.category, str(w.message).replace("scalar ", "")) for w in caught}
 
 
 def serial_evolve(
@@ -319,6 +356,50 @@ class TestCrossingFraction:
         index, tau = crossing_fraction(before, after)
         assert index == int(negative[k])
         assert np.float64(tau).tobytes() == taus[k].tobytes()
+
+    # Each kind of entry a fraction can meet: special values, the boundary at
+    # -ZERO_TOL and its neighbours, and a few plain values that repeat, so
+    # that draws hold exact ties and zero denominators.
+    CROSSING_VALUES = st.one_of(
+        st.sampled_from([
+            np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-12, -1e-12,
+            np.nextafter(-1e-12, -1.0), np.nextafter(-1e-12, 0.0),
+            0.2, -0.2, 0.5, -0.5, 1.5, 1e308, -1e308,
+        ]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+
+    @given(
+        pairs=st.lists(st.tuples(CROSSING_VALUES, CROSSING_VALUES), max_size=8),
+        as_lists=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    @example(pairs=[(0.2, -0.2), (0.2, -0.2), (0.6, 1.4)], as_lists=False)  # an exact tie
+    @example(pairs=[(-0.5, -0.5), (np.inf, -np.inf)], as_lists=False)  # 0 denominators, inf/inf
+    @example(pairs=[(0.5, -0.5), (np.nan, -0.5), (-np.inf, -np.inf)], as_lists=True)
+    def test_matches_the_vectorized_reference(self, pairs, as_lists):
+        # The same index, the same fraction bits and the same warnings:
+        # under "error" both raise, or neither does.
+        before = np.array([b for b, _ in pairs], dtype=float)
+        after = np.array([a for _, a in pairs], dtype=float)
+        if as_lists:
+            before, after = before.tolist(), after.tolist()
+        for action in ("error", "always"):
+            expected = crossing_outcome(reference_crossing_fraction, before, after, action)
+            assert crossing_outcome(crossing_fraction, before, after, action) == expected
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ([0.5, 0.5], [-0.1]),
+            ([0.5], [0.6, -0.1]),
+            ([[0.5, 0.5], [0.5, 0.5]], [[1.1, -0.1], [0.6, 0.4]]),
+        ],
+        ids=["after-shorter", "before-shorter", "two-dimensional"],
+    )
+    def test_states_of_other_shapes_rejected(self, before, after):
+        with pytest.raises(ValidationError, match="two 1-D states of one length"):
+            crossing_fraction(before, after)
 
 
 class TestEliminateSpecies:
@@ -1046,30 +1127,49 @@ class TestCompetitiveCascade:
             assert np.max(np.abs(terminal - stationary.values)) < 1e-6
         assert eliminating_runs >= 10
 
-    def test_negative_offdiag_counted_once_per_fold(self, monkeypatch):
-        real = dynamics.negative_offdiag_count
+    @staticmethod
+    def assert_counts_follow_the_folds(matrix: EvolutionMatrix) -> Trajectory:
+        """Run ``matrix`` from a uniform start, checking each event's negative off-diagonal counts.
+
+        They must be those of the matrix before and after the event's fold,
+        rebuilt by ``reference_fold`` and counted in full, while the engine
+        counts only its input matrix.
+        """
         calls = []
 
         def counted(entries):
-            calls.append(entries.shape[0])
-            return real(entries)
+            calls.append(entries.shape)
+            return core.negative_offdiag_count(entries)
 
-        monkeypatch.setattr(dynamics, "negative_offdiag_count", counted)
-        matrix = random_competitive(30, 0.5, 0.5, 3)
-        system = system_of(matrix, np.ones(30))
-        trajectory = collect(evolve(*system, SimulationConfig(max_steps=6000)))
-        events = trajectory.events
-        assert len(events) >= 5
-        # the input matrix, then each reduced matrix once, right after its fold
-        assert calls == list(range(30, 29 - len(events), -1))
-        assert events[0].neg_offdiag_before == real(matrix.entries)
-        for previous, event in zip(events, events[1:]):
-            assert event.neg_offdiag_before == previous.neg_offdiag_after
-        assert events[-1].neg_offdiag_after == real(trajectory.final_matrix.entries)
+        n = matrix.n
+        with mock.patch.object(dynamics, "negative_offdiag_count", counted):
+            trajectory = collect(evolve(*system_of(matrix, np.ones(n)), SimulationConfig(max_steps=6000)))
+        assert calls == [(n, n)]
+        entries, alive = np.array(matrix.entries), list(range(n))
+        for event in trajectory.events:
+            assert event.neg_offdiag_before == core.negative_offdiag_count(entries)
+            local = alive.index(event.species_id)
+            entries = reference_fold(entries, local)
+            del alive[local]
+            assert event.neg_offdiag_after == core.negative_offdiag_count(entries)
+            assert type(event.neg_offdiag_after) is int  # the summary's JSON takes no numpy integer
+        assert entries.tobytes() == trajectory.final_matrix.entries.tobytes()
+        return trajectory
 
-        calls.clear()
-        collect(evolve(*system_of(two_species_matrix(0.1, 0.2), [0.9, 0.1]), SimulationConfig()))
-        assert calls == [2]
+    @given(st.one_of(st.just((30, 3)), st.tuples(st.just(200), st.integers(0, 2**32 - 1))))
+    @settings(max_examples=8, deadline=None)
+    @example((30, 3))
+    def test_negative_offdiag_counts_follow_the_folds(self, draw):
+        n, seed = draw
+        trajectory = self.assert_counts_follow_the_folds(random_competitive(n, 0.5, 0.5, seed))
+        assert len(trajectory.events) >= 5
+
+    def test_negative_diagonal_of_the_extinct_species_is_in_no_count(self):
+        # Species 0 crosses in step 0. Its row and its column both hold its
+        # negative diagonal entry, which is off no diagonal.
+        matrix = EvolutionMatrix([[-0.2, -0.1, 0.05], [0.6, 1.0, 0.05], [0.6, 0.1, 0.9]])
+        events = self.assert_counts_follow_the_folds(matrix).events
+        assert [(e.species_id, e.neg_offdiag_before, e.neg_offdiag_after) for e in events] == [(0, 1, 0)]
 
     def test_eliminations_strictly_reduce_dimension(self):
         trajectory = collect(evolve(
