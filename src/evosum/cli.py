@@ -1,11 +1,12 @@
 """Command-line interface: simulate, spectrum, classify, backward, sweep.
 
 Each ``cmd_*`` function runs one command and returns its exit code, and
-``main`` maps the package's errors onto the other codes. Outputs are
-deterministic: floats are written as their shortest round-tripping repr
-and JSON keys are sorted. Every command writes its files through
-``_atomic_files``; ``simulate`` streams ``evolve``'s windows into the
-trajectory CSV with ``_write_trajectory``, then writes the summary.
+``main`` prints a raised error as one ``error:`` line and returns its
+code: an ``EvosumError``'s ``exit_code``, or 5 for an ``OSError``.
+Outputs are deterministic: floats are written as their shortest
+round-tripping repr and JSON keys are sorted. Every command writes its
+files through ``_atomic_files``; ``simulate`` streams ``evolve``'s windows
+into the trajectory CSV with ``_write_trajectory``, then writes the summary.
 
 Exit codes: 0 success, 2 scenario/usage parse error (including `simulate`
 with `--out` and `--summary` naming the same file), 3 validation error,
@@ -21,7 +22,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from collections.abc import Iterator
 from dataclasses import replace
 from typing import TextIO
@@ -30,20 +30,13 @@ import numpy as np
 
 from .core import _two_species_family, make_population
 from .dynamics import SimulationConfig, elimination_time_scan, evolve, evolve_backward
-from .errors import NumericalError, ScenarioParseError, ValidationError
+from .errors import EvosumError, NumericalError, ScenarioParseError
 from .scenario import Scenario, load_scenario
 from .spectral import SpectralSummary, check_biorthogonality, eigendecompose
 from .two_species import Regime, TwoSpeciesParams, classify_regime, predict_winner
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_NUMERICAL = 4
 EXIT_IO = 5
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _json_text(data) -> str:
@@ -56,29 +49,29 @@ def _atomic_files(*paths: str) -> Iterator[tuple[TextIO, ...]]:
 
     Every temp file is written and closed before the first rename, so a
     failure while writing any of them leaves every target as it was: on
-    any exception every temp file is closed and removed. ``mkstemp``
-    creates its file with mode 0600, so before the renames each temp file
-    is given ``0o666 & ~umask``, the mode ``open()`` creates a new file
-    with; a replaced output gets that mode too. An ``OSError`` from
+    any exception every temp file is closed and removed. A temp file is
+    created as ``mkstemp`` creates one, exclusively under a random name,
+    ``.evosum-<16 hex digits>.tmp``, and not through a symlink, but with
+    mode 0o666: the kernel applies the umask as it does for ``open()``, so
+    a new or replaced output gets ``0o666 & ~umask``. An ``OSError`` from
     creating a temp file or from a rename names the target, not the temp.
     """
-    umask = os.umask(0)  # the only portable way to read it is to set it
-    os.umask(umask)
+    flags = os.O_RDWR | os.O_CREAT | os.O_EXCL
+    flags |= getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0)
     temps = []
     try:
         with contextlib.ExitStack() as stack:
             files = []
             for path in paths:
                 directory = os.path.dirname(os.path.abspath(path)) or "."
+                tmp = os.path.join(directory, f".evosum-{os.urandom(8).hex()}.tmp")
                 try:
-                    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evosum-", suffix=".tmp")
+                    fd = os.open(tmp, flags, 0o666)
                 except OSError as exc:
                     raise OSError(exc.errno, exc.strerror, path) from exc
                 temps.append(tmp)
                 files.append(stack.enter_context(open(fd, "w", encoding="utf-8")))
             yield tuple(files)
-        for tmp in temps:
-            os.chmod(tmp, 0o666 & ~umask)
         for tmp, path in zip(temps, paths):
             try:
                 os.replace(tmp, path)
@@ -245,9 +238,9 @@ def cmd_sweep(args) -> int:
     lines = ["scale,steps,status"]
     for scale, k in zip(args.scales, steps):
         if k is None:
-            lines.append(f"{_fmt(scale)},,no-elimination")
+            lines.append(f"{scale!r},,no-elimination")
         else:
-            lines.append(f"{_fmt(scale)},{k},ok")
+            lines.append(f"{scale!r},{k},ok")
     with _atomic_files(args.out) as (out,):
         out.write("\n".join(lines) + "\n")
     return EXIT_OK
@@ -317,15 +310,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)
-    except ScenarioParseError as exc:
+    except EvosumError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -5,8 +5,10 @@ Conventions used throughout the package:
 * Populations live on the probability simplex: entries are nonnegative
   and sum to one.
 * An evolution matrix acts on column vectors, ``phi_next = M @ phi``, and
-  every *column* of ``M`` sums to one, so the population total is conserved
-  step by step.
+  every *column* of ``M`` sums to one within ``CONSTRUCTION_TOL``, so a
+  step moves a nonnegative state's total by at most that times the total:
+  after t steps it is within ``(1 + CONSTRUCTION_TOL)**t - 1`` of one,
+  about ``t * CONSTRUCTION_TOL``, plus rounding.
 * A generator ``C = M - I`` has zero column sums: whatever one species
   gains per step, others lose.
 
@@ -167,7 +169,9 @@ def _derived_matrix(entries: np.ndarray) -> EvolutionMatrix:
     Folding a species out keeps every column sum in exact arithmetic, but
     rounding can move a sum by an ulp or so; a column that sat just inside
     ``CONSTRUCTION_TOL`` on input can land just outside it. ``entries`` is
-    made read-only and kept, not copied: the caller must own it.
+    made read-only and kept, not copied: the caller must own it, or hand
+    over a checked matrix's read-only array, as ``evolve``'s final matrix
+    does when no species dies.
     """
     matrix = object.__new__(EvolutionMatrix)
     entries.flags.writeable = False
@@ -193,8 +197,8 @@ def make_population(raw) -> PopulationVector:
 
 
 def negative_offdiag_count(entries: np.ndarray) -> int:
-    """Count off-diagonal entries below ``-ZERO_TOL``."""
-    negative = np.asarray(entries, dtype=float) < -ZERO_TOL
+    """Count off-diagonal entries below ``-ZERO_TOL`` of a square float array."""
+    negative = entries < -ZERO_TOL
     return int(np.count_nonzero(negative)) - int(np.count_nonzero(np.diagonal(negative)))
 
 

@@ -253,12 +253,13 @@ def evolve(
     instant, the species set to 0.0 and folded out by ``_eliminate``, and
     the interrupted step runs again on the reduced system. So crossings in
     one step resolve one at a time, and the step count advances only on
-    completed steps. Each event's negative off-diagonal counts are those
-    of the matrix before and after its fold. ``negative_offdiag_count``
-    counts the input matrix once, and each fold subtracts the negatives
-    of the removed row and column off the diagonal: the fold adds the
-    extinct species' row onto the diagonal and leaves every other
-    off-diagonal entry as it was.
+    completed steps: an elimination's fraction τ is not counted, so every
+    later row is τ of a step ahead of its label. Each event's negative
+    off-diagonal counts are those of the matrix before and after its fold.
+    ``negative_offdiag_count`` counts the input matrix once, and each fold
+    subtracts the negatives of the removed row and column off the
+    diagonal: the fold adds the extinct species' row onto the diagonal
+    and leaves every other off-diagonal entry as it was.
 
     Fixed point: when the last state of a clean block has the bits of the
     state before it, every later state would too. The run then stops
@@ -269,8 +270,8 @@ def evolve(
     """
     n = matrix.n
     _check_size(n, populations)
-    entries = np.array(matrix.entries)
-    phi = np.array(populations.values)
+    entries = matrix.entries  # read-only: every fold builds a new array
+    phi = populations.values  # read-only: the first block copies it
     alive = np.arange(n, dtype=np.intp)  # local index -> species id
     every = config.record_every
     capacity = max(_WINDOW_ENTRIES // n, 1)  # rows per window
@@ -405,15 +406,14 @@ def evolve_backward(matrix: EvolutionMatrix, phi0: PopulationVector, max_steps: 
     least 1, as in ``SimulationConfig``; anything else raises
     ``ValidationError``.
     """
-    a = np.asarray(matrix.entries, dtype=float)
     _check_size(matrix.n, phi0)
     _check_integer("max_steps", max_steps, 1)
-    if abs(float(np.linalg.det(a))) <= 1e-12:
+    if abs(float(np.linalg.det(matrix.entries))) <= 1e-12:
         raise NumericalError("evolution matrix is singular; cannot step backward")
-    state = np.array(phi0.values)
+    state = phi0.values
     horizon = 0
     for _ in range(max_steps):
-        candidate = np.linalg.solve(a, state)
+        candidate = np.linalg.solve(matrix.entries, state)
         out_of_range = np.flatnonzero((candidate < -ZERO_TOL) | (candidate > 1.0 + ZERO_TOL))
         if out_of_range.size:
             return BackwardReport(horizon=horizon, offender=int(out_of_range[0]))

@@ -112,7 +112,7 @@ def eigendecompose(matrix: EvolutionMatrix) -> SpectralSummary:
     largest component of 1, so they keep ``EIG_TOL`` itself.
     """
     n = matrix.n
-    a = np.asarray(matrix.entries, dtype=float)
+    a = matrix.entries
     tol = EIG_TOL * max(1.0, float(np.linalg.norm(a, 1)))
     w, v = np.linalg.eig(a)
 
@@ -195,10 +195,9 @@ def stationary_by_iteration(
     """
     _check_tolerance("tol", tol)
     _check_integer("max_iter", max_iter, 1)
-    entries = matrix.entries
-    if not (np.all(entries >= -ZERO_TOL) and np.all(entries <= 1.0 + ZERO_TOL)):
+    power = matrix.entries  # each squaring makes a new array
+    if not (np.all(power >= -ZERO_TOL) and np.all(power <= 1.0 + ZERO_TOL)):
         raise ValidationError("iterated averaging requires a stochastic matrix")
-    power = np.asarray(matrix.entries, dtype=float).copy()
     for _ in range(max_iter):
         spread = float(np.max(power.max(axis=1) - power.min(axis=1)))
         if spread < tol:

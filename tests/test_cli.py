@@ -939,6 +939,26 @@ class TestOutputMode:
         assert out.read_text().startswith("scale,steps,status\n")
         assert list(tmp_path.glob(".evosum-*.tmp")) == []
 
+    def test_process_umask_is_left_alone(self, case_a, tmp_path, umask, monkeypatch):
+        # Reading the umask takes setting it, for every thread of the process
+        # at once; the kernel applies it to each temp file instead.
+        def refused(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        for path in (old, tmp_path / "old.csv.summary.json"):
+            path.write_text("old\n")
+            os.chmod(path, 0o600)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", refused)
+            for out in (new, old):
+                assert main(["simulate", "--scenario", case_a, "--out", str(out)]) == 0
+        for out in (new, old):
+            for path in (out, Path(f"{out}.summary.json")):
+                assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, path.name
+        assert old.read_text().startswith("step,tau,finch,sparrow,event\n")
+        assert list(tmp_path.glob(".evosum-*.tmp")) == []
+
 
 class TestSimulate:
     def test_fold_past_the_input_tolerance_writes_both_outputs(self, tmp_path, capsys):

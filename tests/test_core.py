@@ -178,6 +178,14 @@ class TestClassify:
             stationary_by_iteration(matrix)
         assert core.negative_offdiag_count(matrix.entries) == 0
 
+    @pytest.mark.parametrize(
+        "entry, count", [(-core.ZERO_TOL, 0), (np.nextafter(-core.ZERO_TOL, -1.0), 1)]
+    )
+    def test_negative_count_starts_below_zero_tol(self, entry, count):
+        matrix = EvolutionMatrix([[1.0, entry], [0.0, 1.0 - entry]])
+        assert matrix.entries[0, 1] == entry
+        assert core.negative_offdiag_count(matrix.entries) == count
+
     @given(
         st.floats(min_value=-0.5, max_value=1.5),
         st.floats(min_value=-0.5, max_value=1.5),
@@ -253,6 +261,11 @@ class TestRandomStochastic:
             random_stochastic(3, 0.0, seed=0)
         with pytest.raises(ValidationError, match=r"coupling_scale must lie in \(0, 1\), got 2.0"):
             random_stochastic(1, 2.0, seed=1)
+        # The one-species draw checks the range itself, with both ends open.
+        with pytest.raises(ValidationError, match=r"coupling_scale must lie in \(0, 1\), got 0.0"):
+            random_stochastic(1, 0.0, 0)
+        with pytest.raises(ValidationError, match=r"coupling_scale must lie in \(0, 1\), got 1.0"):
+            random_stochastic(1, 1.0, 0)
 
     @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)])
     def test_non_integer_size_rejected(self, n):
@@ -320,6 +333,8 @@ class TestRandomCompetitive:
             random_competitive(3, 0.1, 1.5, seed=0)
         with pytest.raises(ValidationError, match=r"coupling_scale must lie in \(0, 1\), got 0.0"):
             random_competitive(3, 0.0, 0.5, seed=0)
+        with pytest.raises(ValidationError, match=r"coupling_scale must lie in \(0, 1\), got 1.0"):
+            random_competitive(3, 1.0, 0.5, 0)
 
     @pytest.mark.parametrize("n", [2.5, True])
     def test_non_integer_size_rejected(self, n):

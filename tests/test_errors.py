@@ -15,6 +15,8 @@ import ast
 import builtins
 from pathlib import Path
 
+from evosum.errors import NumericalError, ScenarioParseError, ValidationError
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "evosum"
 # Each maps to one exit code in `cli.main`: 2, 3, 4 and, for OSError and its subclasses, 5.
 EXIT_CODE_CLASSES = {"ScenarioParseError", "ValidationError", "NumericalError"} | {
@@ -103,6 +105,11 @@ def test_errors_module_defines_one_class_per_exit_code():
         "ValidationError": ["EvosumError"],
         "NumericalError": ["EvosumError"],
     }
+
+
+def test_each_raised_class_carries_its_exit_code():
+    codes = {cls.__name__: cls.exit_code for cls in (ScenarioParseError, ValidationError, NumericalError)}
+    assert codes == {"ScenarioParseError": 2, "ValidationError": 3, "NumericalError": 4}
 
 
 def test_no_other_module_defines_an_exception():
